@@ -107,13 +107,18 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
 
     Raises NanLossError (with the epoch index) if a loss diverges, and
     ConfigError when a derivative-supervised mode is requested on a
-    dataset without derivative targets.
+    dataset without derivative targets or with targets marked unreliable.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     cfg.validate()
     if mode != "ordinary" and not dataset.has_derivatives:
         raise ConfigError(f"mode {mode!r} needs derivative targets in the dataset")
+    if mode != "ordinary" and not dataset.derivatives_reliable:
+        raise ConfigError(
+            f"mode {mode!r} needs reliable derivative targets; the {dataset.generator!r} "
+            "dataset marks its derivative targets unreliable"
+        )
 
     net = make_operator_net(
         query_dim=dataset.query_dim,

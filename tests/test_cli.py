@@ -202,6 +202,26 @@ def test_train_nan_exits_4(tmp_path):
     assert code == 4
 
 
+def test_train_unreliable_derivatives_exits_3(tmp_path, capsys):
+    # the jump in discontinuous_inverse leaves its derivative targets meaningless
+    for mode in ("sobolev", "sobolev+pcgrad"):
+        code = run_cli(
+            "--out-dir", tmp_path / mode, "train", "--task", "discontinuous_inverse",
+            "--mode", mode, *TRAIN_FAST,
+        )
+        assert code == 3
+    assert "unreliable" in capsys.readouterr().err
+
+
+def test_train_ordinary_on_unreliable_task_runs(tmp_path):
+    code = run_cli(
+        "--out-dir", tmp_path / "o", "train", "--task", "discontinuous_inverse",
+        "--mode", "ordinary", *TRAIN_FAST,
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["mode"] == "ordinary"
+
+
 def test_train_rerun_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -260,9 +260,16 @@ def test_margin_zero_at_zero_angle():
 
 
 def test_margin_undefined_region_exists():
-    vals, defined = derivative_flow_margin_scan(np.linspace(0.0, math.pi, 10_000))
+    grid = np.linspace(0.0, math.pi, 10_000)
+    vals, defined = derivative_flow_margin_scan(grid)
     assert (~defined).sum() > 0
     assert derivative_flow_margin(2.5) is None
+    # the scalar margin agrees with the scan: None exactly where the scan has NaN
+    scalar = [derivative_flow_margin(t) for t in grid]
+    assert [m is not None for m in scalar] == defined.tolist()
+    assert np.isnan(vals[~defined]).all()
+    defined_vals = [m for m in scalar if m is not None]
+    np.testing.assert_allclose(defined_vals, vals[defined], rtol=0.0, atol=1e-12)
 
 
 def test_margin_nonnegative_where_defined():
@@ -369,19 +376,84 @@ def test_flow_derivative_mode_dominates():
     assert t_sob.dist2[-1] < t_l2.dist2[-1]
 
 
+def _reference_flow(w0, w_star, mode, dt, t_final, record_every):
+    """The scalar RK4 loop flow_integrate used before it shared the batched
+    loop, kept as the oracle: (times, weights, dist2, ddt_dist2)."""
+    def rhs(u):
+        g = value_flow_gradient(u, w_star)
+        return -(g + derivative_flow_gradient(u, w_star) if mode == "Sob" else g)
+
+    w, n_steps = np.asarray(w0, dtype=float), int(round(t_final / dt))
+    rec = [(0.0, w, 2.0 * float((w - w_star) @ rhs(w)))]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * dt * k1)
+        k3 = rhs(w + 0.5 * dt * k2)
+        k4 = rhs(w + dt * k3)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % record_every == 0 or step == n_steps:
+            rec.append((step * dt, w, 2.0 * float((w - w_star) @ rhs(w))))
+    times, weights, ddt = (np.array(col) for col in zip(*rec))
+    return times, weights, np.sum((weights - w_star) ** 2, axis=1), ddt
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["L2", "Sob"])
+def test_flow_matches_reference_loop(mode, n, record_every):
+    rng = np.random.default_rng(13 + n)
+    w_star = rng.standard_normal(n)
+    w_star /= np.linalg.norm(w_star)  # keeps dist2 far above round-off over the horizon
+    w0 = sample_basin(w_star, 1, rng, theta_range=(0.3, 2.5))[0]
+    # 60 steps: with record_every=7 the last record falls off the stride
+    dt, t_final = 0.05, 3.0
+    traj = flow_integrate(
+        FlowConfig(w0=w0, w_star=w_star, dt=dt, t_final=t_final, mode=mode,
+                   record_every=record_every)
+    )
+    times, weights, dist2, ddt = _reference_flow(w0, w_star, mode, dt, t_final, record_every)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_allclose(traj.weights, weights, rtol=1e-12)
+    np.testing.assert_allclose(traj.dist2, dist2, rtol=1e-12)
+    np.testing.assert_allclose(traj.ddt_dist2, ddt, rtol=1e-12)
+
+
 def test_flow_batch_matches_single():
     rng = np.random.default_rng(12)
     w_star = np.array([1.0, 0.0])
     starts = sample_basin(w_star, 3, rng)
-    times, dist2, final = integrate_flow_batch(
-        starts, w_star, dt=0.05, t_final=2.0, mode="Sob", record_every=4
+    kw = dict(dt=0.05, t_final=2.0, record_every=4)
+    bundles = {}
+    for mode in ("L2", "Sob"):
+        times, dist2, final = integrate_flow_batch(starts, w_star, mode=mode, **kw)
+        for i in range(3):
+            traj = flow_integrate(FlowConfig(w0=starts[i], w_star=w_star, mode=mode, **kw))
+            np.testing.assert_allclose(dist2[i], traj.dist2, rtol=1e-12)
+            np.testing.assert_allclose(final[i], traj.weights[-1], rtol=1e-12)
+        bundles[mode] = dist2, final
+    # a per-row mode sequence: one mixed bundle equals the two single-mode bundles
+    _, dist2, final = integrate_flow_batch(
+        np.concatenate([starts, starts]), w_star, mode=["L2"] * 3 + ["Sob"] * 3, **kw
     )
-    for i in range(3):
-        traj = flow_integrate(
-            FlowConfig(w0=starts[i], w_star=w_star, dt=0.05, t_final=2.0, mode="Sob", record_every=4)
-        )
-        np.testing.assert_allclose(dist2[i], traj.dist2, rtol=1e-12)
-        np.testing.assert_allclose(final[i], traj.weights[-1], rtol=1e-12)
+    for rows, mode in ((slice(0, 3), "L2"), (slice(3, 6), "Sob")):
+        np.testing.assert_allclose(dist2[rows], bundles[mode][0], rtol=1e-12)
+        np.testing.assert_allclose(final[rows], bundles[mode][1], rtol=1e-12)
+    with pytest.raises(DimMismatchError):
+        integrate_flow_batch(starts, w_star, mode=["L2", "Sob"], **kw)
+
+
+def test_flow_batch_step_guard_names_the_step():
+    # at dt = 6.5 the three stable starts stay within the guard for 30 steps,
+    # while the start [0.5, 0.45] grows too fast at step 3
+    w_star = np.array([1.0, 0.0])
+    stable = [[0.41, -0.439], [0.278, -0.358], [0.053, -0.188]]
+    kw = dict(dt=6.5, t_final=195.0)
+    integrate_flow_batch(stable, w_star, **kw)
+    with pytest.raises(StepTooLargeError) as single:
+        flow_integrate(FlowConfig(w0=[0.5, 0.45], w_star=w_star, **kw))
+    with pytest.raises(StepTooLargeError) as bundle:
+        integrate_flow_batch(stable[:2] + [[0.5, 0.45]] + stable[2:], w_star, **kw)
+    assert bundle.value.step_index == single.value.step_index == 3
 
 
 def test_flow_basin_guard_and_step_guard():
