@@ -90,7 +90,7 @@ DEFAULTS: dict[str, dict] = {
         "k": 20,
         "m": 2,
         "epochs": 300,
-        "learning_rate": 0.05,
+        "learning_rate": 3e-3,
         "batch_size": 0,
         "rank": 8,
         "hidden": "64,64",
@@ -101,7 +101,7 @@ DEFAULTS: dict[str, dict] = {
         "test_size": 16,
         "sensors": 32,
         "queries": 96,
-        "optimizer": "gd",
+        "optimizer": "adam",
     },
     "sweep": {},  # filled below: train defaults plus sweep controls
     "validate": {"full": False},

@@ -410,11 +410,18 @@ def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp):
         k2 = rhs(w + 0.5 * dt * k1)
         k3 = rhs(w + 0.5 * dt * k2)
         k4 = rhs(w + dt * k3)
-        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = w + increment
         d2_new = np.sum((w - w_star) ** 2, axis=-1)
-        if np.any((d2 > floor) & (d2_new > 1.21 * d2)):
+        # A too-large step can also land on a spurious fixed point of the
+        # discrete map, where the distance stops changing; the increment
+        # then departs from its Euler predictor dt * k1 by O(1) relative.
+        euler = dt * k1
+        departs = np.sum((increment - euler) ** 2, axis=-1) > 0.25 * np.sum(euler**2, axis=-1)
+        if np.any((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
             raise StepTooLargeError(
-                f"distance grew more than 10% at step {step}; reduce dt",
+                f"step {step} too large: the distance grew more than 10% or the RK4 "
+                "increment left its Euler predictor by more than half; reduce dt",
                 step_index=step,
             )
         d2 = d2_new
@@ -433,9 +440,10 @@ def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp):
 def flow_integrate(cfg: FlowConfig) -> FlowTrajectory:
     """Integrate dw/dt = -grad(loss) with classical fixed-step RK4.
 
-    Raises StepTooLargeError when the squared distance grows by more
-    than 21% (distance by 10%) in a single step, which signals that dt
-    is too coarse for the configuration.
+    Raises StepTooLargeError when, in a single step, the squared distance
+    grows by more than 21% (distance by 10%) or the RK4 increment differs
+    from the Euler increment dt * k1 by more than half its norm; either
+    signals that dt is too coarse for the configuration.
     """
     w, w_star = _check_nonzero(cfg.w0, cfg.w_star)
     if w.shape != w_star.shape:

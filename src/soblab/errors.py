@@ -74,7 +74,8 @@ class NoLocalMinError(SoblabError):
 
 
 class StepTooLargeError(SoblabError):
-    """Flow integration step increased the distance by more than 10%."""
+    """Flow integration step too large: the distance grew by more than 10%,
+    or the RK4 increment left its Euler predictor by more than half."""
 
     def __init__(self, message, step_index=None):
         super().__init__(message)

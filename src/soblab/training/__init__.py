@@ -15,17 +15,14 @@ from .losses import (  # noqa: F401
     l2_loss,
     pcgrad_merge,
     relative_l2_error,
-    sobolev_loss,
 )
 from .loop import MODES, TrainConfig, TrainReport, train  # noqa: F401
 from .mlp import ReluMLP  # noqa: F401
 from .operator_net import (  # noqa: F401
     Batch,
+    ForwardState,
     OperatorNet,
-    backward,
-    evaluate_losses,
+    forward_state,
+    loss_and_grads,
     make_operator_net,
-    net_forward,
-    predict_gradients,
-    predict_values,
 )

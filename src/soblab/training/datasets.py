@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class OperatorDataset:
     derivative_source: str             # "exact", "mls" or "none"
     derivatives_reliable: bool
     train_d_targets: np.ndarray | None = None  # (N_train, J, n)
-    clean_train_targets: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def query_dim(self) -> int:
@@ -243,9 +242,8 @@ def synth_dataset(
     n_train = sizes.train
     n_val = sizes.val
     train_targets = targets[:n_train].copy()
-    clean_train = train_targets.copy()
     if noise > 0.0:
-        spread = float(clean_train.max() - clean_train.min())
+        spread = float(train_targets.max() - train_targets.min())
         train_targets = train_targets + rng.normal(
             scale=noise * spread, size=train_targets.shape
         )
@@ -273,7 +271,6 @@ def synth_dataset(
         derivative_source=derivative_source,
         derivatives_reliable=reliable,
         train_d_targets=d_targets,
-        clean_train_targets=clean_train,
     )
 
 

@@ -2,10 +2,15 @@
 
 Three modes: "ordinary" optimizes the value loss; "sobolev" adds the
 derivative loss; "sobolev+pcgrad" keeps the two task gradients separate
-and merges them through conflict projection every step.  Plain fixed
-step descent is the default optimizer; an adaptive-moment variant is
-available behind a flag for the toy benchmarks.  Everything is
-deterministic given the seed.
+and merges them through conflict projection every step.  The optimizer
+is fixed-step descent ("gd") or adaptive moments ("adam"); the command
+line defaults to adam.  Everything is deterministic given the seed.
+
+All batches share the dataset's query points, so one forward state per
+parameter state (two MLP forwards plus the per-axis JVPs) serves the
+step gradients of the next update, the epoch-end losses on the training
+set, the validation prediction and, after the last epoch, the test
+prediction.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from ..errors import ConfigError, NanLossError
 from .datasets import OperatorDataset
 from .losses import pcgrad_merge, relative_l2_error
-from .operator_net import Batch, backward, evaluate_losses, make_operator_net, predict_values
+from .operator_net import Batch, forward_state, loss_and_grads, make_operator_net
 
 MODES = ("ordinary", "sobolev", "sobolev+pcgrad")
 
@@ -85,21 +90,13 @@ class _Adam:
         self.t = 0
 
     def step(self, params, grad):
+        """Update params in place."""
         self.t += 1
         self.m = self.beta1 * self.m + (1 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
         m_hat = self.m / (1 - self.beta1**self.t)
         v_hat = self.v / (1 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _full_batch(ds: OperatorDataset) -> Batch:
-    return Batch(
-        inputs=ds.train_inputs,
-        queries=ds.query_points,
-        targets=ds.train_targets,
-        d_targets=ds.train_d_targets,
-    )
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
@@ -130,12 +127,12 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     rng = np.random.default_rng(cfg.seed + 1)
     n_train = dataset.train_inputs.shape[0]
     batch_size = cfg.batch_size or n_train
-    full = _full_batch(dataset)
+    full = Batch(dataset.train_inputs, dataset.query_points, dataset.train_targets,
+                 dataset.train_d_targets)
 
-    init_l2, init_der = evaluate_losses(net, full)
-    init_val = relative_l2_error(
-        predict_values(net, dataset.val_inputs, dataset.query_points), dataset.val_targets
-    )
+    state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
+    init_l2, init_der, _ = loss_and_grads(net, state, full)
+    init_val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
 
     adam = _Adam(net.n_params, cfg.learning_rate) if cfg.optimizer == "adam" else None
     hist_l2: list[float] = []
@@ -144,14 +141,12 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
 
     # divergence is detected explicitly below; inf/NaN transients must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        _run_epochs(
-            cfg, dataset, mode, net, rng, n_train, batch_size, full, adam,
+        state = _run_epochs(
+            cfg, dataset, mode, net, state, rng, n_train, batch_size, full, adam,
             hist_l2, hist_der, hist_val,
         )
 
-    final_test = relative_l2_error(
-        predict_values(net, dataset.test_inputs, dataset.query_points), dataset.test_targets
-    )
+    final_test = relative_l2_error(_predict(state, dataset.test_inputs), dataset.test_targets)
     config = asdict(cfg)
     config["hidden"] = list(cfg.hidden)
     return TrainReport(
@@ -169,8 +164,15 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     )
 
 
-def _run_epochs(cfg, dataset, mode, net, rng, n_train, batch_size, full, adam,
+def _predict(state, inputs):
+    return state.values(state.coefficients(inputs))
+
+
+def _run_epochs(cfg, dataset, mode, net, state, rng, n_train, batch_size, full, adam,
                 hist_l2, hist_der, hist_val):
+    """Train for cfg.epochs epochs from the forward state of net's current
+    parameters; returns the forward state of the final parameters."""
+    kinds = ("l2",) if mode == "ordinary" else ("l2", "der")
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
@@ -179,32 +181,31 @@ def _run_epochs(cfg, dataset, mode, net, rng, n_train, batch_size, full, adam,
                 inputs=dataset.train_inputs[pick],
                 queries=dataset.query_points,
                 targets=dataset.train_targets[pick],
-                d_targets=None if dataset.train_d_targets is None else dataset.train_d_targets[pick],
+                d_targets=None if mode == "ordinary" else dataset.train_d_targets[pick],
             )
-            g_value = backward(net, batch, "l2")
+            _, _, grads = loss_and_grads(net, state, batch, kinds)
+            g_value = grads[0]
             if mode == "ordinary":
                 step_grad = g_value
             elif mode == "sobolev":
-                step_grad = g_value + cfg.der_weight * backward(net, batch, "der")
+                step_grad = g_value + cfg.der_weight * grads[1]
             else:
-                g_der = cfg.der_weight * backward(net, batch, "der")
+                g_der = cfg.der_weight * grads[1]
                 if np.any(g_value) or np.any(g_der):
                     step_grad = pcgrad_merge(g_value, g_der).merged
                 else:
                     step_grad = g_value  # exactly stationary: nothing to merge
-            params = net.get_params()
             if adam is None:
-                params = params - cfg.learning_rate * step_grad
+                net.params -= cfg.learning_rate * step_grad
             else:
-                params = adam.step(params, step_grad)
-            net.set_params(params)
+                adam.step(net.params, step_grad)
+            state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
 
-        l2, der = evaluate_losses(net, full)
+        l2, der, _ = loss_and_grads(net, state, full)
         if not np.isfinite(l2) or (mode != "ordinary" and not np.isfinite(der)):
             raise NanLossError(f"loss became non-finite at epoch {epoch}", epoch=epoch)
-        val = relative_l2_error(
-            predict_values(net, dataset.val_inputs, dataset.query_points), dataset.val_targets
-        )
+        val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
         hist_l2.append(l2)
         hist_der.append(der)
         hist_val.append(val)
+    return state

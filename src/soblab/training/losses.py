@@ -1,4 +1,4 @@
-"""Value and derivative losses, their combination, and gradient surgery.
+"""Value and derivative losses, relative errors, and gradient surgery.
 
 The value loss averages squared residuals over query points and then
 over samples; the derivative loss additionally averages over the input
@@ -22,21 +22,25 @@ def _check_same_shape(pred, target):
     return pred, target
 
 
+def residual(pred, target):
+    """pred - target; raises ShapeMismatchError unless the shapes agree."""
+    pred, target = _check_same_shape(pred, target)
+    return pred - target
+
+
+def mean_square(res) -> float:
+    """Mean squared residual: both losses as functions of their residual."""
+    return float(np.mean(res**2))
+
+
 def l2_loss(pred, target) -> float:
     """Mean over samples of the per-sample mean squared value residual."""
-    pred, target = _check_same_shape(pred, target)
-    return float(np.mean((pred - target) ** 2))
+    return mean_square(residual(pred, target))
 
 
 def der_loss(pred_grad, target_grad) -> float:
     """Mean squared derivative residual, averaged over the components too."""
-    pred_grad, target_grad = _check_same_shape(pred_grad, target_grad)
-    return float(np.mean((pred_grad - target_grad) ** 2))
-
-
-def sobolev_loss(l2: float, der: float, der_weight: float = 1.0) -> float:
-    """Combined objective: value loss plus (weighted) derivative loss."""
-    return float(l2) + der_weight * float(der)
+    return mean_square(residual(pred_grad, target_grad))
 
 
 def relative_l2_error(pred, target) -> float:
@@ -57,10 +61,6 @@ class GradientPair:
     g1: np.ndarray
     g2: np.ndarray
     merged: np.ndarray
-
-    @property
-    def in_conflict(self) -> bool:
-        return bool(np.dot(self.g1, self.g2) < 0.0)
 
 
 def pcgrad_merge(g1, g2) -> GradientPair:

@@ -5,7 +5,8 @@ input-tangent (JVP) passes and the parameter gradient of JVP outputs,
 which is what derivative-supervised losses need: the derivative of the
 prediction with respect to the query point is itself a function of the
 parameters.  Activation patterns are treated as locally constant, which
-is exact almost everywhere for ReLU.
+is exact almost everywhere for ReLU; forward stores the gate masks in
+its cache and every later pass reuses them.
 """
 
 from __future__ import annotations
@@ -15,99 +16,94 @@ import numpy as np
 from ..errors import DimMismatchError
 
 
+def param_count(layer_sizes) -> int:
+    """Length of the flat parameter vector of a ReluMLP with these sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
+
+
 class ReluMLP:
     """Dense layers with ReLU on all but the last.
 
     weights[i] has shape (fan_out, fan_in); layer_sizes includes input
-    and output widths.  Parameters live in the weights/biases lists and
-    flatten in layer order (weights then bias per layer).
+    and output widths.  All parameters live in one flat vector, params,
+    in layer order (weights then bias per layer); weights and biases are
+    views into it, so writing params in place updates the network.
+    params, when given, is the buffer to use, such as a slice of a larger
+    vector; its contents are overwritten by the initialization.
     """
 
-    def __init__(self, layer_sizes, rng=None):
+    def __init__(self, layer_sizes, rng=None, params=None):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         if len(self.layer_sizes) < 2:
             raise DimMismatchError("need at least input and output sizes")
         if rng is None:
             rng = np.random.default_rng(0)
-        self.weights = []
-        self.biases = []
+        size = param_count(self.layer_sizes)
+        if params is None:
+            params = np.empty(size)
+        if params.shape != (size,):
+            raise DimMismatchError(f"expected {size} parameters, got {params.shape}")
+        self.params = params
+        weights, biases = [], []
+        pos = 0
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            self.weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
-            self.biases.append(np.zeros(fan_out))
+            w = params[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in)
+            pos += w.size
+            b = params[pos : pos + fan_out]
+            pos += fan_out
+            w[...] = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
+            b[...] = 0.0
+            weights.append(w)
+            biases.append(b)
+        self.weights = tuple(weights)
+        self.biases = tuple(biases)
 
     @property
     def in_dim(self) -> int:
         return self.layer_sizes[0]
 
     @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
-
-    @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def get_params(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b)
-        return np.concatenate(chunks)
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise DimMismatchError(f"expected {self.n_params} parameters, got {flat.shape}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos : pos + b.size].copy()
-            pos += b.size
+        return self.params.size
 
     # -- forward / reverse ---------------------------------------------------
 
     def forward(self, x):
-        """Batched forward pass: returns (output (B, out), cache)."""
+        """Batched forward pass: returns (output (B, out), cache).
+
+        The cache holds the input of every layer and the ReLU gate mask
+        of every hidden layer.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
             raise DimMismatchError(f"input width {x.shape[1]} != {self.in_dim}")
         activations = [x]
-        pre = []
+        masks = []
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w.T + b
-            pre.append(z)
-            a = z if i == last else np.maximum(z, 0.0)
-            if i != last:
+            if i == last:
+                a = z
+            else:
+                masks.append(z > 0)
+                a = np.maximum(z, 0.0)
                 activations.append(a)
-        return a, (activations, pre)
+        return a, (activations, masks)
 
     def backward(self, cache, out_cot):
-        """Reverse pass: parameter gradients (flat) and input cotangent."""
-        activations, pre = cache
+        """Reverse pass: flat parameter gradient of sum(out_cot * output)."""
+        activations, masks = cache
         delta = np.asarray(out_cot, dtype=float)
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grads = []
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
-                delta = delta * (pre[i] > 0)
-            grads_w[i] = delta.T @ activations[i]
-            grads_b[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i]
-        flat = np.concatenate([np.concatenate((w.ravel(), b)) for w, b in zip(grads_w, grads_b)])
-        return flat, delta
-
-    def input_gradient(self, cache, out_cot):
-        """Input cotangent only (no parameter gradients)."""
-        activations, pre = cache
-        delta = np.asarray(out_cot, dtype=float)
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i != len(self.weights) - 1:
-                delta = delta * (pre[i] > 0)
-            delta = delta @ self.weights[i]
-        return delta
+                delta = delta * masks[i]
+            grads.append(delta.sum(axis=0))
+            grads.append((delta.T @ activations[i]).ravel())
+            if i:
+                delta = delta @ self.weights[i]
+        return np.concatenate(grads[::-1])
 
     # -- input tangents and their parameter gradients ------------------------
 
@@ -117,14 +113,14 @@ class ReluMLP:
         Returns (T (B, out), tangent cache) with the per-layer tangents
         needed by jvp_param_grads.
         """
-        activations, pre = cache
+        _, masks = cache
         t = np.atleast_2d(np.asarray(tangent, dtype=float))
         tangents = [t]
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
             t = t @ w.T
             if i != last:
-                t = t * (pre[i] > 0)
+                t = t * masks[i]
                 tangents.append(t)
         return t, tangents
 
@@ -134,16 +130,14 @@ class ReluMLP:
         Activation gates are held fixed, the almost-everywhere exact
         rule for ReLU; bias gradients on this path are identically zero.
         """
-        activations, pre = cache
-        tangents = tangent_cache
+        _, masks = cache
         r = np.asarray(out_weights, dtype=float)
-        grads_w = [None] * len(self.weights)
+        grads = []
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
-                r = r * (pre[i] > 0)
-            grads_w[i] = r.T @ tangents[i]
-            r = r @ self.weights[i]
-        flat = np.concatenate(
-            [np.concatenate((gw.ravel(), np.zeros_like(b))) for gw, b in zip(grads_w, self.biases)]
-        )
-        return flat
+                r = r * masks[i]
+            grads.append(np.zeros(self.biases[i].size))
+            grads.append((r.T @ tangent_cache[i]).ravel())
+            if i:
+                r = r @ self.weights[i]
+        return np.concatenate(grads[::-1])

@@ -9,6 +9,12 @@ two small ReLU networks contracted through the rank index: a
 discretized integral operator with a separable learned kernel.  Both
 the value and its exact gradient with respect to x are differentiable
 in the parameters via the hand-written passes in mlp.py.
+
+The psi forward on the sensors, the phi forward on the query points and
+phi's per-axis JVPs depend on the parameters only, not on the batch:
+forward_state computes them once per parameter state, and predictions,
+losses and gradients of any batch on those query points contract with
+it (loss_and_grads).  Both networks' parameters are one flat vector.
 """
 
 from __future__ import annotations
@@ -18,17 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimMismatchError
-from .mlp import ReluMLP
+from .losses import mean_square, residual
+from .mlp import ReluMLP, param_count
 
 
 @dataclass
 class OperatorNet:
-    """Query-side and sensor-side basis networks plus the sensor grid."""
+    """Query-side and sensor-side basis networks plus the sensor grid.
+
+    params is the flat parameter vector, phi's parameters first; the
+    weights and biases of both networks are views into it.
+    """
 
     phi: ReluMLP
     psi: ReluMLP
     sensor_points: np.ndarray
     rank: int
+    params: np.ndarray
 
     @property
     def query_dim(self) -> int:
@@ -40,18 +52,7 @@ class OperatorNet:
 
     @property
     def n_params(self) -> int:
-        return self.phi.n_params + self.psi.n_params
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.phi.get_params(), self.psi.get_params()])
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise DimMismatchError(f"expected {self.n_params} parameters, got {flat.shape}")
-        split = self.phi.n_params
-        self.phi.set_params(flat[:split])
-        self.psi.set_params(flat[split:])
+        return self.params.size
 
 
 def make_operator_net(
@@ -64,9 +65,13 @@ def make_operator_net(
     """Fresh network with seeded Gaussian initialization."""
     sensor_points = np.atleast_2d(np.asarray(sensor_points, dtype=float))
     rng = np.random.default_rng(seed)
-    phi = ReluMLP([query_dim, *hidden, rank], rng=rng)
-    psi = ReluMLP([sensor_points.shape[1], *hidden, rank], rng=rng)
-    return OperatorNet(phi=phi, psi=psi, sensor_points=sensor_points, rank=rank)
+    phi_sizes = [query_dim, *hidden, rank]
+    psi_sizes = [sensor_points.shape[1], *hidden, rank]
+    n_phi = param_count(phi_sizes)
+    params = np.empty(n_phi + param_count(psi_sizes))
+    phi = ReluMLP(phi_sizes, rng=rng, params=params[:n_phi])
+    psi = ReluMLP(psi_sizes, rng=rng, params=params[n_phi:])
+    return OperatorNet(phi=phi, psi=psi, sensor_points=sensor_points, rank=rank, params=params)
 
 
 @dataclass(frozen=True)
@@ -80,107 +85,93 @@ class Batch:
     d_targets: np.ndarray | None = None  # (N, J, n)
 
 
-def _sample_coefficients(net: OperatorNet, inputs):
-    """Rank coefficients s_k = (1/Jt) sum_l psi(y_l) v_k(y_l), with cache."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != net.n_sensors:
-        raise DimMismatchError(
-            f"{inputs.shape[1]} sensor values but the net expects {net.n_sensors}"
-        )
-    psi_out, psi_cache = net.psi.forward(net.sensor_points)
-    coeffs = inputs @ psi_out / net.n_sensors
-    return coeffs, psi_out, psi_cache
+@dataclass(frozen=True)
+class ForwardState:
+    """The forwards of one parameter state: psi on the sensors, phi on the
+    query points and, when built with jvps, phi's JVP along each query axis
+    as (output (J, rank), tangent cache)."""
+
+    queries: np.ndarray
+    psi_out: np.ndarray
+    psi_cache: tuple
+    phi_out: np.ndarray
+    phi_cache: tuple
+    jvps: tuple = ()
+
+    def coefficients(self, inputs):
+        """Rank coefficients s_k = (1/Jt) sum_l psi(y_l) v_k(y_l), (N, rank)."""
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        n_sensors = self.psi_out.shape[0]
+        if inputs.shape[1] != n_sensors:
+            raise DimMismatchError(
+                f"{inputs.shape[1]} sensor values but the net expects {n_sensors}"
+            )
+        return inputs @ self.psi_out / n_sensors
+
+    def values(self, coeffs):
+        """Predicted values (N, J) at the query points."""
+        return coeffs @ self.phi_out.T
+
+    def gradients(self, coeffs):
+        """Predicted query-space gradients (N, J, n), exact differentiation."""
+        if len(self.jvps) != self.queries.shape[1]:
+            raise DimMismatchError("gradients need a forward state built with jvps")
+        out = np.empty((coeffs.shape[0], *self.queries.shape))
+        for d, (t_out, _) in enumerate(self.jvps):
+            out[:, :, d] = coeffs @ t_out.T
+        return out
 
 
-def predict_values(net: OperatorNet, inputs, queries):
-    """Predicted values (N, J) for a batch of input functions."""
-    coeffs, _, _ = _sample_coefficients(net, inputs)
-    phi_out, _ = net.phi.forward(np.atleast_2d(queries))
-    return coeffs @ phi_out.T
-
-
-def predict_gradients(net: OperatorNet, inputs, queries):
-    """Predicted query-space gradients (N, J, n), exact differentiation."""
+def forward_state(net: OperatorNet, queries, jvps: bool = True) -> ForwardState:
+    """One psi forward, one phi forward and (if jvps) one phi JVP per query axis."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    coeffs, _, _ = _sample_coefficients(net, inputs)
-    _, phi_cache = net.phi.forward(queries)
-    j, n = queries.shape
-    out = np.empty((coeffs.shape[0], j, n))
-    for d in range(n):
+    psi_out, psi_cache = net.psi.forward(net.sensor_points)
+    phi_out, phi_cache = net.phi.forward(queries)
+    tangents = []
+    for d in range(queries.shape[1] if jvps else 0):
         tangent = np.zeros_like(queries)
         tangent[:, d] = 1.0
-        t_out, _ = net.phi.jvp(phi_cache, tangent)
-        out[:, :, d] = coeffs @ t_out.T
-    return out
+        tangents.append(net.phi.jvp(phi_cache, tangent))
+    return ForwardState(queries, psi_out, psi_cache, phi_out, phi_cache, tuple(tangents))
 
 
-def net_forward(net: OperatorNet, sensor_values, query_point):
-    """Value and exact input gradient of the prediction at one point."""
-    sensor_values = np.asarray(sensor_values, dtype=float).ravel()
-    query_point = np.asarray(query_point, dtype=float).ravel()
-    if query_point.shape[0] != net.query_dim:
-        raise DimMismatchError(
-            f"query point has dim {query_point.shape[0]}, net expects {net.query_dim}"
-        )
-    coeffs, _, _ = _sample_coefficients(net, sensor_values[None, :])
-    phi_out, phi_cache = net.phi.forward(query_point[None, :])
-    value = float(coeffs[0] @ phi_out[0])
-    grad = net.phi.input_gradient(phi_cache, coeffs)[0]
-    return value, grad
+def loss_and_grads(net: OperatorNet, state: ForwardState, batch: Batch, kinds=()):
+    """(value loss, derivative loss, gradients) of the batch at the state.
 
-
-def evaluate_losses(net: OperatorNet, batch: Batch):
-    """(value loss, derivative loss) on a batch; der is NaN when the batch
-    carries no derivative targets."""
-    from .losses import der_loss, l2_loss
-
-    values = predict_values(net, batch.inputs, batch.queries)
-    l2 = l2_loss(values, batch.targets)
-    if batch.d_targets is None:
-        return l2, float("nan")
-    grads = predict_gradients(net, batch.inputs, batch.queries)
-    return l2, der_loss(grads, batch.d_targets)
-
-
-def backward(net: OperatorNet, batch: Batch, loss_kind: str) -> np.ndarray:
-    """Exact flat parameter gradient of the selected loss on the batch.
-
-    loss_kind "l2" differentiates the value loss, "der" the derivative
-    loss; the derivative path runs one JVP per input dimension and the
-    almost-everywhere parameter rule for the gated tangents.
+    The derivative loss is NaN when the batch carries no derivative
+    targets.  gradients holds the exact flat parameter gradient of each
+    loss kind in kinds, in order: "l2" differentiates the value loss,
+    "der" the derivative loss through the almost-everywhere parameter
+    rule for the gated tangents.  batch.queries must be the state's.
     """
-    kind = loss_kind.strip().lower()
-    if kind not in ("l2", "der"):
-        raise ValueError(f"loss_kind must be 'l2' or 'der', got {loss_kind!r}")
-
+    if batch.queries is not state.queries and not np.array_equal(batch.queries, state.queries):
+        raise DimMismatchError("the batch's query points differ from the forward state's")
     inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
-    queries = np.atleast_2d(np.asarray(batch.queries, dtype=float))
-    coeffs, psi_out, psi_cache = _sample_coefficients(net, inputs)
-    phi_out, phi_cache = net.phi.forward(queries)
-    n_samples, jt = inputs.shape
-    j, n = queries.shape
+    coeffs = state.coefficients(inputs)
+    res = residual(state.values(coeffs), batch.targets)
+    l2 = mean_square(res)
+    der = float("nan")
+    if batch.d_targets is not None:
+        d_res = residual(state.gradients(coeffs), batch.d_targets)
+        der = mean_square(d_res)
 
-    if kind == "l2":
-        residual = coeffs @ phi_out.T - np.asarray(batch.targets, dtype=float)
-        cot_values = 2.0 * residual / residual.size
-        phi_grads, _ = net.phi.backward(phi_cache, cot_values.T @ coeffs)
-        d_coeffs = cot_values @ phi_out
-    else:
-        if batch.d_targets is None:
-            raise DimMismatchError("derivative loss requested but batch has no derivative targets")
-        d_targets = np.asarray(batch.d_targets, dtype=float)
-        phi_grads = np.zeros(net.phi.n_params)
-        d_coeffs = np.zeros_like(coeffs)
-        denom = n_samples * j * n
-        for d in range(n):
-            tangent = np.zeros_like(queries)
-            tangent[:, d] = 1.0
-            t_out, t_cache = net.phi.jvp(phi_cache, tangent)
-            residual_d = coeffs @ t_out.T - d_targets[:, :, d]
-            cot_d = 2.0 * residual_d / denom
-            phi_grads += net.phi.jvp_param_grads(phi_cache, t_cache, cot_d.T @ coeffs)
-            d_coeffs += cot_d @ t_out
-
-    psi_cot = inputs.T @ d_coeffs / jt
-    psi_grads, _ = net.psi.backward(psi_cache, psi_cot)
-    return np.concatenate([phi_grads, psi_grads])
+    grads = []
+    for kind in kinds:
+        if kind == "l2":
+            cot_values = 2.0 * res / res.size
+            phi_grads = net.phi.backward(state.phi_cache, cot_values.T @ coeffs)
+            d_coeffs = cot_values @ state.phi_out
+        elif kind == "der":
+            if batch.d_targets is None:
+                raise DimMismatchError("derivative loss requested but the batch has none")
+            phi_grads = np.zeros(net.phi.n_params)
+            d_coeffs = np.zeros_like(coeffs)
+            for d, (t_out, t_cache) in enumerate(state.jvps):
+                cot_d = 2.0 * d_res[:, :, d] / d_res.size
+                phi_grads += net.phi.jvp_param_grads(state.phi_cache, t_cache, cot_d.T @ coeffs)
+                d_coeffs += cot_d @ t_out
+        else:
+            raise ValueError(f"loss kind must be 'l2' or 'der', got {kind!r}")
+        psi_grads = net.psi.backward(state.psi_cache, inputs.T @ d_coeffs / inputs.shape[1])
+        grads.append(np.concatenate([phi_grads, psi_grads]))
+    return l2, der, grads

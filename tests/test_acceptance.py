@@ -20,8 +20,8 @@ from soblab.training import (
     Batch,
     DatasetSizes,
     TrainConfig,
-    backward,
-    evaluate_losses,
+    forward_state,
+    loss_and_grads,
     make_operator_net,
     pcgrad_merge,
     synth_dataset,
@@ -192,20 +192,22 @@ def test_c08_backprop_vs_finite_differences():
         d_targets=rng.normal(size=(4, 6, 2)),
     )
     worst = 0.0
-    params = net.get_params()
+    params = net.params.copy()
     step = 1e-6
+
+    def loss(kind):
+        l2, der, _ = loss_and_grads(net, forward_state(net, batch.queries), batch)
+        return l2 if kind == "l2" else der
+
     for kind in ("l2", "der"):
-        grad = backward(net, batch, kind)
+        (grad,) = loss_and_grads(net, forward_state(net, batch.queries), batch, (kind,))[2]
         coords = rng.choice(net.n_params, size=32, replace=False)
         for c in coords:
-            probe = params.copy()
-            probe[c] += step
-            net.set_params(probe)
-            up = evaluate_losses(net, batch)[0 if kind == "l2" else 1]
-            probe[c] -= 2 * step
-            net.set_params(probe)
-            down = evaluate_losses(net, batch)[0 if kind == "l2" else 1]
-            net.set_params(params)
+            net.params[c] = params[c] + step
+            up = loss(kind)
+            net.params[c] = params[c] + step - 2 * step
+            down = loss(kind)
+            net.params[:] = params
             fd = (up - down) / (2 * step)
             denom = max(abs(fd), abs(grad[c]), 1e-8)
             worst = max(worst, abs(grad[c] - fd) / denom)

@@ -186,6 +186,14 @@ def test_train_writes_report_and_losses(tmp_path, capsys):
     assert "final relative-L2" in capsys.readouterr().out
 
 
+def test_train_defaults_reach_the_validated_accuracy(tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("--seed", 0, "--out-dir", out, "train") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["optimizer"] == "adam"
+    assert report["final_test_rel_l2"] < 0.4
+
+
 def test_train_zero_epochs_reports_initial_only(tmp_path):
     out = tmp_path / "t0"
     run_cli("--out-dir", out, "train", "--mode", "ordinary", "--epochs", 0, *TRAIN_FAST[2:])
@@ -196,7 +204,7 @@ def test_train_zero_epochs_reports_initial_only(tmp_path):
 
 def test_train_nan_exits_4(tmp_path):
     code = run_cli(
-        "--out-dir", tmp_path / "t", "train", "--mode", "ordinary",
+        "--out-dir", tmp_path / "t", "train", "--mode", "ordinary", "--optimizer", "gd",
         "--learning-rate", 1e9, *TRAIN_FAST,
     )
     assert code == 4

@@ -443,17 +443,28 @@ def test_flow_batch_matches_single():
 
 
 def test_flow_batch_step_guard_names_the_step():
-    # at dt = 6.5 the three stable starts stay within the guard for 30 steps,
-    # while the start [0.5, 0.45] grows too fast at step 3
+    # at dt = 4 the three stable starts converge to dist2 < 1e-12 within the
+    # guard, while the start [1.314, -0.034] trips it at step 3
     w_star = np.array([1.0, 0.0])
-    stable = [[0.41, -0.439], [0.278, -0.358], [0.053, -0.188]]
-    kw = dict(dt=6.5, t_final=195.0)
-    integrate_flow_batch(stable, w_star, **kw)
+    stable = [[0.915, -0.486], [0.907, 0.479], [0.855, 0.653]]
+    kw = dict(dt=4.0, t_final=120.0)
+    _, dist2, _ = integrate_flow_batch(stable, w_star, **kw)
+    assert np.all(dist2[:, -1] < 1e-12)
     with pytest.raises(StepTooLargeError) as single:
-        flow_integrate(FlowConfig(w0=[0.5, 0.45], w_star=w_star, **kw))
+        flow_integrate(FlowConfig(w0=[1.314, -0.034], w_star=w_star, **kw))
     with pytest.raises(StepTooLargeError) as bundle:
-        integrate_flow_batch(stable[:2] + [[0.5, 0.45]] + stable[2:], w_star, **kw)
+        integrate_flow_batch(stable[:2] + [[1.314, -0.034]] + stable[2:], w_star, **kw)
     assert bundle.value.step_index == single.value.step_index == 3
+
+
+def test_flow_step_guard_catches_a_spurious_fixed_point():
+    # at dt = 6.5 this start settles at w = [0.7512, 0], a fixed point of the
+    # RK4 map but not of the flow, so the distance never grows; at dt = 0.05
+    # the same start reaches dist2 ~ 4e-6 by t = 50
+    cfg = dict(w0=[0.41, -0.439], w_star=[1.0, 0.0])
+    with pytest.raises(StepTooLargeError):
+        flow_integrate(FlowConfig(dt=6.5, t_final=6500.0, **cfg))
+    assert flow_integrate(FlowConfig(dt=0.05, t_final=50.0, **cfg)).dist2[-1] < 1e-5
 
 
 def test_flow_basin_guard_and_step_guard():

@@ -7,15 +7,14 @@ from soblab.errors import DimMismatchError
 from soblab.training import (
     Batch,
     ReluMLP,
-    backward,
     der_loss,
-    evaluate_losses,
+    forward_state,
     l2_loss,
+    loss_and_grads,
     make_operator_net,
-    net_forward,
-    predict_gradients,
-    predict_values,
 )
+
+
 def small_net(seed=0, rank=3, hidden=(8, 8), sensors=12, query_dim=2):
     rng = np.random.default_rng(seed)
     sensor_points = rng.random((sensors, 1))
@@ -31,13 +30,18 @@ def random_batch(net, seed=1, n_samples=4, n_queries=6, with_derivs=True):
     return Batch(inputs=inputs, queries=queries, targets=targets, d_targets=d_targets)
 
 
+def predict(net, inputs, queries):
+    """(values (N, J), gradients (N, J, n)) from a fresh forward state."""
+    state = forward_state(net, queries)
+    coeffs = state.coefficients(inputs)
+    return state.values(coeffs), state.gradients(coeffs)
+
+
 def test_zero_phi_network_predicts_zero():
     net = small_net()
-    params = net.get_params()
-    params[: net.phi.n_params] = 0.0
-    net.set_params(params)
-    value, grad = net_forward(net, np.ones(net.n_sensors), np.array([0.3, -0.2]))
-    assert value == 0.0
+    net.params[: net.phi.n_params] = 0.0
+    value, grad = predict(net, np.ones(net.n_sensors), np.array([0.3, -0.2]))
+    assert value[0, 0] == 0.0
     np.testing.assert_array_equal(grad, 0.0)
 
 
@@ -47,15 +51,15 @@ def test_rank_one_single_layer_reduces_to_gated_form():
     sensors = np.random.default_rng(3).normal(size=(9, 2))
     net = make_operator_net(2, sensors, rank=1, hidden=(1,), seed=0)
     for mlp in (net.phi, net.psi):
-        mlp.weights[0] = w[None, :].copy()
-        mlp.biases[0] = np.zeros(1)
-        mlp.weights[1] = np.array([[1.0]])
-        mlp.biases[1] = np.zeros(1)
+        mlp.weights[0][...] = w
+        mlp.biases[0][...] = 0.0
+        mlp.weights[1][...] = 1.0
+        mlp.biases[1][...] = 0.0
     v = np.random.default_rng(4).normal(size=9)
     x = np.array([0.5, 0.1])
-    value, _ = net_forward(net, v, x)
+    value, _ = predict(net, v, x)
     expected = max(0.0, w @ x) * np.mean(np.maximum(sensors @ w, 0.0) * v)
-    assert value == pytest.approx(expected, rel=1e-12)
+    assert value[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_input_gradient_matches_finite_differences():
@@ -63,35 +67,49 @@ def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     v = rng.normal(size=net.n_sensors)
     x = rng.normal(size=3)
-    _, grad = net_forward(net, v, x)
+    _, grad = predict(net, v, x)
     step = 1e-5
     for d in range(3):
         e = np.zeros(3)
         e[d] = step
-        up, _ = net_forward(net, v, x + e)
-        down, _ = net_forward(net, v, x - e)
-        fd = (up - down) / (2 * step)
-        assert grad[d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        up, _ = predict(net, v, x + e)
+        down, _ = predict(net, v, x - e)
+        fd = (up[0, 0] - down[0, 0]) / (2 * step)
+        assert grad[0, 0, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-def test_predict_gradients_consistent_with_net_forward():
+def test_batch_state_matches_single_point_state():
     net = small_net(seed=7)
     batch = random_batch(net, seed=8)
-    grads = predict_gradients(net, batch.inputs, batch.queries)
-    value0, grad0 = net_forward(net, batch.inputs[2], batch.queries[4])
-    np.testing.assert_allclose(grads[2, 4], grad0, atol=1e-12)
-    values = predict_values(net, batch.inputs, batch.queries)
-    assert values[2, 4] == pytest.approx(value0, rel=1e-12)
+    values, grads = predict(net, batch.inputs, batch.queries)
+    value0, grad0 = predict(net, batch.inputs[2], batch.queries[4])
+    np.testing.assert_allclose(grads[2, 4], grad0[0, 0], atol=1e-12)
+    assert values[2, 4] == pytest.approx(value0[0, 0], rel=1e-12)
 
 
 def test_sensor_count_guard():
     net = small_net()
+    state = forward_state(net, np.zeros((3, 2)))
     with pytest.raises(DimMismatchError):
-        predict_values(net, np.ones((2, net.n_sensors + 1)), np.zeros((3, 2)))
+        state.coefficients(np.ones((2, net.n_sensors + 1)))
+
+
+def test_state_guards():
+    net = small_net()
+    batch = random_batch(net)
+    with pytest.raises(DimMismatchError):  # the batch's queries are not the state's
+        loss_and_grads(net, forward_state(net, batch.queries + 1.0), batch, ("l2",))
+    with pytest.raises(DimMismatchError):  # derivatives from a state built without JVPs
+        loss_and_grads(net, forward_state(net, batch.queries, jvps=False), batch)
+    with pytest.raises(DimMismatchError):  # derivative gradient without derivative targets
+        no_derivs = Batch(inputs=batch.inputs, queries=batch.queries, targets=batch.targets)
+        loss_and_grads(net, forward_state(net, batch.queries), no_derivs, ("der",))
+    with pytest.raises(ValueError):
+        loss_and_grads(net, forward_state(net, batch.queries), batch, ("sobolev",))
 
 
 def param_loss(net, batch, kind):
-    l2, der = evaluate_losses(net, batch)
+    l2, der, _ = loss_and_grads(net, forward_state(net, batch.queries), batch)
     return l2 if kind == "l2" else der
 
 
@@ -99,50 +117,45 @@ def param_loss(net, batch, kind):
 def test_backward_matches_finite_differences(kind):
     net = small_net(seed=9)
     batch = random_batch(net, seed=10)
-    grad = backward(net, batch, kind)
-    params = net.get_params()
+    (grad,) = loss_and_grads(net, forward_state(net, batch.queries), batch, (kind,))[2]
+    params = net.params.copy()
     rng = np.random.default_rng(11)
     coords = rng.choice(net.n_params, size=32, replace=False)
     step = 1e-6
     for c in coords:
-        probe = params.copy()
-        probe[c] += step
-        net.set_params(probe)
+        net.params[c] = params[c] + step
         up = param_loss(net, batch, kind)
-        probe[c] -= 2 * step
-        net.set_params(probe)
+        net.params[c] = params[c] + step - 2 * step
         down = param_loss(net, batch, kind)
         fd = (up - down) / (2 * step)
-        net.set_params(params)
+        net.params[:] = params
         assert grad[c] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
 def test_backward_zero_residual_gives_zero_gradient():
     net = small_net(seed=12)
     batch = random_batch(net, seed=13)
-    exact = Batch(
-        inputs=batch.inputs,
-        queries=batch.queries,
-        targets=predict_values(net, batch.inputs, batch.queries),
-        d_targets=predict_gradients(net, batch.inputs, batch.queries),
+    values, grads = predict(net, batch.inputs, batch.queries)
+    exact = Batch(inputs=batch.inputs, queries=batch.queries, targets=values, d_targets=grads)
+    l2, der, (g_l2, g_der) = loss_and_grads(
+        net, forward_state(net, batch.queries), exact, ("l2", "der")
     )
-    np.testing.assert_allclose(backward(net, exact, "l2"), 0.0, atol=1e-14)
-    np.testing.assert_allclose(backward(net, exact, "der"), 0.0, atol=1e-14)
+    assert l2 == 0.0 and der == 0.0
+    np.testing.assert_allclose(g_l2, 0.0, atol=1e-14)
+    np.testing.assert_allclose(g_der, 0.0, atol=1e-14)
 
 
 def test_combined_gradient_is_sum_of_parts():
     net = small_net(seed=14)
     batch = random_batch(net, seed=15)
-    g1 = backward(net, batch, "l2")
-    g2 = backward(net, batch, "der")
+    state = forward_state(net, batch.queries)
+    l2, der, (g1, g2) = loss_and_grads(net, state, batch, ("l2", "der"))
     # the combined objective is optimized by stepping along g1 + g2
-    l2, der = evaluate_losses(net, batch)
     step = 1e-7
     direction = g1 + g2
     direction = direction / np.linalg.norm(direction)
-    params = net.get_params()
-    net.set_params(params - step * direction)
-    l2b, derb = evaluate_losses(net, batch)
+    net.params[:] = net.params - step * direction
+    l2b, derb, _ = loss_and_grads(net, forward_state(net, batch.queries), batch)
     drop = (l2 + der) - (l2b + derb)
     assert drop == pytest.approx(step * np.linalg.norm(g1 + g2), rel=1e-3)
 
@@ -150,20 +163,31 @@ def test_combined_gradient_is_sum_of_parts():
 def test_loss_evaluation_matches_loss_functions():
     net = small_net(seed=16)
     batch = random_batch(net, seed=17)
-    l2, der = evaluate_losses(net, batch)
-    assert l2 == pytest.approx(
-        l2_loss(predict_values(net, batch.inputs, batch.queries), batch.targets), rel=1e-14
-    )
-    assert der == pytest.approx(
-        der_loss(predict_gradients(net, batch.inputs, batch.queries), batch.d_targets),
-        rel=1e-14,
-    )
+    l2, der, grads = loss_and_grads(net, forward_state(net, batch.queries), batch)
+    assert grads == []
+    values, pred_grads = predict(net, batch.inputs, batch.queries)
+    assert l2 == l2_loss(values, batch.targets)
+    assert der == der_loss(pred_grads, batch.d_targets)
+    no_derivs = Batch(inputs=batch.inputs, queries=batch.queries, targets=batch.targets)
+    l2_only, der_nan, _ = loss_and_grads(net, forward_state(net, batch.queries), no_derivs)
+    assert l2_only == l2 and np.isnan(der_nan)
 
 
 def test_mlp_param_round_trip():
     mlp = ReluMLP([3, 5, 2], rng=np.random.default_rng(0))
-    flat = mlp.get_params()
     mlp2 = ReluMLP([3, 5, 2], rng=np.random.default_rng(99))
-    mlp2.set_params(flat)
+    mlp2.params[:] = mlp.params
     x = np.random.default_rng(1).normal(size=(4, 3))
     np.testing.assert_array_equal(mlp.forward(x)[0], mlp2.forward(x)[0])
+    # the weights and biases are views into params, in layer order
+    np.testing.assert_array_equal(mlp2.weights[1].ravel(), mlp.params[20:30])
+    np.testing.assert_array_equal(mlp2.biases[1], mlp.params[30:])
+
+
+def test_operator_net_params_are_one_vector():
+    net = small_net()
+    net.params[-1] = 7.0
+    assert net.psi.biases[-1][-1] == 7.0
+    net.params[0] = 5.0
+    assert net.phi.weights[0][0, 0] == 5.0
+    assert net.n_params == net.phi.n_params + net.psi.n_params
