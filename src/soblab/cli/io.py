@@ -1,4 +1,4 @@
-"""Deterministic text I/O: float formatting, CSV read/write, atomic files.
+"""Deterministic text I/O: CSV read/write and atomic files.
 
 Every float is serialized with 17 significant digits so that
 parse(write(x)) == x exactly, and all writes go through an atomic
@@ -8,14 +8,10 @@ replace so partially written outputs never appear on disk.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import tempfile
 
-
-def format_float(x) -> str:
-    """Shortest 17-significant-digit form that round-trips float64."""
-    return format(float(x), ".17g")
+import numpy as np
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -34,27 +30,43 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV with floats in round-trip form; ints stay ints."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    """Write a CSV with floats in round-trip form; ints stay ints.
+
+    Each row is formatted by one printf-style format chosen from its cell
+    types: %d for ints, bools and numpy integers, %s for strings (quoted
+    as the csv module quotes them) and %.17g for everything else, which
+    equals format(float(x), ".17g") for every float64.
+    """
+    formats = {}
+    lines = [",".join(map(_quote, header))]
     for row in rows:
-        writer.writerow([_cell(c) for c in row])
-    atomic_write_text(path, buf.getvalue())
+        types = tuple(map(type, row))
+        spec = formats.get(types)
+        if spec is None:
+            specs = [_spec(t) for t in types]
+            spec = formats[types] = (",".join(specs), "%s" in specs)
+        fmt, has_str = spec
+        if has_str:
+            row = [_quote(c) if isinstance(c, str) else c for c in row]
+        lines.append(fmt % tuple(row))
+    lines.append("")
+    atomic_write_text(path, "\n".join(lines))
 
 
-def _cell(c):
-    if isinstance(c, bool):
-        return int(c)
-    if isinstance(c, (int,)):
-        return c
-    if isinstance(c, str):
-        return c
-    import numpy as np
+def _spec(cell_type) -> str:
+    if issubclass(cell_type, (int, np.integer)):
+        return "%d"
+    if issubclass(cell_type, str):
+        return "%s"
+    return "%.17g"
 
-    if isinstance(c, (np.integer,)):
-        return int(c)
-    return format_float(c)
+
+def _quote(cell: str) -> str:
+    """A string cell as csv.writer writes it: quoted when it holds the
+    delimiter, the quote character or the line terminator."""
+    if any(c in cell for c in ',"\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def read_csv(path):

@@ -143,12 +143,8 @@ def run_derivs(config, out_dir, seed, threads):
         + ["c_" + "_".join(str(a) for a in alpha) for alpha in jet.multi_indices]
         + ["flagged"]
     )
-    rows = []
-    for j in range(jet.size):
-        rows.append(
-            [j, *jet.points[j].tolist(), *jet.coefficients[j].tolist(), int(jet.flagged[j])]
-        )
-    write_csv(os.path.join(out_dir, config["out"]), header, rows)
+    columns = [*jet.points.T.tolist(), *jet.coefficients.T.tolist(), jet.flagged.tolist()]
+    write_csv(os.path.join(out_dir, config["out"]), header, zip(range(jet.size), *columns))
     return [config["input"]]
 
 

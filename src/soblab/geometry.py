@@ -3,11 +3,16 @@
 Clouds are irregular sets of points with one scalar sample per point.
 Neighbor queries are exact Euclidean KNN backed by a KD-tree, with ties
 broken by ascending point index so that stencils are deterministic.
+Every query, one row or all of them, takes the same batched path: a
+KD-tree query for K + 1 candidates, one (distance, index) sort per row,
+and a batched re-query with more candidates for only the rows whose K-th
+neighbor ties the last candidate (regular grids).
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,14 +85,6 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, _tree=cKDTree(cloud.points))
 
 
-def _resort_candidates(points, query_point, candidates, k):
-    """Order candidate indices by (distance, index) and keep the first k."""
-    cand = np.asarray(candidates, dtype=np.intp)
-    d = np.linalg.norm(points[cand] - query_point, axis=1)
-    order = np.lexsort((cand, d))
-    keep = order[:k]
-    return cand[keep], d[keep]
-
 def knn(index: SpatialIndex, query_index: int, k: int) -> list[tuple[int, float]]:
     """K nearest cloud points to the point with the given index.
 
@@ -101,16 +98,8 @@ def knn(index: SpatialIndex, query_index: int, k: int) -> list[tuple[int, float]
 
 def knn_arrays(index: SpatialIndex, query_index: int, k: int):
     """Array-valued version of knn: (indices, distances)."""
-    cloud = index.cloud
-    j = cloud.size
-    if k < 1 or k > j:
-        raise KTooLargeError(f"K={k} outside [1, {j}]")
-    x = cloud.points[query_index]
-    d_tree, _ = index._tree.query(x, k=k)
-    d_tree = np.atleast_1d(d_tree)
-    r = d_tree[-1] * _TIE_SLACK
-    cand = index._tree.query_ball_point(x, r)
-    return _resort_candidates(cloud.points, x, cand, k)
+    nbr, dist = _knn_rows(index, index.cloud.points[query_index][None], k)
+    return nbr[0], dist[0]
 
 
 def knn_all(index: SpatialIndex, k: int):
@@ -121,44 +110,54 @@ def knn_all(index: SpatialIndex, k: int):
     Boundary ties (equal K-th and (K+1)-th distance) are resolved by
     ascending index exactly as a brute-force scan would.
     """
-    cloud = index.cloud
-    j = cloud.size
+    return _knn_rows(index, index.cloud.points, k)
+
+
+def _knn_rows(index: SpatialIndex, queries: np.ndarray, k: int):
+    """(indices, distances) of shape (R, k) for query points (R, n).
+
+    Each row's candidates are sorted by (distance, index), with distances
+    recomputed by the formula a brute-force scan uses.  The first k
+    candidates are exact unless the last candidate's tree distance ties
+    the k-th distance: a tie may continue past the candidates, so those
+    rows alone are queried again, all together, with 4x more extra
+    candidates each round (k + 1, k + 4, k + 16, ...).
+    """
+    points = index.cloud.points
+    j = points.shape[0]
     if k < 1 or k > j:
         raise KTooLargeError(f"K={k} outside [1, {j}]")
-    kq = min(k + 1, j)
-    d_tree, i_tree = index._tree.query(cloud.points, k=kq)
-    d_tree = d_tree.reshape(j, kq)
-    i_tree = i_tree.reshape(j, kq)
-
-    nbr = i_tree[:, :k]
-    # Recompute distances with the same formula the brute-force oracle uses,
-    # then stable-sort within each stencil by (distance, index).
-    d = np.linalg.norm(cloud.points[nbr] - cloud.points[:, None, :], axis=2)
-    order = np.lexsort((nbr, d), axis=1)
-    rows = np.arange(j)[:, None]
-    nbr = nbr[rows, order]
-    d = d[rows, order]
-
-    if kq > k:
-        # A tie straddling the K boundary needs the full candidate set.
-        ambiguous = np.flatnonzero(d_tree[:, k] <= d[:, -1] * _TIE_SLACK)
-        for row in ambiguous:
-            cand = index._tree.query_ball_point(cloud.points[row], d[row, -1] * _TIE_SLACK)
-            nbr[row], d[row] = _resort_candidates(
-                cloud.points, cloud.points[row], cand, k
-            )
-    return nbr, d
+    nbr = np.empty((queries.shape[0], k), dtype=np.intp)
+    dist = np.empty((queries.shape[0], k))
+    pending = np.arange(queries.shape[0])
+    extra = 1
+    while pending.size:
+        kq = min(k + extra, j)
+        x = queries[pending]
+        d_tree, cand = index._tree.query(x, k=kq)
+        d_tree = d_tree.reshape(-1, kq)
+        cand = cand.reshape(-1, kq)
+        d = np.linalg.norm(points[cand] - x[:, None, :], axis=2)
+        order = np.lexsort((cand, d), axis=1)
+        cand = np.take_along_axis(cand, order, axis=1)[:, :k]
+        d = np.take_along_axis(d, order, axis=1)[:, :k]
+        # Every point outside the candidates is at least the last
+        # candidate's tree distance away.
+        done = d_tree[:, -1] > d[:, -1] * _TIE_SLACK if kq < j else np.ones(len(x), bool)
+        nbr[pending[done]] = cand[done]
+        dist[pending[done]] = d[done]
+        pending = pending[~done]
+        extra *= 4
+    return nbr, dist
 
 
 def load_cloud_csv(path) -> PointCloud:
     """Read a point cloud from CSV with header x1,...,xn,u."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CloudFormatError(f"{path}: empty file") from None
-        header = [c.strip() for c in header]
+        line = fh.readline()
+        if not line:
+            raise CloudFormatError(f"{path}: empty file")
+        header = [c.strip() for c in next(csv.reader([line]), [])]
         if len(header) < 2 or header[-1] != "u":
             raise CloudFormatError(
                 f"{path}: expected header x1,...,xn,u, got {header!r}"
@@ -166,29 +165,22 @@ def load_cloud_csv(path) -> PointCloud:
         for d, name in enumerate(header[:-1]):
             if name != f"x{d + 1}":
                 raise CloudFormatError(f"{path}: column {d + 1} named {name!r}, expected x{d + 1}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CloudFormatError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise CloudFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise CloudFormatError(f"{path}: {str(exc).split(';')[0]}") from None
+    if data.size == 0:
         raise EmptyCloudError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    if data.shape[1] != len(header):
+        raise CloudFormatError(f"{path}: expected {len(header)} fields, got {data.shape[1]}")
     return PointCloud(points=data[:, :-1], values=data[:, -1])
 
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:
     """Write a point cloud in the format load_cloud_csv reads."""
-    from .cli.io import format_float  # local import: io depends on nothing here
+    from .cli.io import write_csv  # local import: io depends on nothing here
 
     header = [f"x{d + 1}" for d in range(cloud.dim)] + ["u"]
-    lines = [",".join(header)]
-    for p, v in zip(cloud.points, cloud.values):
-        lines.append(",".join(format_float(c) for c in (*p, v)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, zip(*cloud.points.T.tolist(), cloud.values.tolist()))

@@ -6,6 +6,12 @@ nearest samples by weighted least squares in the shifted basis
 derivative of order alpha at x_j is alpha! times the coefficient c_alpha
 (Taylor convention).  A convergence-rate study against functions with
 known derivatives is included.
+
+The fit is linear in the sample values, so it is split in two:
+mls_plan(points, cfg) does everything that depends on the geometry
+(KNN, weights, basis, normal matrices, the condition check and flags),
+and MlsPlan.apply(values) maps one or many value vectors on those points
+to coefficients.  estimate_derivatives is plan-then-apply.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CloudFormatError,
     ConfigError,
     NonpositiveSupportError,
     OrderTooHighError,
@@ -172,32 +179,119 @@ def derivative_field(jet: JetField, alpha) -> np.ndarray:
 
 
 def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
-    """Monomial basis (..., K, I) evaluated on centered offsets (..., K, n)."""
-    shape = diffs.shape[:-1] + (len(indices),)
-    b = np.empty(shape, dtype=float)
+    """Monomial basis (..., K, I) evaluated on centered offsets (..., K, n).
+
+    Each power diffs[..., d] ** a is computed once and shared by the
+    columns that use it; the columns are built in contiguous (I, ..., K)
+    memory and returned as a view.
+    """
+    top = max(max(alpha) for alpha in indices)
+    axes = [np.ascontiguousarray(diffs[..., d]) for d in range(diffs.shape[-1])]
+    powers = [[None] + [x**a for a in range(1, top + 1)] for x in axes]
+    b = np.empty((len(indices),) + diffs.shape[:-1], dtype=float)
     for i, alpha in enumerate(indices):
-        col = np.ones(diffs.shape[:-1], dtype=float)
+        col = 1.0
         for d, a in enumerate(alpha):
             if a:
-                col = col * diffs[..., d] ** a
-        b[..., i] = col
-    return b
+                col = col * powers[d][a]
+        b[i] = col
+    return np.moveaxis(b, 0, -1)
 
 
-def normal_matrix(diffs: np.ndarray, weights: np.ndarray, indices) -> np.ndarray:
-    """E = sum_k w_k b(x_k) b(x_k)^T for one stencil of centered offsets."""
-    b = _basis_matrix(diffs, indices)
-    return np.einsum("k,ki,kl->il", weights, b, b)
+@dataclass(frozen=True)
+class MlsPlan:
+    """The value-independent half of the local fits: a linear map from
+    sample values to jet coefficients.
 
-
-def _solve_stencils(diffs, dists, values, cfg, d_support):
-    """Solve the weighted normal equations for a batch of stencils.
-
-    diffs: (J, K, n) neighbor offsets from each center; dists: (J, K);
-    values: (J, K) samples at the neighbors; d_support: scalar or (J,).
-    Returns (coefficients (J, I), flagged (J,)).
+    Row r fits the samples at neighbors[r] (K of the cloud's J points).
+    Everything that depends on the points only (weights, the scaled basis,
+    the normal matrices, the ridge, the condition check, the flags and the
+    pseudo-inverses of flagged rows) is computed once; apply() maps any
+    number of value vectors with batched products and solves.  normal
+    holds the unregularized normal matrices E in stencil-scaled
+    coordinates.
     """
-    j_count, k_count, dim = diffs.shape
+
+    neighbors: np.ndarray
+    multi_indices: tuple[tuple[int, ...], ...]
+    h: float
+    support_radius: float
+    flagged: np.ndarray
+    normal: np.ndarray = field(repr=False)
+    _weighted_basis: np.ndarray = field(repr=False)  # (R, I, K): w_k b_i(x_k)
+    _regularized: np.ndarray = field(repr=False)  # E + ridge; identity on flagged rows
+    _refine: np.ndarray = field(repr=False)  # (R,) rows refined toward E
+    _pinv: np.ndarray = field(repr=False)  # (F, I, I) for the flagged rows
+    _unscale: np.ndarray = field(repr=False)  # (R, I) scale ** |alpha|
+
+    def apply(self, values) -> np.ndarray:
+        """Coefficients (R, I) for values (J,), or (N, R, I) for (N, J).
+
+        Every (sample, stencil) pair is its own right-hand side and its
+        own solve, so a sample's jets are bit-identical whether it is
+        fitted alone or in a batch.
+        """
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise CloudFormatError("values contain non-finite entries")
+        samples = np.atleast_2d(values)[:, self.neighbors, None]  # (N, R, K, 1)
+        rhs = self._weighted_basis @ samples
+        sol = np.linalg.solve(self._regularized, rhs)
+        # Refinement removes the O(ridge * cond) bias so polynomial inputs
+        # are reproduced to machine precision on healthy stencils.
+        if self._refine.any():
+            refine = self._refine[:, None, None]
+            for _ in range(2):
+                corr = np.linalg.solve(self._regularized, rhs - self.normal @ sol)
+                sol = sol + np.where(refine, corr, 0.0)
+        if self._pinv.shape[0]:
+            sol[:, self.flagged] = self._pinv @ rhs[:, self.flagged]
+        # Undo the stencil scaling: c_alpha in original coordinates.
+        coeffs = sol[..., 0] / self._unscale
+        return coeffs[0] if values.ndim == 1 else coeffs
+
+
+def mls_plan(points, cfg: MlsConfig) -> MlsPlan:
+    """Plan the order-m fits at every point of a cloud without values.
+
+    Duplicate or non-finite points are rejected as in PointCloud.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    cloud = PointCloud(points=points, values=np.zeros(points.shape[0]))
+    return _cloud_plan(build_index(cloud), cfg)
+
+
+def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
+    """KNN stencils at every cloud point, then their plan.
+
+    The support radius is global, weight_margin times the largest
+    neighbor distance over all stencils; with per_point_support each
+    stencil uses its own radius instead.
+    """
+    points = index.cloud.points
+    cfg.validate(points.shape[1])
+    nbr, dist = knn_all(index, cfg.k)
+    if cfg.per_point_support:
+        d_support = cfg.weight_margin * dist.max(axis=1)
+        d_support[d_support == 0.0] = 1.0  # single-point cloud, constant fit
+        d_global = float(d_support.max())
+    else:
+        d_global = cfg.weight_margin * float(dist.max())
+        if d_global == 0.0:
+            d_global = 1.0
+        d_support = d_global
+    h = float(dist[:, 1].min()) if cfg.k >= 2 else float("nan")
+    return _stencil_plan(points, points, nbr, dist, cfg, d_support, d_global, h)
+
+
+def _stencil_plan(points, centers, nbr, dists, cfg, d_support, support_radius, h) -> MlsPlan:
+    """Plan the weighted fits of a batch of stencils.
+
+    Row r fits the points nbr[r] (distances dists[r]) around centers[r];
+    d_support is a scalar or one radius per row.
+    """
+    diffs = points[nbr] - centers[:, None, :]
+    j_count, _, dim = diffs.shape
     indices = enumerate_multi_indices(dim, cfg.m)
     i_count = len(indices)
     degrees = np.array([sum(a) for a in indices], dtype=float)
@@ -213,9 +307,8 @@ def _solve_stencils(diffs, dists, values, cfg, d_support):
     scale = dists.max(axis=1)
     scale[scale == 0.0] = 1.0
     b = _basis_matrix(diffs / scale[:, None, None], indices)
-
-    e = np.einsum("jk,jki,jkl->jil", w, b, b)
-    rhs = np.einsum("jk,jki,jk->ji", w, b, values)
+    wb = np.swapaxes(b, 1, 2) * w[:, None, :]
+    e = wb @ b
 
     trace = np.trace(e, axis1=1, axis2=2)
     reg = cfg.ridge * trace / i_count
@@ -225,36 +318,32 @@ def _solve_stencils(diffs, dists, values, cfg, d_support):
     lo, hi = eig[:, 0], eig[:, -1]
     with np.errstate(divide="ignore", over="ignore"):
         cond = np.where(lo > 0, hi / np.maximum(lo, np.finfo(float).tiny), np.inf)
-
-    coeffs = np.empty((j_count, i_count), dtype=float)
     flagged = cond > _COND_LIMIT
-    good = ~flagged
-    if np.any(good):
-        sol = np.linalg.solve(e_reg[good], rhs[good][..., None])[..., 0]
-        # Refinement removes the O(ridge * cond) bias so polynomial inputs
-        # are reproduced to machine precision on healthy stencils.
-        refine = cond[good] < _REFINE_COND_LIMIT
-        if np.any(refine):
-            eg = e[good]
-            rg = rhs[good]
-            for _ in range(2):
-                resid = rg - np.einsum("jil,jl->ji", eg, sol)
-                corr = np.linalg.solve(e_reg[good], resid[..., None])[..., 0]
-                sol = sol + np.where(refine[:, None], corr, 0.0)
-        coeffs[good] = sol
-    for row in np.flatnonzero(flagged):
+
+    pinv = np.empty((np.count_nonzero(flagged), i_count, i_count))
+    for p, row in enumerate(np.flatnonzero(flagged)):
         u_svd, sv, vt = np.linalg.svd(e[row], hermitian=True)
         keep = sv > _PINV_CUTOFF * sv[0] if sv[0] > 0 else sv > 0
         if not np.any(keep):
             raise SingularNormalMatrixError(
                 f"normal matrix at point {row} is numerically zero", point_index=int(row)
             )
-        inv = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
-        coeffs[row] = inv @ rhs[row]
+        pinv[p] = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
+    e_reg[flagged] = np.eye(i_count)  # solved, then replaced by the pinv rows
 
-    # Undo the stencil scaling: c_alpha in original coordinates.
-    coeffs /= scale[:, None] ** degrees[None, :]
-    return coeffs, flagged
+    return MlsPlan(
+        neighbors=nbr,
+        multi_indices=tuple(indices),
+        h=h,
+        support_radius=support_radius,
+        flagged=flagged,
+        normal=e,
+        _weighted_basis=wb,
+        _regularized=e_reg,
+        _refine=cond < _REFINE_COND_LIMIT,
+        _pinv=pinv,
+        _unscale=scale[:, None] ** degrees[None, :],
+    )
 
 
 def fit_local_jet(
@@ -266,6 +355,7 @@ def fit_local_jet(
 ) -> np.ndarray:
     """Coefficient vector c_j of the weighted local fit at point j.
 
+    The per-point reference for estimate_derivatives: a one-stencil plan.
     d_support must cover the whole stencil (every neighbor distance).
     Raises SingularNormalMatrixError for degenerate stencils that the
     ridge and pseudo-inverse cannot rescue.
@@ -276,45 +366,25 @@ def fit_local_jet(
         raise ConfigError(
             f"support radius {d_support} smaller than stencil radius {dist[-1]}"
         )
-    diffs = cloud.points[nbr] - cloud.points[j]
-    coeffs, _ = _solve_stencils(
-        diffs[None], dist[None], cloud.values[nbr][None], cfg, d_support
+    plan = _stencil_plan(
+        cloud.points, cloud.points[j][None], nbr[None], dist[None], cfg, d_support,
+        support_radius=d_support, h=float("nan"),
     )
-    return coeffs[0]
+    return plan.apply(cloud.values)[0]
 
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig) -> JetField:
-    """Order-m jets at every cloud point (Algorithm: KNN + local fits).
-
-    The support radius is global, weight_margin times the largest
-    neighbor distance over all stencils; with per_point_support each
-    stencil uses its own radius instead.
-    """
-    cfg.validate(cloud.dim)
-    index = build_index(cloud)
-    nbr, dist = knn_all(index, cfg.k)
-
-    if cfg.per_point_support:
-        d_support = cfg.weight_margin * dist.max(axis=1)
-        d_support[d_support == 0.0] = 1.0  # single-point cloud, constant fit
-        d_global = float(d_support.max())
-    else:
-        d_global = cfg.weight_margin * float(dist.max())
-        if d_global == 0.0:
-            d_global = 1.0
-        d_support = d_global
-
-    diffs = cloud.points[nbr] - cloud.points[:, None, :]
-    coeffs, flagged = _solve_stencils(diffs, dist, cloud.values[nbr], cfg, d_support)
-    h = float(dist[:, 1].min()) if cfg.k >= 2 else float("nan")
+    """Order-m jets at every cloud point (Algorithm: KNN + local fits),
+    as one plan applied to the cloud's values."""
+    plan = _cloud_plan(build_index(cloud), cfg)
     return JetField(
         points=cloud.points,
-        coefficients=coeffs,
-        multi_indices=tuple(enumerate_multi_indices(cloud.dim, cfg.m)),
+        coefficients=plan.apply(cloud.values),
+        multi_indices=plan.multi_indices,
         order=cfg.m,
-        h=h,
-        support_radius=d_global,
-        flagged=flagged,
+        h=plan.h,
+        support_radius=plan.support_radius,
+        flagged=plan.flagged,
     )
 
 

@@ -4,9 +4,7 @@ from .datasets import (  # noqa: F401
     GENERATORS,
     DatasetSizes,
     OperatorDataset,
-    load_dataset,
     mls_derivative_targets,
-    save_dataset,
     synth_dataset,
 )
 from .losses import (  # noqa: F401

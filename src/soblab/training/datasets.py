@@ -12,15 +12,12 @@ experiments exercise.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
-from ..geometry import PointCloud
-from ..mls import MlsConfig, derivative_field, estimate_derivatives
+from ..errors import ConfigError, OrderTooHighError
+from ..mls import MlsConfig, mls_plan
 
 GENERATORS = ("antiderivative1d", "poisson1d", "smoothing2d", "discontinuous_inverse")
 
@@ -196,19 +193,17 @@ def _build_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
 
 
 def mls_derivative_targets(query_points, targets, k=20, m=2):
-    """Meshfree derivative estimates recomputed from sampled target values."""
+    """Meshfree first-derivative estimates (samples, queries, n) from sampled
+    target values: one MLS plan on the query points applied to every sample."""
     query_points = np.atleast_2d(query_points)
     targets = np.atleast_2d(targets)
     n = query_points.shape[1]
-    cfg = MlsConfig(k=min(k, query_points.shape[0]), m=m)
-    out = np.empty((targets.shape[0], targets.shape[1], n))
-    unit_axes = [tuple(1 if d == i else 0 for i in range(n)) for d in range(n)]
-    for sample in range(targets.shape[0]):
-        cloud = PointCloud(points=query_points, values=targets[sample])
-        jet = estimate_derivatives(cloud, cfg)
-        for d, alpha in enumerate(unit_axes):
-            out[sample, :, d] = derivative_field(jet, alpha)
-    return out
+    plan = mls_plan(query_points, MlsConfig(k=min(k, query_points.shape[0]), m=m))
+    if m < 1:
+        raise OrderTooHighError(f"|alpha|=1 exceeds fitted order m={m}")
+    # first derivatives are the degree-1 coefficients (1! = 1), in axis order
+    axes = [plan.multi_indices.index(tuple(int(d == i) for i in range(n))) for d in range(n)]
+    return plan.apply(targets)[:, :, axes]
 
 
 def synth_dataset(
@@ -270,99 +265,5 @@ def synth_dataset(
         seed=int(seed),
         derivative_source=derivative_source,
         derivatives_reliable=reliable,
-        train_d_targets=d_targets,
-    )
-
-
-# -- on-disk layout -----------------------------------------------------------
-
-def save_dataset(ds: OperatorDataset, directory) -> None:
-    """Directory layout: meta.json, sensors.csv, queries.csv, and one CSV
-    per sample under inputs/, targets/ and derivs/."""
-    from ..cli.io import write_csv
-
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    meta = {
-        "generator": ds.generator,
-        "seed": ds.seed,
-        "noise": ds.noise,
-        "derivative_source": ds.derivative_source,
-        "derivatives_reliable": ds.derivatives_reliable,
-        "sizes": {
-            "train": int(ds.train_inputs.shape[0]),
-            "val": int(ds.val_inputs.shape[0]),
-            "test": int(ds.test_inputs.shape[0]),
-            "sensors": int(ds.sensor_points.shape[0]),
-            "queries": int(ds.query_points.shape[0]),
-        },
-    }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    def grid_csv(name, arr):
-        header = [f"x{i + 1}" for i in range(arr.shape[1])]
-        write_csv(os.path.join(directory, name), header, arr.tolist())
-
-    grid_csv("sensors.csv", ds.sensor_points)
-    grid_csv("queries.csv", ds.query_points)
-
-    def samples_csv(sub, arrays, headers):
-        os.makedirs(os.path.join(directory, sub), exist_ok=True)
-        for idx, arr in enumerate(arrays):
-            rows = arr if arr.ndim == 2 else arr[:, None]
-            write_csv(
-                os.path.join(directory, sub, f"{idx:04d}.csv"), headers[: rows.shape[1]], rows.tolist()
-            )
-
-    samples_csv("inputs_train", ds.train_inputs, ["v"])
-    samples_csv("targets_train", ds.train_targets, ["u"])
-    samples_csv("inputs_val", ds.val_inputs, ["v"])
-    samples_csv("targets_val", ds.val_targets, ["u"])
-    samples_csv("inputs_test", ds.test_inputs, ["v"])
-    samples_csv("targets_test", ds.test_targets, ["u"])
-    if ds.train_d_targets is not None:
-        headers = [f"du{i + 1}" for i in range(ds.train_d_targets.shape[2])]
-        samples_csv("derivs_train", ds.train_d_targets, headers)
-
-
-def load_dataset(directory) -> OperatorDataset:
-    from ..cli.io import read_csv
-
-    directory = os.fspath(directory)
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
-
-    def grid(name):
-        _, rows = read_csv(os.path.join(directory, name))
-        return np.asarray(rows, dtype=float)
-
-    def samples(sub, count):
-        out = []
-        for idx in range(count):
-            _, rows = read_csv(os.path.join(directory, sub, f"{idx:04d}.csv"))
-            out.append(np.asarray(rows, dtype=float))
-        return np.asarray(out)
-
-    sizes = meta["sizes"]
-    train_inputs = samples("inputs_train", sizes["train"])[:, :, 0]
-    train_targets = samples("targets_train", sizes["train"])[:, :, 0]
-    d_path = os.path.join(directory, "derivs_train")
-    d_targets = samples("derivs_train", sizes["train"]) if os.path.isdir(d_path) else None
-    return OperatorDataset(
-        generator=meta["generator"],
-        sensor_points=grid("sensors.csv"),
-        query_points=grid("queries.csv"),
-        train_inputs=train_inputs,
-        train_targets=train_targets,
-        val_inputs=samples("inputs_val", sizes["val"])[:, :, 0],
-        val_targets=samples("targets_val", sizes["val"])[:, :, 0],
-        test_inputs=samples("inputs_test", sizes["test"])[:, :, 0],
-        test_targets=samples("targets_test", sizes["test"])[:, :, 0],
-        noise=float(meta["noise"]),
-        seed=int(meta["seed"]),
-        derivative_source=meta["derivative_source"],
-        derivatives_reliable=bool(meta["derivatives_reliable"]),
         train_d_targets=d_targets,
     )

@@ -88,15 +88,27 @@ class _Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, params, grad):
-        """Update params in place."""
+        """Update params in place: params -= lr * m_hat / (sqrt(v_hat) + eps),
+        with the operations of that formula in its order, and no allocation."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        a, b = self._scratch
+        np.multiply(grad, 1 - self.beta1, out=a)
+        self.m *= self.beta1
+        self.m += a
+        np.multiply(grad, 1 - self.beta2, out=a)
+        a *= grad
+        self.v *= self.beta2
+        self.v += a
+        np.divide(self.m, 1 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(self.v, 1 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:

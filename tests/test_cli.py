@@ -1,5 +1,7 @@
 """Command-line contract: outputs, exit codes, manifests, reproducibility."""
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -7,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soblab.cli.io import read_csv, write_csv
+from soblab.cli.io import atomic_write_text, read_csv, write_csv
 from soblab.cli.main import main
-from soblab.geometry import PointCloud, save_cloud_csv
+from soblab.errors import CloudFormatError, EmptyCloudError
+from soblab.geometry import PointCloud, load_cloud_csv, save_cloud_csv
 
 
 def run_cli(*argv):
@@ -337,3 +340,63 @@ def test_csv_round_trip(tmp_path):
     assert back == rows
     write_csv(tmp_path / "t2.csv", ["a", "b", "c"], back)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def _csv_writer_reference(path, header, rows):
+    """write_csv as it was: csv.writer over cells formatted one at a time."""
+
+    def cell(c):
+        if isinstance(c, bool):
+            return int(c)
+        if isinstance(c, int):
+            return c
+        if isinstance(c, str):
+            return c
+        if isinstance(c, np.integer):
+            return int(c)
+        return format(float(c), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(c) for c in row])
+    atomic_write_text(path, buf.getvalue())
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    floats = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1, 1 / 3]
+    rows = [
+        [7, True, False, np.int64(-3), np.uint8(200), "plain", *floats],
+        [np.float64(2.5), np.float32(0.1), np.True_, "a,b", 'say "hi"', "two\nlines", ""],
+        [],
+        [-12345678901234567890],
+    ]
+    header = ["j", "a,b", 'q"', "c"]
+    write_csv(tmp_path / "new.csv", header, rows)
+    _csv_writer_reference(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # generators of tuples, as the derivs command passes them
+    write_csv(tmp_path / "gen.csv", header, (tuple(r) for r in rows))
+    assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a1,x2,u\n0.0,0.0,1.0\n", CloudFormatError),  # bad header
+        ("x1,x2,u\n0.0,0.0,1.0\n1.0,2.0\n", CloudFormatError),  # short row
+        ("x1,x2,u\n0.0,0.0,1.0\n1.0,2.0,3.0,4.0\n", CloudFormatError),  # long row
+        ("x1,x2,u\n0.0,0.0,1.0\n0.5,oops,1.0\n", CloudFormatError),  # non-numeric cell
+        ("x1,x2,u\n", EmptyCloudError),  # header only
+        ("", CloudFormatError),  # empty file
+    ],
+)
+def test_derivs_malformed_cloud_exits_2(tmp_path, capsys, text, error):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(error):
+        load_cloud_csv(bad)
+    assert run_cli("--out-dir", tmp_path / "o", "derivs", "--input", bad) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err

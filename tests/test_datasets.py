@@ -1,4 +1,4 @@
-"""Synthetic operator datasets: closed forms, noise statistics, storage."""
+"""Synthetic operator datasets: closed forms, noise statistics, MLS targets."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from soblab.errors import ConfigError
 from soblab.training import (
     DatasetSizes,
-    load_dataset,
     mls_derivative_targets,
-    save_dataset,
     synth_dataset,
 )
 from soblab.training.datasets import (
@@ -158,37 +156,6 @@ def test_dataset_determinism():
     b = synth_dataset("poisson1d", seed=21, noise=0.02)
     np.testing.assert_array_equal(a.train_targets, b.train_targets)
     np.testing.assert_array_equal(a.train_d_targets, b.train_d_targets)
-
-
-def test_dataset_round_trip(tmp_path):
-    ds = synth_dataset(
-        "antiderivative1d",
-        sizes=DatasetSizes(train=5, val=3, test=2, sensors=10, queries=12),
-        noise=0.015,
-        seed=17,
-    )
-    save_dataset(ds, tmp_path / "ds")
-    back = load_dataset(tmp_path / "ds")
-    assert back.generator == ds.generator
-    assert back.noise == ds.noise
-    np.testing.assert_array_equal(back.train_inputs, ds.train_inputs)
-    np.testing.assert_array_equal(back.train_targets, ds.train_targets)
-    np.testing.assert_array_equal(back.train_d_targets, ds.train_d_targets)
-    np.testing.assert_array_equal(back.query_points, ds.query_points)
-
-
-def test_dataset_round_trip_2d(tmp_path):
-    ds = synth_dataset(
-        "smoothing2d",
-        sizes=DatasetSizes(train=3, val=2, test=2, sensors=16, queries=8),
-        seed=19,
-        derivative_source="exact",
-    )
-    save_dataset(ds, tmp_path / "ds2")
-    back = load_dataset(tmp_path / "ds2")
-    assert back.train_d_targets.shape == (3, 8, 2)
-    np.testing.assert_array_equal(back.train_d_targets, ds.train_d_targets)
-    np.testing.assert_array_equal(back.sensor_points, ds.sensor_points)
 
 
 def test_mls_derivative_targets_reproduce_linear_field():

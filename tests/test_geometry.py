@@ -137,3 +137,53 @@ def test_cloud_csv_header_required(tmp_path):
     path.write_text("0.0,0.0,1.0\n")
     with pytest.raises(CloudFormatError):
         load_cloud_csv(path)
+
+
+def brute_force_knn_all(points, k, chunk=256):
+    """(distance, index) order of every row by an O(J^2) scan."""
+    nbr = np.empty((len(points), k), dtype=np.intp)
+    dist = np.empty((len(points), k))
+    index = np.arange(len(points))
+    for lo in range(0, len(points), chunk):
+        d = np.linalg.norm(points[None, :, :] - points[lo : lo + chunk, None, :], axis=2)
+        order = np.lexsort((np.broadcast_to(index, d.shape), d), axis=1)[:, :k]
+        nbr[lo : lo + chunk] = order
+        dist[lo : lo + chunk] = np.take_along_axis(d, order, axis=1)
+    return nbr, dist
+
+
+def grid_points(side, dim):
+    axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * dim, indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
+
+
+@pytest.mark.parametrize(
+    "side, dim, k",
+    [
+        (60, 2, 20),
+        (12, 3, 27),
+        # interior rows of a 2-D grid: the 14th neighbour sits in the
+        # 8-point shell at distance sqrt(5) spacings, which runs past
+        # k + 1 and k + 4 candidates, so those rows are queried three times
+        (15, 2, 14),
+    ],
+)
+def test_knn_matches_brute_force_on_tie_heavy_grids(side, dim, k):
+    pts = grid_points(side, dim)
+    index = build_index(PointCloud(points=pts, values=np.zeros(len(pts))))
+    want_nbr, want_dist = brute_force_knn_all(pts, k)
+    nbr, dist = knn_all(index, k)
+    assert np.array_equal(nbr, want_nbr)
+    assert np.array_equal(dist, want_dist)
+    for q in range(0, len(pts), 7):
+        got = knn(index, q, k)
+        assert np.array_equal([g[0] for g in got], want_nbr[q])
+        assert np.array_equal([g[1] for g in got], want_dist[q])
+
+
+def test_grid_rows_need_two_requery_rounds():
+    # the precondition of the last grid case above: the k-th and the
+    # (k + 4)-th brute-force distances tie on some rows
+    pts = grid_points(15, 2)
+    _, dist = brute_force_knn_all(pts, 14 + 4)
+    assert np.any(dist[:, 14 + 4 - 1] <= dist[:, 14 - 1] * (1 + 1e-12))

@@ -18,8 +18,8 @@ from soblab.mls import (
     enumerate_multi_indices,
     estimate_derivatives,
     fit_local_jet,
+    mls_plan,
     multi_index_factorial,
-    normal_matrix,
     polynomial_function,
     sin_1d,
     sin_cos_2d,
@@ -187,13 +187,11 @@ def test_translation_equivariance():
 
 def test_normal_matrix_symmetric_psd():
     rng = np.random.default_rng(8)
-    indices = enumerate_multi_indices(2, 2)
     for _ in range(20):
-        diffs = rng.normal(size=(12, 2))
-        weights = rng.random(12)
-        e = normal_matrix(diffs, weights, indices)
-        np.testing.assert_allclose(e, e.T, atol=1e-12)
-        assert np.linalg.eigvalsh(e).min() >= -1e-12
+        plan = mls_plan(rng.normal(size=(12, 2)), MlsConfig(k=12, m=2))
+        for e in plan.normal:
+            np.testing.assert_allclose(e, e.T, atol=1e-12)
+            assert np.linalg.eigvalsh(e).min() >= -1e-12
 
 
 def test_degenerate_collinear_stencil_flagged():
