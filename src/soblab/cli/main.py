@@ -201,19 +201,19 @@ def _flow_start(dim, theta0, ratio0):
 def run_flow(config, out_dir, seed, threads):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [config["mode"]]
     w0, w_star = _flow_start(int(config["dim"]), float(config["theta0"]), float(config["ratio0"]))
+    trajectories = convlab.flow_integrate_modes(
+        convlab.FlowConfig(
+            w0=w0,
+            w_star=w_star,
+            dt=float(config["dt"]),
+            t_final=float(config["t_final"]),
+            record_every=config["record_every"],
+            allow_outside_basin=bool(config["allow_outside"]),
+        ),
+        modes,
+    )
     series = []
-    for mode in modes:
-        traj = convlab.flow_integrate(
-            convlab.FlowConfig(
-                w0=w0,
-                w_star=w_star,
-                dt=float(config["dt"]),
-                t_final=float(config["t_final"]),
-                mode=mode,
-                record_every=int(config["record_every"]),
-                allow_outside_basin=bool(config["allow_outside"]),
-            )
-        )
+    for traj in trajectories:
         header = (
             ["t"] + [f"w{d + 1}" for d in range(traj.weights.shape[1])] + ["dist2", "ddt_dist2"]
         )
@@ -221,8 +221,8 @@ def run_flow(config, out_dir, seed, threads):
             [traj.times[i], *traj.weights[i].tolist(), traj.dist2[i], traj.ddt_dist2[i]]
             for i in range(len(traj.times))
         ]
-        write_csv(os.path.join(out_dir, f"trajectory_{mode.lower()}.csv"), header, rows)
-        series.append((mode, traj.times, np.sqrt(traj.dist2)))
+        write_csv(os.path.join(out_dir, f"trajectory_{traj.mode.lower()}.csv"), header, rows)
+        series.append((traj.mode, traj.times, np.sqrt(traj.dist2)))
     plot = svg.line_plot(
         series,
         title="distance to target under the gradient flow",

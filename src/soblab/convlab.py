@@ -16,10 +16,16 @@ grids and trajectory bundles evaluate without Python loops.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+try:  # the clip ufunc itself, without the Python dispatch of np.clip
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .errors import (
     ConfigError,
@@ -41,7 +47,9 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 def _norm(w, keepdims=False):
-    return np.linalg.norm(np.asarray(w, dtype=float), axis=-1, keepdims=keepdims)
+    # np.linalg.norm(w, axis=-1) without its Python dispatch, same operations
+    w = np.asarray(w, dtype=float)
+    return np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=keepdims))
 
 
 def _check_nonzero(*vectors):
@@ -77,10 +85,9 @@ class HalfspaceCoefficients(NamedTuple):
 
 
 def _coeffs_of_angle(theta):
-    p0 = ((math.pi - theta) * np.cos(theta) + np.sin(theta)) / TWO_PI
-    p1 = (math.pi - theta) / TWO_PI
-    p2 = np.sin(theta) / TWO_PI
-    return p0, p1, p2
+    rest = math.pi - theta
+    sin = np.sin(theta)
+    return (rest * np.cos(theta) + sin) / TWO_PI, rest / TWO_PI, sin / TWO_PI
 
 
 def halfspace_coefficients(w1, w2) -> HalfspaceCoefficients:
@@ -152,30 +159,46 @@ def _mu_factor(mu) -> float:
     return float(np.mean(np.abs(mu) ** 2))
 
 
-def _population_gradients(w, w_star, mu_fac, theta_clamp=0.0, der=True):
+class _Target(NamedTuple):
+    """The target-only constants of _population_gradients, computed once."""
+
+    w_star: np.ndarray
+    norm: float  # |w*|
+    amp: float  # amp* = |w*|^2 / 2
+    mu_fac: float
+    clamp: tuple[float, float] | None  # (theta_clamp, pi - theta_clamp)
+
+
+def _target(w_star, mu_fac, theta_clamp=0.0) -> _Target:
+    nws = float(_norm(w_star))
+    clamp = (theta_clamp, math.pi - theta_clamp) if theta_clamp > 0.0 else None
+    return _Target(w_star, nws, 0.5 * nws * nws, mu_fac, clamp)
+
+
+def _population_gradients(w, target, der=True):
     """Population gradients (value, derivative) of the two losses.
 
-    w may carry a batch axis.  Both gradients share one evaluation of
-    the norms, the clamped angle and the half-space coefficients; with
-    der=False the derivative term is skipped and returned as None.
+    w may carry a batch axis; target is _target(w_star, ...).  Both
+    gradients share one evaluation of the norms, the clamped angle and the
+    half-space coefficients; with der=False the derivative term is skipped
+    and returned as None.
     """
+    w_star, nws, amp_star, mu_fac = target.w_star, target.norm, target.amp, target.mu_fac
     nw = _norm(w, keepdims=True)
-    nws = float(_norm(w_star))
-    cos = (w @ w_star) / (nw[..., 0] * nws)
-    t = np.arccos(np.clip(cos, -1.0, 1.0))
-    if theta_clamp > 0.0:
-        t = np.clip(t, theta_clamp, math.pi - theta_clamp)
+    scale = nw[..., 0] * nws
+    t = np.arccos(_clip((w @ w_star) / scale, -1.0, 1.0))
+    if target.clamp is not None:
+        t = _clip(t, *target.clamp)
     p0, p1, p2 = _coeffs_of_angle(t)
-    amp = nw[..., 0] * nws * p0
-    amp_star = 0.5 * nws * nws
+    amp = scale * p0
     w_hat = w / nw
     corr_star = p1[..., None] * w_star + (nws * p2)[..., None] * w_hat
     inner = amp[..., None] * (0.5 * w) - amp_star * corr_star
-    g_val = amp[..., None] * inner + corr_star * np.sum(w * inner, axis=-1, keepdims=True)
+    g_val = amp[..., None] * inner + corr_star * np.add.reduce(w * inner, axis=-1, keepdims=True)
     if not der:
         return mu_fac * g_val, None
-    cw = np.sum(corr_star * w, axis=-1)
-    cws = np.sum(corr_star * w_star, axis=-1)
+    cw = np.add.reduce(corr_star * w, axis=-1)
+    cws = np.add.reduce(corr_star * w_star, axis=-1)
     g_der = (
         (0.5 * amp * amp + 0.5 * amp * cw - amp * p1 * cws)[..., None] * w
         - (amp * amp_star * p1)[..., None] * w_star
@@ -191,13 +214,13 @@ def value_flow_gradient(w, w_star, mu=(1.0,)):
     w = w_star.
     """
     w, w_star = _check_nonzero(w, w_star)
-    return _population_gradients(w, w_star, _mu_factor(mu), der=False)[0]
+    return _population_gradients(w, _target(w_star, _mu_factor(mu)), der=False)[0]
 
 
 def derivative_flow_gradient(w, w_star, mu=(1.0,)):
     """Closed-form expectation over queries of the derivative-loss gradient."""
     w, w_star = _check_nonzero(w, w_star)
-    return _population_gradients(w, w_star, _mu_factor(mu))[1]
+    return _population_gradients(w, _target(w_star, _mu_factor(mu)))[1]
 
 
 def finite_sample_value_gradient(x_rows, w, w_star, mu=(1.0,)):
@@ -354,8 +377,6 @@ class FlowConfig:
 
     def resolved_dt(self) -> float:
         if self.dt is not None:
-            if self.dt <= 0:
-                raise ConfigError(f"dt must be positive, got {self.dt}")
             return self.dt
         nws = float(np.linalg.norm(np.asarray(self.w_star, dtype=float)))
         return 1e-3 / (nws * nws)
@@ -386,39 +407,66 @@ def _is_sob(mode: str) -> bool:
     raise ConfigError(f"unknown flow mode {mode!r} (expected L2 or Sob)")
 
 
-def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp):
+def _flow_grid(dt, t_final, record_every):
+    """(step count, record stride) of the integration grid.
+
+    Raises ConfigError unless dt is finite and positive, t_final finite
+    and nonnegative, and record_every an integer >= 1.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ConfigError(f"t_final must be finite and nonnegative, got {t_final}")
+    try:
+        stride = operator.index(record_every)
+    except TypeError:
+        stride = 0
+    if stride < 1:
+        raise ConfigError(f"record_every must be an integer >= 1, got {record_every!r}")
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"t_final / dt = {steps} steps")
+    return int(round(steps)), stride
+
+
+def _rk4_flow(w, target, sob, dt, t_final, record_every):
     """Classical fixed-step RK4 on rows w (B, n); sob (B,) marks the Sob rows.
 
     Returns (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
-    recorded every record_every steps and at the last step.
+    recorded every record_every steps and at the last step.  The step
+    guard raises at the first step at which any row trips it.
     """
+    n_steps, stride = _flow_grid(dt, t_final, record_every)
+    w_star = target.w_star
     der = bool(np.any(sob))
     sob = sob[:, None]
 
     def rhs(u):
-        g_val, g_der = _population_gradients(u, w_star, mu_fac, theta_clamp, der)
+        g_val, g_der = _population_gradients(u, target, der)
         return -(g_val if g_der is None else np.where(sob, g_val + g_der, g_val))
 
-    n_steps = max(0, int(round(t_final / dt)))
-    stride = max(1, int(record_every))
-    floor = (1e-9 * float(_norm(w_star))) ** 2
-    d2 = np.sum((w - w_star) ** 2, axis=-1)
+    def sum_sq(x):
+        return np.add.reduce(x * x, axis=-1)
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    floor = (1e-9 * target.norm) ** 2
+    d2 = sum_sq(w - w_star)
     k1 = rhs(w)
     # dw/dt at a recorded step is the next step's k1
     steps, weights, slopes = [0], [w], [k1]
     for step in range(1, n_steps + 1):
-        k2 = rhs(w + 0.5 * dt * k1)
-        k3 = rhs(w + 0.5 * dt * k2)
+        k2 = rhs(w + half * k1)
+        k3 = rhs(w + half * k2)
         k4 = rhs(w + dt * k3)
-        increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        increment = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         w = w + increment
-        d2_new = np.sum((w - w_star) ** 2, axis=-1)
+        d2_new = sum_sq(w - w_star)
         # A too-large step can also land on a spurious fixed point of the
         # discrete map, where the distance stops changing; the increment
         # then departs from its Euler predictor dt * k1 by O(1) relative.
         euler = dt * k1
-        departs = np.sum((increment - euler) ** 2, axis=-1) > 0.25 * np.sum(euler**2, axis=-1)
-        if np.any((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
+        departs = sum_sq(increment - euler) > 0.25 * sum_sq(euler)
+        if np.logical_or.reduce((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
             raise StepTooLargeError(
                 f"step {step} too large: the distance grew more than 10% or the RK4 "
                 "increment left its Euler predictor by more than half; reduce dt",
@@ -437,13 +485,17 @@ def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp):
     return np.asarray(steps) * dt, weights, np.sum(diff * diff, axis=-1), ddt
 
 
-def flow_integrate(cfg: FlowConfig) -> FlowTrajectory:
-    """Integrate dw/dt = -grad(loss) with classical fixed-step RK4.
+def flow_integrate_modes(cfg: FlowConfig, modes) -> list[FlowTrajectory]:
+    """Integrate dw/dt = -grad(loss) from cfg.w0 once per mode in modes,
+    as the rows of one classical fixed-step RK4 call (cfg.mode is not read).
 
-    Raises StepTooLargeError when, in a single step, the squared distance
-    grows by more than 21% (distance by 10%) or the RK4 increment differs
-    from the Euler increment dt * k1 by more than half its norm; either
-    signals that dt is too coarse for the configuration.
+    Each row equals its one-mode run to rounding, and bit for bit when
+    w_star lies on a coordinate axis (as in the CLI), where w @ w_star is
+    exact.  Raises StepTooLargeError, naming the first step at which any
+    row trips it, when in a single step a squared distance grows by more
+    than 21% (distance by 10%) or the RK4 increment differs from the Euler
+    increment dt * k1 by more than half its norm; either signals that dt
+    is too coarse for the configuration.
     """
     w, w_star = _check_nonzero(cfg.w0, cfg.w_star)
     if w.shape != w_star.shape:
@@ -453,13 +505,24 @@ def flow_integrate(cfg: FlowConfig) -> FlowTrajectory:
             "initialization outside the basin |w - w_star| < |w_star|; "
             "set allow_outside_basin to integrate anyway"
         )
+    modes = list(modes)
+    sob = np.array([_is_sob(m) for m in modes], dtype=bool)
+    if not modes:
+        raise ConfigError("need at least one flow mode")
     times, weights, dist2, ddt = _rk4_flow(
-        w[None, :], w_star, np.array([_is_sob(cfg.mode)]), _mu_factor(cfg.mu),
-        cfg.resolved_dt(), cfg.t_final, cfg.record_every, cfg.theta_clamp,
+        np.repeat(w[None, :], len(modes), axis=0),
+        _target(w_star, _mu_factor(cfg.mu), cfg.theta_clamp),
+        sob, cfg.resolved_dt(), cfg.t_final, cfg.record_every,
     )
-    return FlowTrajectory(
-        times=times, weights=weights[0], dist2=dist2[0], ddt_dist2=ddt[0], mode=cfg.mode
-    )
+    return [
+        FlowTrajectory(times=times, weights=weights[i], dist2=dist2[i], ddt_dist2=ddt[i], mode=m)
+        for i, m in enumerate(modes)
+    ]
+
+
+def flow_integrate(cfg: FlowConfig) -> FlowTrajectory:
+    """The trajectory of flow_integrate_modes for cfg.mode alone."""
+    return flow_integrate_modes(cfg, [cfg.mode])[0]
 
 
 def integrate_flow_batch(
@@ -488,7 +551,7 @@ def integrate_flow_batch(
         )
     sob = np.array([_is_sob(m) for m in modes], dtype=bool)
     times, weights, dist2, _ = _rk4_flow(
-        w, w_star, sob, _mu_factor(mu), dt, t_final, record_every, theta_clamp
+        w, _target(w_star, _mu_factor(mu), theta_clamp), sob, dt, t_final, record_every
     )
     return times, dist2, weights[:, -1]
 
@@ -548,7 +611,7 @@ def descent_landscape(theta_grid, ratio_grid, dim=2, w_star_norm=1.0) -> Landsca
     w[..., 0] = xx * nws * np.cos(tt)
     w[..., 1] = xx * nws * np.sin(tt)
 
-    g_val, g_der = _population_gradients(w, w_star, 1.0)
+    g_val, g_der = _population_gradients(w, _target(w_star, 1.0))
     diff = w - w_star
     ddt_l2 = -2.0 * np.sum(diff * g_val, axis=-1)
     ddt_sob = ddt_l2 - 2.0 * np.sum(diff * g_der, axis=-1)
@@ -712,7 +775,7 @@ def validation_suite(seed=0, full=False):
             x = rng.standard_normal((j_rows, n))
             acc_v += finite_sample_value_gradient(x, w, w_star)
             acc_d += finite_sample_derivative_gradient(x, w, w_star)
-        for acc, closed in zip((acc_v, acc_d), _population_gradients(w, w_star, 1.0)):
+        for acc, closed in zip((acc_v, acc_d), _population_gradients(w, _target(w_star, 1.0))):
             worst = max(worst, float(np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)))
     add("population_gradient_mc_rel", worst, 0.02, worst <= 0.02)
 

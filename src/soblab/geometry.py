@@ -55,7 +55,9 @@ class PointCloud:
             raise CloudFormatError("points contain non-finite coordinates")
         if not np.isfinite(vals).all():
             raise CloudFormatError("values contain non-finite entries")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # equal rows are adjacent once the rows are sorted
+        rows = pts[np.lexsort(pts.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise DuplicatePointsError("cloud contains bitwise-identical points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)

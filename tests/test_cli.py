@@ -128,6 +128,34 @@ def test_flow_both_modes_dominance(tmp_path):
     assert (out / "flow.svg").exists()
 
 
+def test_flow_both_modes_match_separate_runs(tmp_path):
+    flags = ("--theta0", 1.1, "--ratio0", 0.9, "--dt", 0.02, "--T", 6, "--record-every", 7)
+    for mode in ("both", "L2", "Sob"):
+        assert run_cli("--out-dir", tmp_path / mode, "flow", "--mode", mode, *flags) == 0
+    for mode in ("L2", "Sob"):
+        name = f"trajectory_{mode.lower()}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / mode / name).read_bytes()
+
+
+def test_flow_both_modes_step_guard_writes_no_trajectory(tmp_path, capsys):
+    # at dt = 3 the L2 row runs through and the Sob row trips the guard;
+    # with both modes the run stops before any trajectory is written
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", "--mode", "both", "--dt", 3) == 4
+    assert "step 6 too large" in capsys.readouterr().err
+    assert not list(out.glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--T", -5), ("--T", "inf"), ("--record-every", 0), ("--dt", 0), ("--dt", "nan")],
+)
+def test_flow_bad_grid_exits_3(tmp_path, flags):
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", *flags) == 3
+    assert not list(out.glob("trajectory_*.csv"))
+
+
 def test_flow_outside_basin_needs_flag(tmp_path):
     code = run_cli(
         "--out-dir", tmp_path / "f", "flow", "--theta0", 1.0, "--ratio0", 1.2,

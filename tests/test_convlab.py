@@ -18,6 +18,7 @@ from soblab.convlab import (
     finite_sample_derivative_gradient,
     finite_sample_value_gradient,
     flow_integrate,
+    flow_integrate_modes,
     gated_correlation,
     gated_correlation_sum,
     halfspace_coefficients,
@@ -475,6 +476,39 @@ def test_flow_basin_guard_and_step_guard():
         flow_integrate(
             FlowConfig(w0=[0.5, 0.45], w_star=w_star, dt=400.0, t_final=4000.0)
         )
+
+
+_BAD_GRIDS = {
+    "dt_zero": dict(dt=0.0),
+    "dt_negative": dict(dt=-0.01),
+    "dt_nan": dict(dt=math.nan),
+    "dt_inf": dict(dt=math.inf),
+    "t_final_negative": dict(t_final=-5.0),
+    "t_final_nan": dict(t_final=math.nan),
+    "t_final_inf": dict(t_final=math.inf),
+    "steps_overflow": dict(dt=1e-300, t_final=1e300),
+    "record_every_zero": dict(record_every=0),
+    "record_every_negative": dict(record_every=-3),
+    "record_every_fraction": dict(record_every=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GRIDS))
+def test_flow_grid_rejected_by_every_entry(case):
+    w_star = np.array([1.0, 0.0])
+    grid = {"dt": 0.01, "t_final": 1.0, "record_every": 1, **_BAD_GRIDS[case]}
+    cfg = FlowConfig(w0=[0.8, 0.3], w_star=w_star, **grid)
+    with pytest.raises(ConfigError):
+        flow_integrate(cfg)
+    with pytest.raises(ConfigError):
+        flow_integrate_modes(cfg, ["L2", "Sob"])
+    with pytest.raises(ConfigError):
+        integrate_flow_batch([[0.8, 0.3]], w_star, **grid)
+
+
+def test_flow_two_modes_need_a_mode():
+    with pytest.raises(ConfigError):
+        flow_integrate_modes(FlowConfig(w0=[0.8, 0.3], w_star=[1.0, 0.0]), [])
 
 
 # -- landscape ----------------------------------------------------------------------------

@@ -50,6 +50,35 @@ def test_duplicate_points_rejected():
         PointCloud(points=[[1.0, 2.0], [1.0, 2.0]], values=[0.0, 1.0])
 
 
+def _accepted(points):
+    try:
+        PointCloud(points=points, values=np.zeros(len(points)))
+    except DuplicatePointsError as exc:
+        assert str(exc) == "cloud contains bitwise-identical points"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_duplicate_check_agrees_with_unique(dim):
+    rng = np.random.default_rng(40 + dim)
+    for trial in range(40):
+        j = int(rng.integers(2, 60))
+        # coarse coordinates, so rows often share some but not all entries
+        points = rng.integers(-3, 4, size=(j, dim)) * 0.5 if trial % 2 else rng.random((j, dim))
+        if trial % 4 < 2:
+            points[rng.integers(j)] = points[rng.integers(j)]
+        want = np.unique(points, axis=0).shape[0] == j
+        assert _accepted(points) == want
+
+
+def test_duplicate_check_signed_zero_and_single_point():
+    pair = np.array([[0.0, 1.0], [-0.0, 1.0]])
+    assert np.unique(pair, axis=0).shape[0] == 1
+    assert not _accepted(pair)
+    assert _accepted(np.array([[0.0, 1.0]]))
+
+
 def test_nonfinite_rejected():
     with pytest.raises(CloudFormatError):
         PointCloud(points=[[np.nan, 0.0]], values=[1.0])
