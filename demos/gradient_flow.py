@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from soblab.cli.svg import line_plot
-from soblab.convlab import FlowConfig, flow_integrate
+from soblab.convlab import integrate_flow_batch
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -22,17 +22,18 @@ theta0, ratio0 = 1.1, 0.9
 w0 = ratio0 * np.array([math.cos(theta0), math.sin(theta0), 0.0])
 print(f"start: angle {theta0} rad, norm ratio {ratio0}, distance {np.linalg.norm(w0 - w_star):.4f}")
 
+modes = ("L2", "Sob")
+traj = integrate_flow_batch(
+    [w0] * len(modes), w_star, dt=0.02, t_final=60.0, mode=modes, record_every=25
+)
 curves = []
-for mode in ("L2", "Sob"):
-    traj = flow_integrate(
-        FlowConfig(w0=w0, w_star=w_star, dt=0.02, t_final=60.0, mode=mode, record_every=25)
-    )
-    curves.append((mode, traj.times, np.sqrt(traj.dist2)))
+for mode, dist2, ddt in zip(traj.modes, traj.dist2, traj.ddt_dist2):
+    curves.append((mode, traj.times, np.sqrt(dist2)))
     print(f"\nmode {mode}:")
     for i in range(0, len(traj.times), len(traj.times) // 6):
-        print(f"  t={traj.times[i]:7.2f}  |w-w*|={math.sqrt(traj.dist2[i]):.3e}  "
-              f"d/dt|w-w*|^2={traj.ddt_dist2[i]:+.3e}")
-    print(f"  final distance {traj.final_distance:.3e}")
+        print(f"  t={traj.times[i]:7.2f}  |w-w*|={math.sqrt(dist2[i]):.3e}  "
+              f"d/dt|w-w*|^2={ddt[i]:+.3e}")
+    print(f"  final distance {math.sqrt(dist2[-1]):.3e}")
 
 path = os.path.join(OUT, "gradient_flow.svg")
 with open(path, "w") as fh:

@@ -1,13 +1,12 @@
-"""Deterministic text I/O: CSV read/write and atomic files.
+"""Deterministic text I/O: CSV writes and atomic files.
 
 Every float is serialized with 17 significant digits so that
-parse(write(x)) == x exactly, and all writes go through an atomic
+float(text) == x exactly, and all writes go through an atomic
 replace so partially written outputs never appear on disk.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import tempfile
 
@@ -67,27 +66,3 @@ def _quote(cell: str) -> str:
     if any(c in cell for c in ',"\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
-
-
-def read_csv(path):
-    """Read a CSV written by write_csv: (header, list of row lists).
-
-    Numeric-looking cells come back as float or int, everything else as
-    string, so writing the parsed rows again is byte identical.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[_parse_cell(c) for c in row] for row in reader if row]
-    return header, rows
-
-
-def _parse_cell(c: str):
-    try:
-        return int(c)
-    except ValueError:
-        pass
-    try:
-        return float(c)
-    except ValueError:
-        return c

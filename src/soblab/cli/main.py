@@ -201,28 +201,24 @@ def _flow_start(dim, theta0, ratio0):
 def run_flow(config, out_dir, seed, threads):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [config["mode"]]
     w0, w_star = _flow_start(int(config["dim"]), float(config["theta0"]), float(config["ratio0"]))
-    trajectories = convlab.flow_integrate_modes(
-        convlab.FlowConfig(
-            w0=w0,
-            w_star=w_star,
-            dt=float(config["dt"]),
-            t_final=float(config["t_final"]),
-            record_every=config["record_every"],
-            allow_outside_basin=bool(config["allow_outside"]),
-        ),
-        modes,
+    traj = convlab.integrate_flow_batch(
+        [w0] * len(modes),
+        w_star,
+        dt=float(config["dt"]),
+        t_final=float(config["t_final"]),
+        mode=modes,
+        record_every=config["record_every"],
+        allow_outside_basin=bool(config["allow_outside"]),
     )
+    header = ["t"] + [f"w{d + 1}" for d in range(len(w0))] + ["dist2", "ddt_dist2"]
     series = []
-    for traj in trajectories:
-        header = (
-            ["t"] + [f"w{d + 1}" for d in range(traj.weights.shape[1])] + ["dist2", "ddt_dist2"]
-        )
+    for i, mode in enumerate(traj.modes):
         rows = [
-            [traj.times[i], *traj.weights[i].tolist(), traj.dist2[i], traj.ddt_dist2[i]]
-            for i in range(len(traj.times))
+            [t, *w.tolist(), d2, ddt]
+            for t, w, d2, ddt in zip(traj.times, traj.weights[i], traj.dist2[i], traj.ddt_dist2[i])
         ]
-        write_csv(os.path.join(out_dir, f"trajectory_{traj.mode.lower()}.csv"), header, rows)
-        series.append((traj.mode, traj.times, np.sqrt(traj.dist2)))
+        write_csv(os.path.join(out_dir, f"trajectory_{mode.lower()}.csv"), header, rows)
+        series.append((mode, traj.times, np.sqrt(traj.dist2[i])))
     plot = svg.line_plot(
         series,
         title="distance to target under the gradient flow",

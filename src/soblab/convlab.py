@@ -356,46 +356,16 @@ def derivative_flow_margin_scan(thetas):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FlowConfig:
-    """One gradient-flow run: start, target, amplitudes, integrator grid.
-
-    mode is "L2" (value loss only) or "Sob" (value plus derivative
-    loss).  dt defaults to 1e-3 normalized by |w_star|^2.  theta_clamp
-    keeps the angle away from the kinks at 0 and pi inside the flow's
-    coefficient evaluations.
-    """
-
-    w0: np.ndarray
-    w_star: np.ndarray
-    mu: tuple[float, ...] = (1.0,)
-    dt: float | None = None
-    t_final: float = 10.0
-    mode: str = "L2"
-    theta_clamp: float = 1e-8
-    record_every: int = 1
-    allow_outside_basin: bool = False
-
-    def resolved_dt(self) -> float:
-        if self.dt is not None:
-            return self.dt
-        nws = float(np.linalg.norm(np.asarray(self.w_star, dtype=float)))
-        return 1e-3 / (nws * nws)
-
-
-@dataclass(frozen=True)
 class FlowTrajectory:
-    """Sampled flow: times, weights, squared distance and its closed-form
-    time derivative at each sample."""
+    """Sampled flows of a bundle of starts: times (S,), weights (B, S, n),
+    squared distance to the target and its closed-form time derivative
+    (B, S) at each sample, and the mode of each row."""
 
     times: np.ndarray
     weights: np.ndarray
     dist2: np.ndarray
     ddt_dist2: np.ndarray
-    mode: str
-
-    @property
-    def final_distance(self) -> float:
-        return float(math.sqrt(self.dist2[-1]))
+    modes: tuple[str, ...]
 
 
 def _is_sob(mode: str) -> bool:
@@ -485,46 +455,6 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     return np.asarray(steps) * dt, weights, np.sum(diff * diff, axis=-1), ddt
 
 
-def flow_integrate_modes(cfg: FlowConfig, modes) -> list[FlowTrajectory]:
-    """Integrate dw/dt = -grad(loss) from cfg.w0 once per mode in modes,
-    as the rows of one classical fixed-step RK4 call (cfg.mode is not read).
-
-    Each row equals its one-mode run to rounding, and bit for bit when
-    w_star lies on a coordinate axis (as in the CLI), where w @ w_star is
-    exact.  Raises StepTooLargeError, naming the first step at which any
-    row trips it, when in a single step a squared distance grows by more
-    than 21% (distance by 10%) or the RK4 increment differs from the Euler
-    increment dt * k1 by more than half its norm; either signals that dt
-    is too coarse for the configuration.
-    """
-    w, w_star = _check_nonzero(cfg.w0, cfg.w_star)
-    if w.shape != w_star.shape:
-        raise DimMismatchError(f"w0 shape {w.shape} != w_star shape {w_star.shape}")
-    if not cfg.allow_outside_basin and np.linalg.norm(w - w_star) >= np.linalg.norm(w_star):
-        raise ConfigError(
-            "initialization outside the basin |w - w_star| < |w_star|; "
-            "set allow_outside_basin to integrate anyway"
-        )
-    modes = list(modes)
-    sob = np.array([_is_sob(m) for m in modes], dtype=bool)
-    if not modes:
-        raise ConfigError("need at least one flow mode")
-    times, weights, dist2, ddt = _rk4_flow(
-        np.repeat(w[None, :], len(modes), axis=0),
-        _target(w_star, _mu_factor(cfg.mu), cfg.theta_clamp),
-        sob, cfg.resolved_dt(), cfg.t_final, cfg.record_every,
-    )
-    return [
-        FlowTrajectory(times=times, weights=weights[i], dist2=dist2[i], ddt_dist2=ddt[i], mode=m)
-        for i, m in enumerate(modes)
-    ]
-
-
-def flow_integrate(cfg: FlowConfig) -> FlowTrajectory:
-    """The trajectory of flow_integrate_modes for cfg.mode alone."""
-    return flow_integrate_modes(cfg, [cfg.mode])[0]
-
-
 def integrate_flow_batch(
     w0_batch,
     w_star,
@@ -534,26 +464,46 @@ def integrate_flow_batch(
     mode="L2",
     theta_clamp=1e-8,
     record_every=1,
-):
-    """RK4 on a whole bundle of starts at once.
+    allow_outside_basin=False,
+) -> FlowTrajectory:
+    """Integrate dw/dt = -grad(loss) by classical fixed-step RK4 from each
+    start in w0_batch ((n,) or (B, n)) as the rows of one array.
 
-    mode is one mode for all rows or a sequence of one mode per row, so
-    L2 and Sob rows integrate as one array.  Returns (times (S,),
-    dist2 (B, S), final weights (B, n)).  Identical dynamics and step
-    guard to flow_integrate, vectorized for scans and acceptance checks.
+    mode is "L2" (value loss only) or "Sob" (value plus derivative loss),
+    one mode for all rows or a sequence of one mode per row.  theta_clamp
+    keeps the angle away from the kinks at 0 and pi.  Samples are taken
+    every record_every steps and at the last step.
+
+    Raises ZeroVectorError for a zero target or start, DimMismatchError
+    when the starts, the target and the modes disagree in shape or count,
+    ConfigError for an empty mode list, a start outside the basin
+    |w - w_star| < |w_star| (unless allow_outside_basin) or a bad grid,
+    and StepTooLargeError, naming the first step at which any row trips
+    it, when in a single step a squared distance grows by more than 21%
+    (distance by 10%) or the RK4 increment differs from the Euler
+    increment dt * k1 by more than half its norm; either signals that dt
+    is too coarse for the configuration.  A row equals its one-row run to
+    rounding, and bit for bit when w_star lies on a coordinate axis (as in
+    the CLI), where w @ w_star is exact.
     """
-    w = np.array(w0_batch, dtype=float)
-    w_star = np.asarray(w_star, dtype=float)
+    w, w_star = _check_nonzero(np.atleast_2d(np.asarray(w0_batch, dtype=float)), w_star)
     modes = [mode] * len(w) if isinstance(mode, str) else list(mode)
+    if not modes:
+        raise ConfigError("need at least one flow mode")
     if w.ndim != 2 or w.shape[1:] != w_star.shape or len(modes) != len(w):
         raise DimMismatchError(
             f"starts {w.shape}, target {w_star.shape} and {len(modes)} modes disagree"
         )
+    if not allow_outside_basin and np.any(_norm(w - w_star) >= _norm(w_star)):
+        raise ConfigError(
+            "initialization outside the basin |w - w_star| < |w_star|; "
+            "set allow_outside_basin to integrate anyway"
+        )
     sob = np.array([_is_sob(m) for m in modes], dtype=bool)
-    times, weights, dist2, _ = _rk4_flow(
+    times, weights, dist2, ddt = _rk4_flow(
         w, _target(w_star, _mu_factor(mu), theta_clamp), sob, dt, t_final, record_every
     )
-    return times, dist2, weights[:, -1]
+    return FlowTrajectory(times, weights, dist2, ddt, tuple(modes))
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +734,10 @@ def validation_suite(seed=0, full=False):
     w_star = np.zeros(3)
     w_star[0] = 1.0
     starts = sample_basin(w_star, count, rng, theta_range=(0.05, math.pi - 0.05))
-    _, d2, _ = integrate_flow_batch(
+    d2 = integrate_flow_batch(
         np.concatenate([starts, starts]), w_star, dt=0.02, t_final=80.0,
         mode=["L2"] * count + ["Sob"] * count,
-    )
+    ).dist2
     d_l2, d_sob = d2[:count], d2[count:]
     mono = float(np.max(np.diff(d_l2, axis=-1)))
     add("flow_l2_monotone_max_increase", mono, 1e-12, mono <= 1e-12)

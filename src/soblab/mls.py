@@ -83,13 +83,15 @@ def weight(t, d_support):
     """Compactly supported stencil weight (1 - t/D)^4 (4 t/D + 1).
 
     Equals 1 at t=0, 0 at t=D, strictly decreasing in between; clamped
-    to 0 for t > D.  Accepts scalars or arrays.
+    to 0 for t > D.  Accepts scalars or arrays; d_support may be an array
+    that broadcasts against t, such as one radius per stencil row.
     """
-    if d_support <= 0:
-        raise NonpositiveSupportError(f"support radius must be positive, got {d_support}")
+    d_support = np.asarray(d_support, dtype=float)
+    if np.any(d_support <= 0):
+        raise NonpositiveSupportError(f"support radius must be positive, got {d_support.min()}")
     s = np.asarray(t, dtype=float) / d_support
     w = np.where(s <= 1.0, (1.0 - s) ** 4 * (4.0 * s + 1.0), 0.0)
-    if np.ndim(t) == 0:
+    if w.ndim == 0:
         return float(w)
     return w
 
@@ -291,16 +293,12 @@ def _stencil_plan(points, centers, nbr, dists, cfg, d_support, support_radius, h
     d_support is a scalar or one radius per row.
     """
     diffs = points[nbr] - centers[:, None, :]
-    j_count, _, dim = diffs.shape
+    dim = diffs.shape[2]
     indices = enumerate_multi_indices(dim, cfg.m)
     i_count = len(indices)
     degrees = np.array([sum(a) for a in indices], dtype=float)
 
-    d_arr = np.broadcast_to(np.asarray(d_support, dtype=float), (j_count,))
-    if np.any(d_arr <= 0):
-        raise NonpositiveSupportError("support radius must be positive")
-    s = dists / d_arr[:, None]
-    w = np.where(s <= 1.0, (1.0 - s) ** 4 * (4.0 * s + 1.0), 0.0)
+    w = weight(dists, np.reshape(d_support, (-1, 1)))
 
     # Scale each stencil to the unit ball before forming the normal matrix;
     # the raw basis has entries ~ h^|alpha| and is needlessly ill conditioned.

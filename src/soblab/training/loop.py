@@ -29,13 +29,15 @@ MODES = ("ordinary", "sobolev", "sobolev+pcgrad")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
-    learning_rate: float = 1e-2
+    """Training settings; the defaults are those of the `train` command."""
+
+    epochs: int = 300
+    learning_rate: float = 3e-3
     batch_size: int | None = None       # None = full batch
     der_weight: float = 1.0
     rank: int = 8
     hidden: tuple[int, ...] = (64, 64)
-    optimizer: str = "gd"               # "gd" or "adam"
+    optimizer: str = "adam"             # "gd" or "adam"
     seed: int = 0
 
     def validate(self):

@@ -150,11 +150,11 @@ def test_c06_gradient_flow_convergence_and_dominance():
         starts = convlab.sample_basin(
             w_star, 50, rng, theta_range=(0.05, math.pi - 0.05)
         )
-        _, d_l2, _ = convlab.integrate_flow_batch(
-            starts, w_star, dt=0.02, t_final=80.0, mode="L2", record_every=5
-        )
-        _, d_sob, _ = convlab.integrate_flow_batch(
-            starts, w_star, dt=0.02, t_final=80.0, mode="Sob", record_every=5
+        d_l2, d_sob = (
+            convlab.integrate_flow_batch(
+                starts, w_star, dt=0.02, t_final=80.0, mode=mode, record_every=5
+            ).dist2
+            for mode in ("L2", "Sob")
         )
         monotone = float(np.max(np.diff(d_l2, axis=-1)))
         final = float(np.max(np.sqrt(d_l2[:, -1])))

@@ -9,10 +9,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soblab.cli.io import atomic_write_text, read_csv, write_csv
-from soblab.cli.main import main
+from soblab.cli.io import atomic_write_text, write_csv
+from soblab.cli.main import DEFAULTS, main
 from soblab.errors import CloudFormatError, EmptyCloudError
 from soblab.geometry import PointCloud, load_cloud_csv, save_cloud_csv
+from soblab.training import TrainConfig
+
+
+def read_csv(path):
+    """Read a CSV written by write_csv: (header, list of row lists).
+
+    Numeric-looking cells come back as float or int, everything else as
+    string, so writing the parsed rows again is byte identical.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[_parse_cell(c) for c in row] for row in reader if row]
+    return header, rows
+
+
+def _parse_cell(c: str):
+    try:
+        return int(c)
+    except ValueError:
+        pass
+    try:
+        return float(c)
+    except ValueError:
+        return c
 
 
 def run_cli(*argv):
@@ -223,6 +248,16 @@ def test_train_defaults_reach_the_validated_accuracy(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["optimizer"] == "adam"
     assert report["final_test_rel_l2"] < 0.4
+
+
+def test_train_config_defaults_equal_the_command_defaults():
+    d = DEFAULTS["train"]
+    cfg = TrainConfig()
+    assert (cfg.optimizer, cfg.learning_rate, cfg.epochs) == (
+        d["optimizer"], d["learning_rate"], d["epochs"]
+    )
+    assert (cfg.rank, cfg.der_weight, cfg.batch_size) == (d["rank"], d["der_weight"], None)
+    assert ",".join(map(str, cfg.hidden)) == d["hidden"] and d["batch_size"] == 0
 
 
 def test_train_zero_epochs_reports_initial_only(tmp_path):

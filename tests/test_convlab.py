@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from soblab.convlab import (
-    FlowConfig,
     angle_between,
     cubic_local_min,
     derivative_cubic_coefficients,
@@ -17,8 +16,6 @@ from soblab.convlab import (
     effective_amplitude,
     finite_sample_derivative_gradient,
     finite_sample_value_gradient,
-    flow_integrate,
-    flow_integrate_modes,
     gated_correlation,
     gated_correlation_sum,
     halfspace_coefficients,
@@ -340,29 +337,26 @@ def test_derivative_cubic_matches_gradient_projection():
 
 def test_flow_constant_at_target():
     w_star = np.array([1.0, 0.5])
-    traj = flow_integrate(
-        FlowConfig(w0=w_star, w_star=w_star, dt=1e-2, t_final=0.5)
-    )
+    traj = integrate_flow_batch(w_star, w_star, dt=1e-2, t_final=0.5)
     np.testing.assert_allclose(traj.dist2, 0.0, atol=1e-20)
-    np.testing.assert_allclose(traj.weights[-1], w_star, atol=1e-14)
+    np.testing.assert_allclose(traj.weights[0, -1], w_star, atol=1e-14)
 
 
 def test_flow_zero_horizon_single_row():
     w_star = np.array([1.0, 0.0])
-    traj = flow_integrate(FlowConfig(w0=[0.8, 0.3], w_star=w_star, dt=1e-2, t_final=0.0))
+    traj = integrate_flow_batch([0.8, 0.3], w_star, dt=1e-2, t_final=0.0)
     assert traj.times.shape == (1,)
-    assert traj.weights.shape == (1, 2)
+    assert traj.weights.shape == (1, 1, 2)
+    assert traj.modes == ("L2",)
 
 
 def test_flow_converges_and_is_monotone():
     rng = np.random.default_rng(10)
     w_star = np.array([1.0, 0.0, 0.0])
     w0 = sample_basin(w_star, 1, rng, theta_range=(0.3, 1.2))[0]
-    traj = flow_integrate(
-        FlowConfig(w0=w0, w_star=w_star, dt=0.02, t_final=80.0, mode="L2", record_every=10)
-    )
+    traj = integrate_flow_batch(w0, w_star, dt=0.02, t_final=80.0, mode="L2", record_every=10)
     assert np.all(np.diff(traj.dist2) <= 1e-12)
-    assert traj.final_distance < 1e-3
+    assert math.sqrt(traj.dist2[0, -1]) < 1e-3
     assert np.all(traj.ddt_dist2 <= 1e-12)
 
 
@@ -370,16 +364,16 @@ def test_flow_derivative_mode_dominates():
     rng = np.random.default_rng(11)
     w_star = np.array([0.0, 1.0])
     w0 = sample_basin(w_star, 1, rng, theta_range=(0.4, 1.0))[0]
-    kw = dict(w_star=w_star, dt=0.02, t_final=40.0, record_every=5)
-    t_l2 = flow_integrate(FlowConfig(w0=w0, mode="L2", **kw))
-    t_sob = flow_integrate(FlowConfig(w0=w0, mode="Sob", **kw))
+    kw = dict(dt=0.02, t_final=40.0, record_every=5)
+    t_l2 = integrate_flow_batch(w0, w_star, mode="L2", **kw)
+    t_sob = integrate_flow_batch(w0, w_star, mode="Sob", **kw)
     assert np.all(t_sob.dist2 <= t_l2.dist2 + 1e-12)
-    assert t_sob.dist2[-1] < t_l2.dist2[-1]
+    assert t_sob.dist2[0, -1] < t_l2.dist2[0, -1]
 
 
 def _reference_flow(w0, w_star, mode, dt, t_final, record_every):
-    """The scalar RK4 loop flow_integrate used before it shared the batched
-    loop, kept as the oracle: (times, weights, dist2, ddt_dist2)."""
+    """The scalar RK4 loop the one-start flow used before it shared the
+    batched loop, kept as the oracle: (times, weights, dist2, ddt_dist2)."""
     def rhs(u):
         g = value_flow_gradient(u, w_star)
         return -(g + derivative_flow_gradient(u, w_star) if mode == "Sob" else g)
@@ -408,15 +402,14 @@ def test_flow_matches_reference_loop(mode, n, record_every):
     w0 = sample_basin(w_star, 1, rng, theta_range=(0.3, 2.5))[0]
     # 60 steps: with record_every=7 the last record falls off the stride
     dt, t_final = 0.05, 3.0
-    traj = flow_integrate(
-        FlowConfig(w0=w0, w_star=w_star, dt=dt, t_final=t_final, mode=mode,
-                   record_every=record_every)
+    traj = integrate_flow_batch(
+        w0, w_star, dt=dt, t_final=t_final, mode=mode, record_every=record_every
     )
     times, weights, dist2, ddt = _reference_flow(w0, w_star, mode, dt, t_final, record_every)
     np.testing.assert_array_equal(traj.times, times)
-    np.testing.assert_allclose(traj.weights, weights, rtol=1e-12)
-    np.testing.assert_allclose(traj.dist2, dist2, rtol=1e-12)
-    np.testing.assert_allclose(traj.ddt_dist2, ddt, rtol=1e-12)
+    np.testing.assert_allclose(traj.weights[0], weights, rtol=1e-12)
+    np.testing.assert_allclose(traj.dist2[0], dist2, rtol=1e-12)
+    np.testing.assert_allclose(traj.ddt_dist2[0], ddt, rtol=1e-12)
 
 
 def test_flow_batch_matches_single():
@@ -426,21 +419,25 @@ def test_flow_batch_matches_single():
     kw = dict(dt=0.05, t_final=2.0, record_every=4)
     bundles = {}
     for mode in ("L2", "Sob"):
-        times, dist2, final = integrate_flow_batch(starts, w_star, mode=mode, **kw)
+        bundle = integrate_flow_batch(starts, w_star, mode=mode, **kw)
         for i in range(3):
-            traj = flow_integrate(FlowConfig(w0=starts[i], w_star=w_star, mode=mode, **kw))
-            np.testing.assert_allclose(dist2[i], traj.dist2, rtol=1e-12)
-            np.testing.assert_allclose(final[i], traj.weights[-1], rtol=1e-12)
-        bundles[mode] = dist2, final
+            traj = integrate_flow_batch(starts[i], w_star, mode=mode, **kw)
+            np.testing.assert_allclose(bundle.dist2[i], traj.dist2[0], rtol=1e-12)
+            np.testing.assert_allclose(bundle.weights[i], traj.weights[0], rtol=1e-12)
+            np.testing.assert_allclose(bundle.ddt_dist2[i], traj.ddt_dist2[0], rtol=1e-12)
+        bundles[mode] = bundle
     # a per-row mode sequence: one mixed bundle equals the two single-mode bundles
-    _, dist2, final = integrate_flow_batch(
+    mixed = integrate_flow_batch(
         np.concatenate([starts, starts]), w_star, mode=["L2"] * 3 + ["Sob"] * 3, **kw
     )
+    assert mixed.modes == ("L2",) * 3 + ("Sob",) * 3
     for rows, mode in ((slice(0, 3), "L2"), (slice(3, 6), "Sob")):
-        np.testing.assert_allclose(dist2[rows], bundles[mode][0], rtol=1e-12)
-        np.testing.assert_allclose(final[rows], bundles[mode][1], rtol=1e-12)
+        np.testing.assert_allclose(mixed.dist2[rows], bundles[mode].dist2, rtol=1e-12)
+        np.testing.assert_allclose(mixed.weights[rows], bundles[mode].weights, rtol=1e-12)
     with pytest.raises(DimMismatchError):
         integrate_flow_batch(starts, w_star, mode=["L2", "Sob"], **kw)
+    with pytest.raises(DimMismatchError):
+        integrate_flow_batch(starts, [1.0, 0.0, 0.0], **kw)
 
 
 def test_flow_batch_step_guard_names_the_step():
@@ -449,10 +446,9 @@ def test_flow_batch_step_guard_names_the_step():
     w_star = np.array([1.0, 0.0])
     stable = [[0.915, -0.486], [0.907, 0.479], [0.855, 0.653]]
     kw = dict(dt=4.0, t_final=120.0)
-    _, dist2, _ = integrate_flow_batch(stable, w_star, **kw)
-    assert np.all(dist2[:, -1] < 1e-12)
+    assert np.all(integrate_flow_batch(stable, w_star, **kw).dist2[:, -1] < 1e-12)
     with pytest.raises(StepTooLargeError) as single:
-        flow_integrate(FlowConfig(w0=[1.314, -0.034], w_star=w_star, **kw))
+        integrate_flow_batch([1.314, -0.034], w_star, **kw)
     with pytest.raises(StepTooLargeError) as bundle:
         integrate_flow_batch(stable[:2] + [[1.314, -0.034]] + stable[2:], w_star, **kw)
     assert bundle.value.step_index == single.value.step_index == 3
@@ -462,20 +458,24 @@ def test_flow_step_guard_catches_a_spurious_fixed_point():
     # at dt = 6.5 this start settles at w = [0.7512, 0], a fixed point of the
     # RK4 map but not of the flow, so the distance never grows; at dt = 0.05
     # the same start reaches dist2 ~ 4e-6 by t = 50
-    cfg = dict(w0=[0.41, -0.439], w_star=[1.0, 0.0])
+    args = ([0.41, -0.439], [1.0, 0.0])
     with pytest.raises(StepTooLargeError):
-        flow_integrate(FlowConfig(dt=6.5, t_final=6500.0, **cfg))
-    assert flow_integrate(FlowConfig(dt=0.05, t_final=50.0, **cfg)).dist2[-1] < 1e-5
+        integrate_flow_batch(*args, dt=6.5, t_final=6500.0)
+    assert integrate_flow_batch(*args, dt=0.05, t_final=50.0).dist2[0, -1] < 1e-5
 
 
 def test_flow_basin_guard_and_step_guard():
     w_star = np.array([1.0, 0.0])
-    with pytest.raises(ConfigError):
-        flow_integrate(FlowConfig(w0=[-1.5, 0.0], w_star=w_star, t_final=1.0))
-    with pytest.raises(StepTooLargeError):
-        flow_integrate(
-            FlowConfig(w0=[0.5, 0.45], w_star=w_star, dt=400.0, t_final=4000.0)
+    # a single start outside the basin, and a bundle with one row outside
+    for starts in ([-1.5, 0.0], [[0.8, 0.3], [-1.5, 0.0]]):
+        with pytest.raises(ConfigError):
+            integrate_flow_batch(starts, w_star, t_final=1.0)
+        traj = integrate_flow_batch(
+            starts, w_star, dt=0.01, t_final=0.1, allow_outside_basin=True
         )
+        assert np.all(np.isfinite(traj.dist2))
+    with pytest.raises(StepTooLargeError):
+        integrate_flow_batch([0.5, 0.45], w_star, dt=400.0, t_final=4000.0)
 
 
 _BAD_GRIDS = {
@@ -495,20 +495,31 @@ _BAD_GRIDS = {
 
 @pytest.mark.parametrize("case", sorted(_BAD_GRIDS))
 def test_flow_grid_rejected_by_every_entry(case):
+    # the one entry point, for a single start and for a two-mode bundle
     w_star = np.array([1.0, 0.0])
     grid = {"dt": 0.01, "t_final": 1.0, "record_every": 1, **_BAD_GRIDS[case]}
-    cfg = FlowConfig(w0=[0.8, 0.3], w_star=w_star, **grid)
     with pytest.raises(ConfigError):
-        flow_integrate(cfg)
+        integrate_flow_batch([0.8, 0.3], w_star, **grid)
     with pytest.raises(ConfigError):
-        flow_integrate_modes(cfg, ["L2", "Sob"])
-    with pytest.raises(ConfigError):
-        integrate_flow_batch([[0.8, 0.3]], w_star, **grid)
+        integrate_flow_batch([[0.8, 0.3]] * 2, w_star, mode=["L2", "Sob"], **grid)
 
 
 def test_flow_two_modes_need_a_mode():
+    for starts in ([0.8, 0.3], [[0.8, 0.3], [0.6, -0.2]]):
+        with pytest.raises(ConfigError):
+            integrate_flow_batch(starts, [1.0, 0.0], mode=[])
     with pytest.raises(ConfigError):
-        flow_integrate_modes(FlowConfig(w0=[0.8, 0.3], w_star=[1.0, 0.0]), [])
+        integrate_flow_batch(np.empty((0, 2)), [1.0, 0.0])
+
+
+def test_flow_rejects_a_zero_target_or_start():
+    kw = dict(dt=0.1, t_final=0.3)
+    with pytest.raises(ZeroVectorError):
+        integrate_flow_batch([[0.5, 0.5]], [0.0, 0.0], **kw)
+    with pytest.raises(ZeroVectorError):
+        integrate_flow_batch([[0.0, 0.0]], [1.0, 0.0], **kw)
+    with pytest.raises(ZeroVectorError):
+        integrate_flow_batch([[0.8, 0.3], [0.0, 0.0], [0.6, -0.2]], [1.0, 0.0], **kw)
 
 
 # -- landscape ----------------------------------------------------------------------------

@@ -13,11 +13,8 @@ import pytest
 
 from soblab import convlab
 from soblab.convlab import (
-    FlowConfig,
     derivative_flow_gradient,
     descent_landscape,
-    flow_integrate,
-    flow_integrate_modes,
     integrate_flow_batch,
     sample_basin,
     value_flow_gradient,
@@ -142,32 +139,33 @@ def test_public_flows_are_bit_identical_to_the_oracle(n):
     kw = dict(dt=0.05, t_final=3.0, record_every=7)
     modes = ["L2", "Sob", "L2"]
     sob = np.array([m == "Sob" for m in modes])
-    times, weights, dist2, ddt = _rk4_flow(starts, w_star, sob, 1.0, theta_clamp=1e-8, **kw)
+    traj = integrate_flow_batch(starts, w_star, mode=modes, **kw)
+    assert traj.modes == tuple(modes)
     _assert_same(
-        integrate_flow_batch(starts, w_star, mode=modes, **kw), (times, dist2, weights[:, -1])
+        (traj.times, traj.weights, traj.dist2, traj.ddt_dist2),
+        _rk4_flow(starts, w_star, sob, 1.0, theta_clamp=1e-8, **kw),
     )
     for i, mode in enumerate(modes):
-        traj = flow_integrate(FlowConfig(w0=starts[i], w_star=w_star, mode=mode, **kw))
-        times, weights, dist2, ddt = _rk4_flow(
-            starts[i : i + 1], w_star, sob[i : i + 1], 1.0, theta_clamp=1e-8, **kw
-        )
+        traj = integrate_flow_batch(starts[i], w_star, mode=mode, **kw)
         _assert_same(
             (traj.times, traj.weights, traj.dist2, traj.ddt_dist2),
-            (times, weights[0], dist2[0], ddt[0]),
+            _rk4_flow(starts[i : i + 1], w_star, sob[i : i + 1], 1.0, theta_clamp=1e-8, **kw),
         )
 
 
 @pytest.mark.parametrize("on_axis", [True, False])
 def test_two_mode_call_rows_equal_one_mode_runs(on_axis):
+    # the flow command's --mode both: one start repeated once per mode
     starts, w_star = _starts(3, 1, on_axis)
-    cfg = FlowConfig(w0=starts[0], w_star=w_star, dt=0.05, t_final=3.0, record_every=7)
-    both = flow_integrate_modes(cfg, ["L2", "Sob"])
-    assert [t.mode for t in both] == ["L2", "Sob"]
-    for traj in both:
+    both = integrate_flow_batch(
+        [starts[0]] * 2, w_star, dt=0.05, t_final=3.0, mode=["L2", "Sob"], record_every=7
+    )
+    assert both.modes == ("L2", "Sob")
+    for i, mode in enumerate(both.modes):
         times, weights, dist2, ddt = _rk4_flow(
-            starts, w_star, np.array([traj.mode == "Sob"]), 1.0, 0.05, 3.0, 7, 1e-8
+            starts, w_star, np.array([mode == "Sob"]), 1.0, 0.05, 3.0, 7, 1e-8
         )
-        got = (traj.times, traj.weights, traj.dist2, traj.ddt_dist2)
+        got = (both.times, both.weights[i], both.dist2[i], both.ddt_dist2[i])
         want = (times, weights[0], dist2[0], ddt[0])
         if on_axis:
             _assert_same(got, want)

@@ -59,7 +59,9 @@ def test_zero_epochs_echoes_initial_state():
 
 def test_ordinary_training_solves_linear_toy_task():
     ds = toy_linear_dataset()
-    cfg = TrainConfig(epochs=2000, learning_rate=0.1, rank=4, hidden=(16, 16), seed=0)
+    cfg = TrainConfig(
+        epochs=2000, learning_rate=0.1, rank=4, hidden=(16, 16), optimizer="gd", seed=0
+    )
     rep = train(cfg, ds, "ordinary")
     assert rep.final_test_rel_l2 < 1e-2
     # loss history is epoch-long and decreasing overall
@@ -75,7 +77,9 @@ def test_training_deterministic():
         derivative_source="mls",
         mls_k=8,
     )
-    cfg = TrainConfig(epochs=20, learning_rate=0.05, rank=4, hidden=(12,), seed=5, batch_size=4)
+    cfg = TrainConfig(
+        epochs=20, learning_rate=0.05, rank=4, hidden=(12,), optimizer="gd", seed=5, batch_size=4
+    )
     a = train(cfg, ds, "sobolev+pcgrad")
     b = train(cfg, ds, "sobolev+pcgrad")
     assert a == b
@@ -98,7 +102,11 @@ def test_sobolev_modes_run_and_report_der_loss():
     )
     for mode in ("sobolev", "sobolev+pcgrad"):
         rep = train(
-            TrainConfig(epochs=5, learning_rate=0.02, rank=4, hidden=(12,), seed=3), ds, mode
+            TrainConfig(
+                epochs=5, learning_rate=0.02, rank=4, hidden=(12,), optimizer="gd", seed=3
+            ),
+            ds,
+            mode,
         )
         assert len(rep.epoch_der) == 5
         assert np.isfinite(rep.epoch_der).all()
@@ -107,7 +115,9 @@ def test_sobolev_modes_run_and_report_der_loss():
 
 def test_nan_loss_aborts_with_epoch():
     ds = toy_linear_dataset()
-    cfg = TrainConfig(epochs=50, learning_rate=1e6, rank=4, hidden=(16, 16), seed=0)
+    cfg = TrainConfig(
+        epochs=50, learning_rate=1e6, rank=4, hidden=(16, 16), optimizer="gd", seed=0
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NanLossError) as err:
             train(cfg, ds, "ordinary")
@@ -117,7 +127,11 @@ def test_nan_loss_aborts_with_epoch():
 def test_adam_option_reaches_lower_error():
     ds = toy_linear_dataset()
     gd = train(
-        TrainConfig(epochs=400, learning_rate=0.1, rank=4, hidden=(16, 16), seed=0), ds, "ordinary"
+        TrainConfig(
+            epochs=400, learning_rate=0.1, rank=4, hidden=(16, 16), optimizer="gd", seed=0
+        ),
+        ds,
+        "ordinary",
     )
     adam = train(
         TrainConfig(epochs=400, learning_rate=0.02, rank=4, hidden=(16, 16), optimizer="adam", seed=0),
