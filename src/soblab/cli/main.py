@@ -11,6 +11,7 @@ failure.  Expected errors print a one-line message, never a stack trace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from ..errors import (
     KTooLargeError,
     NanLossError,
     NonpositiveSupportError,
+    OrderTooHighError,
     OutOfDomainError,
     PhiZeroError,
     SingularNormalMatrixError,
@@ -43,7 +45,13 @@ from .manifest import load_manifest, write_manifest
 EXIT_PARSE, EXIT_CONFIG, EXIT_NUMERIC = 2, 3, 4
 
 _PARSE_ERRORS = (CloudFormatError, EmptyCloudError)
-_CONFIG_ERRORS = (ConfigError, KTooLargeError, NonpositiveSupportError, OutOfDomainError)
+_CONFIG_ERRORS = (
+    ConfigError,
+    KTooLargeError,
+    NonpositiveSupportError,
+    OrderTooHighError,
+    OutOfDomainError,
+)
 _NUMERIC_ERRORS = (
     SingularNormalMatrixError,
     StepTooLargeError,
@@ -304,7 +312,7 @@ def _train_once(config, seed):
 
 def run_train(config, out_dir, seed, threads):
     report = _train_once(config, seed)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     atomic_write_text(
         os.path.join(out_dir, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -327,6 +335,8 @@ def run_sweep(config, out_dir, seed, threads):
     if len(values) < 2:
         raise ConfigError("need at least 2 sweep values")
     repeats = int(config["repeats"])
+    if repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     modes = (
         ["ordinary", "sobolev", "sobolev+pcgrad"] if config["mode"] == "all" else [config["mode"]]
     )
@@ -514,6 +524,8 @@ def resolve_config(command: str, cli_args: dict, file_values: dict) -> dict:
 
 
 def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
     inputs = RUNNERS[command](config, out_dir, seed, threads) or []

@@ -3,10 +3,10 @@
 Clouds are irregular sets of points with one scalar sample per point.
 Neighbor queries are exact Euclidean KNN backed by a KD-tree, with ties
 broken by ascending point index so that stencils are deterministic.
-Every query, one row or all of them, takes the same batched path: a
-KD-tree query for K + 1 candidates, one (distance, index) sort per row,
-and a batched re-query with more candidates for only the rows whose K-th
-neighbor ties the last candidate (regular grids).
+knn_all queries every point at once: a KD-tree query for K + 1
+candidates, one (distance, index) sort per row, and a batched re-query
+with more candidates for only the rows whose K-th neighbor ties the last
+candidate (regular grids).
 """
 
 from __future__ import annotations
@@ -87,55 +87,30 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, _tree=cKDTree(cloud.points))
 
 
-def knn(index: SpatialIndex, query_index: int, k: int) -> list[tuple[int, float]]:
-    """K nearest cloud points to the point with the given index.
-
-    The query point itself is included (distance 0 is nearest).  Returns
-    k pairs (point index, distance) sorted by distance ascending, exact
-    ties broken by ascending point index.
-    """
-    idx, dist = knn_arrays(index, query_index, k)
-    return list(zip(idx.tolist(), dist.tolist()))
-
-
-def knn_arrays(index: SpatialIndex, query_index: int, k: int):
-    """Array-valued version of knn: (indices, distances)."""
-    nbr, dist = _knn_rows(index, index.cloud.points[query_index][None], k)
-    return nbr[0], dist[0]
-
-
 def knn_all(index: SpatialIndex, k: int):
     """KNN stencils for every cloud point at once.
 
-    Returns (indices, distances) of shape (J, k), row j holding the
-    neighbors of point j under the same ordering contract as knn().
-    Boundary ties (equal K-th and (K+1)-th distance) are resolved by
-    ascending index exactly as a brute-force scan would.
-    """
-    return _knn_rows(index, index.cloud.points, k)
-
-
-def _knn_rows(index: SpatialIndex, queries: np.ndarray, k: int):
-    """(indices, distances) of shape (R, k) for query points (R, n).
-
-    Each row's candidates are sorted by (distance, index), with distances
-    recomputed by the formula a brute-force scan uses.  The first k
-    candidates are exact unless the last candidate's tree distance ties
-    the k-th distance: a tie may continue past the candidates, so those
-    rows alone are queried again, all together, with 4x more extra
-    candidates each round (k + 1, k + 4, k + 16, ...).
+    Returns (indices, distances) of shape (J, k).  Row j holds the k
+    nearest cloud points to point j, itself first (distance 0), sorted by
+    (distance, index), with distances recomputed by the formula a
+    brute-force scan uses, so exact ties break by ascending index.  The
+    first k of k + 1 tree candidates are exact unless the last
+    candidate's tree distance ties the k-th distance: a tie may continue
+    past the candidates, so those rows alone are queried again, all
+    together, with 4x more extra candidates each round (k + 1, k + 4,
+    k + 16, ...).
     """
     points = index.cloud.points
     j = points.shape[0]
     if k < 1 or k > j:
         raise KTooLargeError(f"K={k} outside [1, {j}]")
-    nbr = np.empty((queries.shape[0], k), dtype=np.intp)
-    dist = np.empty((queries.shape[0], k))
-    pending = np.arange(queries.shape[0])
+    nbr = np.empty((j, k), dtype=np.intp)
+    dist = np.empty((j, k))
+    pending = np.arange(j)
     extra = 1
     while pending.size:
         kq = min(k + extra, j)
-        x = queries[pending]
+        x = points[pending]
         d_tree, cand = index._tree.query(x, k=kq)
         d_tree = d_tree.reshape(-1, kq)
         cand = cand.reshape(-1, kq)

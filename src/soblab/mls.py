@@ -7,11 +7,13 @@ derivative of order alpha at x_j is alpha! times the coefficient c_alpha
 (Taylor convention).  A convergence-rate study against functions with
 known derivatives is included.
 
-The fit is linear in the sample values, so it is split in two:
-mls_plan(points, cfg) does everything that depends on the geometry
-(KNN, weights, basis, normal matrices, the condition check and flags),
+The fit is linear in the sample values: each stencil's jet is a fixed
+matrix times the stencil's samples (the GMLS form).  mls_plan(points,
+cfg) forms those matrices once per geometry (KNN, weights, basis, normal
+matrices, the condition check, the flags and the per-stencil inverse),
 and MlsPlan.apply(values) maps one or many value vectors on those points
-to coefficients.  estimate_derivatives is plan-then-apply.
+to coefficients with two batched matrix products and no solve.
+estimate_derivatives is plan-then-apply.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     OrderTooHighError,
     SingularNormalMatrixError,
 )
-from .geometry import PointCloud, SpatialIndex, build_index, knn_all, knn_arrays
+from .geometry import PointCloud, SpatialIndex, build_index, knn_all
 
 # Stencils whose (scaled) normal matrix is worse conditioned than this fall
 # back to a truncated pseudo-inverse and are flagged in the output.
@@ -202,14 +204,16 @@ def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlsPlan:
-    """The value-independent half of the local fits: a linear map from
-    sample values to jet coefficients.
+    """The value-independent half of the local fits: a linear operator
+    from sample values to jet coefficients.
 
-    Row r fits the samples at neighbors[r] (K of the cloud's J points).
-    Everything that depends on the points only (weights, the scaled basis,
-    the normal matrices, the ridge, the condition check, the flags and the
-    pseudo-inverses of flagged rows) is computed once; apply() maps any
-    number of value vectors with batched products and solves.  normal
+    Row r fits the samples u[neighbors[r]] (K of the cloud's J points) as
+    _operator[r] @ _weighted_basis[r] @ u[neighbors[r]].  Everything that
+    depends on the points only is computed once: the weights, the scaled
+    basis, the normal matrices, the condition check, the flags and the
+    operator, which is the regularized inverse of the normal matrix with
+    two refinement steps toward it precomposed (the truncated
+    pseudo-inverse on flagged rows), divided by scale ** |alpha|.  normal
     holds the unregularized normal matrices E in stencil-scaled
     coordinates.
     """
@@ -221,35 +225,20 @@ class MlsPlan:
     flagged: np.ndarray
     normal: np.ndarray = field(repr=False)
     _weighted_basis: np.ndarray = field(repr=False)  # (R, I, K): w_k b_i(x_k)
-    _regularized: np.ndarray = field(repr=False)  # E + ridge; identity on flagged rows
-    _refine: np.ndarray = field(repr=False)  # (R,) rows refined toward E
-    _pinv: np.ndarray = field(repr=False)  # (F, I, I) for the flagged rows
-    _unscale: np.ndarray = field(repr=False)  # (R, I) scale ** |alpha|
+    _operator: np.ndarray = field(repr=False)  # (R, I, I)
 
     def apply(self, values) -> np.ndarray:
         """Coefficients (R, I) for values (J,), or (N, R, I) for (N, J).
 
-        Every (sample, stencil) pair is its own right-hand side and its
-        own solve, so a sample's jets are bit-identical whether it is
-        fitted alone or in a batch.
+        Two batched matrix products and no solve.  Every (sample, stencil)
+        pair is its own product, so a sample's jets are bit-identical
+        whether it is fitted alone or in a batch.
         """
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
             raise CloudFormatError("values contain non-finite entries")
         samples = np.atleast_2d(values)[:, self.neighbors, None]  # (N, R, K, 1)
-        rhs = self._weighted_basis @ samples
-        sol = np.linalg.solve(self._regularized, rhs)
-        # Refinement removes the O(ridge * cond) bias so polynomial inputs
-        # are reproduced to machine precision on healthy stencils.
-        if self._refine.any():
-            refine = self._refine[:, None, None]
-            for _ in range(2):
-                corr = np.linalg.solve(self._regularized, rhs - self.normal @ sol)
-                sol = sol + np.where(refine, corr, 0.0)
-        if self._pinv.shape[0]:
-            sol[:, self.flagged] = self._pinv @ rhs[:, self.flagged]
-        # Undo the stencil scaling: c_alpha in original coordinates.
-        coeffs = sol[..., 0] / self._unscale
+        coeffs = (self._operator @ (self._weighted_basis @ samples))[..., 0]
         return coeffs[0] if values.ndim == 1 else coeffs
 
 
@@ -264,7 +253,7 @@ def mls_plan(points, cfg: MlsConfig) -> MlsPlan:
 
 
 def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
-    """KNN stencils at every cloud point, then their plan.
+    """KNN stencils at every cloud point, then the operators of their fits.
 
     The support radius is global, weight_margin times the largest
     neighbor distance over all stencils; with per_point_support each
@@ -276,40 +265,53 @@ def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
     if cfg.per_point_support:
         d_support = cfg.weight_margin * dist.max(axis=1)
         d_support[d_support == 0.0] = 1.0  # single-point cloud, constant fit
-        d_global = float(d_support.max())
+        support_radius = float(d_support.max())
     else:
-        d_global = cfg.weight_margin * float(dist.max())
-        if d_global == 0.0:
-            d_global = 1.0
-        d_support = d_global
-    h = float(dist[:, 1].min()) if cfg.k >= 2 else float("nan")
-    return _stencil_plan(points, points, nbr, dist, cfg, d_support, d_global, h)
+        support_radius = cfg.weight_margin * float(dist.max())
+        if support_radius == 0.0:
+            support_radius = 1.0
+        d_support = support_radius
+    w = weight(dist, np.reshape(d_support, (-1, 1)))
 
-
-def _stencil_plan(points, centers, nbr, dists, cfg, d_support, support_radius, h) -> MlsPlan:
-    """Plan the weighted fits of a batch of stencils.
-
-    Row r fits the points nbr[r] (distances dists[r]) around centers[r];
-    d_support is a scalar or one radius per row.
-    """
-    diffs = points[nbr] - centers[:, None, :]
-    dim = diffs.shape[2]
-    indices = enumerate_multi_indices(dim, cfg.m)
-    i_count = len(indices)
-    degrees = np.array([sum(a) for a in indices], dtype=float)
-
-    w = weight(dists, np.reshape(d_support, (-1, 1)))
-
+    indices = enumerate_multi_indices(points.shape[1], cfg.m)
     # Scale each stencil to the unit ball before forming the normal matrix;
     # the raw basis has entries ~ h^|alpha| and is needlessly ill conditioned.
-    scale = dists.max(axis=1)
+    scale = dist.max(axis=1)
     scale[scale == 0.0] = 1.0
-    b = _basis_matrix(diffs / scale[:, None, None], indices)
+    b = _basis_matrix((points[nbr] - points[:, None, :]) / scale[:, None, None], indices)
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
+    del b  # the largest temporary; the operator is built after it is freed
+    operator, flagged = _normal_inverse(e, cfg.ridge)
+    # Undo the stencil scaling: c_alpha in original coordinates.
+    degrees = np.array([sum(a) for a in indices], dtype=float)
+    operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
 
-    trace = np.trace(e, axis1=1, axis2=2)
-    reg = cfg.ridge * trace / i_count
+    return MlsPlan(
+        neighbors=nbr,
+        multi_indices=tuple(indices),
+        h=float(dist[:, 1].min()) if cfg.k >= 2 else float("nan"),
+        support_radius=support_radius,
+        flagged=flagged,
+        normal=e,
+        _weighted_basis=wb,
+        _operator=operator,
+    )
+
+
+def _normal_inverse(e: np.ndarray, ridge: float):
+    """Per-stencil inverses G (R, I, I) of the normal matrices e, and the flags.
+
+    With rho = ridge * tr(E) / I and M = (E + rho I)^-1, a stencil whose
+    regularized condition number is below _REFINE_COND_LIMIT gets two
+    steps of iterative refinement toward E, precomposed: since
+    M E = I - rho M, two steps from x = M r give
+    G = M (I + rho M + (rho M)^2).  Other stencils get G = M, and those
+    above _COND_LIMIT are flagged and get the truncated pseudo-inverse of
+    E.  Raises SingularNormalMatrixError for a numerically zero E.
+    """
+    i_count = e.shape[-1]
+    reg = ridge * np.trace(e, axis1=1, axis2=2) / i_count
     e_reg = e + reg[:, None, None] * np.eye(i_count)
 
     eig = np.linalg.eigvalsh(e_reg)
@@ -318,57 +320,29 @@ def _stencil_plan(points, centers, nbr, dists, cfg, d_support, support_radius, h
         cond = np.where(lo > 0, hi / np.maximum(lo, np.finfo(float).tiny), np.inf)
     flagged = cond > _COND_LIMIT
 
-    pinv = np.empty((np.count_nonzero(flagged), i_count, i_count))
-    for p, row in enumerate(np.flatnonzero(flagged)):
+    e_reg[flagged] = np.eye(i_count)  # inverted, then replaced by the pinv rows
+    m = np.linalg.inv(e_reg)
+    # G = M + rho M (M + rho M^2), with rho = 0 (so G = M) on rows not
+    # refined; the first product reuses e_reg's memory.
+    rho = np.where(cond < _REFINE_COND_LIMIT, reg, 0.0)[:, None, None]
+    t = np.matmul(m, m, out=e_reg)
+    t *= rho
+    t += m
+    g = m @ t
+    del t, e_reg
+    g *= rho
+    g += m
+    del m
+
+    for row in np.flatnonzero(flagged):
         u_svd, sv, vt = np.linalg.svd(e[row], hermitian=True)
         keep = sv > _PINV_CUTOFF * sv[0] if sv[0] > 0 else sv > 0
         if not np.any(keep):
             raise SingularNormalMatrixError(
                 f"normal matrix at point {row} is numerically zero", point_index=int(row)
             )
-        pinv[p] = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
-    e_reg[flagged] = np.eye(i_count)  # solved, then replaced by the pinv rows
-
-    return MlsPlan(
-        neighbors=nbr,
-        multi_indices=tuple(indices),
-        h=h,
-        support_radius=support_radius,
-        flagged=flagged,
-        normal=e,
-        _weighted_basis=wb,
-        _regularized=e_reg,
-        _refine=cond < _REFINE_COND_LIMIT,
-        _pinv=pinv,
-        _unscale=scale[:, None] ** degrees[None, :],
-    )
-
-
-def fit_local_jet(
-    cloud: PointCloud,
-    index: SpatialIndex,
-    j: int,
-    cfg: MlsConfig,
-    d_support: float,
-) -> np.ndarray:
-    """Coefficient vector c_j of the weighted local fit at point j.
-
-    The per-point reference for estimate_derivatives: a one-stencil plan.
-    d_support must cover the whole stencil (every neighbor distance).
-    Raises SingularNormalMatrixError for degenerate stencils that the
-    ridge and pseudo-inverse cannot rescue.
-    """
-    cfg.validate(cloud.dim)
-    nbr, dist = knn_arrays(index, j, cfg.k)
-    if d_support < dist[-1]:
-        raise ConfigError(
-            f"support radius {d_support} smaller than stencil radius {dist[-1]}"
-        )
-    plan = _stencil_plan(
-        cloud.points, cloud.points[j][None], nbr[None], dist[None], cfg, d_support,
-        support_radius=d_support, h=float("nan"),
-    )
-    return plan.apply(cloud.values)[0]
+        g[row] = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
+    return g, flagged
 
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig) -> JetField:
@@ -505,7 +479,8 @@ def convergence_study(
     each derivative order contributes
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
-    seen so far.  The same seed reproduces the table bit for bit.
+    seen so far.  orders defaults to 0..m; an order outside [0, m] raises
+    OrderTooHighError.  The same seed reproduces the table bit for bit.
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
@@ -516,6 +491,9 @@ def convergence_study(
     hi = np.asarray(box[1], dtype=float)
     if orders is None:
         orders = list(range(cfg.m + 1))
+    for order in orders:
+        if not 0 <= order <= cfg.m:
+            raise OrderTooHighError(f"order {order} outside [0, m={cfg.m}]")
 
     rng = np.random.default_rng(seed)
     all_indices = enumerate_multi_indices(fn.dim, cfg.m)

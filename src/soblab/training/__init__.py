@@ -8,7 +8,6 @@ from .datasets import (  # noqa: F401
     synth_dataset,
 )
 from .losses import (  # noqa: F401
-    GradientPair,
     der_loss,
     l2_loss,
     pcgrad_merge,

@@ -198,9 +198,9 @@ def mls_derivative_targets(query_points, targets, k=20, m=2):
     query_points = np.atleast_2d(query_points)
     targets = np.atleast_2d(targets)
     n = query_points.shape[1]
-    plan = mls_plan(query_points, MlsConfig(k=min(k, query_points.shape[0]), m=m))
     if m < 1:
         raise OrderTooHighError(f"|alpha|=1 exceeds fitted order m={m}")
+    plan = mls_plan(query_points, MlsConfig(k=min(k, query_points.shape[0]), m=m))
     # first derivatives are the degree-1 coefficients (1! = 1), in axis order
     axes = [plan.multi_indices.index(tuple(int(d == i) for i in range(n))) for d in range(n)]
     return plan.apply(targets)[:, :, axes]

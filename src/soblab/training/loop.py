@@ -65,21 +65,6 @@ class TrainReport:
     final_test_rel_l2: float
     n_params: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "config": self.config,
-            "initial_l2": self.initial_l2,
-            "initial_der": self.initial_der,
-            "initial_val_rel_l2": self.initial_val_rel_l2,
-            "epoch_l2": list(self.epoch_l2),
-            "epoch_der": list(self.epoch_der),
-            "epoch_val_rel_l2": list(self.epoch_val_rel_l2),
-            "final_test_rel_l2": self.final_test_rel_l2,
-            "n_params": self.n_params,
-        }
-
 
 class _Adam:
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -206,7 +191,7 @@ def _run_epochs(cfg, dataset, mode, net, state, rng, n_train, batch_size, full, 
             else:
                 g_der = cfg.der_weight * grads[1]
                 if np.any(g_value) or np.any(g_der):
-                    step_grad = pcgrad_merge(g_value, g_der).merged
+                    step_grad = pcgrad_merge(g_value, g_der)
                 else:
                     step_grad = g_value  # exactly stationary: nothing to merge
             if adam is None:

@@ -7,8 +7,6 @@ dimensions, so magnitudes stay comparable across resolutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import BothZeroError, ShapeMismatchError, ZeroTargetNormError
@@ -54,16 +52,7 @@ def relative_l2_error(pred, target) -> float:
     return float(np.mean(np.linalg.norm(pred - target, axis=-1) / norms))
 
 
-@dataclass(frozen=True)
-class GradientPair:
-    """The two task gradients and their merge after conflict projection."""
-
-    g1: np.ndarray
-    g2: np.ndarray
-    merged: np.ndarray
-
-
-def pcgrad_merge(g1, g2) -> GradientPair:
+def pcgrad_merge(g1, g2) -> np.ndarray:
     """Merge two task gradients, projecting out any conflicting component.
 
     Without conflict (g1 . g2 >= 0) the merge is the plain sum.  In
@@ -78,11 +67,11 @@ def pcgrad_merge(g1, g2) -> GradientPair:
         raise BothZeroError("both task gradients are zero")
     dot = float(np.dot(g1, g2))
     if dot >= 0.0:
-        return GradientPair(g1=g1, g2=g2, merged=g1 + g2)
+        return g1 + g2
     # conflict implies both are nonzero; normalize by the largest entry so
     # squared norms cannot underflow or overflow
     u1 = g1 / np.abs(g1).max()
     u2 = g2 / np.abs(g2).max()
     g1_proj = g1 - (float(np.dot(u2, g1)) / float(np.dot(u2, u2))) * u2
     g2_proj = g2 - (float(np.dot(u1, g2)) / float(np.dot(u1, u1))) * u1
-    return GradientPair(g1=g1, g2=g2, merged=g1_proj + g2_proj)
+    return g1_proj + g2_proj

@@ -229,10 +229,10 @@ def test_c09_gradient_surgery_contract():
         dim = int(rng.integers(2, 513))
         g1 = rng.standard_normal(dim)
         g2 = rng.standard_normal(dim)
-        pair = pcgrad_merge(g1, g2)
-        worst = min(worst, float(pair.merged @ g1), float(pair.merged @ g2))
+        merged = pcgrad_merge(g1, g2)
+        worst = min(worst, float(merged @ g1), float(merged @ g2))
         if g1 @ g2 >= 0:
-            exact_sum_ok &= bool(np.array_equal(pair.merged, g1 + g2))
+            exact_sum_ok &= bool(np.array_equal(merged, g1 + g2))
     ok = worst >= -1e-12 and exact_sum_ok
     report(
         9,

@@ -135,6 +135,19 @@ def test_rates_requires_resolutions(tmp_path):
     assert run_cli("--out-dir", tmp_path, "rates", "--function", "sincos") == 3
 
 
+@pytest.mark.parametrize("orders", ["3", "-1", "0,3"])
+def test_rates_order_outside_the_fit_exits_3(tmp_path, capsys, orders):
+    # the fitted order is m = 2: an order outside [0, 2] was never fitted
+    out = tmp_path / "r"
+    code = run_cli(
+        "--out-dir", out, "rates", "--function", "sincos", "--resolutions", "100,200,400",
+        f"--orders={orders}",
+    )
+    assert code == 3
+    assert "outside [0, m=2]" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
+
+
 # -- flow -----------------------------------------------------------------------
 
 def test_flow_both_modes_dominance(tmp_path):
@@ -287,6 +300,13 @@ def test_train_unreliable_derivatives_exits_3(tmp_path, capsys):
     assert "unreliable" in capsys.readouterr().err
 
 
+def test_train_order_zero_exits_3(tmp_path, capsys):
+    # m = 0 fits no first derivatives, so there are no derivative targets
+    code = run_cli("--out-dir", tmp_path / "t", "train", *TRAIN_FAST, "--m", 0)
+    assert code == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_train_ordinary_on_unreliable_task_runs(tmp_path):
     code = run_cli(
         "--out-dir", tmp_path / "o", "train", "--task", "discontinuous_inverse",
@@ -345,6 +365,27 @@ def test_sweep_threads_deterministic(tmp_path):
 def test_sweep_validation(tmp_path):
     assert run_cli("--out-dir", tmp_path, "sweep", "--param", "q", "--values", "1,2") == 3
     assert run_cli("--out-dir", tmp_path, "sweep", "--param", "m", "--values", "2") == 3
+
+
+@pytest.mark.parametrize("flags", [["--repeats", 0], ["--repeats", -2]])
+def test_sweep_without_repeats_exits_3(tmp_path, flags):
+    out = tmp_path / "s"
+    code = run_cli(
+        "--out-dir", out, "sweep", "--param", "noise", "--values", "0,0.1", *flags, *TRAIN_FAST,
+    )
+    assert code == 3
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_exits_3(tmp_path, threads):
+    out = tmp_path / "s"
+    code = run_cli(
+        "--out-dir", out, "--threads", threads, "sweep", "--param", "noise",
+        "--values", "0,0.1", "--repeats", 1, *TRAIN_FAST,
+    )
+    assert code == 3
+    assert not (out / "sweep.csv").exists()
 
 
 # -- validate, config file, misc -------------------------------------------------------

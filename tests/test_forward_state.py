@@ -201,7 +201,7 @@ def ref_train(cfg, dataset, mode):
             else:
                 g_der = cfg.der_weight * ref_backward(net, batch, "der")
                 if np.any(g_value) or np.any(g_der):
-                    step_grad = pcgrad_merge(g_value, g_der).merged
+                    step_grad = pcgrad_merge(g_value, g_der)
                 else:
                     step_grad = g_value
             params = net.params.copy()

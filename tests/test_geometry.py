@@ -12,7 +12,6 @@ from soblab.errors import (
 from soblab.geometry import (
     PointCloud,
     build_index,
-    knn,
     knn_all,
     load_cloud_csv,
     save_cloud_csv,
@@ -36,8 +35,8 @@ def test_build_index_three_points_on_line():
 
 def test_build_index_single_point():
     cloud = PointCloud(points=[[0.5, 0.5]], values=[2.0])
-    index = build_index(cloud)
-    assert knn(index, 0, 1) == [(0, 0.0)]
+    nbr, dist = knn_all(build_index(cloud), 1)
+    assert nbr.tolist() == [[0]] and dist.tolist() == [[0.0]]
 
 
 def test_empty_cloud_rejected():
@@ -89,28 +88,29 @@ def test_nonfinite_rejected():
 def test_knn_self_is_nearest_and_ties_break_low():
     index = build_index(line_cloud())
     # query=1, K=2: points 0 and 2 tie at distance 1; index 0 wins
-    assert knn(index, 1, 2) == [(1, 0.0), (0, 1.0)]
-    assert knn(index, 0, 1) == [(0, 0.0)]
+    nbr, dist = knn_all(index, 2)
+    assert nbr[1].tolist() == [1, 0] and dist[1].tolist() == [0.0, 1.0]
+    nbr, dist = knn_all(index, 1)
+    assert nbr[0].tolist() == [0] and dist[0].tolist() == [0.0]
 
 
 def test_knn_k_too_large():
     index = build_index(line_cloud())
     with pytest.raises(KTooLargeError):
-        knn(index, 0, 4)
+        knn_all(index, 4)
     with pytest.raises(KTooLargeError):
-        knn(index, 0, 0)
+        knn_all(index, 0)
 
 
 def test_knn_matches_brute_force_random():
     rng = np.random.default_rng(7)
     pts = rng.random((500, 2))
     cloud = PointCloud(points=pts, values=np.zeros(500))
-    index = build_index(cloud)
+    nbr, got = knn_all(build_index(cloud), 20)
     for q in [0, 17, 123, 499]:
-        got = knn(index, q, 20)
         idx, dist = brute_force_knn(pts, q, 20)
-        assert [g[0] for g in got] == idx.tolist()
-        np.testing.assert_allclose([g[1] for g in got], dist, rtol=0, atol=0)
+        assert nbr[q].tolist() == idx.tolist()
+        np.testing.assert_allclose(got[q], dist, rtol=0, atol=0)
 
 
 def test_knn_all_matches_brute_force_large():
@@ -144,11 +144,10 @@ def test_knn_distances_nondecreasing_and_repeatable():
     pts = rng.random((300, 3))
     cloud = PointCloud(points=pts, values=np.zeros(300))
     index = build_index(cloud)
-    first = knn(index, 42, 25)
-    again = knn(index, 42, 25)
-    assert first == again
-    d = [p[1] for p in first]
-    assert all(a <= b for a, b in zip(d, d[1:]))
+    first = knn_all(index, 25)
+    again = knn_all(index, 25)
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+    assert np.all(np.diff(first[1], axis=1) >= 0)
 
 
 def test_cloud_csv_round_trip(tmp_path):
@@ -204,10 +203,6 @@ def test_knn_matches_brute_force_on_tie_heavy_grids(side, dim, k):
     nbr, dist = knn_all(index, k)
     assert np.array_equal(nbr, want_nbr)
     assert np.array_equal(dist, want_dist)
-    for q in range(0, len(pts), 7):
-        got = knn(index, q, k)
-        assert np.array_equal([g[0] for g in got], want_nbr[q])
-        assert np.array_equal([g[1] for g in got], want_dist[q])
 
 
 def test_grid_rows_need_two_requery_rounds():

@@ -77,24 +77,24 @@ def test_relative_l2_error_zero_target():
 # -- gradient surgery -----------------------------------------------------------
 
 def test_pcgrad_no_conflict_is_sum():
-    pair = pcgrad_merge(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(pair.merged, [1.0, 1.0])
-    assert pair.g1 @ pair.g2 >= 0.0
+    g1, g2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    np.testing.assert_array_equal(pcgrad_merge(g1, g2), [1.0, 1.0])
+    assert g1 @ g2 >= 0.0
 
 
 def test_pcgrad_hand_worked_conflict():
     # g2' = (0, 1); g1' = (1,0) - (-1/2)(-1,1) = (0.5, 0.5); sum (0.5, 1.5)
-    pair = pcgrad_merge(np.array([1.0, 0.0]), np.array([-1.0, 1.0]))
-    assert pair.g1 @ pair.g2 < 0.0
-    np.testing.assert_allclose(pair.merged, [0.5, 1.5], atol=1e-15)
-    assert pair.merged @ pair.g1 >= 0.0
-    assert pair.merged @ pair.g2 >= 0.0
+    g1, g2 = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
+    merged = pcgrad_merge(g1, g2)
+    assert g1 @ g2 < 0.0
+    np.testing.assert_allclose(merged, [0.5, 1.5], atol=1e-15)
+    assert merged @ g1 >= 0.0
+    assert merged @ g2 >= 0.0
 
 
 def test_pcgrad_fully_opposed_cancels():
     g = np.array([0.3, -0.7, 1.1])
-    pair = pcgrad_merge(g, -g)
-    np.testing.assert_allclose(pair.merged, 0.0, atol=1e-15)
+    np.testing.assert_allclose(pcgrad_merge(g, -g), 0.0, atol=1e-15)
 
 
 def test_pcgrad_both_zero_rejected():
@@ -104,8 +104,7 @@ def test_pcgrad_both_zero_rejected():
 
 def test_pcgrad_one_zero_passes_through():
     g = np.array([1.0, 2.0])
-    pair = pcgrad_merge(g, np.zeros(2))
-    np.testing.assert_array_equal(pair.merged, g)
+    np.testing.assert_array_equal(pcgrad_merge(g, np.zeros(2)), g)
 
 
 def test_pcgrad_contract_random_pairs():
@@ -114,11 +113,11 @@ def test_pcgrad_contract_random_pairs():
         dim = int(rng.integers(2, 513))
         g1 = rng.standard_normal(dim)
         g2 = rng.standard_normal(dim)
-        pair = pcgrad_merge(g1, g2)
-        assert pair.merged @ g1 >= -1e-12
-        assert pair.merged @ g2 >= -1e-12
+        merged = pcgrad_merge(g1, g2)
+        assert merged @ g1 >= -1e-12
+        assert merged @ g2 >= -1e-12
         if g1 @ g2 >= 0:
-            np.testing.assert_array_equal(pair.merged, g1 + g2)
+            np.testing.assert_array_equal(merged, g1 + g2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,8 +131,8 @@ def test_pcgrad_contract_hypothesis(a, b):
     g2 = np.asarray(b[:n])
     if not (g1 @ g1 or g2 @ g2):
         return
-    pair = pcgrad_merge(g1, g2)
-    scale = max(1.0, np.linalg.norm(g1) * np.linalg.norm(pair.merged))
-    assert pair.merged @ g1 >= -1e-9 * scale
-    scale = max(1.0, np.linalg.norm(g2) * np.linalg.norm(pair.merged))
-    assert pair.merged @ g2 >= -1e-9 * scale
+    merged = pcgrad_merge(g1, g2)
+    scale = max(1.0, np.linalg.norm(g1) * np.linalg.norm(merged))
+    assert merged @ g1 >= -1e-9 * scale
+    scale = max(1.0, np.linalg.norm(g2) * np.linalg.norm(merged))
+    assert merged @ g2 >= -1e-9 * scale

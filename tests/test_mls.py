@@ -8,7 +8,7 @@ from soblab.errors import (
     NonpositiveSupportError,
     OrderTooHighError,
 )
-from soblab.geometry import PointCloud, build_index, knn_arrays
+from soblab.geometry import PointCloud
 from soblab.mls import (
     MlsConfig,
     basis_size,
@@ -17,7 +17,6 @@ from soblab.mls import (
     derivative_field,
     enumerate_multi_indices,
     estimate_derivatives,
-    fit_local_jet,
     mls_plan,
     multi_index_factorial,
     polynomial_function,
@@ -85,10 +84,10 @@ def random_cloud(rng, count, dim, fn):
 def test_fit_constant_function():
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng, 50, 2, lambda x: np.full(x.shape[0], 3.0))
-    index = build_index(cloud)
-    cfg = MlsConfig(k=12, m=2)
-    _, dist = knn_arrays(index, 7, cfg.k)
-    c = fit_local_jet(cloud, index, 7, cfg, d_support=1.1 * dist[-1])
+    # per-point support: stencil 7 is weighted with radius 1.1 * its own
+    # largest neighbor distance
+    cfg = MlsConfig(k=12, m=2, per_point_support=True)
+    c = mls_plan(cloud.points, cfg).apply(cloud.values)[7]
     assert c[0] == pytest.approx(3.0, abs=1e-10)
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-10)
 
@@ -216,25 +215,37 @@ def test_degenerate_collinear_stencil_ridge_rescue():
     np.testing.assert_allclose(derivative_field(jet, (2, 0)), 2.0, atol=1e-6)
 
 
-def test_fit_local_jet_matches_vectorized_path():
+def _per_point_fit(points, values, j, cfg, d_support):
+    """The stencil fit at point j alone, as a solve with two refinement
+    steps: brute-force neighbors, then one normal system."""
+    d = np.linalg.norm(points - points[j], axis=1)
+    nbr = np.lexsort((np.arange(len(points)), d))[: cfg.k]
+    s = d[nbr] / d_support
+    w = (1.0 - s) ** 4 * (4.0 * s + 1.0)
+    scale = d[nbr].max()
+    indices = enumerate_multi_indices(points.shape[1], cfg.m)
+    diffs = (points[nbr] - points[j]) / scale
+    b = np.array([[np.prod(x ** np.array(a)) for a in indices] for x in diffs])
+    e = (b.T * w) @ b
+    rhs = (b.T * w) @ values[nbr]
+    e_reg = e + cfg.ridge * np.trace(e) / len(indices) * np.eye(len(indices))
+    sol = np.linalg.solve(e_reg, rhs)
+    for _ in range(2):
+        sol = sol + np.linalg.solve(e_reg, rhs - e @ sol)
+    return sol / scale ** np.array([sum(a) for a in indices], dtype=float)
+
+
+def test_plan_rows_match_per_point_fit():
     rng = np.random.default_rng(31)
     fn = sin_cos_2d()
     pts = rng.random((120, 2))
     cloud = PointCloud(points=pts, values=fn.value(pts))
     cfg = MlsConfig(k=14, m=2)
     jet = estimate_derivatives(cloud, cfg)
-    index = build_index(cloud)
+    assert not jet.flagged.any()
     for j in (0, 37, 119):
-        single = fit_local_jet(cloud, index, j, cfg, d_support=jet.support_radius)
+        single = _per_point_fit(pts, cloud.values, j, cfg, jet.support_radius)
         np.testing.assert_allclose(single, jet.coefficients[j], rtol=1e-12, atol=1e-15)
-
-
-def test_fit_local_jet_support_radius_guard():
-    rng = np.random.default_rng(32)
-    cloud = random_cloud(rng, 50, 2, lambda x: x[:, 0])
-    index = build_index(cloud)
-    with pytest.raises(ConfigError):
-        fit_local_jet(cloud, index, 0, MlsConfig(k=12, m=1), d_support=1e-12)
 
 
 def test_per_point_support_on_graded_mesh():

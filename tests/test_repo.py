@@ -1,8 +1,10 @@
 """Repository hygiene: no tracked file is one that .gitignore excludes, and
-every name the demos import from soblab exists."""
+every name the demos and the README's Python examples import from soblab
+exists."""
 
 import ast
 import importlib
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -24,10 +26,10 @@ def test_no_tracked_file_is_ignored():
     assert proc.stdout.splitlines() == []
 
 
-def _soblab_imports(path):
-    """(line, module, name) of each `from soblab... import name` in path;
-    name is None for a plain `import soblab...`."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _soblab_imports(source, filename):
+    """(line, module, name) of each `from soblab... import name` in the
+    source; name is None for a plain `import soblab...`."""
+    for node in ast.walk(ast.parse(source, filename=filename)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "soblab":
             for alias in node.names:
                 yield node.lineno, node.module, alias.name
@@ -37,22 +39,33 @@ def _soblab_imports(path):
                     yield node.lineno, alias.name, None
 
 
-def test_demo_imports_resolve():
-    # parses the demos without running them, so an API removal that would
-    # break one fails here
+def _sources():
+    """(name, source) of every demo and of each README Python block."""
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos
-    missing = []
     for path in demos:
-        for line, module, name in _soblab_imports(path):
+        yield path.name, path.read_text()
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        yield f"README.md python block {i + 1}", block
+
+
+def test_demo_imports_resolve():
+    # parses the demos and the README examples without running them, so an
+    # API removal that would break one fails here
+    missing = []
+    for filename, source in _sources():
+        for line, module, name in _soblab_imports(source, filename):
             try:
                 owner = importlib.import_module(module)
             except ImportError:
-                missing.append(f"{path.name}:{line}: module {module}")
+                missing.append(f"{filename}:{line}: module {module}")
                 continue
             if name is not None and name != "*" and not hasattr(owner, name):
                 try:
                     importlib.import_module(f"{module}.{name}")
                 except ImportError:
-                    missing.append(f"{path.name}:{line}: {module}.{name}")
+                    missing.append(f"{filename}:{line}: {module}.{name}")
     assert missing == []
