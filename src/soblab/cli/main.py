@@ -209,24 +209,31 @@ def _flow_start(dim, theta0, ratio0):
 def run_flow(config, out_dir, seed, threads):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [config["mode"]]
     w0, w_star = _flow_start(int(config["dim"]), float(config["theta0"]), float(config["ratio0"]))
-    traj = convlab.integrate_flow_batch(
-        [w0] * len(modes),
-        w_star,
+    grid = dict(
         dt=float(config["dt"]),
         t_final=float(config["t_final"]),
-        mode=modes,
         record_every=config["record_every"],
         allow_outside_basin=bool(config["allow_outside"]),
     )
+    # one single-start run per mode; nothing is written unless every mode
+    # passes the step guard, and a failure names the earliest tripping step
+    trajs, guards = [], []
+    for mode in modes:
+        try:
+            trajs.append(convlab.integrate_flow_batch(w0, w_star, mode=mode, **grid))
+        except StepTooLargeError as exc:
+            guards.append(exc)
+    if guards:
+        raise min(guards, key=lambda exc: exc.step_index)
     header = ["t"] + [f"w{d + 1}" for d in range(len(w0))] + ["dist2", "ddt_dist2"]
     series = []
-    for i, mode in enumerate(traj.modes):
+    for mode, traj in zip(modes, trajs):
         rows = [
             [t, *w.tolist(), d2, ddt]
-            for t, w, d2, ddt in zip(traj.times, traj.weights[i], traj.dist2[i], traj.ddt_dist2[i])
+            for t, w, d2, ddt in zip(traj.times, traj.weights[0], traj.dist2[0], traj.ddt_dist2[0])
         ]
         write_csv(os.path.join(out_dir, f"trajectory_{mode.lower()}.csv"), header, rows)
-        series.append((mode, traj.times, np.sqrt(traj.dist2[i])))
+        series.append((mode, traj.times, np.sqrt(traj.dist2[0])))
     plot = svg.line_plot(
         series,
         title="distance to target under the gradient flow",

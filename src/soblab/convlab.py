@@ -9,8 +9,10 @@ integrates the two gradient flows, scans the scalar inequalities the
 convergence argument rests on, and cross-checks everything against
 Monte-Carlo sampling.
 
-All scalar-vector operations broadcast over a leading batch axis, so
-grids and trajectory bundles evaluate without Python loops.
+The population gradients and the RK4 loop are written once over a small
+backend: bundles, grids and the public gradient functions run on arrays
+whose leading axes are batch axes, while a single flow start runs on
+Python floats in the same operation order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -40,6 +42,73 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# the two backends of the population gradients and the RK4 loop
+# ---------------------------------------------------------------------------
+
+class _Arrays:
+    """Rows as one array whose last axis is the vector axis; per-row
+    scalars keep that axis with length 1, so they broadcast as they are."""
+
+    sqrt, arccos, sin, cos, clip, where = np.sqrt, np.arccos, np.sin, np.cos, _clip, np.where
+
+    @staticmethod
+    def dot(u, v):
+        return np.add.reduce(u * v, axis=-1, keepdims=True)
+
+    @staticmethod
+    def map(f, *rows):
+        return f(*rows)
+
+    @staticmethod
+    def any(mask):
+        return np.logical_or.reduce(mask, axis=None)
+
+    @staticmethod
+    def stack(records):  # S records of (B, n) rows -> (B, S, n)
+        return np.stack(records, axis=1)
+
+
+def _ufunc_on_float(f):
+    # numpy's own float64 loop: math.acos rounds differently on some hosts
+    return lambda x: float(f(x))
+
+
+class _Floats:
+    """One row as a list of Python floats, per-row scalars as floats.
+
+    Every operation rounds as _Arrays does: dot sums left to right from
+    0.0, which is numpy's add.reduce order below 8 terms."""
+
+    sqrt = math.sqrt
+    arccos, sin, cos = (_ufunc_on_float(f) for f in (np.arccos, np.sin, np.cos))
+
+    @staticmethod
+    def clip(x, lo, hi):
+        return min(max(x, lo), hi)  # NaN stays NaN, as in the clip ufunc
+
+    @staticmethod
+    def where(mask, a, b):
+        return a if mask else b
+
+    @staticmethod
+    def dot(u, v):
+        s = 0.0
+        for a, b in zip(u, v):
+            s += a * b
+        return s
+
+    @staticmethod
+    def map(f, *rows):
+        return list(map(f, *rows))
+
+    any = bool
+
+    @staticmethod
+    def stack(records):  # S records of one row -> (1, S, n)
+        return np.array(records)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +153,10 @@ class HalfspaceCoefficients(NamedTuple):
     ortho: float
 
 
-def _coeffs_of_angle(theta):
+def _coeffs_of_angle(theta, bk=_Arrays):
     rest = math.pi - theta
-    sin = np.sin(theta)
-    return (rest * np.cos(theta) + sin) / TWO_PI, rest / TWO_PI, sin / TWO_PI
+    sin = bk.sin(theta)
+    return (rest * bk.cos(theta) + sin) / TWO_PI, rest / TWO_PI, sin / TWO_PI
 
 
 def halfspace_coefficients(w1, w2) -> HalfspaceCoefficients:
@@ -175,35 +244,36 @@ def _target(w_star, mu_fac, theta_clamp=0.0) -> _Target:
     return _Target(w_star, nws, 0.5 * nws * nws, mu_fac, clamp)
 
 
-def _population_gradients(w, target, der=True):
+def _population_gradients(w, target, der=True, bk=_Arrays):
     """Population gradients (value, derivative) of the two losses.
 
-    w may carry a batch axis; target is _target(w_star, ...).  Both
-    gradients share one evaluation of the norms, the clamped angle and the
-    half-space coefficients; with der=False the derivative term is skipped
-    and returned as None.
+    w is an array whose last axis is the vector axis, or with bk=_Floats
+    one row as a list of floats (target.w_star then is a list too);
+    target is _target(w_star, ...).  Both gradients share one evaluation of
+    the norms, the clamped angle and the half-space coefficients; with
+    der=False the derivative term is skipped and returned as None.
     """
     w_star, nws, amp_star, mu_fac = target.w_star, target.norm, target.amp, target.mu_fac
-    nw = _norm(w, keepdims=True)
-    scale = nw[..., 0] * nws
-    t = np.arccos(_clip((w @ w_star) / scale, -1.0, 1.0))
+    nw = bk.sqrt(bk.dot(w, w))
+    scale = nw * nws
+    t = bk.arccos(bk.clip(bk.dot(w, w_star) / scale, -1.0, 1.0))
     if target.clamp is not None:
-        t = _clip(t, *target.clamp)
-    p0, p1, p2 = _coeffs_of_angle(t)
+        t = bk.clip(t, *target.clamp)
+    p0, p1, p2 = _coeffs_of_angle(t, bk)
     amp = scale * p0
-    w_hat = w / nw
-    corr_star = p1[..., None] * w_star + (nws * p2)[..., None] * w_hat
-    inner = amp[..., None] * (0.5 * w) - amp_star * corr_star
-    g_val = amp[..., None] * inner + corr_star * np.add.reduce(w * inner, axis=-1, keepdims=True)
+    ortho = nws * p2
+    corr_star = bk.map(lambda x, y: p1 * y + ortho * (x / nw), w, w_star)
+    inner = bk.map(lambda x, c: amp * (0.5 * x) - amp_star * c, w, corr_star)
+    s = bk.dot(w, inner)
+    g_val = bk.map(lambda i, c: mu_fac * (amp * i + c * s), inner, corr_star)
     if not der:
-        return mu_fac * g_val, None
-    cw = np.add.reduce(corr_star * w, axis=-1)
-    cws = np.add.reduce(corr_star * w_star, axis=-1)
-    g_der = (
-        (0.5 * amp * amp + 0.5 * amp * cw - amp * p1 * cws)[..., None] * w
-        - (amp * amp_star * p1)[..., None] * w_star
-    )
-    return mu_fac * g_val, mu_fac * g_der
+        return g_val, None
+    cw = bk.dot(corr_star, w)
+    cws = bk.dot(corr_star, w_star)
+    a = 0.5 * amp * amp + 0.5 * amp * cw - amp * p1 * cws
+    b = amp * amp_star * p1
+    g_der = bk.map(lambda x, y: mu_fac * (a * x - b * y), w, w_star)
+    return g_val, g_der
 
 
 def value_flow_gradient(w, w_star, mu=(1.0,)):
@@ -404,39 +474,54 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
 
     Returns (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
     recorded every record_every steps and at the last step.  The step
-    guard raises at the first step at which any row trips it.
+    guard raises at the first step at which any row trips it.  A single
+    row runs on Python floats, a bundle on arrays.
     """
     n_steps, stride = _flow_grid(dt, t_final, record_every)
-    w_star = target.w_star
     der = bool(np.any(sob))
-    sob = sob[:, None]
+    w_star = target.w_star
+    if len(w) == 1:
+        bk, w, sob = _Floats, w[0].tolist(), bool(sob[0])
+        target = target._replace(w_star=w_star.tolist())
+    else:
+        bk, sob = _Arrays, sob[:, None]
 
     def rhs(u):
-        g_val, g_der = _population_gradients(u, target, der)
-        return -(g_val if g_der is None else np.where(sob, g_val + g_der, g_val))
+        g_val, g_der = _population_gradients(u, target, der, bk)
+        if g_der is not None:
+            g_val = bk.where(sob, bk.map(operator.add, g_val, g_der), g_val)
+        return bk.map(operator.neg, g_val)
+
+    def ahead(u, h, k):
+        return bk.map(lambda x, y: x + h * y, u, k)
 
     def sum_sq(x):
-        return np.add.reduce(x * x, axis=-1)
+        return bk.dot(x, x)
+
+    def dist2(u):
+        return sum_sq(bk.map(operator.sub, u, target.w_star))
 
     half, sixth = 0.5 * dt, dt / 6.0
     floor = (1e-9 * target.norm) ** 2
-    d2 = sum_sq(w - w_star)
+    d2 = dist2(w)
     k1 = rhs(w)
     # dw/dt at a recorded step is the next step's k1
     steps, weights, slopes = [0], [w], [k1]
     for step in range(1, n_steps + 1):
-        k2 = rhs(w + half * k1)
-        k3 = rhs(w + half * k2)
-        k4 = rhs(w + dt * k3)
-        increment = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w = w + increment
-        d2_new = sum_sq(w - w_star)
+        k2 = rhs(ahead(w, half, k1))
+        k3 = rhs(ahead(w, half, k2))
+        k4 = rhs(ahead(w, dt, k3))
+        increment = bk.map(
+            lambda a, b, c, d: sixth * (a + 2.0 * b + 2.0 * c + d), k1, k2, k3, k4
+        )
+        w = bk.map(operator.add, w, increment)
+        d2_new = dist2(w)
         # A too-large step can also land on a spurious fixed point of the
         # discrete map, where the distance stops changing; the increment
         # then departs from its Euler predictor dt * k1 by O(1) relative.
-        euler = dt * k1
-        departs = sum_sq(increment - euler) > 0.25 * sum_sq(euler)
-        if np.logical_or.reduce((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
+        euler = bk.map(lambda k: dt * k, k1)
+        departs = sum_sq(bk.map(operator.sub, increment, euler)) > 0.25 * sum_sq(euler)
+        if bk.any((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
             raise StepTooLargeError(
                 f"step {step} too large: the distance grew more than 10% or the RK4 "
                 "increment left its Euler predictor by more than half; reduce dt",
@@ -448,10 +533,10 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
             steps.append(step)
             weights.append(w)
             slopes.append(k1)
-    weights = np.stack(weights, axis=1)
+    weights, slopes = bk.stack(weights), bk.stack(slopes)
     diff = weights - w_star
     # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
-    ddt = 2.0 * np.sum(diff * np.stack(slopes, axis=1), axis=-1)
+    ddt = 2.0 * np.sum(diff * slopes, axis=-1)
     return np.asarray(steps) * dt, weights, np.sum(diff * diff, axis=-1), ddt
 
 
@@ -474,19 +559,26 @@ def integrate_flow_batch(
     keeps the angle away from the kinks at 0 and pi.  Samples are taken
     every record_every steps and at the last step.
 
-    Raises ZeroVectorError for a zero target or start, DimMismatchError
-    when the starts, the target and the modes disagree in shape or count,
-    ConfigError for an empty mode list, a start outside the basin
-    |w - w_star| < |w_star| (unless allow_outside_basin) or a bad grid,
-    and StepTooLargeError, naming the first step at which any row trips
-    it, when in a single step a squared distance grows by more than 21%
-    (distance by 10%) or the RK4 increment differs from the Euler
-    increment dt * k1 by more than half its norm; either signals that dt
-    is too coarse for the configuration.  A row equals its one-row run to
-    rounding, and bit for bit when w_star lies on a coordinate axis (as in
-    the CLI), where w @ w_star is exact.
+    Raises ConfigError for a non-finite start or target, ZeroVectorError
+    for a zero target or start, DimMismatchError when the starts, the
+    target and the modes disagree in shape or count, ConfigError for an
+    empty mode list, a start outside the basin |w - w_star| < |w_star|
+    (unless allow_outside_basin) or a bad grid, and StepTooLargeError,
+    naming the first step at which any row trips it, when in a single step
+    a squared distance grows by more than 21% (distance by 10%) or the RK4
+    increment differs from the Euler increment dt * k1 by more than half
+    its norm; either signals that dt is too coarse for the configuration.
+
+    A single start runs on Python floats and a bundle on arrays, with the
+    same operations in the same order.  Every row of a bundle equals its
+    one-start run bit for bit up to n = 7; from n = 8 on numpy sums the
+    dot products pairwise, and the two agree to rounding.
     """
-    w, w_star = _check_nonzero(np.atleast_2d(np.asarray(w0_batch, dtype=float)), w_star)
+    w = np.atleast_2d(np.asarray(w0_batch, dtype=float))
+    w_star = np.asarray(w_star, dtype=float)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(w_star))):
+        raise ConfigError("flow starts and target must be finite")
+    w, w_star = _check_nonzero(w, w_star)
     modes = [mode] * len(w) if isinstance(mode, str) else list(mode)
     if not modes:
         raise ConfigError("need at least one flow mode")

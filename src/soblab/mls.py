@@ -480,7 +480,8 @@ def convergence_study(
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
     seen so far.  orders defaults to 0..m; an order outside [0, m] raises
-    OrderTooHighError.  The same seed reproduces the table bit for bit.
+    OrderTooHighError and a repeated order ConfigError.  The same seed
+    reproduces the table bit for bit.
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
@@ -494,6 +495,8 @@ def convergence_study(
     for order in orders:
         if not 0 <= order <= cfg.m:
             raise OrderTooHighError(f"order {order} outside [0, m={cfg.m}]")
+    if len(set(orders)) != len(orders):
+        raise ConfigError(f"orders must not repeat, got {list(orders)}")
 
     rng = np.random.default_rng(seed)
     all_indices = enumerate_multi_indices(fn.dim, cfg.m)

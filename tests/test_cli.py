@@ -148,6 +148,17 @@ def test_rates_order_outside_the_fit_exits_3(tmp_path, capsys, orders):
     assert not (out / "rates.csv").exists()
 
 
+def test_rates_repeated_order_exits_3(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = run_cli(
+        "--out-dir", out, "rates", "--function", "sin1d", "--resolutions", "100,200,400",
+        "--orders", "1,1", "--k", 9,
+    )
+    assert code == 3
+    assert "must not repeat" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
+
+
 # -- flow -----------------------------------------------------------------------
 
 def test_flow_both_modes_dominance(tmp_path):
@@ -181,6 +192,36 @@ def test_flow_both_modes_step_guard_writes_no_trajectory(tmp_path, capsys):
     out = tmp_path / "f"
     assert run_cli("--out-dir", out, "flow", "--mode", "both", "--dt", 3) == 4
     assert "step 6 too large" in capsys.readouterr().err
+    assert not list(out.glob("trajectory_*.csv"))
+
+
+def test_flow_both_modes_name_the_earliest_guard_step(tmp_path, capsys):
+    # at dt = 5 the Sob run trips the guard at step 2 and the L2 run at
+    # step 8; with both modes the run names step 2 and writes nothing
+    flags = ("--theta0", 0.8, "--ratio0", 1.0, "--dt", 5)
+    for mode, step in (("L2", 8), ("Sob", 2), ("both", 2)):
+        out = tmp_path / mode
+        assert run_cli("--out-dir", out, "flow", "--mode", mode, *flags) == 4
+        assert f"step {step} too large" in capsys.readouterr().err
+        assert not list(out.glob("trajectory_*.csv"))
+
+
+def test_flow_both_modes_match_separate_runs_in_10_dimensions(tmp_path):
+    flags = ("--dim", 10, "--T", 5)
+    for mode in ("both", "L2", "Sob"):
+        assert run_cli("--out-dir", tmp_path / mode, "flow", "--mode", mode, *flags) == 0
+    for mode in ("L2", "Sob"):
+        name = f"trajectory_{mode.lower()}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / mode / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags", [("--theta0", "nan"), ("--ratio0", "nan"), ("--ratio0", "inf")]
+)
+def test_flow_non_finite_start_exits_3(tmp_path, capsys, flags):
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", *flags) == 3
+    assert "configuration error" in capsys.readouterr().err
     assert not list(out.glob("trajectory_*.csv"))
 
 

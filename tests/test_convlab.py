@@ -522,6 +522,17 @@ def test_flow_rejects_a_zero_target_or_start():
         integrate_flow_batch([[0.8, 0.3], [0.0, 0.0], [0.6, -0.2]], [1.0, 0.0], **kw)
 
 
+def test_flow_rejects_a_non_finite_target_or_start():
+    kw = dict(dt=0.1, t_final=0.3)
+    for starts, w_star in (
+        ([math.nan, 0.5], [1.0, 0.0]),
+        ([[0.8, 0.3], [0.6, math.inf]], [1.0, 0.0]),
+        ([0.8, 0.3], [1.0, math.nan]),
+    ):
+        with pytest.raises(ConfigError):
+            integrate_flow_batch(starts, w_star, allow_outside_basin=True, **kw)
+
+
 # -- landscape ----------------------------------------------------------------------------
 
 def test_landscape_near_fixed_point_small():

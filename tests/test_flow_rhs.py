@@ -1,9 +1,12 @@
 """The flow RHS with its target constants computed once equals, bit for
-bit, the RHS that recomputed them on every call.
+bit, the RHS that recomputed them on every call, and a single start run
+on Python floats equals its row inside an array bundle.
 
 The oracle below is the population-gradient RHS and the RK4 loop as they
-were before the target constants moved out of the RHS; every comparison
-is np.array_equal, not a tolerance.
+were before the target constants moved out of the RHS, with w . w_star
+summed per row (np.add.reduce) instead of by a matmul (matmul=True keeps
+the earlier form); every comparison is np.array_equal, not a tolerance,
+except at n = 9, where numpy sums the dot products pairwise.
 """
 
 import math
@@ -35,10 +38,11 @@ def _coeffs_of_angle(theta):
     return p0, p1, p2
 
 
-def _population_gradients(w, w_star, mu_fac, theta_clamp=0.0, der=True):
+def _population_gradients(w, w_star, mu_fac, theta_clamp=0.0, der=True, matmul=False):
     nw = _norm(w, keepdims=True)
     nws = float(_norm(w_star))
-    cos = (w @ w_star) / (nw[..., 0] * nws)
+    dot = w @ w_star if matmul else np.add.reduce(w * w_star, axis=-1)
+    cos = dot / (nw[..., 0] * nws)
     t = np.arccos(np.clip(cos, -1.0, 1.0))
     if theta_clamp > 0.0:
         t = np.clip(t, theta_clamp, math.pi - theta_clamp)
@@ -60,12 +64,12 @@ def _population_gradients(w, w_star, mu_fac, theta_clamp=0.0, der=True):
     return mu_fac * g_val, mu_fac * g_der
 
 
-def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp):
+def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp, matmul=False):
     der = bool(np.any(sob))
     sob = sob[:, None]
 
     def rhs(u):
-        g_val, g_der = _population_gradients(u, w_star, mu_fac, theta_clamp, der)
+        g_val, g_der = _population_gradients(u, w_star, mu_fac, theta_clamp, der, matmul)
         return -(g_val if g_der is None else np.where(sob, g_val + g_der, g_val))
 
     n_steps = max(0, int(round(t_final / dt)))
@@ -166,13 +170,54 @@ def test_two_mode_call_rows_equal_one_mode_runs(on_axis):
             starts, w_star, np.array([mode == "Sob"]), 1.0, 0.05, 3.0, 7, 1e-8
         )
         got = (both.times, both.weights[i], both.dist2[i], both.ddt_dist2[i])
-        want = (times, weights[0], dist2[0], ddt[0])
-        if on_axis:
-            _assert_same(got, want)
-        else:
-            # a (2, n) matmul may round differently from a (1, n) one
-            for a, b in zip(got, want):
-                np.testing.assert_allclose(a, b, rtol=1e-12)
+        _assert_same(got, (times, weights[0], dist2[0], ddt[0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_on_axis_flows_keep_the_bits_of_the_matmul_form(n):
+    # with w_star on an axis, w @ w_star and the per-row sum are both exact,
+    # so the CLI's flows keep the bits they had before the sum changed
+    w0, w_star = _starts(n, 6, on_axis=True)
+    sob = np.array(ROWS["mixed"])
+    target = convlab._target(w_star, 1.0, 1e-8)
+    for rows in (slice(None), slice(1, 2)):  # the bundle, and one start on floats
+        _assert_same(
+            convlab._rk4_flow(w0[rows], target, sob[rows], 0.05, 3.0, 7),
+            _rk4_flow(w0[rows], w_star, sob[rows], 1.0, 0.05, 3.0, 7, 1e-8, matmul=True),
+        )
+
+
+def _rows_of(flow, i):
+    times, weights, dist2, ddt = flow
+    return times, weights[i : i + 1], dist2[i : i + 1], ddt[i : i + 1]
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("theta_clamp", [0.0, 1e-8])
+@pytest.mark.parametrize("on_axis", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_single_start_on_floats_equals_its_bundle_row(n, on_axis, theta_clamp, record_every):
+    sob = np.array(ROWS["mixed"])
+    w0, w_star = _starts(n, len(sob), on_axis)
+    target = convlab._target(w_star, convlab._mu_factor((0.5, 1.5)), theta_clamp)
+    bundle = convlab._rk4_flow(w0, target, sob, 0.05, 3.0, record_every)
+    for i in range(len(sob)):  # L2 and Sob rows
+        single = convlab._rk4_flow(w0[i : i + 1], target, sob[i : i + 1], 0.05, 3.0, record_every)
+        _assert_same(single, _rows_of(bundle, i))
+
+
+def test_single_start_on_floats_at_n_9_equals_its_bundle_row_to_rounding():
+    """From 8 terms on numpy's add.reduce sums pairwise while the float
+    backend sums left to right, so at n = 9 a single start and its bundle
+    row agree to rounding only (rtol 1e-12), not bit for bit."""
+    sob = np.array(ROWS["mixed"])
+    w0, w_star = _starts(9, len(sob))
+    target = convlab._target(w_star, 1.0, 1e-8)
+    bundle = convlab._rk4_flow(w0, target, sob, 0.05, 3.0, 7)
+    for i in range(len(sob)):
+        single = convlab._rk4_flow(w0[i : i + 1], target, sob[i : i + 1], 0.05, 3.0, 7)
+        for a, b in zip(single, _rows_of(bundle, i)):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_gradients_and_landscape_are_bit_identical_to_the_oracle():
@@ -205,12 +250,14 @@ def test_gradients_and_landscape_are_bit_identical_to_the_oracle():
 
 def test_step_guard_still_names_step_3():
     # the rows of test_flow_batch_step_guard_names_the_step: at dt = 4 the
-    # start [1.314, -0.034] trips the guard at step 3
+    # start [1.314, -0.034] trips the guard at step 3, in the bundle and
+    # alone on floats
     w_star = np.array([1.0, 0.0])
     rows = np.array([[0.915, -0.486], [0.907, 0.479], [1.314, -0.034], [0.855, 0.653]])
-    sob = np.zeros(len(rows), dtype=bool)
-    with pytest.raises(StepTooLargeError) as want:
-        _rk4_flow(rows, w_star, sob, 1.0, 4.0, 120.0, 1, 1e-8)
-    with pytest.raises(StepTooLargeError) as got:
-        integrate_flow_batch(rows, w_star, dt=4.0, t_final=120.0)
-    assert got.value.step_index == want.value.step_index == 3
+    for starts in (rows, rows[2:3]):
+        sob = np.zeros(len(starts), dtype=bool)
+        with pytest.raises(StepTooLargeError) as want:
+            _rk4_flow(starts, w_star, sob, 1.0, 4.0, 120.0, 1, 1e-8)
+        with pytest.raises(StepTooLargeError) as got:
+            integrate_flow_batch(starts, w_star, dt=4.0, t_final=120.0)
+        assert got.value.step_index == want.value.step_index == 3
