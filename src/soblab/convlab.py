@@ -559,11 +559,11 @@ def integrate_flow_batch(
     keeps the angle away from the kinks at 0 and pi.  Samples are taken
     every record_every steps and at the last step.
 
-    Raises ConfigError for a non-finite start or target, ZeroVectorError
-    for a zero target or start, DimMismatchError when the starts, the
-    target and the modes disagree in shape or count, ConfigError for an
-    empty mode list, a start outside the basin |w - w_star| < |w_star|
-    (unless allow_outside_basin) or a bad grid, and StepTooLargeError,
+    Raises ZeroVectorError for a zero target or start, ConfigError for a
+    non-finite one, DimMismatchError when the starts, the target and the
+    modes disagree in shape or count, ConfigError for an empty mode list,
+    a start outside the basin |w - w_star| < |w_star| (unless
+    allow_outside_basin) or a bad grid, and StepTooLargeError,
     naming the first step at which any row trips it, when in a single step
     a squared distance grows by more than 21% (distance by 10%) or the RK4
     increment differs from the Euler increment dt * k1 by more than half
@@ -574,11 +574,9 @@ def integrate_flow_batch(
     one-start run bit for bit up to n = 7; from n = 8 on numpy sums the
     dot products pairwise, and the two agree to rounding.
     """
-    w = np.atleast_2d(np.asarray(w0_batch, dtype=float))
-    w_star = np.asarray(w_star, dtype=float)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(w_star))):
+    w, w_star = _check_nonzero(np.atleast_2d(np.asarray(w0_batch, dtype=float)), w_star)
+    if not (np.isfinite(w).all() and np.isfinite(w_star).all()):
         raise ConfigError("flow starts and target must be finite")
-    w, w_star = _check_nonzero(w, w_star)
     modes = [mode] * len(w) if isinstance(mode, str) else list(mode)
     if not modes:
         raise ConfigError("need at least one flow mode")
