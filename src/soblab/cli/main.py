@@ -198,6 +198,9 @@ def run_rates(config, out_dir, seed, threads):
 def _flow_start(dim, theta0, ratio0):
     if dim < 2:
         raise ConfigError("flow needs --dim >= 2")
+    for flag, value in (("--theta0", theta0), ("--ratio0", ratio0)):
+        if not math.isfinite(value):
+            raise ConfigError(f"flow needs a finite {flag}, got {value}")
     w_star = np.zeros(dim)
     w_star[0] = 1.0
     w0 = np.zeros(dim)

@@ -11,8 +11,9 @@ Monte-Carlo sampling.
 
 The population gradients and the RK4 loop are written once over a small
 backend: bundles, grids and the public gradient functions run on arrays
-whose leading axes are batch axes, while a single flow start runs on
-Python floats in the same operation order, so both give the same bits.
+whose leading axes are batch axes, while a single flow start with fewer
+than 8 components runs on Python floats in the same operation order, so
+both give the same bits.
 """
 
 from __future__ import annotations
@@ -475,12 +476,14 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     Returns (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
     recorded every record_every steps and at the last step.  The step
     guard raises at the first step at which any row trips it.  A single
-    row runs on Python floats, a bundle on arrays.
+    row with fewer than 8 components runs on Python floats, everything
+    else on arrays: from 8 terms on numpy's add.reduce sums pairwise, and
+    the float loops' cost grows with n while the array ufuncs' barely does.
     """
     n_steps, stride = _flow_grid(dt, t_final, record_every)
     der = bool(np.any(sob))
     w_star = target.w_star
-    if len(w) == 1:
+    if len(w) == 1 and w.shape[1] < 8:
         bk, w, sob = _Floats, w[0].tolist(), bool(sob[0])
         target = target._replace(w_star=w_star.tolist())
     else:
@@ -569,10 +572,9 @@ def integrate_flow_batch(
     increment differs from the Euler increment dt * k1 by more than half
     its norm; either signals that dt is too coarse for the configuration.
 
-    A single start runs on Python floats and a bundle on arrays, with the
-    same operations in the same order.  Every row of a bundle equals its
-    one-start run bit for bit up to n = 7; from n = 8 on numpy sums the
-    dot products pairwise, and the two agree to rounding.
+    A single start with n < 8 runs on Python floats, anything else on
+    arrays, with the same operations in the same order, so every row of a
+    bundle equals its one-start run bit for bit at every n.
     """
     w, w_star = _check_nonzero(np.atleast_2d(np.asarray(w0_batch, dtype=float)), w_star)
     if not (np.isfinite(w).all() and np.isfinite(w_star).all()):

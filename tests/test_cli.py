@@ -216,12 +216,14 @@ def test_flow_both_modes_match_separate_runs_in_10_dimensions(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--theta0", "nan"), ("--ratio0", "nan"), ("--ratio0", "inf")]
+    "flags",
+    [("--theta0", "nan"), ("--theta0", "inf"), ("--ratio0", "nan"), ("--ratio0", "inf")],
 )
 def test_flow_non_finite_start_exits_3(tmp_path, capsys, flags):
     out = tmp_path / "f"
     assert run_cli("--out-dir", out, "flow", *flags) == 3
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flags[0] in err
     assert not list(out.glob("trajectory_*.csv"))
 
 

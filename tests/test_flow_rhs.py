@@ -5,8 +5,7 @@ on Python floats equals its row inside an array bundle.
 The oracle below is the population-gradient RHS and the RK4 loop as they
 were before the target constants moved out of the RHS, with w . w_star
 summed per row (np.add.reduce) instead of by a matmul (matmul=True keeps
-the earlier form); every comparison is np.array_equal, not a tolerance,
-except at n = 9, where numpy sums the dot products pairwise.
+the earlier form); every comparison is np.array_equal, not a tolerance.
 """
 
 import math
@@ -195,7 +194,7 @@ def _rows_of(flow, i):
 @pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("theta_clamp", [0.0, 1e-8])
 @pytest.mark.parametrize("on_axis", [True, False])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_single_start_on_floats_equals_its_bundle_row(n, on_axis, theta_clamp, record_every):
     sob = np.array(ROWS["mixed"])
     w0, w_star = _starts(n, len(sob), on_axis)
@@ -206,18 +205,18 @@ def test_single_start_on_floats_equals_its_bundle_row(n, on_axis, theta_clamp, r
         _assert_same(single, _rows_of(bundle, i))
 
 
-def test_single_start_on_floats_at_n_9_equals_its_bundle_row_to_rounding():
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_single_start_from_n_8_stays_on_arrays_and_equals_its_bundle_row(n):
     """From 8 terms on numpy's add.reduce sums pairwise while the float
-    backend sums left to right, so at n = 9 a single start and its bundle
-    row agree to rounding only (rtol 1e-12), not bit for bit."""
+    backend sums left to right, so a single start with n >= 8 runs on
+    arrays; it then equals its bundle row bit for bit, off-axis too."""
     sob = np.array(ROWS["mixed"])
-    w0, w_star = _starts(9, len(sob))
+    w0, w_star = _starts(n, len(sob))
     target = convlab._target(w_star, 1.0, 1e-8)
     bundle = convlab._rk4_flow(w0, target, sob, 0.05, 3.0, 7)
     for i in range(len(sob)):
         single = convlab._rk4_flow(w0[i : i + 1], target, sob[i : i + 1], 0.05, 3.0, 7)
-        for a, b in zip(single, _rows_of(bundle, i)):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+        _assert_same(single, _rows_of(bundle, i))
 
 
 def test_gradients_and_landscape_are_bit_identical_to_the_oracle():
