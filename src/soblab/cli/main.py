@@ -25,6 +25,7 @@ from .. import __version__, convlab, mls
 from ..errors import (
     CloudFormatError,
     ConfigError,
+    DuplicatePointsError,
     EmptyCloudError,
     KTooLargeError,
     NanLossError,
@@ -44,7 +45,7 @@ from .manifest import load_manifest, write_manifest
 
 EXIT_PARSE, EXIT_CONFIG, EXIT_NUMERIC = 2, 3, 4
 
-_PARSE_ERRORS = (CloudFormatError, EmptyCloudError)
+_PARSE_ERRORS = (CloudFormatError, DuplicatePointsError, EmptyCloudError)
 _CONFIG_ERRORS = (
     ConfigError,
     KTooLargeError,

@@ -4,9 +4,10 @@ Clouds are irregular sets of points with one scalar sample per point.
 Neighbor queries are exact Euclidean KNN backed by a KD-tree, with ties
 broken by ascending point index so that stencils are deterministic.
 knn_all queries every point at once: a KD-tree query for K + 1
-candidates, one (distance, index) sort per row, and a batched re-query
-with more candidates for only the rows whose K-th neighbor ties the last
-candidate (regular grids).
+candidates, and a batched re-query with more candidates for only the
+rows whose K-th neighbor ties the last candidate (regular grids).  Rows
+already in (distance, index) order are read in place; only the finished
+rows that are not get a (distance, index) sort.
 """
 
 from __future__ import annotations
@@ -93,12 +94,16 @@ def knn_all(index: SpatialIndex, k: int):
     Returns (indices, distances) of shape (J, k).  Row j holds the k
     nearest cloud points to point j, itself first (distance 0), sorted by
     (distance, index), with distances recomputed by the formula a
-    brute-force scan uses, so exact ties break by ascending index.  The
+    brute-force scan uses (np.linalg.norm's: the square root of the summed
+    squared differences), so exact ties break by ascending index.  The
     first k of k + 1 tree candidates are exact unless the last
     candidate's tree distance ties the k-th distance: a tie may continue
     past the candidates, so those rows alone are queried again, all
     together, with 4x more extra candidates each round (k + 1, k + 4,
-    k + 16, ...).
+    k + 16, ...).  A row whose recomputed distances strictly increase is
+    already in (distance, index) order and is read in place; the k-th
+    distance of any other row comes from a partition, and only those of
+    them that are done in a round are sorted.
     """
     points = index.cloud.points
     j = points.shape[0]
@@ -114,15 +119,21 @@ def knn_all(index: SpatialIndex, k: int):
         d_tree, cand = index._tree.query(x, k=kq)
         d_tree = d_tree.reshape(-1, kq)
         cand = cand.reshape(-1, kq)
-        d = np.linalg.norm(points[cand] - x[:, None, :], axis=2)
-        order = np.lexsort((cand, d), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)[:, :k]
-        d = np.take_along_axis(d, order, axis=1)[:, :k]
+        diff = points[cand] - x[:, None, :]
+        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        del diff
+        ordered = (d[:, 1:] > d[:, :-1]).all(axis=1)
+        kth = d[:, k - 1].copy()
+        kth[~ordered] = np.partition(d[~ordered], k - 1, axis=1)[:, k - 1]
         # Every point outside the candidates is at least the last
         # candidate's tree distance away.
-        done = d_tree[:, -1] > d[:, -1] * _TIE_SLACK if kq < j else np.ones(len(x), bool)
-        nbr[pending[done]] = cand[done]
-        dist[pending[done]] = d[done]
+        done = d_tree[:, -1] > kth * _TIE_SLACK if kq < j else np.ones(len(x), bool)
+        fix = np.flatnonzero(done & ~ordered)
+        order = np.lexsort((cand[fix], d[fix]), axis=1)
+        cand[fix] = np.take_along_axis(cand[fix], order, axis=1)
+        d[fix] = np.take_along_axis(d[fix], order, axis=1)
+        nbr[pending[done]] = cand[done, :k]
+        dist[pending[done]] = d[done, :k]
         pending = pending[~done]
         extra *= 4
     return nbr, dist
@@ -152,7 +163,10 @@ def load_cloud_csv(path) -> PointCloud:
         raise EmptyCloudError(f"{path}: no data rows")
     if data.shape[1] != len(header):
         raise CloudFormatError(f"{path}: expected {len(header)} fields, got {data.shape[1]}")
-    return PointCloud(points=data[:, :-1], values=data[:, -1])
+    try:
+        return PointCloud(points=data[:, :-1], values=data[:, -1])
+    except (CloudFormatError, DuplicatePointsError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:

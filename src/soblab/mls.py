@@ -10,10 +10,14 @@ known derivatives is included.
 The fit is linear in the sample values: each stencil's jet is a fixed
 matrix times the stencil's samples (the GMLS form).  mls_plan(points,
 cfg) forms those matrices once per geometry (KNN, weights, basis, normal
-matrices, the condition check, the flags and the per-stencil inverse),
-and MlsPlan.apply(values) maps one or many value vectors on those points
-to coefficients with two batched matrix products and no solve.
-estimate_derivatives is plan-then-apply.
+matrices, the flags and the per-stencil inverse), and
+MlsPlan.apply(values) maps one or many value vectors on those points to
+coefficients with two batched matrix products and no solve.
+estimate_derivatives is plan-then-apply.  The condition checks behind
+the flags and the refinement come from bounds (the ridge bounds the
+condition number; the Frobenius norms of each matrix and its inverse
+bound it within a factor I), and eigvalsh runs only on the stencils
+those bounds leave undecided.
 """
 
 from __future__ import annotations
@@ -135,8 +139,9 @@ class JetField:
     """Per-point MLS coefficient vectors, graded-lex multi-index order.
 
     coefficients[j, i] is c_{j, alpha_i}; h is the mesh spacing statistic
-    min over points of the nearest non-self neighbor distance; flagged
-    marks points rescued by the pseudo-inverse fallback.
+    max over points of the nearest non-self neighbor distance (a
+    fill-distance proxy, ~ J^(-1/n) on uniform clouds); flagged marks
+    points rescued by the pseudo-inverse fallback.
     """
 
     points: np.ndarray
@@ -210,12 +215,14 @@ class MlsPlan:
     Row r fits the samples u[neighbors[r]] (K of the cloud's J points) as
     _operator[r] @ _weighted_basis[r] @ u[neighbors[r]].  Everything that
     depends on the points only is computed once: the weights, the scaled
-    basis, the normal matrices, the condition check, the flags and the
-    operator, which is the regularized inverse of the normal matrix with
-    two refinement steps toward it precomposed (the truncated
-    pseudo-inverse on flagged rows), divided by scale ** |alpha|.  normal
-    holds the unregularized normal matrices E in stencil-scaled
-    coordinates.
+    basis, the normal matrices, the flags and the operator, which is the
+    regularized inverse of the normal matrix with two refinement steps
+    toward it precomposed (the truncated pseudo-inverse on flagged rows),
+    divided by scale ** |alpha|.  Whether a row is flagged or refined is
+    decided from condition bounds, with eigvalsh only where they cannot
+    (see _normal_inverse).  normal holds the unregularized normal
+    matrices E in stencil-scaled coordinates; h is the largest nearest
+    non-self neighbor distance.
     """
 
     neighbors: np.ndarray
@@ -282,7 +289,7 @@ def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
     del b  # the largest temporary; the operator is built after it is freed
-    operator, flagged = _normal_inverse(e, cfg.ridge)
+    operator, flagged = _normal_inverse(e, cfg.ridge, cfg.k)
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
     operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
@@ -290,7 +297,7 @@ def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
     return MlsPlan(
         neighbors=nbr,
         multi_indices=tuple(indices),
-        h=float(dist[:, 1].min()) if cfg.k >= 2 else float("nan"),
+        h=float(dist[:, 1].max()) if cfg.k >= 2 else float("nan"),
         support_radius=support_radius,
         flagged=flagged,
         normal=e,
@@ -299,29 +306,64 @@ def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
     )
 
 
-def _normal_inverse(e: np.ndarray, ridge: float):
+def _normal_inverse(e: np.ndarray, ridge: float, k: int):
     """Per-stencil inverses G (R, I, I) of the normal matrices e, and the flags.
 
-    With rho = ridge * tr(E) / I and M = (E + rho I)^-1, a stencil whose
-    regularized condition number is below _REFINE_COND_LIMIT gets two
-    steps of iterative refinement toward E, precomposed: since
-    M E = I - rho M, two steps from x = M r give
-    G = M (I + rho M + (rho M)^2).  Other stencils get G = M, and those
-    above _COND_LIMIT are flagged and get the truncated pseudo-inverse of
-    E.  Raises SingularNormalMatrixError for a numerically zero E.
+    With rho = ridge * tr(E) / I, M = (E + rho I)^-1 and cond the
+    condition number lambda_max / lambda_min of E + rho I as eigvalsh
+    gives it: a stencil with cond < _REFINE_COND_LIMIT gets two steps of
+    iterative refinement toward E, precomposed (M E = I - rho M, so two
+    steps from x = M r give G = M (I + rho M + (rho M)^2)); the others get
+    G = M, and those with cond > _COND_LIMIT are flagged and get the
+    truncated pseudo-inverse of E.  Raises SingularNormalMatrixError for a
+    numerically zero E.
+
+    eigvalsh runs only on the rows that two bounds leave open:
+
+    - Flag.  e holds Gram matrices B^T W B with w >= 0 whose entries sum
+      k products, so for rho > 0 the eigenvalues eigvalsh returns lie in
+      [rho, tr(E)(1 + ridge)] up to s tr(E), s = (k + 2 I^2) eps: k eps
+      for the Gram sums, I^2 eps for eigvalsh's backward error, the rest
+      for the trace and the shift.  If (1 + ridge + s) / (ridge / I - s)
+      <= _COND_LIMIT no row can be flagged, and only rows with rho = 0
+      run eigvalsh before the inverse; otherwise every row does.
+    - Refinement.  cond_F = ||E + rho I||_F ||M||_F lies in [cond, I cond].
+      inv and eigvalsh are backward stable within about
+      I^2 eps ||E + rho I||, which near cond = _REFINE_COND_LIMIT puts a
+      relative error below I^2 eps _REFINE_COND_LIMIT on the computed
+      cond_F and on the computed cond each; delta = 4 I^2 eps
+      _REFINE_COND_LIMIT (3e-6 at I = 6, 4e-5 at I = 20) covers both.  A
+      row with cond_F < _REFINE_COND_LIMIT (1 - delta) is refined, one
+      with cond_F > I _REFINE_COND_LIMIT (1 + delta) is not, and the rows
+      in between run eigvalsh.
+
+    inv works matrix by matrix, so no row's M or G depends on which rows
+    ran eigvalsh.
     """
     i_count = e.shape[-1]
+    eps = np.finfo(float).eps
     reg = ridge * np.trace(e, axis1=1, axis2=2) / i_count
     e_reg = e + reg[:, None, None] * np.eye(i_count)
 
-    eig = np.linalg.eigvalsh(e_reg)
-    lo, hi = eig[:, 0], eig[:, -1]
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = np.where(lo > 0, hi / np.maximum(lo, np.finfo(float).tiny), np.inf)
-    flagged = cond > _COND_LIMIT
+    slack = (k + 2 * i_count**2) * eps
+    if (1 + ridge + slack) <= _COND_LIMIT * (ridge / i_count - slack):
+        exact = ~(reg > 0)
+    else:
+        exact = np.ones(len(e), dtype=bool)
+    cond_exact = _eig_cond(e_reg[exact])
+    flagged = np.zeros(len(e), dtype=bool)
+    flagged[exact] = cond_exact > _COND_LIMIT
 
     e_reg[flagged] = np.eye(i_count)  # inverted, then replaced by the pinv rows
     m = np.linalg.inv(e_reg)
+    cond = np.sqrt(np.einsum("rij,rij->r", e_reg, e_reg) * np.einsum("rij,rij->r", m, m))
+    cond[exact] = cond_exact
+    delta = 4 * i_count**2 * eps * _REFINE_COND_LIMIT
+    undecided = ~exact & ~(
+        (cond < _REFINE_COND_LIMIT * (1 - delta))
+        | (cond > i_count * _REFINE_COND_LIMIT * (1 + delta))
+    )
+    cond[undecided] = _eig_cond(e_reg[undecided])
     # G = M + rho M (M + rho M^2), with rho = 0 (so G = M) on rows not
     # refined; the first product reuses e_reg's memory.
     rho = np.where(cond < _REFINE_COND_LIMIT, reg, 0.0)[:, None, None]
@@ -343,6 +385,17 @@ def _normal_inverse(e: np.ndarray, ridge: float):
             )
         g[row] = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
     return g, flagged
+
+
+def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
+    """lambda_max / lambda_min of each matrix by eigvalsh, inf where
+    lambda_min <= 0."""
+    if not len(e_reg):
+        return np.empty(0)
+    eig = np.linalg.eigvalsh(e_reg)
+    lo, hi = eig[:, 0], eig[:, -1]
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(lo > 0, hi / np.maximum(lo, np.finfo(float).tiny), np.inf)
 
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig) -> JetField:

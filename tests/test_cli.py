@@ -11,7 +11,7 @@ import pytest
 
 from soblab.cli.io import atomic_write_text, write_csv
 from soblab.cli.main import DEFAULTS, main
-from soblab.errors import CloudFormatError, EmptyCloudError
+from soblab.errors import CloudFormatError, DuplicatePointsError, EmptyCloudError
 from soblab.geometry import PointCloud, load_cloud_csv, save_cloud_csv
 from soblab.training import TrainConfig
 
@@ -537,6 +537,9 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
         ("x1,x2,u\n0.0,0.0,1.0\n0.5,oops,1.0\n", CloudFormatError),  # non-numeric cell
         ("x1,x2,u\n", EmptyCloudError),  # header only
         ("", CloudFormatError),  # empty file
+        ("x1,x2,u\n0.0,0.0,1.0\n0.5,0.5,1.0\n0.0,0.0,2.0\n", DuplicatePointsError),
+        ("x1,x2,u\n0.0,0.0,1.0\n0.5,0.5,nan\n", CloudFormatError),  # non-finite value
+        ("x1,x2,u\n0.0,inf,1.0\n0.5,0.5,1.0\n", CloudFormatError),  # non-finite point
     ],
 )
 def test_derivs_malformed_cloud_exits_2(tmp_path, capsys, text, error):

@@ -11,6 +11,7 @@ from soblab.errors import (
 )
 from soblab.geometry import (
     PointCloud,
+    SpatialIndex,
     build_index,
     knn_all,
     load_cloud_csv,
@@ -211,3 +212,49 @@ def test_grid_rows_need_two_requery_rounds():
     pts = grid_points(15, 2)
     _, dist = brute_force_knn_all(pts, 14 + 4)
     assert np.any(dist[:, 14 + 4 - 1] <= dist[:, 14 - 1] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("side, dim, k", [(60, 2, 20), (12, 3, 27)])
+def test_knn_matches_brute_force_on_jittered_grids(side, dim, k):
+    # a 1e-13 jitter breaks most grid ties but not all: some rows keep
+    # exactly equal distances (sorted), the others strictly increase (read
+    # in place)
+    rng = np.random.default_rng(0)
+    pts = grid_points(side, dim) + rng.uniform(-1e-13, 1e-13, (side**dim, dim))
+    index = build_index(PointCloud(points=pts, values=np.zeros(len(pts))))
+    want_nbr, want_dist = brute_force_knn_all(pts, k)
+    tied = (np.diff(want_dist, axis=1) == 0).any(axis=1)
+    assert tied.any() and not tied.all()
+    nbr, dist = knn_all(index, k)
+    assert np.array_equal(nbr, want_nbr)
+    assert np.array_equal(dist, want_dist)
+
+
+class _LastBitsTree:
+    """A KD-tree whose distances differ from the formula's in the last bits,
+    so that its candidate order and the formula's disagree."""
+
+    def __init__(self, points, seed):
+        self._tree = build_index(PointCloud(points=points, values=np.zeros(len(points))))._tree
+        self._rng = np.random.default_rng(seed)
+
+    def query(self, x, k):
+        d, cand = self._tree.query(x, k=k)
+        d = d * (1.0 + 8 * np.finfo(float).eps * self._rng.uniform(-1.0, 1.0, d.shape))
+        order = np.argsort(d, axis=1, kind="stable")
+        return np.take_along_axis(d, order, axis=1), np.take_along_axis(cand, order, axis=1)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-13])
+def test_knn_exact_when_tree_order_differs_in_the_last_bits(jitter):
+    rng = np.random.default_rng(1)
+    pts = grid_points(30, 2) + rng.uniform(-jitter, jitter, (900, 2))
+    cloud = PointCloud(points=pts, values=np.zeros(len(pts)))
+    index = SpatialIndex(cloud=cloud, _tree=_LastBitsTree(pts, seed=2))
+    d_tree, cand = index._tree.query(pts, k=15)
+    d = np.linalg.norm(pts[cand] - pts[:, None, :], axis=2)
+    assert (np.diff(d, axis=1) < 0).any()  # out of order under the formula
+    want_nbr, want_dist = brute_force_knn_all(pts, 14)
+    nbr, dist = knn_all(index, 14)
+    assert np.array_equal(nbr, want_nbr)
+    assert np.array_equal(dist, want_dist)

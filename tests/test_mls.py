@@ -277,6 +277,24 @@ def test_spacing_statistic_excludes_self():
     assert jet.h == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_spacing_statistic_halves_per_fourfold_points_in_2d(seed):
+    # a fill-distance proxy scales like J^(-1/2) on uniform 2-D clouds
+    rng = np.random.default_rng(seed)
+    hs = [mls_plan(rng.random((count, 2)), MlsConfig()).h for count in (500, 2000, 8000)]
+    ratios = np.array(hs[:-1]) / np.array(hs[1:])
+    assert np.all((ratios > 1.4) & (ratios < 3.0)), ratios
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spacing_statistic_falls_with_resolution_in_1d(seed):
+    study = convergence_study(
+        sin_1d(), ((0.0,), (1.0,)), [100, 200, 400], MlsConfig(k=9, m=2), seed=seed, orders=[0]
+    )
+    _, hs, _ = study.mse_series(0)
+    assert np.all(np.diff(hs) < 0), hs
+
+
 # -- convergence study ---------------------------------------------------------
 
 def test_study_polynomial_exact_at_all_resolutions():
