@@ -356,6 +356,7 @@ def _normal_inverse(e: np.ndarray, ridge: float, k: int):
 
     e_reg[flagged] = np.eye(i_count)  # inverted, then replaced by the pinv rows
     m = np.linalg.inv(e_reg)
+    # cond_F, replaced by eigvalsh's cond on every row that ran it
     cond = np.sqrt(np.einsum("rij,rij->r", e_reg, e_reg) * np.einsum("rij,rij->r", m, m))
     cond[exact] = cond_exact
     delta = 4 * i_count**2 * eps * _REFINE_COND_LIMIT
