@@ -9,11 +9,13 @@ integrates the two gradient flows, scans the scalar inequalities the
 convergence argument rests on, and cross-checks everything against
 Monte-Carlo sampling.
 
-The population gradients and the RK4 loop are written once over a small
-backend: bundles, grids and the public gradient functions run on arrays
-whose leading axes are batch axes, while a single flow start with fewer
-than 8 components runs on Python floats in the same operation order, so
-both give the same bits.
+Both gradients are combinations of w and the target w*, so they are
+written once on two scalar coordinates in the plane of w and w*, and a
+flow integrates each row on its two coordinates.  The planar body and
+the RK4 loop run over a small backend: (B,) arrays for bundles, grids
+and the public gradient functions, and Python floats for a single flow
+start, with the same operations in the same order, so both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -46,45 +48,23 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# the two backends of the population gradients and the RK4 loop
+# the two backends of the planar population gradients and the RK4 loop
 # ---------------------------------------------------------------------------
 
 class _Arrays:
-    """Rows as one array whose last axis is the vector axis; per-row
-    scalars keep that axis with length 1, so they broadcast as they are."""
+    """A bundle: each planar coordinate is one (B,) array, one entry per row."""
 
     sqrt, arccos, sin, cos, clip, where = np.sqrt, np.arccos, np.sin, np.cos, _clip, np.where
-
-    @staticmethod
-    def dot(u, v):
-        return np.add.reduce(u * v, axis=-1, keepdims=True)
-
-    @staticmethod
-    def map(f, *rows):
-        return f(*rows)
-
-    @staticmethod
-    def any(mask):
-        return np.logical_or.reduce(mask, axis=None)
-
-    @staticmethod
-    def stack(records):  # S records of (B, n) rows -> (B, S, n)
-        return np.stack(records, axis=1)
-
-
-def _ufunc_on_float(f):
-    # numpy's own float64 loop: math.acos rounds differently on some hosts
-    return lambda x: float(f(x))
+    any = np.logical_or.reduce
 
 
 class _Floats:
-    """One row as a list of Python floats, per-row scalars as floats.
-
-    Every operation rounds as _Arrays does: dot sums left to right from
-    0.0, which is numpy's add.reduce order below 8 terms."""
+    """One row: each planar coordinate is a Python float, rounded as the
+    array ufuncs round it."""
 
     sqrt = math.sqrt
-    arccos, sin, cos = (_ufunc_on_float(f) for f in (np.arccos, np.sin, np.cos))
+    # numpy's own float64 loops: math.acos rounds differently on some hosts
+    arccos, sin, cos = ((lambda x, f=f: float(f(x))) for f in (np.arccos, np.sin, np.cos))
 
     @staticmethod
     def clip(x, lo, hi):
@@ -94,22 +74,7 @@ class _Floats:
     def where(mask, a, b):
         return a if mask else b
 
-    @staticmethod
-    def dot(u, v):
-        s = 0.0
-        for a, b in zip(u, v):
-            s += a * b
-        return s
-
-    @staticmethod
-    def map(f, *rows):
-        return list(map(f, *rows))
-
     any = bool
-
-    @staticmethod
-    def stack(records):  # S records of one row -> (1, S, n)
-        return np.array(records)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +191,17 @@ def _mu_factor(mu) -> float:
     mu = np.asarray(mu, dtype=float)
     if mu.size == 0:
         raise ConfigError("amplitude list must be nonempty")
+    if not np.isfinite(mu).all():
+        raise ConfigError(f"amplitudes must be finite, got {mu.tolist()}")
     return float(np.mean(np.abs(mu) ** 2))
 
 
 class _Target(NamedTuple):
-    """The target-only constants of _population_gradients, computed once."""
+    """The target-only constants of _planar_gradients, computed once."""
 
     w_star: np.ndarray
-    norm: float  # |w*|
+    unit: np.ndarray  # w*/|w*|, the first axis of every row's plane
+    norm: float  # |w*|, the target's coordinate along unit
     amp: float  # amp* = |w*|^2 / 2
     mu_fac: float
     clamp: tuple[float, float] | None  # (theta_clamp, pi - theta_clamp)
@@ -242,39 +210,65 @@ class _Target(NamedTuple):
 def _target(w_star, mu_fac, theta_clamp=0.0) -> _Target:
     nws = float(_norm(w_star))
     clamp = (theta_clamp, math.pi - theta_clamp) if theta_clamp > 0.0 else None
-    return _Target(w_star, nws, 0.5 * nws * nws, mu_fac, clamp)
+    return _Target(w_star, w_star / nws, nws, 0.5 * nws * nws, mu_fac, clamp)
 
 
-def _population_gradients(w, target, der=True, bk=_Arrays):
-    """Population gradients (value, derivative) of the two losses.
-
-    w is an array whose last axis is the vector axis, or with bk=_Floats
-    one row as a list of floats (target.w_star then is a list too);
-    target is _target(w_star, ...).  Both gradients share one evaluation of
-    the norms, the clamped angle and the half-space coefficients; with
-    der=False the derivative term is skipped and returned as None.
+def _planar_gradients(a, b, target, der=True, bk=_Arrays):
+    """Population gradients (value, derivative) of the two losses as
+    coordinate pairs in the plane of w and w*, where w = (a, b) and
+    w* = (|w*|, 0) (see _project); a and b are arrays of one shape, or
+    Python floats with bk=_Floats.  The operations are those of the n-D formulas
+    on the two in-plane components, in the same order.  With der=False the
+    derivative term is skipped and returned as None.
     """
-    w_star, nws, amp_star, mu_fac = target.w_star, target.norm, target.amp, target.mu_fac
-    nw = bk.sqrt(bk.dot(w, w))
+    nws, amp_star, mu_fac = target.norm, target.amp, target.mu_fac
+    nw = bk.sqrt(a * a + b * b)
     scale = nw * nws
-    t = bk.arccos(bk.clip(bk.dot(w, w_star) / scale, -1.0, 1.0))
+    t = bk.arccos(bk.clip(a * nws / scale, -1.0, 1.0))
     if target.clamp is not None:
         t = bk.clip(t, *target.clamp)
     p0, p1, p2 = _coeffs_of_angle(t, bk)
     amp = scale * p0
     ortho = nws * p2
-    corr_star = bk.map(lambda x, y: p1 * y + ortho * (x / nw), w, w_star)
-    inner = bk.map(lambda x, c: amp * (0.5 * x) - amp_star * c, w, corr_star)
-    s = bk.dot(w, inner)
-    g_val = bk.map(lambda i, c: mu_fac * (amp * i + c * s), inner, corr_star)
+    # the gated correlation with the target, and the value loss's inner factor
+    ca = p1 * nws + ortho * (a / nw)
+    cb = ortho * (b / nw)
+    ia = amp * (0.5 * a) - amp_star * ca
+    ib = amp * (0.5 * b) - amp_star * cb
+    s = a * ia + b * ib
+    g_val = mu_fac * (amp * ia + ca * s), mu_fac * (amp * ib + cb * s)
     if not der:
         return g_val, None
-    cw = bk.dot(corr_star, w)
-    cws = bk.dot(corr_star, w_star)
-    a = 0.5 * amp * amp + 0.5 * amp * cw - amp * p1 * cws
-    b = amp * amp_star * p1
-    g_der = bk.map(lambda x, y: mu_fac * (a * x - b * y), w, w_star)
-    return g_val, g_der
+    cw = ca * a + cb * b
+    cws = ca * nws
+    half_amp = 0.5 * amp
+    alpha = half_amp * amp + half_amp * cw - amp * p1 * cws
+    beta = amp * amp_star * p1
+    return g_val, (mu_fac * (alpha * a - beta * nws), mu_fac * (alpha * b))
+
+
+def _project(w, target):
+    """(a, b, e_b) of rows w (..., n): their coordinates along target.unit
+    and along e_b, the unit vector of their component orthogonal to it (0
+    for a row parallel to it).  Sums run per row, not by a matmul whose
+    rounding depends on the row count."""
+    a = np.add.reduce(w * target.unit, axis=-1)
+    u = w - a[..., None] * target.unit
+    b = _norm(u)
+    e_b = np.divide(u, b[..., None], out=np.zeros_like(u), where=b[..., None] > 0.0)
+    return a, b, e_b
+
+
+def _embed(a, b, e_b, target):
+    # + 0.0 turns a -0.0 component into +0.0
+    return a[..., None] * target.unit + b[..., None] * e_b + 0.0
+
+
+def _gradients(w, target, der=True):
+    """Population gradients (value, derivative) at rows w (..., n)."""
+    a, b, e_b = _project(w, target)
+    g_val, g_der = _planar_gradients(a, b, target, der)
+    return _embed(*g_val, e_b, target), None if g_der is None else _embed(*g_der, e_b, target)
 
 
 def value_flow_gradient(w, w_star, mu=(1.0,)):
@@ -282,16 +276,16 @@ def value_flow_gradient(w, w_star, mu=(1.0,)):
 
     Assembled as (amp * I + corr w^T)(amp * corr_self - amp* * corr_star)
     averaged over the squared input amplitudes; vanishes exactly at
-    w = w_star.
+    w = w_star.  Raises ConfigError for an empty or non-finite mu.
     """
     w, w_star = _check_nonzero(w, w_star)
-    return _population_gradients(w, _target(w_star, _mu_factor(mu)), der=False)[0]
+    return _gradients(w, _target(w_star, _mu_factor(mu)), der=False)[0]
 
 
 def derivative_flow_gradient(w, w_star, mu=(1.0,)):
     """Closed-form expectation over queries of the derivative-loss gradient."""
     w, w_star = _check_nonzero(w, w_star)
-    return _population_gradients(w, _target(w_star, _mu_factor(mu)))[1]
+    return _gradients(w, _target(w_star, _mu_factor(mu)))[1]
 
 
 def finite_sample_value_gradient(x_rows, w, w_star, mu=(1.0,)):
@@ -473,57 +467,51 @@ def _flow_grid(dt, t_final, record_every):
 def _rk4_flow(w, target, sob, dt, t_final, record_every):
     """Classical fixed-step RK4 on rows w (B, n); sob (B,) marks the Sob rows.
 
-    Returns (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
-    recorded every record_every steps and at the last step.  The step
-    guard raises at the first step at which any row trips it.  A single
-    row with fewer than 8 components runs on Python floats, everything
-    else on arrays: from 8 terms on numpy's add.reduce sums pairwise, and
-    the float loops' cost grows with n while the array ufuncs' barely does.
+    Each row is integrated on its two planar coordinates (see _project);
+    the n-D weights and slopes are rebuilt once at the end.  Returns
+    (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
+    recorded every record_every steps and at the last step, weights[:, 0]
+    being the starts w.  The step guard raises at the first step at which
+    any row trips it.  A single row runs on Python floats, a bundle on
+    (B,) arrays.
     """
     n_steps, stride = _flow_grid(dt, t_final, record_every)
     der = bool(np.any(sob))
-    w_star = target.w_star
-    if len(w) == 1 and w.shape[1] < 8:
-        bk, w, sob = _Floats, w[0].tolist(), bool(sob[0])
-        target = target._replace(w_star=w_star.tolist())
+    a, b, e_b = _project(w, target)
+    if len(w) == 1:
+        bk, a, b, sob = _Floats, float(a[0]), float(b[0]), bool(sob[0])
     else:
-        bk, sob = _Arrays, sob[:, None]
+        bk = _Arrays
+    nws = target.norm
 
-    def rhs(u):
-        g_val, g_der = _population_gradients(u, target, der, bk)
+    def rhs(a, b):
+        (va, vb), g_der = _planar_gradients(a, b, target, der, bk)
         if g_der is not None:
-            g_val = bk.where(sob, bk.map(operator.add, g_val, g_der), g_val)
-        return bk.map(operator.neg, g_val)
+            va, vb = bk.where(sob, va + g_der[0], va), bk.where(sob, vb + g_der[1], vb)
+        return -va, -vb
 
-    def ahead(u, h, k):
-        return bk.map(lambda x, y: x + h * y, u, k)
-
-    def sum_sq(x):
-        return bk.dot(x, x)
-
-    def dist2(u):
-        return sum_sq(bk.map(operator.sub, u, target.w_star))
+    def sum_sq(x, y):
+        return x * x + y * y
 
     half, sixth = 0.5 * dt, dt / 6.0
-    floor = (1e-9 * target.norm) ** 2
-    d2 = dist2(w)
-    k1 = rhs(w)
+    floor = (1e-9 * nws) ** 2
+    d2 = sum_sq(a - nws, b)
+    ka, kb = rhs(a, b)
     # dw/dt at a recorded step is the next step's k1
-    steps, weights, slopes = [0], [w], [k1]
+    steps, records = [0], [(a, b, ka, kb)]
     for step in range(1, n_steps + 1):
-        k2 = rhs(ahead(w, half, k1))
-        k3 = rhs(ahead(w, half, k2))
-        k4 = rhs(ahead(w, dt, k3))
-        increment = bk.map(
-            lambda a, b, c, d: sixth * (a + 2.0 * b + 2.0 * c + d), k1, k2, k3, k4
-        )
-        w = bk.map(operator.add, w, increment)
-        d2_new = dist2(w)
+        ka2, kb2 = rhs(a + half * ka, b + half * kb)
+        ka3, kb3 = rhs(a + half * ka2, b + half * kb2)
+        ka4, kb4 = rhs(a + dt * ka3, b + dt * kb3)
+        da = sixth * (ka + 2.0 * ka2 + 2.0 * ka3 + ka4)
+        db = sixth * (kb + 2.0 * kb2 + 2.0 * kb3 + kb4)
+        a, b = a + da, b + db
+        d2_new = sum_sq(a - nws, b)
         # A too-large step can also land on a spurious fixed point of the
         # discrete map, where the distance stops changing; the increment
         # then departs from its Euler predictor dt * k1 by O(1) relative.
-        euler = bk.map(lambda k: dt * k, k1)
-        departs = sum_sq(bk.map(operator.sub, increment, euler)) > 0.25 * sum_sq(euler)
+        ea, eb = dt * ka, dt * kb
+        departs = sum_sq(da - ea, db - eb) > 0.25 * sum_sq(ea, eb)
         if bk.any((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
             raise StepTooLargeError(
                 f"step {step} too large: the distance grew more than 10% or the RK4 "
@@ -531,15 +519,18 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
                 step_index=step,
             )
         d2 = d2_new
-        k1 = rhs(w)
+        ka, kb = rhs(a, b)
         if step % stride == 0 or step == n_steps:
             steps.append(step)
-            weights.append(w)
-            slopes.append(k1)
-    weights, slopes = bk.stack(weights), bk.stack(slopes)
-    diff = weights - w_star
+            records.append((a, b, ka, kb))
+    # (S, 4) floats or (S, 4, B) arrays -> four (B, S) coordinate tables
+    a, b, ka, kb = np.reshape(records, (len(steps), 4, -1)).transpose(1, 2, 0)
+    e_b = e_b[:, None]
+    weights = _embed(a, b, e_b, target)
+    weights[:, 0] = w
+    diff = weights - target.w_star
     # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
-    ddt = 2.0 * np.sum(diff * slopes, axis=-1)
+    ddt = 2.0 * np.sum(diff * _embed(ka, kb, e_b, target), axis=-1)
     return np.asarray(steps) * dt, weights, np.sum(diff * diff, axis=-1), ddt
 
 
@@ -558,23 +549,26 @@ def integrate_flow_batch(
     start in w0_batch ((n,) or (B, n)) as the rows of one array.
 
     mode is "L2" (value loss only) or "Sob" (value plus derivative loss),
-    one mode for all rows or a sequence of one mode per row.  theta_clamp
-    keeps the angle away from the kinks at 0 and pi.  Samples are taken
-    every record_every steps and at the last step.
+    one mode for all rows or a sequence of one mode per row.  theta_clamp,
+    in [0, pi/2), keeps the angle away from the kinks at 0 and pi.
+    Samples are taken every record_every steps and at the last step.
 
     Raises ZeroVectorError for a zero target or start, ConfigError for a
     non-finite one, DimMismatchError when the starts, the target and the
     modes disagree in shape or count, ConfigError for an empty mode list,
-    a start outside the basin |w - w_star| < |w_star| (unless
-    allow_outside_basin) or a bad grid, and StepTooLargeError,
+    an empty or non-finite mu, a theta_clamp outside [0, pi/2), a start
+    outside the basin |w - w_star| < |w_star| (unless allow_outside_basin)
+    or a bad grid, and StepTooLargeError,
     naming the first step at which any row trips it, when in a single step
     a squared distance grows by more than 21% (distance by 10%) or the RK4
     increment differs from the Euler increment dt * k1 by more than half
     its norm; either signals that dt is too coarse for the configuration.
 
-    A single start with n < 8 runs on Python floats, anything else on
-    arrays, with the same operations in the same order, so every row of a
-    bundle equals its one-start run bit for bit at every n.
+    Each row stays in the plane of its start and the target and is
+    integrated on its two coordinates there, so it equals its one-start
+    run bit for bit at every n.  A start in a coordinate plane with the
+    target on an axis of it (as in the flow command) gets the bits of the
+    n-D formulas; other starts agree with them to rounding.
     """
     w, w_star = _check_nonzero(np.atleast_2d(np.asarray(w0_batch, dtype=float)), w_star)
     if not (np.isfinite(w).all() and np.isfinite(w_star).all()):
@@ -591,6 +585,8 @@ def integrate_flow_batch(
             "initialization outside the basin |w - w_star| < |w_star|; "
             "set allow_outside_basin to integrate anyway"
         )
+    if not 0.0 <= theta_clamp < 0.5 * math.pi:
+        raise ConfigError(f"theta_clamp must lie in [0, pi/2), got {theta_clamp}")
     sob = np.array([_is_sob(m) for m in modes], dtype=bool)
     times, weights, dist2, ddt = _rk4_flow(
         w, _target(w_star, _mu_factor(mu), theta_clamp), sob, dt, t_final, record_every
@@ -629,12 +625,12 @@ class LandscapeTable:
                 )
 
 
-def descent_landscape(theta_grid, ratio_grid, dim=2, w_star_norm=1.0) -> LandscapeTable:
+def descent_landscape(theta_grid, ratio_grid, w_star_norm=1.0) -> LandscapeTable:
     """Normalized descent rates over an angle-ratio grid.
 
-    Realizes each (theta, x) cell as concrete vectors in the given
-    dimension, evaluates both population gradients, and normalizes; the
-    result is independent of the realization dimension.
+    Evaluates both population gradients at the planar coordinates
+    (x |w*| cos theta, x |w*| sin theta) of each (theta, x) cell and
+    normalizes; the plane stands for every dimension.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     ratio_grid = np.asarray(ratio_grid, dtype=float)
@@ -642,21 +638,18 @@ def descent_landscape(theta_grid, ratio_grid, dim=2, w_star_norm=1.0) -> Landsca
         raise PhiZeroError("theta = pi is excluded: the normalization vanishes")
     if np.any(theta_grid <= 0.0) or np.any(ratio_grid <= 0.0):
         raise OutOfDomainError("grids must lie in (0, pi) x (0, inf)")
-    if dim < 2:
-        raise ConfigError("need dim >= 2 to realize an angle")
-
     nws = float(w_star_norm)
-    w_star = np.zeros(dim)
-    w_star[0] = nws
-    tt, xx = np.meshgrid(theta_grid, ratio_grid, indexing="ij")
-    w = np.zeros(tt.shape + (dim,))
-    w[..., 0] = xx * nws * np.cos(tt)
-    w[..., 1] = xx * nws * np.sin(tt)
+    if not (math.isfinite(nws) and nws > 0.0):
+        raise OutOfDomainError(f"|w_star| must be finite and positive, got {nws}")
 
-    g_val, g_der = _population_gradients(w, _target(w_star, 1.0))
-    diff = w - w_star
-    ddt_l2 = -2.0 * np.sum(diff * g_val, axis=-1)
-    ddt_sob = ddt_l2 - 2.0 * np.sum(diff * g_der, axis=-1)
+    target = _target(np.array([nws]), 1.0)
+    tt, xx = np.meshgrid(theta_grid, ratio_grid, indexing="ij")
+    a = xx * nws * np.cos(tt)
+    b = xx * nws * np.sin(tt)
+    (va, vb), (da, db) = _planar_gradients(a, b, target)
+    diff_a = a - nws
+    ddt_l2 = -2.0 * (diff_a * va + b * vb)
+    ddt_sob = ddt_l2 - 2.0 * (diff_a * da + b * db)
 
     p0 = _coeffs_of_angle(tt)[0]
     norm = 2.0 * p0 * (xx * nws) * nws**5
@@ -817,7 +810,7 @@ def validation_suite(seed=0, full=False):
             x = rng.standard_normal((j_rows, n))
             acc_v += finite_sample_value_gradient(x, w, w_star)
             acc_d += finite_sample_derivative_gradient(x, w, w_star)
-        for acc, closed in zip((acc_v, acc_d), _population_gradients(w, _target(w_star, 1.0))):
+        for acc, closed in zip((acc_v, acc_d), _gradients(w, _target(w_star, 1.0))):
             worst = max(worst, float(np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)))
     add("population_gradient_mc_rel", worst, 0.02, worst <= 0.02)
 

@@ -533,6 +533,29 @@ def test_flow_rejects_a_non_finite_target_or_start():
             integrate_flow_batch(starts, w_star, allow_outside_basin=True, **kw)
 
 
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_non_finite_amplitude_is_rejected(amplitude):
+    w_star = np.array([1.0, 0.0])
+    mu = (1.0, amplitude)
+    for grad in (value_flow_gradient, derivative_flow_gradient):
+        with pytest.raises(ConfigError):
+            grad(np.array([0.8, 0.3]), w_star, mu)
+    for starts in ([0.8, 0.3], [[0.8, 0.3], [0.6, -0.2]]):
+        with pytest.raises(ConfigError):
+            integrate_flow_batch(starts, w_star, mu=mu, dt=0.1, t_final=0.3)
+
+
+@pytest.mark.parametrize("theta_clamp", [-1e-8, math.nan, math.pi / 2, 2.0, math.inf])
+def test_theta_clamp_outside_its_range_is_rejected(theta_clamp):
+    # a clamp of pi/2 or more makes the clip bounds meet or cross, and a
+    # negative or NaN one would silently drop the clamp
+    for starts in ([0.8, 0.3], [[0.8, 0.3], [0.6, -0.2]]):
+        with pytest.raises(ConfigError):
+            integrate_flow_batch(starts, [1.0, 0.0], dt=0.1, t_final=0.3, theta_clamp=theta_clamp)
+    integrate_flow_batch([0.8, 0.3], [1.0, 0.0], dt=0.1, t_final=0.3, theta_clamp=0.0)
+    integrate_flow_batch([0.8, 0.3], [1.0, 0.0], dt=0.1, t_final=0.3, theta_clamp=1.5)
+
+
 # -- landscape ----------------------------------------------------------------------------
 
 def test_landscape_near_fixed_point_small():
@@ -550,12 +573,22 @@ def test_landscape_derivative_never_hurts():
 
 
 def test_landscape_dimension_independent():
+    # the planar landscape against its realization in 2 and 5 dimensions
     thetas = np.linspace(0.2, 2.8, 12)
     ratios = np.linspace(0.2, 2.0, 9)
-    t2 = descent_landscape(thetas, ratios, dim=2)
-    t5 = descent_landscape(thetas, ratios, dim=5)
-    np.testing.assert_allclose(t2.v_l2, t5.v_l2, atol=1e-10)
-    np.testing.assert_allclose(t2.v_sob, t5.v_sob, atol=1e-10)
+    table = descent_landscape(thetas, ratios)
+    tt, xx = np.meshgrid(thetas, ratios, indexing="ij")
+    for dim in (2, 5):
+        w_star = np.eye(dim)[dim - 1]
+        w = np.zeros(tt.shape + (dim,))
+        w[..., dim - 1] = xx * np.cos(tt)
+        w[..., 0] = xx * np.sin(tt)
+        diff = w - w_star
+        v_l2 = -2.0 * np.sum(diff * value_flow_gradient(w, w_star), axis=-1)
+        v_sob = v_l2 - 2.0 * np.sum(diff * derivative_flow_gradient(w, w_star), axis=-1)
+        norm = 2.0 * halfspace_coefficients(w, w_star).mixed * xx
+        np.testing.assert_allclose(table.v_l2, v_l2 / norm, atol=1e-10)
+        np.testing.assert_allclose(table.v_sob, v_sob / norm, atol=1e-10)
 
 
 def test_landscape_rejects_pi():
@@ -563,3 +596,9 @@ def test_landscape_rejects_pi():
         descent_landscape(np.array([math.pi]), np.array([1.0]))
     with pytest.raises(OutOfDomainError):
         descent_landscape(np.array([-0.1]), np.array([1.0]))
+
+
+def test_landscape_rejects_a_target_norm_that_is_not_positive():
+    for nws in (0.0, -1.0, math.nan):
+        with pytest.raises(OutOfDomainError):
+            descent_landscape(np.array([1.0]), np.array([1.0]), w_star_norm=nws)
