@@ -1,8 +1,10 @@
 """soblab command line: derivs, rates, flow, landscape, train, sweep, validate.
 
-Global flags come before the subcommand: --seed, --out-dir, --threads,
---config FILE (key = value lines; explicit flags win), and
---from-manifest FILE to replay a previous run byte for byte.
+Global flags come before the subcommand: --seed, --out-dir, --threads
+(>= 1 and recorded in manifest.json; it changes nothing else, as every
+command runs sequentially), --config FILE (key = value lines; explicit
+flags win; unknown keys are an error), and --from-manifest FILE to replay
+a previous run byte for byte.
 
 Exit codes: 2 input parse error, 3 configuration error, 4 numerical
 failure.  Expected errors print a one-line message, never a stack trace.
@@ -17,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from ..errors import (
     StepTooLargeError,
 )
 from ..geometry import load_cloud_csv
-from ..training import DatasetSizes, TrainConfig, synth_dataset, train
+from ..training import MODES, DatasetSizes, TrainConfig, synth_dataset, train
 from . import svg
 from .io import atomic_write_text, write_csv
 from .manifest import load_manifest, write_manifest
@@ -122,27 +123,23 @@ DEFAULTS["sweep"] = {
     "repeats": 5,
     "mode": "all",
 }
+# a config file may set the globals and any command's settings
+_CONFIG_KEYS = {"seed", "out_dir", "threads"}.union(*DEFAULTS.values())
 
 
-def _parse_float_list(value):
+def _parse_list(value, kind):
+    """A list, or a comma-separated string, as a list of kind (int or float)."""
+    items = value
+    if not isinstance(value, (list, tuple)):
+        items = [v for v in str(value).split(",") if v != ""]
     try:
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value]
-        return [float(v) for v in str(value).split(",") if v != ""]
+        return [kind(v) for v in items]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {value!r}") from None
+        noun = "integer" if kind is int else "number"
+        raise ConfigError(f"expected a comma-separated {noun} list, got {value!r}") from None
 
 
-def _parse_int_list(value):
-    try:
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        return [int(v) for v in str(value).split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {value!r}") from None
-
-
-def run_derivs(config, out_dir, seed, threads):
+def run_derivs(config, out_dir, seed):
     cloud = load_cloud_csv(config["input"])
     cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
     jet = mls.estimate_derivatives(cloud, cfg)
@@ -157,16 +154,16 @@ def run_derivs(config, out_dir, seed, threads):
     return [config["input"]]
 
 
-def run_rates(config, out_dir, seed, threads):
+def run_rates(config, out_dir, seed):
     name = config["function"]
     if name not in mls.BUILTIN_FUNCTIONS:
         raise ConfigError(f"unknown function {name!r}; choose from {sorted(mls.BUILTIN_FUNCTIONS)}")
     if not config["resolutions"]:
         raise ConfigError("--resolutions is required (comma-separated point counts)")
     fn = mls.BUILTIN_FUNCTIONS[name]()
-    resolutions = _parse_int_list(config["resolutions"])
+    resolutions = _parse_list(config["resolutions"], int)
     cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
-    orders = _parse_int_list(config["orders"]) if config.get("orders") else None
+    orders = _parse_list(config["orders"], int) if config.get("orders") else None
     box = (np.zeros(fn.dim), np.ones(fn.dim))
     study = mls.convergence_study(fn, box, resolutions, cfg, seed=seed, orders=orders)
     rows = [
@@ -210,7 +207,7 @@ def _flow_start(dim, theta0, ratio0):
     return w0, w_star
 
 
-def run_flow(config, out_dir, seed, threads):
+def run_flow(config, out_dir, seed):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [config["mode"]]
     w0, w_star = _flow_start(int(config["dim"]), float(config["theta0"]), float(config["ratio0"]))
     grid = dict(
@@ -248,7 +245,7 @@ def run_flow(config, out_dir, seed, threads):
     return []
 
 
-def run_landscape(config, out_dir, seed, threads):
+def run_landscape(config, out_dir, seed):
     steps = int(config["theta_steps"])
     x_steps = int(config["x_steps"])
     if steps < 2 or x_steps < 2:
@@ -307,7 +304,7 @@ def _train_once(config, seed):
         mls_k=int(config["k"]),
         mls_m=int(config["m"]),
     )
-    hidden = tuple(_parse_int_list(config["hidden"]))
+    hidden = tuple(_parse_list(config["hidden"], int))
     cfg = TrainConfig(
         epochs=int(config["epochs"]),
         learning_rate=float(config["learning_rate"]),
@@ -321,7 +318,7 @@ def _train_once(config, seed):
     return train(cfg, dataset, config["mode"])
 
 
-def run_train(config, out_dir, seed, threads):
+def run_train(config, out_dir, seed):
     report = _train_once(config, seed)
     payload = dataclasses.asdict(report)
     atomic_write_text(
@@ -336,48 +333,30 @@ def run_train(config, out_dir, seed, threads):
     return []
 
 
-def run_sweep(config, out_dir, seed, threads):
+def run_sweep(config, out_dir, seed):
     param = config["param"]
     if param not in ("K", "m", "noise"):
         raise ConfigError("--param must be one of K, m, noise")
     if not config["values"]:
         raise ConfigError("--values is required")
-    values = _parse_float_list(config["values"])
+    values = _parse_list(config["values"], float)
     if len(values) < 2:
         raise ConfigError("need at least 2 sweep values")
     repeats = int(config["repeats"])
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
-    modes = (
-        ["ordinary", "sobolev", "sobolev+pcgrad"] if config["mode"] == "all" else [config["mode"]]
-    )
-
-    jobs = []
-    for value in values:
-        for mode in modes:
-            if mode == "ordinary" and param in ("K", "m"):
-                continue  # stencil parameters only matter with derivative targets
-            for rep in range(repeats):
-                run_cfg = dict(config)
-                run_cfg["mode"] = mode
-                if param == "K":
-                    run_cfg["k"] = int(value)
-                elif param == "m":
-                    run_cfg["m"] = int(value)
-                else:
-                    run_cfg["noise"] = value
-                jobs.append((value, mode, seed + rep, run_cfg))
-
-    def execute(job):
-        value, mode, run_seed, run_cfg = job
-        report = _train_once(run_cfg, run_seed)
-        return [value, mode, run_seed, report.final_test_rel_l2]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(execute, jobs))
-    else:
-        rows = [execute(job) for job in jobs]
+    modes = MODES if config["mode"] == "all" else [config["mode"]]
+    if param in ("K", "m"):
+        # stencil parameters only matter with derivative targets
+        modes = [mode for mode in modes if mode != "ordinary"]
+    key, kind = {"K": ("k", int), "m": ("m", int), "noise": ("noise", float)}[param]
+    rows = [
+        [value, mode, seed + rep,
+         _train_once({**config, "mode": mode, key: kind(value)}, seed + rep).final_test_rel_l2]
+        for value in values
+        for mode in modes
+        for rep in range(repeats)
+    ]
 
     write_csv(
         os.path.join(out_dir, "sweep.csv"),
@@ -386,8 +365,6 @@ def run_sweep(config, out_dir, seed, threads):
     )
     series = []
     for mode in modes:
-        if mode == "ordinary" and param in ("K", "m"):
-            continue
         medians = []
         for value in values:
             errs = [r[3] for r in rows if r[0] == value and r[1] == mode]
@@ -403,7 +380,7 @@ def run_sweep(config, out_dir, seed, threads):
     return []
 
 
-def run_validate(config, out_dir, seed, threads):
+def run_validate(config, out_dir, seed):
     verdicts = convlab.validation_suite(seed=seed, full=bool(config["full"]))
     atomic_write_text(
         os.path.join(out_dir, "validate.json"), json.dumps(verdicts, indent=2, sort_keys=True) + "\n"
@@ -514,6 +491,8 @@ def _read_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
             value = value.strip()
             try:
                 out[key] = json.loads(value)
@@ -539,7 +518,7 @@ def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
-    inputs = RUNNERS[command](config, out_dir, seed, threads) or []
+    inputs = RUNNERS[command](config, out_dir, seed) or []
     write_manifest(
         out_dir,
         command,

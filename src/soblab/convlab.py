@@ -104,34 +104,14 @@ def angle_between(w1, w2) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-class HalfspaceCoefficients(NamedTuple):
-    """Scalar weights of the closed-form Gaussian half-space expectations.
-
-    joint is the probability that a standard Gaussian lands in both
-    half-spaces {x: x.w1 > 0} and {x: x.w2 > 0}; in the gated correlation
-    vector it weights the parallel component while ortho weights the
-    orthogonal one; mixed = joint*cos(theta) + ortho scales the effective
-    prediction amplitude.
-    """
-
-    mixed: float
-    joint: float
-    ortho: float
-
-
 def _coeffs_of_angle(theta, bk=_Arrays):
+    """(mixed, joint, ortho) half-space coefficients at angle theta: joint
+    is the probability that a standard Gaussian lands in both half-spaces,
+    joint and ortho weight the parallel and orthogonal parts of the gated
+    correlation, and mixed = joint*cos(theta) + ortho scales the amplitude."""
     rest = math.pi - theta
     sin = bk.sin(theta)
     return (rest * bk.cos(theta) + sin) / TWO_PI, rest / TWO_PI, sin / TWO_PI
-
-
-def halfspace_coefficients(w1, w2) -> HalfspaceCoefficients:
-    """(mixed, joint, ortho) coefficients for the pair of directions."""
-    t = angle_between(w1, w2)
-    p0, p1, p2 = _coeffs_of_angle(t)
-    if np.ndim(t) == 0:
-        return HalfspaceCoefficients(float(p0), float(p1), float(p2))
-    return HalfspaceCoefficients(p0, p1, p2)
 
 
 def gated_correlation(e, w):
@@ -392,21 +372,12 @@ def cubic_local_min(a, b, c, d):
     return t0, f_closed
 
 
-def derivative_flow_margin(theta):
-    """Scaled minimum of the derivative-flow cubic; None where undefined.
-
-    Nonnegative wherever defined, and zero only at theta = 0: this is
-    the quantity whose sign certifies that the derivative term can only
-    accelerate the distance decrease.  Undefined when the cubic's
-    discriminant is negative (the cubic is then increasing and the
-    certificate is not needed).
-    """
-    vals, defined = derivative_flow_margin_scan([float(theta)])
-    return float(vals[0]) if defined[0] else None
-
-
 def derivative_flow_margin_scan(thetas):
-    """Vectorized margin over a grid: (values with NaN, defined mask)."""
+    """Scaled minimum of the derivative-flow cubic at each angle, as (values
+    with NaN where undefined, defined mask).  Nonnegative where defined and
+    zero only at theta = 0, its sign certifies that the derivative term can
+    only accelerate the distance decrease; undefined where the discriminant
+    is negative (the cubic is then increasing and needs no certificate)."""
     t = _check_angle_domain(thetas)
     a, b, c, d = derivative_cubic_coefficients(t)
     disc = b * b + 3.0 * a * c
@@ -634,6 +605,8 @@ def descent_landscape(theta_grid, ratio_grid, w_star_norm=1.0) -> LandscapeTable
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     ratio_grid = np.asarray(ratio_grid, dtype=float)
+    if not (np.isfinite(theta_grid).all() and np.isfinite(ratio_grid).all()):
+        raise OutOfDomainError("grids must be finite")
     if np.any(theta_grid >= math.pi):
         raise PhiZeroError("theta = pi is excluded: the normalization vanishes")
     if np.any(theta_grid <= 0.0) or np.any(ratio_grid <= 0.0):

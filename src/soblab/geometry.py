@@ -74,10 +74,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Immutable exact-KNN structure over a PointCloud.
-
-    Safe for concurrent read queries; construction is single threaded.
-    """
+    """Immutable exact-KNN structure over a PointCloud."""
 
     cloud: PointCloud
     _tree: cKDTree = field(repr=False)

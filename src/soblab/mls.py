@@ -565,8 +565,7 @@ def convergence_study(
             for alpha in all_indices:
                 if sum(alpha) != order:
                     continue
-                est = multi_index_factorial(alpha) * jet.coefficients[:, jet.index_of(alpha)]
-                sq += (est - fn.derivative(alpha, pts)) ** 2
+                sq += (derivative_field(jet, alpha) - fn.derivative(alpha, pts)) ** 2
             mse = float(sq.mean())
             hs, es = seen[order]
             hs.append(jet.h)

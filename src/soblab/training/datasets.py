@@ -12,6 +12,7 @@ experiments exercise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,8 @@ def synth_dataset(
         raise ConfigError(f"unknown dataset kind {kind!r}; choose from {GENERATORS}")
     if derivative_source not in ("exact", "mls", "none"):
         raise ConfigError(f"derivative_source must be exact|mls|none, got {derivative_source!r}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     sizes = sizes or DatasetSizes()
     sizes.validate()
     rng = np.random.default_rng(seed)

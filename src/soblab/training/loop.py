@@ -45,6 +45,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1 or None, got {self.batch_size}")
+        if min((self.rank, *self.hidden)) < 1:
+            raise ConfigError(f"rank and hidden widths must be >= 1, got {self.rank}, {self.hidden}")
         if self.optimizer not in ("gd", "adam"):
             raise ConfigError(f"optimizer must be gd or adam, got {self.optimizer!r}")
 

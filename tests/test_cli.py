@@ -277,6 +277,14 @@ def test_landscape_outputs_and_ordering(tmp_path, capsys):
     assert "undefined" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("x_max", ["nan", "inf"])
+def test_landscape_non_finite_grid_exits_3(tmp_path, capsys, x_max):
+    out = tmp_path / "l"
+    assert run_cli("--out-dir", out, "landscape", "--x-max", x_max) == 3
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "landscape.csv").exists()
+
+
 # -- train and sweep -----------------------------------------------------------------
 
 TRAIN_FAST = [
@@ -350,6 +358,17 @@ def test_train_order_zero_exits_3(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--batch-size", -5], ["--noise", -0.5], ["--noise", "nan"], ["--rank", 0], ["--hidden", "0"]],
+)
+def test_train_settings_that_train_nothing_exit_3(tmp_path, capsys, flags):
+    out = tmp_path / "t"
+    assert run_cli("--out-dir", out, "train", *TRAIN_FAST, *flags) == 3
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_train_ordinary_on_unreliable_task_runs(tmp_path):
     code = run_cli(
         "--out-dir", tmp_path / "o", "train", "--task", "discontinuous_inverse",
@@ -420,6 +439,17 @@ def test_sweep_without_repeats_exits_3(tmp_path, flags):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("values", ["0,-0.5", "0,nan"])
+def test_sweep_over_a_bad_noise_exits_3(tmp_path, values):
+    out = tmp_path / "s"
+    code = run_cli(
+        "--out-dir", out, "sweep", "--param", "noise", "--values", values,
+        "--repeats", 1, "--mode", "ordinary", *TRAIN_FAST,
+    )
+    assert code == 3
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_exits_3(tmp_path, threads):
     out = tmp_path / "s"
@@ -454,6 +484,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["k"] == 6
     assert manifest["config"]["m"] == 1
     assert manifest["seed"] == 7
+
+
+def test_config_file_unknown_key_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # sensors is a train setting, accepted by derivs too; epoch is no setting
+    cfg.write_text("sensors = 12\nepoch = 5\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out-dir", out, "train", *TRAIN_FAST) == 3
+    err = capsys.readouterr().err
+    assert "'epoch'" in err and str(cfg) in err
+    assert not (out / "report.json").exists()
+    cfg.write_text("sensors = 12\nk = 6\n")
+    assert run_cli("--config", cfg, "--out-dir", out, "derivs", "--input", grid_csv(tmp_path)) == 0
 
 
 def test_no_command_is_config_error():

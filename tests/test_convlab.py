@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from soblab.convlab import (
+    _coeffs_of_angle,
     angle_between,
     cubic_local_min,
     derivative_cubic_coefficients,
     derivative_flow_gradient,
-    derivative_flow_margin,
     derivative_flow_margin_scan,
     descent_landscape,
     effective_amplitude,
@@ -18,7 +18,6 @@ from soblab.convlab import (
     finite_sample_value_gradient,
     gated_correlation,
     gated_correlation_sum,
-    halfspace_coefficients,
     integrate_flow_batch,
     mc_gated_correlation,
     mc_quadrant_prob,
@@ -41,6 +40,11 @@ from soblab.errors import (
 TWO_PI = 2.0 * math.pi
 
 
+def _coefficients(w1, w2):
+    """(mixed, joint, ortho) half-space coefficients of a pair of directions."""
+    return _coeffs_of_angle(angle_between(w1, w2))
+
+
 # -- angles and coefficients ---------------------------------------------------
 
 def test_angle_basics():
@@ -56,25 +60,25 @@ def test_angle_rejects_zero_vector():
 
 
 def test_coefficients_at_zero_angle():
-    c = halfspace_coefficients([2.0, 0.0], [3.0, 0.0])
-    assert c.mixed == pytest.approx(0.5, abs=1e-15)
-    assert c.joint == pytest.approx(0.5, abs=1e-15)
-    assert c.ortho == 0.0
+    mixed, joint, ortho = _coefficients([2.0, 0.0], [3.0, 0.0])
+    assert mixed == pytest.approx(0.5, abs=1e-15)
+    assert joint == pytest.approx(0.5, abs=1e-15)
+    assert ortho == 0.0
 
 
 def test_coefficients_at_pi():
-    c = halfspace_coefficients([1.0, 0.0], [-1.0, 0.0])
-    assert c.mixed == pytest.approx(0.0, abs=1e-15)
-    assert c.joint == pytest.approx(0.0, abs=1e-15)
-    assert c.ortho == pytest.approx(0.0, abs=1e-15)
+    mixed, joint, ortho = _coefficients([1.0, 0.0], [-1.0, 0.0])
+    assert mixed == pytest.approx(0.0, abs=1e-15)
+    assert joint == pytest.approx(0.0, abs=1e-15)
+    assert ortho == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coefficients_at_right_angle():
     # direct evaluation: ((pi/2)*0 + 1)/2pi, (pi/2)/2pi, 1/2pi
-    c = halfspace_coefficients([1.0, 0.0], [0.0, 1.0])
-    assert c.mixed == pytest.approx(1.0 / TWO_PI, rel=1e-14)
-    assert c.joint == pytest.approx(0.25, rel=1e-14)
-    assert c.ortho == pytest.approx(1.0 / TWO_PI, rel=1e-14)
+    mixed, joint, ortho = _coefficients([1.0, 0.0], [0.0, 1.0])
+    assert mixed == pytest.approx(1.0 / TWO_PI, rel=1e-14)
+    assert joint == pytest.approx(0.25, rel=1e-14)
+    assert ortho == pytest.approx(1.0 / TWO_PI, rel=1e-14)
 
 
 def test_gated_correlation_along_and_orthogonal():
@@ -98,8 +102,8 @@ def test_gated_correlation_decomposition_identity():
         e = rng.standard_normal(n)
         e /= np.linalg.norm(e)
         w = rng.standard_normal(n)
-        c = halfspace_coefficients(e, w)
-        expected = c.joint * w + c.ortho * np.linalg.norm(w) * e
+        _, joint, ortho = _coefficients(e, w)
+        expected = joint * w + ortho * np.linalg.norm(w) * e
         np.testing.assert_allclose(gated_correlation(e, w), expected, atol=1e-12)
 
 
@@ -243,10 +247,6 @@ def test_angular_term_nonpositive_on_grid():
 
 def test_mixed_coefficient_nonnegative_on_grid():
     grid = np.linspace(0.0, math.pi, 10_000)
-    p0 = halfspace_coefficients([1.0, 0.0], [1.0, 0.0])  # touch the API once
-    assert p0.mixed == pytest.approx(0.5)
-    from soblab.convlab import _coeffs_of_angle
-
     vals = _coeffs_of_angle(grid)[0]
     assert vals.min() >= -1e-12
     # vanishes only at the antipodal angle (cubically, hence the window)
@@ -254,19 +254,22 @@ def test_mixed_coefficient_nonnegative_on_grid():
 
 
 def test_margin_zero_at_zero_angle():
-    assert derivative_flow_margin(0.0) == pytest.approx(0.0, abs=1e-12)
+    vals, defined = derivative_flow_margin_scan([0.0])
+    assert defined[0]
+    assert vals[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_undefined_region_exists():
     grid = np.linspace(0.0, math.pi, 10_000)
     vals, defined = derivative_flow_margin_scan(grid)
     assert (~defined).sum() > 0
-    assert derivative_flow_margin(2.5) is None
-    # the scalar margin agrees with the scan: None exactly where the scan has NaN
-    scalar = [derivative_flow_margin(t) for t in grid]
-    assert [m is not None for m in scalar] == defined.tolist()
+    val, defined_one = derivative_flow_margin_scan([2.5])
+    assert not defined_one[0] and np.isnan(val[0])
+    # one-angle scans agree with the grid scan: undefined exactly where it has NaN
+    singles = [derivative_flow_margin_scan([t]) for t in grid]
+    assert [bool(d[0]) for _, d in singles] == defined.tolist()
     assert np.isnan(vals[~defined]).all()
-    defined_vals = [m for m in scalar if m is not None]
+    defined_vals = [v[0] for v, d in singles if d[0]]
     np.testing.assert_allclose(defined_vals, vals[defined], rtol=0.0, atol=1e-12)
 
 
@@ -280,7 +283,7 @@ def test_margin_nonnegative_where_defined():
 
 def test_margin_out_of_domain():
     with pytest.raises(OutOfDomainError):
-        derivative_flow_margin(-0.5)
+        derivative_flow_margin_scan([-0.5])
 
 
 # -- cubic local minimum -------------------------------------------------------------
@@ -328,7 +331,7 @@ def test_derivative_cubic_matches_gradient_projection():
         nw, nws = np.linalg.norm(w), np.linalg.norm(w_star)
         x = nw / nws
         lhs = float((w - w_star) @ derivative_flow_gradient(w, w_star))
-        p0 = halfspace_coefficients(w, w_star).mixed
+        p0 = _coefficients(w, w_star)[0]
         rhs = p0 * nw * nws**5 * (a * x**3 - b * x**2 - c * x + d)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -452,6 +455,17 @@ def test_flow_batch_step_guard_names_the_step():
     with pytest.raises(StepTooLargeError) as bundle:
         integrate_flow_batch(stable[:2] + [[1.314, -0.034]] + stable[2:], w_star, **kw)
     assert bundle.value.step_index == single.value.step_index == 3
+
+
+def test_flow_step_guard_growth_bound_alone():
+    # one step of dt = 7 from this start grows the squared distance by x1.36
+    # while its RK4 increment stays close to dt * k1 (departure ratio 0.03,
+    # limit 0.25), so only the 21% growth bound can trip it
+    w0 = 1.25 * np.array([math.cos(0.5), math.sin(0.5)])
+    for starts in (w0, [w0, w0]):
+        with pytest.raises(StepTooLargeError) as guard:
+            integrate_flow_batch(starts, [1.0, 0.0], dt=7.0, t_final=7.0, mode="L2")
+        assert guard.value.step_index == 1
 
 
 def test_flow_step_guard_catches_a_spurious_fixed_point():
@@ -586,7 +600,7 @@ def test_landscape_dimension_independent():
         diff = w - w_star
         v_l2 = -2.0 * np.sum(diff * value_flow_gradient(w, w_star), axis=-1)
         v_sob = v_l2 - 2.0 * np.sum(diff * derivative_flow_gradient(w, w_star), axis=-1)
-        norm = 2.0 * halfspace_coefficients(w, w_star).mixed * xx
+        norm = 2.0 * _coefficients(w, w_star)[0] * xx
         np.testing.assert_allclose(table.v_l2, v_l2 / norm, atol=1e-10)
         np.testing.assert_allclose(table.v_sob, v_sob / norm, atol=1e-10)
 
@@ -596,6 +610,14 @@ def test_landscape_rejects_pi():
         descent_landscape(np.array([math.pi]), np.array([1.0]))
     with pytest.raises(OutOfDomainError):
         descent_landscape(np.array([-0.1]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_landscape_rejects_non_finite_grids(bad):
+    with pytest.raises(OutOfDomainError):
+        descent_landscape(np.array([1.0, bad]), np.array([1.0]))
+    with pytest.raises(OutOfDomainError):
+        descent_landscape(np.array([1.0]), np.array([bad, 1.0]))
 
 
 def test_landscape_rejects_a_target_norm_that_is_not_positive():

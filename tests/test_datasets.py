@@ -151,6 +151,12 @@ def test_generator_validation():
         synth_dataset("poisson1d", sizes=DatasetSizes(train=0))
 
 
+@pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+def test_noise_must_be_finite_and_nonnegative(noise):
+    with pytest.raises(ConfigError):
+        synth_dataset("poisson1d", noise=noise)
+
+
 def test_dataset_determinism():
     a = synth_dataset("poisson1d", seed=21, noise=0.02)
     b = synth_dataset("poisson1d", seed=21, noise=0.02)

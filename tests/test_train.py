@@ -93,6 +93,15 @@ def test_modes_need_derivative_targets():
         train(TrainConfig(epochs=1), ds, "nonsense")
 
 
+@pytest.mark.parametrize(
+    "settings", [dict(batch_size=-5), dict(batch_size=0), dict(rank=0), dict(hidden=(8, 0))]
+)
+def test_settings_that_train_nothing_are_rejected(settings):
+    # None is the full batch; below 1, a batch size, rank or hidden width trains nothing
+    with pytest.raises(ConfigError):
+        train(TrainConfig(epochs=1, **settings), toy_linear_dataset(), "ordinary")
+
+
 def test_sobolev_modes_run_and_report_der_loss():
     ds = synth_dataset(
         "antiderivative1d",
