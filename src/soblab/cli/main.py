@@ -4,10 +4,14 @@ Global flags come before the subcommand: --seed, --out-dir, --threads
 (>= 1 and recorded in manifest.json; it changes nothing else, as every
 command runs sequentially), --config FILE (key = value lines; explicit
 flags win; unknown keys are an error), and --from-manifest FILE to replay
-a previous run byte for byte.
+a previous run byte for byte (no subcommand: the manifest names the
+command; its config and seed resolve like a config file's).  DEFAULTS
+lists each command's settings; a setting is the flag --key with "_"
+spelled "-" (t_final is --T), typed by its default.
 
-Exit codes: 2 input parse error, 3 configuration error, 4 numerical
-failure.  Expected errors print a one-line message, never a stack trace.
+Exit codes, carried by each error class: 2 input parse error, 3
+configuration error, 4 numerical failure.  Expected errors print a
+one-line message, never a stack trace.
 """
 
 from __future__ import annotations
@@ -23,43 +27,12 @@ import time
 import numpy as np
 
 from .. import __version__, convlab, mls
-from ..errors import (
-    CloudFormatError,
-    ConfigError,
-    DuplicatePointsError,
-    EmptyCloudError,
-    KTooLargeError,
-    NanLossError,
-    NonpositiveSupportError,
-    OrderTooHighError,
-    OutOfDomainError,
-    PhiZeroError,
-    SingularNormalMatrixError,
-    SoblabError,
-    StepTooLargeError,
-)
+from ..errors import EXIT_CONFIG, EXIT_PARSE, ConfigError, SoblabError, StepTooLargeError
 from ..geometry import load_cloud_csv
 from ..training import MODES, DatasetSizes, TrainConfig, synth_dataset, train
 from . import svg
 from .io import atomic_write_text, write_csv
 from .manifest import load_manifest, write_manifest
-
-EXIT_PARSE, EXIT_CONFIG, EXIT_NUMERIC = 2, 3, 4
-
-_PARSE_ERRORS = (CloudFormatError, DuplicatePointsError, EmptyCloudError)
-_CONFIG_ERRORS = (
-    ConfigError,
-    KTooLargeError,
-    NonpositiveSupportError,
-    OrderTooHighError,
-    OutOfDomainError,
-)
-_NUMERIC_ERRORS = (
-    SingularNormalMatrixError,
-    StepTooLargeError,
-    NanLossError,
-    PhiZeroError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,6 +98,17 @@ DEFAULTS["sweep"] = {
 }
 # a config file may set the globals and any command's settings
 _CONFIG_KEYS = {"seed", "out_dir", "threads"}.union(*DEFAULTS.values())
+# every setting is the flag "--" + key with "_" -> "-", except these
+_FLAGS = {"t_final": "--T"}
+HELP = {
+    "derivs": "estimate jets for a point-cloud CSV",
+    "rates": "convergence-rate study on random clouds",
+    "flow": "integrate the population gradient flow",
+    "landscape": "normalized descent-rate landscape",
+    "train": "train the operator network on a synthetic task",
+    "sweep": "parameter sweep over repeated training runs",
+    "validate": "closed-form vs Monte-Carlo check suite",
+}
 
 
 def _parse_list(value, kind):
@@ -250,8 +234,11 @@ def run_landscape(config, out_dir, seed):
     x_steps = int(config["x_steps"])
     if steps < 2 or x_steps < 2:
         raise ConfigError("need at least 2 steps per axis")
+    x_max = float(config["x_max"])
+    if not math.isfinite(x_max):
+        raise ConfigError("grids must be finite")
     thetas = np.linspace(0.0, math.pi, steps + 2)[1:-1]
-    ratios = np.linspace(0.0, float(config["x_max"]), x_steps + 1)[1:]
+    ratios = np.linspace(0.0, x_max, x_steps + 1)[1:]
     table = convlab.descent_landscape(thetas, ratios)
     rows = [[t, x, v1, v2, int(flag)] for (t, x, v1, v2, flag) in table.rows()]
     write_csv(
@@ -349,6 +336,8 @@ def run_sweep(config, out_dir, seed):
     if param in ("K", "m"):
         # stencil parameters only matter with derivative targets
         modes = [mode for mode in modes if mode != "ordinary"]
+        if not modes:
+            raise ConfigError(f"--param {param} needs derivative targets; --mode ordinary has none")
     key, kind = {"K": ("k", int), "m": ("m", int), "noise": ("noise", float)}[param]
     rows = [
         [value, mode, seed + rep,
@@ -417,66 +406,14 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="key = value defaults file")
     parser.add_argument("--from-manifest", default=None, help="replay a recorded run")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("derivs", help="estimate jets for a point-cloud CSV")
-    p.add_argument("--input")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("rates", help="convergence-rate study on random clouds")
-    p.add_argument("--function")
-    p.add_argument("--resolutions")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--orders")
-
-    p = sub.add_parser("flow", help="integrate the population gradient flow")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--ratio0", type=float)
-    p.add_argument("--mode", choices=["L2", "Sob", "both"])
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float, dest="t_final")
-    p.add_argument("--record-every", type=int)
-    p.add_argument("--allow-outside", action="store_true", default=None)
-
-    p = sub.add_parser("landscape", help="normalized descent-rate landscape")
-    p.add_argument("--theta-steps", type=int)
-    p.add_argument("--x-steps", type=int)
-    p.add_argument("--x-max", type=float)
-
-    def add_train_args(p):
-        p.add_argument("--task")
-        p.add_argument("--mode")
-        p.add_argument("--noise", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--learning-rate", type=float)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--rank", type=int)
-        p.add_argument("--hidden")
-        p.add_argument("--der-weight", type=float)
-        p.add_argument("--derivative-source")
-        p.add_argument("--train-size", type=int)
-        p.add_argument("--val-size", type=int)
-        p.add_argument("--test-size", type=int)
-        p.add_argument("--sensors", type=int)
-        p.add_argument("--queries", type=int)
-        p.add_argument("--optimizer")
-
-    p = sub.add_parser("train", help="train the operator network on a synthetic task")
-    add_train_args(p)
-
-    p = sub.add_parser("sweep", help="parameter sweep over repeated training runs")
-    add_train_args(p)
-    p.add_argument("--param")
-    p.add_argument("--values")
-    p.add_argument("--repeats", type=int)
-
-    p = sub.add_parser("validate", help="closed-form vs Monte-Carlo check suite")
-    p.add_argument("--full", action="store_true", default=None)
+    for command, settings in DEFAULTS.items():
+        p = sub.add_parser(command, help=HELP[command])
+        for key, default in settings.items():
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(flag, dest=key, type=str if default is None else type(default))
     return parser
 
 
@@ -530,47 +467,38 @@ def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -
     )
 
 
+def _replay_source(path):
+    """The command and file values (config plus seed) a manifest recorded."""
+    record = load_manifest(path)
+    keys = record.keys() if isinstance(record, dict) else set()
+    if not {"command", "config", "seed"} <= keys or not isinstance(record["config"], dict):
+        raise ConfigError(f"{path}: not a manifest (needs a command, a config object and a seed)")
+    command = record["command"]
+    if not isinstance(command, str) or command not in RUNNERS:
+        raise ConfigError(f"{path}: unknown command {command!r}")
+    return command, {**record["config"], "seed": record["seed"]}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.from_manifest:
-            record = load_manifest(args.from_manifest)
-            command = record["command"]
-            config = dict(record["config"])
-            out_dir = args.out_dir or config.pop("out_dir", ".")
-            config.pop("out_dir", None)
-            threads = args.threads if args.threads is not None else config.pop("threads", 1)
-            config.pop("threads", None)
-            seed = args.seed if args.seed is not None else record["seed"]
-            execute(command, config, out_dir, seed, threads)
-            return 0
-        if not args.command:
+            if args.command:
+                raise ConfigError(f"{args.from_manifest}: --from-manifest takes no command")
+            command, file_values = _replay_source(args.from_manifest)
+        elif args.command:
+            command = args.command
+            file_values = _read_config_file(args.config) if args.config else {}
+        else:
             raise ConfigError("a command is required (or --from-manifest)")
-        file_values = _read_config_file(args.config) if args.config else {}
-        cli_args = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "seed", "out_dir", "threads", "config", "from_manifest")
-        }
         seed = args.seed if args.seed is not None else int(file_values.get("seed", 0))
         out_dir = args.out_dir or str(file_values.get("out_dir", "."))
         threads = args.threads if args.threads is not None else int(file_values.get("threads", 1))
-        config = resolve_config(args.command, cli_args, file_values)
-        execute(args.command, config, out_dir, seed, threads)
+        execute(command, resolve_config(command, vars(args), file_values), out_dir, seed, threads)
         return 0
-    except _PARSE_ERRORS as exc:
-        print(f"soblab: input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _CONFIG_ERRORS as exc:
-        print(f"soblab: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        print(f"soblab: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except SoblabError as exc:
-        print(f"soblab: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        print(f"soblab: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"soblab: input error: {exc}", file=sys.stderr)
         return EXIT_PARSE

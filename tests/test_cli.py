@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soblab import errors
+from soblab.cli import main as cli
 from soblab.cli.io import atomic_write_text, write_csv
-from soblab.cli.main import DEFAULTS, main
+from soblab.cli.main import DEFAULTS, build_parser, main
 from soblab.errors import CloudFormatError, DuplicatePointsError, EmptyCloudError
 from soblab.geometry import PointCloud, load_cloud_csv, save_cloud_csv
 from soblab.training import TrainConfig
@@ -237,6 +239,17 @@ def test_flow_bad_grid_exits_3(tmp_path, flags):
     assert not list(out.glob("trajectory_*.csv"))
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flow_unknown_mode_exits_3(tmp_path, capsys, source):
+    out = tmp_path / "f"
+    cfg = tmp_path / "flow.cfg"
+    cfg.write_text("mode = xyz\n")
+    argv = ["flow", "--mode", "xyz"] if source == "flag" else ["--config", cfg, "flow"]
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert "unknown flow mode 'xyz'" in capsys.readouterr().err
+    assert not list(out.glob("trajectory_*.csv"))
+
+
 def test_flow_outside_basin_needs_flag(tmp_path):
     code = run_cli(
         "--out-dir", tmp_path / "f", "flow", "--theta0", 1.0, "--ratio0", 1.2,
@@ -277,11 +290,13 @@ def test_landscape_outputs_and_ordering(tmp_path, capsys):
     assert "undefined" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x_max", ["nan", "inf"])
 def test_landscape_non_finite_grid_exits_3(tmp_path, capsys, x_max):
+    # a warning would fail this test: the one stderr line is the whole report
     out = tmp_path / "l"
     assert run_cli("--out-dir", out, "landscape", "--x-max", x_max) == 3
-    assert "configuration error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "soblab: configuration error: grids must be finite\n"
     assert not (out / "landscape.csv").exists()
 
 
@@ -429,6 +444,20 @@ def test_sweep_validation(tmp_path):
     assert run_cli("--out-dir", tmp_path, "sweep", "--param", "m", "--values", "2") == 3
 
 
+@pytest.mark.parametrize("param", ["K", "m"])
+def test_sweep_stencil_param_with_only_ordinary_exits_3(tmp_path, capsys, param):
+    # K and m shape derivative targets only, so ordinary training leaves no job
+    out = tmp_path / "s"
+    code = run_cli(
+        "--out-dir", out, "sweep", "--param", param, "--values", "1,2", "--mode", "ordinary",
+        *TRAIN_FAST,
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--param {param}" in err and "--mode ordinary" in err
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [["--repeats", 0], ["--repeats", -2]])
 def test_sweep_without_repeats_exits_3(tmp_path, flags):
     out = tmp_path / "s"
@@ -497,6 +526,106 @@ def test_config_file_unknown_key_exits_3(tmp_path, capsys):
     assert not (out / "report.json").exists()
     cfg.write_text("sensors = 12\nk = 6\n")
     assert run_cli("--config", cfg, "--out-dir", out, "derivs", "--input", grid_csv(tmp_path)) == 0
+
+
+_GOOD_RECORD = {"command": "landscape", "config": {}, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "record, extra",
+    [
+        ([_GOOD_RECORD], []),  # not a JSON object
+        ({"config": {}, "seed": 0}, []),  # no command
+        ({"command": "landscape", "seed": 0}, []),  # no config
+        ({**_GOOD_RECORD, "config": ["x_max", 2]}, []),  # config not an object
+        ({"command": "landscape", "config": {}}, []),  # no seed
+        ({**_GOOD_RECORD, "command": "fly"}, []),  # unknown command
+        ({**_GOOD_RECORD, "command": ["train"]}, []),  # unknown command
+        (_GOOD_RECORD, ["landscape", "--x-steps", "4"]),  # a command beside the manifest
+    ],
+    ids=["list", "no-command", "no-config", "list-config", "no-seed", "unknown-command",
+         "list-command", "with-command"],
+)
+def test_bad_manifest_exits_3(tmp_path, capsys, record, extra):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(record))
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, "--from-manifest", path, *extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("soblab: configuration error: ") and str(path) in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_manifest_replay_uses_the_config_file_resolution(tmp_path):
+    # a recorded setting missing from the manifest falls back to its default
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 3}}))
+    assert run_cli("--out-dir", tmp_path / "o", "--from-manifest", path) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"] == {
+        **DEFAULTS["landscape"], "theta_steps": 4, "x_steps": 3,
+        "out_dir": str(tmp_path / "o"), "threads": 1,
+    }
+    assert manifest["seed"] == 0
+
+
+# every (command, setting) pair: its flag is "--" + key with "_" -> "-", "--T" for t_final
+SETTINGS = [(command, key) for command, settings in DEFAULTS.items() for key in settings]
+
+
+@pytest.mark.parametrize("command, key", SETTINGS, ids=[f"{c}-{k}" for c, k in SETTINGS])
+def test_every_setting_flag_parses_back_its_default(command, key):
+    default = DEFAULTS[command][key]
+    flag = "--T" if key == "t_final" else "--" + key.replace("_", "-")
+    if isinstance(default, bool):
+        argv, expected = [flag], True
+    elif default is None:
+        argv, expected = [flag, "1,2"], "1,2"
+    else:
+        argv, expected = [flag, str(default)], default
+    value = getattr(build_parser().parse_args([command, *argv]), key)
+    assert value == expected and type(value) is type(expected)
+    # an absent flag leaves None, so the config file and the default decide
+    assert getattr(build_parser().parse_args([command]), key) is None
+
+
+ERROR_TABLE = [
+    (errors.SoblabError, 4, "soblab: "),
+    (errors.EmptyCloudError, 2, "soblab: input error: "),
+    (errors.DuplicatePointsError, 2, "soblab: input error: "),
+    (errors.CloudFormatError, 2, "soblab: input error: "),
+    (errors.KTooLargeError, 3, "soblab: configuration error: "),
+    (errors.ConfigError, 3, "soblab: configuration error: "),
+    (errors.NonpositiveSupportError, 3, "soblab: configuration error: "),
+    (errors.OrderTooHighError, 3, "soblab: configuration error: "),
+    (errors.OutOfDomainError, 3, "soblab: configuration error: "),
+    (errors.SingularNormalMatrixError, 4, "soblab: numerical failure: "),
+    (errors.StepTooLargeError, 4, "soblab: numerical failure: "),
+    (errors.PhiZeroError, 4, "soblab: numerical failure: "),
+    (errors.NanLossError, 4, "soblab: numerical failure: "),
+    (errors.ShapeMismatchError, 4, "soblab: "),
+    (errors.BothZeroError, 4, "soblab: "),
+    (errors.DimMismatchError, 4, "soblab: "),
+    (errors.ZeroTargetNormError, 4, "soblab: "),
+    (errors.ZeroVectorError, 4, "soblab: "),
+    (errors.NotUnitError, 4, "soblab: "),
+    (errors.NoLocalMinError, 4, "soblab: "),
+]
+
+
+def test_error_table_lists_every_error_class():
+    assert {row[0] for row in ERROR_TABLE} == {errors.SoblabError, *errors.SoblabError.__subclasses__()}
+
+
+@pytest.mark.parametrize("cls, code, prefix", ERROR_TABLE, ids=[r[0].__name__ for r in ERROR_TABLE])
+def test_error_class_gives_its_exit_code_and_prefix(tmp_path, capsys, monkeypatch, cls, code, prefix):
+    def fail(config, out_dir, seed):
+        raise cls("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "validate", fail)
+    assert run_cli("--out-dir", tmp_path, "validate") == code
+    assert capsys.readouterr().err == prefix + "boom\n"
 
 
 def test_no_command_is_config_error():
