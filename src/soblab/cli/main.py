@@ -4,10 +4,10 @@ Global flags come before the subcommand: --seed, --out-dir, --threads
 (>= 1 and recorded in manifest.json; it changes nothing else, as every
 command runs sequentially), --config FILE (key = value lines; explicit
 flags win; unknown keys are an error), and --from-manifest FILE to replay
-a previous run byte for byte (no subcommand: the manifest names the
-command; its config and seed resolve like a config file's).  DEFAULTS
-lists each command's settings; a setting is the flag --key with "_"
-spelled "-" (t_final is --T), typed by its default.
+a previous run byte for byte (no subcommand or --config: the manifest
+names the command; its config and seed resolve like a config file's).
+DEFAULTS lists each command's settings; a setting is the flag --key with
+"_" spelled "-" (t_final is --T), typed by its default.
 
 Exit codes, carried by each error class: 2 input parse error, 3
 configuration error, 4 numerical failure.  Expected errors print a
@@ -469,7 +469,10 @@ def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -
 
 def _replay_source(path):
     """The command and file values (config plus seed) a manifest recorded."""
-    record = load_manifest(path)
+    try:
+        record = load_manifest(path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not a manifest (not valid JSON: {exc})") from None
     keys = record.keys() if isinstance(record, dict) else set()
     if not {"command", "config", "seed"} <= keys or not isinstance(record["config"], dict):
         raise ConfigError(f"{path}: not a manifest (needs a command, a config object and a seed)")
@@ -483,8 +486,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.from_manifest:
-            if args.command:
-                raise ConfigError(f"{args.from_manifest}: --from-manifest takes no command")
+            if args.command or args.config:
+                raise ConfigError(
+                    f"{args.from_manifest}: --from-manifest takes no command or --config")
             command, file_values = _replay_source(args.from_manifest)
         elif args.command:
             command = args.command

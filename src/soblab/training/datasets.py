@@ -178,18 +178,18 @@ def _build_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
     kernel = gauss * cell
     kernel_dx = kernel * (-diff[:, :, 0] / kernel_width**2)
     kernel_dy = kernel * (-diff[:, :, 1] / kernel_width**2)
+    del diff, sq, gauss
 
     total = sizes.train + sizes.val + sizes.test
     inputs = np.empty((total, sensors.shape[0]))
-    targets = np.empty((total, sizes.queries))
-    d_targets = np.empty((total, sizes.queries, 2))
+    v_quad = np.empty((total, quad_pts.shape[0]))
     for k in range(total):
         coeffs = _draw_series_2d(rng)
         inputs[k] = _series_value_2d(coeffs, sensors)
-        v_quad = _series_value_2d(coeffs, quad_pts)
-        targets[k] = kernel @ v_quad
-        d_targets[k, :, 0] = kernel_dx @ v_quad
-        d_targets[k, :, 1] = kernel_dy @ v_quad
+        v_quad[k] = _series_value_2d(coeffs, quad_pts)
+    # one (samples, quadrature) @ (quadrature, queries) product per table
+    targets = v_quad @ kernel.T
+    d_targets = np.stack([v_quad @ kernel_dx.T, v_quad @ kernel_dy.T], axis=-1)
     return sensors, queries, inputs, targets, d_targets
 
 

@@ -7,10 +7,11 @@ is fixed-step descent ("gd") or adaptive moments ("adam"); the command
 line defaults to adam.  Everything is deterministic given the seed.
 
 All batches share the dataset's query points, so one forward state per
-parameter state (two MLP forwards plus the per-axis JVPs) serves the
+parameter state (two MLP forwards plus one stacked JVP pass) serves the
 step gradients of the next update, the epoch-end losses on the training
 set, the validation prediction and, after the last epoch, the test
-prediction.
+prediction.  The training set is evaluated once per recorded state (the
+initial one, each epoch's end); the next epoch's first step reuses its rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError, NanLossError
 from .datasets import OperatorDataset
 from .losses import pcgrad_merge, relative_l2_error
-from .operator_net import Batch, forward_state, loss_and_grads, make_operator_net
+from .operator_net import Batch, evaluate_losses, forward_state, loss_gradients, make_operator_net
 
 MODES = ("ordinary", "sobolev", "sobolev+pcgrad")
 
@@ -134,7 +135,8 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
                  dataset.train_d_targets)
 
     state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
-    init_l2, init_der, _ = loss_and_grads(net, state, full)
+    evaluation = evaluate_losses(state, full)
+    init_l2, init_der = evaluation[3:]
     init_val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
 
     adam = _Adam(net.n_params, cfg.learning_rate) if cfg.optimizer == "adam" else None
@@ -145,7 +147,7 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     # divergence is detected explicitly below; inf/NaN transients must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         state = _run_epochs(
-            cfg, dataset, mode, net, state, rng, n_train, batch_size, full, adam,
+            cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_size, full, adam,
             hist_l2, hist_der, hist_val,
         )
 
@@ -171,22 +173,23 @@ def _predict(state, inputs):
     return state.values(state.coefficients(inputs))
 
 
-def _run_epochs(cfg, dataset, mode, net, state, rng, n_train, batch_size, full, adam,
-                hist_l2, hist_der, hist_val):
-    """Train for cfg.epochs epochs from the forward state of net's current
-    parameters; returns the forward state of the final parameters."""
+def _run_epochs(cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_size, full,
+                adam, hist_l2, hist_der, hist_val):
+    """Train for cfg.epochs epochs from the forward state and training-set
+    evaluation of net's current parameters; returns the final forward state."""
     kinds = ("l2",) if mode == "ordinary" else ("l2", "der")
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
             pick = order[start : start + batch_size]
-            batch = Batch(
-                inputs=dataset.train_inputs[pick],
-                queries=dataset.query_points,
-                targets=dataset.train_targets[pick],
-                d_targets=None if mode == "ordinary" else dataset.train_d_targets[pick],
-            )
-            _, _, grads = loss_and_grads(net, state, batch, kinds)
+            inputs = dataset.train_inputs[pick]
+            if start == 0:  # no update since the training-set evaluation: reuse its rows
+                rows = [None if a is None else a[pick] for a in evaluation[:3]]
+            else:
+                d_targets = None if mode == "ordinary" else dataset.train_d_targets[pick]
+                batch = Batch(inputs, dataset.query_points, dataset.train_targets[pick], d_targets)
+                rows = evaluate_losses(state, batch)[:3]
+            grads = loss_gradients(net, state, inputs, *rows, kinds)
             g_value = grads[0]
             if mode == "ordinary":
                 step_grad = g_value
@@ -204,7 +207,8 @@ def _run_epochs(cfg, dataset, mode, net, state, rng, n_train, batch_size, full, 
                 adam.step(net.params, step_grad)
             state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
 
-        l2, der, _ = loss_and_grads(net, state, full)
+        evaluation = evaluate_losses(state, full)
+        l2, der = evaluation[3:]
         if not np.isfinite(l2) or (mode != "ordinary" and not np.isfinite(der)):
             raise NanLossError(f"loss became non-finite at epoch {epoch}", epoch=epoch)
         val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)

@@ -28,7 +28,7 @@ def residual(pred, target):
 
 def mean_square(res) -> float:
     """Mean squared residual: both losses as functions of their residual."""
-    return float(np.mean(res**2))
+    return float(np.add.reduce(res**2, axis=None) / res.size)  # np.mean without its dispatch
 
 
 def l2_loss(pred, target) -> float:
@@ -49,7 +49,8 @@ def relative_l2_error(pred, target) -> float:
     norms = np.linalg.norm(target, axis=-1)
     if np.any(norms == 0.0):
         raise ZeroTargetNormError("a target function is identically zero")
-    return float(np.mean(np.linalg.norm(pred - target, axis=-1) / norms))
+    ratios = np.linalg.norm(pred - target, axis=-1) / norms
+    return float(np.add.reduce(ratios, axis=None) / ratios.size)
 
 
 def pcgrad_merge(g1, g2) -> np.ndarray:

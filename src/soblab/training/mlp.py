@@ -6,7 +6,8 @@ which is what derivative-supervised losses need: the derivative of the
 prediction with respect to the query point is itself a function of the
 parameters.  Activation patterns are treated as locally constant, which
 is exact almost everywhere for ReLU; forward stores the gate masks in
-its cache and every later pass reuses them.
+its cache and every later pass reuses them.  backward, jvp and
+jvp_param_grads also take a leading stack axis: one pass, many items.
 """
 
 from __future__ import annotations
@@ -92,26 +93,26 @@ class ReluMLP:
         return a, (activations, masks)
 
     def backward(self, cache, out_cot):
-        """Reverse pass: flat parameter gradient of sum(out_cot * output)."""
+        """Reverse pass: flat parameter gradient of sum(out_cot * output), (..., n_params)."""
         activations, masks = cache
         delta = np.asarray(out_cot, dtype=float)
         grads = []
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
                 delta = delta * masks[i]
-            grads.append(delta.sum(axis=0))
-            grads.append((delta.T @ activations[i]).ravel())
+            grads.append(delta.sum(axis=-2))
+            grads.append(delta.swapaxes(-1, -2) @ activations[i])
             if i:
                 delta = delta @ self.weights[i]
-        return np.concatenate(grads[::-1])
+        return np.concatenate([g.reshape(*delta.shape[:-2], -1) for g in grads[::-1]], axis=-1)
 
     # -- input tangents and their parameter gradients ------------------------
 
     def jvp(self, cache, tangent):
         """Directional derivative of the output along an input tangent.
 
-        Returns (T (B, out), tangent cache) with the per-layer tangents
-        needed by jvp_param_grads.
+        tangent (..., B, in) gives (T (..., B, out), tangent cache) with
+        the per-layer tangents needed by jvp_param_grads.
         """
         _, masks = cache
         t = np.atleast_2d(np.asarray(tangent, dtype=float))
@@ -125,7 +126,7 @@ class ReluMLP:
         return t, tangents
 
     def jvp_param_grads(self, cache, tangent_cache, out_weights):
-        """Flat parameter gradient of sum_b out_weights_b . JVP_b.
+        """Flat parameter gradient of sum_b out_weights_b . JVP_b, (..., n_params).
 
         Activation gates are held fixed, the almost-everywhere exact
         rule for ReLU; bias gradients on this path are identically zero.
@@ -136,8 +137,8 @@ class ReluMLP:
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
                 r = r * masks[i]
-            grads.append(np.zeros(self.biases[i].size))
-            grads.append((r.T @ tangent_cache[i]).ravel())
+            grads.append(np.zeros((*r.shape[:-2], self.biases[i].size)))
+            grads.append(r.swapaxes(-1, -2) @ tangent_cache[i])
             if i:
                 r = r @ self.weights[i]
-        return np.concatenate(grads[::-1])
+        return np.concatenate([g.reshape(*r.shape[:-2], -1) for g in grads[::-1]], axis=-1)

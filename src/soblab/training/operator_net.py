@@ -11,10 +11,13 @@ the value and its exact gradient with respect to x are differentiable
 in the parameters via the hand-written passes in mlp.py.
 
 The psi forward on the sensors, the phi forward on the query points and
-phi's per-axis JVPs depend on the parameters only, not on the batch:
-forward_state computes them once per parameter state, and predictions,
-losses and gradients of any batch on those query points contract with
-it (loss_and_grads).  Both networks' parameters are one flat vector.
+phi's JVPs along the query axes (one stacked pass) depend on the
+parameters only, not on the batch: forward_state computes them once per
+parameter state, and predictions, losses and gradients of any batch on
+those query points contract with it.  evaluate_losses gives a batch's
+coefficients, residuals and losses, and loss_gradients the gradients
+from those arrays or rows of them.  Both networks' parameters are one
+flat vector.
 """
 
 from __future__ import annotations
@@ -88,15 +91,15 @@ class Batch:
 @dataclass(frozen=True)
 class ForwardState:
     """The forwards of one parameter state: psi on the sensors, phi on the
-    query points and, when built with jvps, phi's JVP along each query axis
-    as (output (J, rank), tangent cache)."""
+    query points and, when built with jvps, phi's JVPs along the n query
+    axes as one stacked (outputs (n, J, rank), tangent cache)."""
 
     queries: np.ndarray
     psi_out: np.ndarray
     psi_cache: tuple
     phi_out: np.ndarray
     phi_cache: tuple
-    jvps: tuple = ()
+    jvp: tuple | None = None
 
     def coefficients(self, inputs):
         """Rank coefficients s_k = (1/Jt) sum_l psi(y_l) v_k(y_l), (N, rank)."""
@@ -114,64 +117,71 @@ class ForwardState:
 
     def gradients(self, coeffs):
         """Predicted query-space gradients (N, J, n), exact differentiation."""
-        if len(self.jvps) != self.queries.shape[1]:
+        if self.jvp is None:
             raise DimMismatchError("gradients need a forward state built with jvps")
-        out = np.empty((coeffs.shape[0], *self.queries.shape))
-        for d, (t_out, _) in enumerate(self.jvps):
-            out[:, :, d] = coeffs @ t_out.T
-        return out
+        # C order (N, J, n): the derivative loss sums in that order
+        return np.ascontiguousarray((coeffs @ self.jvp[0].swapaxes(1, 2)).transpose(1, 2, 0))
 
 
 def forward_state(net: OperatorNet, queries, jvps: bool = True) -> ForwardState:
-    """One psi forward, one phi forward and (if jvps) one phi JVP per query axis."""
+    """One psi forward, one phi forward and (if jvps) one stacked phi JVP."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     psi_out, psi_cache = net.psi.forward(net.sensor_points)
     phi_out, phi_cache = net.phi.forward(queries)
-    tangents = []
-    for d in range(queries.shape[1] if jvps else 0):
-        tangent = np.zeros_like(queries)
-        tangent[:, d] = 1.0
-        tangents.append(net.phi.jvp(phi_cache, tangent))
-    return ForwardState(queries, psi_out, psi_cache, phi_out, phi_cache, tuple(tangents))
+    jvp = None
+    if jvps:
+        axes = np.eye(queries.shape[1])[:, None, :]  # tangent d is the unit vector e_d
+        jvp = net.phi.jvp(phi_cache, np.repeat(axes, queries.shape[0], axis=1))
+    return ForwardState(queries, psi_out, psi_cache, phi_out, phi_cache, jvp)
 
 
-def loss_and_grads(net: OperatorNet, state: ForwardState, batch: Batch, kinds=()):
-    """(value loss, derivative loss, gradients) of the batch at the state.
+def evaluate_losses(state: ForwardState, batch: Batch):
+    """(coeffs, res, d_res, value loss, derivative loss) of the batch at the state.
 
-    The derivative loss is NaN when the batch carries no derivative
-    targets.  gradients holds the exact flat parameter gradient of each
-    loss kind in kinds, in order: "l2" differentiates the value loss,
-    "der" the derivative loss through the almost-everywhere parameter
-    rule for the gated tangents.  batch.queries must be the state's.
+    res (N, J) and d_res (N, J, n) are the residuals; without derivative
+    targets d_res is None and the derivative loss NaN.  batch.queries
+    must be the state's.
     """
     if batch.queries is not state.queries and not np.array_equal(batch.queries, state.queries):
         raise DimMismatchError("the batch's query points differ from the forward state's")
-    inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
-    coeffs = state.coefficients(inputs)
+    coeffs = state.coefficients(batch.inputs)
     res = residual(state.values(coeffs), batch.targets)
-    l2 = mean_square(res)
-    der = float("nan")
-    if batch.d_targets is not None:
-        d_res = residual(state.gradients(coeffs), batch.d_targets)
-        der = mean_square(d_res)
+    d_res = None if batch.d_targets is None else residual(state.gradients(coeffs), batch.d_targets)
+    der = float("nan") if d_res is None else mean_square(d_res)
+    return coeffs, res, d_res, mean_square(res), der
 
-    grads = []
+
+def loss_gradients(net: OperatorNet, state: ForwardState, inputs, coeffs, res, d_res, kinds):
+    """Exact flat parameter gradient of each loss kind in kinds, from the
+    inputs and evaluate_losses' coeffs, res and d_res (or rows of them).
+
+    "l2" differentiates the value loss, "der" the derivative loss through
+    the almost-everywhere rule for the gated tangents.  One psi reverse
+    pass serves all kinds, on their stacked cotangents.
+    """
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    phi_grads, d_coeffs = [], []
     for kind in kinds:
         if kind == "l2":
             cot_values = 2.0 * res / res.size
-            phi_grads = net.phi.backward(state.phi_cache, cot_values.T @ coeffs)
-            d_coeffs = cot_values @ state.phi_out
+            phi_grads.append(net.phi.backward(state.phi_cache, cot_values.T @ coeffs))
+            d_coeffs.append(cot_values @ state.phi_out)
         elif kind == "der":
-            if batch.d_targets is None:
+            if d_res is None:
                 raise DimMismatchError("derivative loss requested but the batch has none")
-            phi_grads = np.zeros(net.phi.n_params)
-            d_coeffs = np.zeros_like(coeffs)
-            for d, (t_out, t_cache) in enumerate(state.jvps):
-                cot_d = 2.0 * d_res[:, :, d] / d_res.size
-                phi_grads += net.phi.jvp_param_grads(state.phi_cache, t_cache, cot_d.T @ coeffs)
-                d_coeffs += cot_d @ t_out
+            t_out, t_cache = state.jvp
+            cot = 2.0 * np.ascontiguousarray(d_res.transpose(2, 0, 1)) / d_res.size
+            grads_d = net.phi.jvp_param_grads(state.phi_cache, t_cache, cot.swapaxes(1, 2) @ coeffs)
+            # per-axis terms added to zeros in axis order
+            phi_grads.append(sum(grads_d, np.zeros(net.phi.n_params)))
+            d_coeffs.append(sum(cot @ t_out, np.zeros_like(coeffs)))
         else:
             raise ValueError(f"loss kind must be 'l2' or 'der', got {kind!r}")
-        psi_grads = net.psi.backward(state.psi_cache, inputs.T @ d_coeffs / inputs.shape[1])
-        grads.append(np.concatenate([phi_grads, psi_grads]))
-    return l2, der, grads
+    psi_grads = net.psi.backward(state.psi_cache, inputs.T @ np.stack(d_coeffs) / inputs.shape[1])
+    return [np.concatenate(pair) for pair in zip(phi_grads, psi_grads)]
+
+
+def loss_and_grads(net: OperatorNet, state: ForwardState, batch: Batch, kinds=()):
+    """(value loss, derivative loss, gradients of kinds) of the batch at the state."""
+    *rows, l2, der = evaluate_losses(state, batch)
+    return l2, der, loss_gradients(net, state, batch.inputs, *rows, kinds) if kinds else []

@@ -570,6 +570,31 @@ def test_manifest_replay_uses_the_config_file_resolution(tmp_path):
     assert manifest["seed"] == 0
 
 
+def test_manifest_with_a_config_file_exits_3(tmp_path, capsys):
+    # the file's x_steps would be silently overridden by the manifest's
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 3}}))
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("x_steps = 5\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out-dir", out, "--from-manifest", path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("soblab: configuration error: ") and str(path) in err
+    assert "--config" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_manifest_that_is_not_json_exits_3_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text('{command: "landscape"}')
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"soblab: configuration error: {path}: ")
+    assert "not valid JSON" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 # every (command, setting) pair: its flag is "--" + key with "_" -> "-", "--T" for t_final
 SETTINGS = [(command, key) for command, settings in DEFAULTS.items() for key in settings]
 

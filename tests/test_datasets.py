@@ -10,10 +10,13 @@ from soblab.training import (
     synth_dataset,
 )
 from soblab.training.datasets import (
+    _build_smoothing2d,
     _draw_series,
+    _draw_series_2d,
     _series_antiderivative,
     _series_poisson,
     _series_value,
+    _series_value_2d,
 )
 
 
@@ -140,6 +143,61 @@ def test_smoothing2d_derivative_targets_match_finite_differences():
     sizes = DatasetSizes(train=2, val=1, test=1, sensors=25, queries=6)
     sensors, queries, inputs, targets, d_targets = _build_smoothing2d(sizes, rng)
     np.testing.assert_allclose(d_targets[:2], ds.train_d_targets, atol=1e-12)
+
+
+def _per_sample_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
+    """_build_smoothing2d with one matrix-vector product per sample and table,
+    as it was built before; also returns the three kernels and the
+    quadrature values (samples, quadrature points) for the error bound."""
+    side = max(2, int(round(np.sqrt(sizes.sensors))))
+    axis = np.linspace(0.0, 1.0, side)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    sensors = np.column_stack([gx.ravel(), gy.ravel()])
+    queries = rng.uniform(0.05, 0.95, size=(sizes.queries, 2))
+    qaxis = np.linspace(0.0, 1.0, grid)
+    qx, qy = np.meshgrid(qaxis, qaxis, indexing="ij")
+    quad_pts = np.column_stack([qx.ravel(), qy.ravel()])
+    cell = (qaxis[1] - qaxis[0]) ** 2
+    diff = queries[:, None, :] - quad_pts[None, :, :]
+    sq = (diff**2).sum(axis=2)
+    gauss = np.exp(-sq / (2.0 * kernel_width**2)) / (2.0 * np.pi * kernel_width**2)
+    kernel = gauss * cell
+    kernel_dx = kernel * (-diff[:, :, 0] / kernel_width**2)
+    kernel_dy = kernel * (-diff[:, :, 1] / kernel_width**2)
+    total = sizes.train + sizes.val + sizes.test
+    inputs = np.empty((total, sensors.shape[0]))
+    targets = np.empty((total, sizes.queries))
+    d_targets = np.empty((total, sizes.queries, 2))
+    v_quads = np.empty((total, quad_pts.shape[0]))
+    for k in range(total):
+        coeffs = _draw_series_2d(rng)
+        inputs[k] = _series_value_2d(coeffs, sensors)
+        v_quad = v_quads[k] = _series_value_2d(coeffs, quad_pts)
+        targets[k] = kernel @ v_quad
+        d_targets[k, :, 0] = kernel_dx @ v_quad
+        d_targets[k, :, 1] = kernel_dy @ v_quad
+    return (sensors, queries, inputs, targets, d_targets), (kernel, kernel_dx, kernel_dy), v_quads
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_smoothing2d_tables_match_per_sample_products(seed):
+    sizes = DatasetSizes(train=64, val=8, test=16, sensors=32, queries=96)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = _build_smoothing2d(sizes, rng_new)
+    old, kernels, v_quad = _per_sample_smoothing2d(sizes, rng_old)
+    # same draws in the same order: the points and the inputs are bit-equal
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    for got, want in zip(new[:3], old[:3]):
+        assert np.array_equal(got, want)
+    # each table entry is an n-term dot product; either summation order is
+    # within gamma_n * (|K| @ |v|) of the exact sum, so they are within twice that
+    n = v_quad.shape[1]
+    u = 2.0**-53
+    gamma = n * u / (1.0 - n * u)
+    pairs = [(new[3], old[3]), (new[4][..., 0], old[4][..., 0]), (new[4][..., 1], old[4][..., 1])]
+    for (got, want), kernel in zip(pairs, kernels):
+        bound = 2.0 * gamma * (np.abs(v_quad) @ np.abs(kernel).T)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 def test_generator_validation():

@@ -26,6 +26,7 @@ from soblab.training import (
     synth_dataset,
     train,
 )
+from soblab.training import loop
 from soblab.training.losses import der_loss, l2_loss, relative_l2_error
 
 # -- reference ------------------------------------------------------------------
@@ -298,3 +299,38 @@ def test_two_forwards_per_parameter_state(monkeypatch, mode, batch_size):
     train(TrainConfig(epochs=epochs, batch_size=batch_size, seed=0), ds, mode)
     updates = epochs * -(-SIZES.train // (batch_size or SIZES.train))
     assert len(calls) == 2 * (updates + 1)
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "sobolev", "sobolev+pcgrad"])
+@pytest.mark.parametrize("batch_size", [None, 4])
+def test_one_evaluation_and_stacked_passes_per_parameter_state(monkeypatch, mode, batch_size):
+    calls = {"backward": 0, "jvp": 0, "jvp_param_grads": 0}
+    for name in calls:
+        original = getattr(ReluMLP, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ReluMLP, name, counting)
+    evaluated = []  # rows of every evaluated batch
+    evaluate = loop.evaluate_losses
+
+    def counting_evaluate(state, batch):
+        evaluated.append(batch.inputs.shape[0])
+        return evaluate(state, batch)
+
+    monkeypatch.setattr(loop, "evaluate_losses", counting_evaluate)
+    ds = dataset("antiderivative1d")
+    epochs = 3
+    steps = -(-SIZES.train // (batch_size or SIZES.train))
+    train(TrainConfig(epochs=epochs, batch_size=batch_size, seed=0), ds, mode)
+    updates = epochs * steps
+    # phi's value pass and one psi pass on the stacked cotangents of all loss kinds
+    assert calls["backward"] == 2 * updates
+    # one stacked JVP per parameter state, one stacked JVP gradient per Sobolev update
+    assert calls["jvp"] == updates + 1
+    assert calls["jvp_param_grads"] == (0 if mode == "ordinary" else updates)
+    # the training set once per recorded state; an epoch's first step reuses it
+    assert evaluated.count(SIZES.train) == epochs + 1
+    assert len(evaluated) == epochs + 1 + epochs * (steps - 1)
