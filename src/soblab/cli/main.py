@@ -10,8 +10,9 @@ DEFAULTS lists each command's settings; a setting is the flag --key with
 "_" spelled "-" (t_final is --T), typed by its default.
 
 Exit codes, carried by each error class: 2 input parse error, 3
-configuration error, 4 numerical failure.  Expected errors print a
-one-line message, never a stack trace.
+configuration error (a setting too large to allocate is one too), 4
+numerical failure.  Expected errors print a one-line message, never a
+stack trace.
 """
 
 from __future__ import annotations
@@ -183,6 +184,8 @@ def _flow_start(dim, theta0, ratio0):
     for flag, value in (("--theta0", theta0), ("--ratio0", ratio0)):
         if not math.isfinite(value):
             raise ConfigError(f"flow needs a finite {flag}, got {value}")
+    if ratio0 == 0.0:
+        raise ConfigError("flow needs a nonzero --ratio0: a zero start has no angle")
     w_star = np.zeros(dim)
     w_star[0] = 1.0
     w0 = np.zeros(dim)
@@ -506,7 +509,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"soblab: input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
         print(f"soblab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

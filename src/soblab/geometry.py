@@ -8,6 +8,10 @@ candidates, and a batched re-query with more candidates for only the
 rows whose K-th neighbor ties the last candidate (regular grids).  Rows
 already in (distance, index) order are read in place; only the finished
 rows that are not get a (distance, index) sort.
+scipy is imported inside build_index, the only function that makes a
+tree, so that importing soblab and the commands that build no index
+(flow, landscape, validate) do not load scipy.spatial and the
+scipy.sparse it pulls in, about 0.5 s of a cold start.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     CloudFormatError,
@@ -25,6 +29,9 @@ from .errors import (
     EmptyCloudError,
     KTooLargeError,
 )
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Relative slack when collecting tie candidates at the K-th distance.
 _TIE_SLACK = 1.0 + 1e-12
@@ -82,6 +89,8 @@ class SpatialIndex:
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
     """Build an exact Euclidean KNN index over all cloud points."""
+    from scipy.spatial import cKDTree
+
     return SpatialIndex(cloud=cloud, _tree=cKDTree(cloud.points))
 
 

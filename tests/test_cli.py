@@ -219,7 +219,7 @@ def test_flow_both_modes_match_separate_runs_in_10_dimensions(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--theta0", "nan"), ("--theta0", "inf"), ("--ratio0", "nan"), ("--ratio0", "inf")],
+    [("--theta0", "nan"), ("--theta0", "inf"), ("--ratio0", "nan"), ("--ratio0", "inf"), ("--ratio0", "0")],
 )
 def test_flow_non_finite_start_exits_3(tmp_path, capsys, flags):
     out = tmp_path / "f"
@@ -651,6 +651,18 @@ def test_error_class_gives_its_exit_code_and_prefix(tmp_path, capsys, monkeypatc
     monkeypatch.setitem(cli.RUNNERS, "validate", fail)
     assert run_cli("--out-dir", tmp_path, "validate") == code
     assert capsys.readouterr().err == prefix + "boom\n"
+
+
+def test_memory_error_is_a_one_line_config_error(tmp_path, capsys, monkeypatch):
+    # a stub, not a huge grid: an overcommitting host may really allocate one
+    message = "Unable to allocate 7.45 GiB for an array with shape (100000000, 10) and data type float64"
+
+    def fail(config, out_dir, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.RUNNERS, "landscape", fail)
+    assert run_cli("--out-dir", tmp_path, "landscape") == 3
+    assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
 
 
 def test_no_command_is_config_error():
