@@ -184,13 +184,13 @@ def _flow_start(dim, theta0, ratio0):
     for flag, value in (("--theta0", theta0), ("--ratio0", ratio0)):
         if not math.isfinite(value):
             raise ConfigError(f"flow needs a finite {flag}, got {value}")
-    if ratio0 == 0.0:
-        raise ConfigError("flow needs a nonzero --ratio0: a zero start has no angle")
     w_star = np.zeros(dim)
     w_star[0] = 1.0
     w0 = np.zeros(dim)
     w0[0] = ratio0 * math.cos(theta0)
     w0[1] = ratio0 * math.sin(theta0)
+    if not (w0 * w0).any():  # also a tiny --ratio0 whose square underflows to 0
+        raise ConfigError(f"flow needs a --ratio0 whose square is not 0, got {ratio0}")
     return w0, w_star
 
 

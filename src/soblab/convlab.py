@@ -15,11 +15,15 @@ flow integrates each row on its two coordinates.  The planar body and
 the RK4 loop run over a small backend: (B,) arrays for bundles, grids
 and the public gradient functions, and Python floats for a single flow
 start, with the same operations in the same order, so both give the
-same bits.
+same bits.  The backend also carries the constants, as 0-d arrays on the
+array side: a ufunc on (B,) arrays costs mostly dispatch, and converting a
+Python-float operand on every call adds about half.  The loop integrates
+the gradient g, with slopes -g.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,10 +56,14 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 class _Arrays:
-    """A bundle: each planar coordinate is one (B,) array, one entry per row."""
+    """A bundle: each planar coordinate a (B,) array, each constant a 0-d array."""
 
-    sqrt, arccos, sin, cos, clip, where = np.sqrt, np.arccos, np.sin, np.cos, _clip, np.where
+    sqrt, arccos, sin, cos, clip = np.sqrt, np.arccos, np.sin, np.cos, _clip
     any = np.logical_or.reduce
+    const = functools.partial(np.asarray, dtype=float)
+    pi, two_pi, half, one, neg_one, two = map(const, (math.pi, TWO_PI, 0.5, 1.0, -1.0, 2.0))
+    # x + y where mask, else x, written over x, a fresh temporary
+    add_where = staticmethod(lambda mask, x, y: np.add(x, y, out=x, where=mask))
 
 
 class _Floats:
@@ -65,15 +73,10 @@ class _Floats:
     sqrt = math.sqrt
     # numpy's own float64 loops: math.acos rounds differently on some hosts
     arccos, sin, cos = ((lambda x, f=f: float(f(x))) for f in (np.arccos, np.sin, np.cos))
-
-    @staticmethod
-    def clip(x, lo, hi):
-        return min(max(x, lo), hi)  # NaN stays NaN, as in the clip ufunc
-
-    @staticmethod
-    def where(mask, a, b):
-        return a if mask else b
-
+    const = float
+    pi, two_pi, half, one, neg_one, two = math.pi, TWO_PI, 0.5, 1.0, -1.0, 2.0
+    clip = staticmethod(lambda x, lo, hi: min(max(x, lo), hi))  # NaN stays NaN
+    add_where = staticmethod(lambda mask, x, y: x + y if mask else x)
     any = bool
 
 
@@ -109,9 +112,9 @@ def _coeffs_of_angle(theta, bk=_Arrays):
     is the probability that a standard Gaussian lands in both half-spaces,
     joint and ortho weight the parallel and orthogonal parts of the gated
     correlation, and mixed = joint*cos(theta) + ortho scales the amplitude."""
-    rest = math.pi - theta
+    rest = bk.pi - theta
     sin = bk.sin(theta)
-    return (rest * bk.cos(theta) + sin) / TWO_PI, rest / TWO_PI, sin / TWO_PI
+    return (rest * bk.cos(theta) + sin) / bk.two_pi, rest / bk.two_pi, sin / bk.two_pi
 
 
 def gated_correlation(e, w):
@@ -183,14 +186,25 @@ class _Target(NamedTuple):
     unit: np.ndarray  # w*/|w*|, the first axis of every row's plane
     norm: float  # |w*|, the target's coordinate along unit
     amp: float  # amp* = |w*|^2 / 2
-    mu_fac: float
+    mu_fac: float | None  # None for 1.0: x * 1.0 is x, so no product is formed
     clamp: tuple[float, float] | None  # (theta_clamp, pi - theta_clamp)
+
+    def on(self, bk):
+        """This target with its scalars as constants of backend bk."""
+        mu_fac, clamp = self.mu_fac, self.clamp and tuple(map(bk.const, self.clamp))
+        return self._replace(norm=bk.const(self.norm), amp=bk.const(self.amp), clamp=clamp,
+                             mu_fac=None if mu_fac is None else bk.const(mu_fac))
 
 
 def _target(w_star, mu_fac, theta_clamp=0.0) -> _Target:
     nws = float(_norm(w_star))
     clamp = (theta_clamp, math.pi - theta_clamp) if theta_clamp > 0.0 else None
+    mu_fac = None if mu_fac == 1.0 else mu_fac
     return _Target(w_star, w_star / nws, nws, 0.5 * nws * nws, mu_fac, clamp)
+
+
+def _scaled(mu_fac, x, y):
+    return (x, y) if mu_fac is None else (mu_fac * x, mu_fac * y)
 
 
 def _planar_gradients(a, b, target, der=True, bk=_Arrays):
@@ -204,27 +218,28 @@ def _planar_gradients(a, b, target, der=True, bk=_Arrays):
     nws, amp_star, mu_fac = target.norm, target.amp, target.mu_fac
     nw = bk.sqrt(a * a + b * b)
     scale = nw * nws
-    t = bk.arccos(bk.clip(a * nws / scale, -1.0, 1.0))
+    t = bk.arccos(bk.clip(a * nws / scale, bk.neg_one, bk.one))
     if target.clamp is not None:
         t = bk.clip(t, *target.clamp)
     p0, p1, p2 = _coeffs_of_angle(t, bk)
     amp = scale * p0
+    half_amp = bk.half * amp
     ortho = nws * p2
     # the gated correlation with the target, and the value loss's inner factor
     ca = p1 * nws + ortho * (a / nw)
     cb = ortho * (b / nw)
-    ia = amp * (0.5 * a) - amp_star * ca
-    ib = amp * (0.5 * b) - amp_star * cb
+    # half_amp * a is amp * (0.5 * a): halving is exact, and both round amp * a / 2 once
+    ia = half_amp * a - amp_star * ca
+    ib = half_amp * b - amp_star * cb
     s = a * ia + b * ib
-    g_val = mu_fac * (amp * ia + ca * s), mu_fac * (amp * ib + cb * s)
+    g_val = _scaled(mu_fac, amp * ia + ca * s, amp * ib + cb * s)
     if not der:
         return g_val, None
     cw = ca * a + cb * b
     cws = ca * nws
-    half_amp = 0.5 * amp
     alpha = half_amp * amp + half_amp * cw - amp * p1 * cws
     beta = amp * amp_star * p1
-    return g_val, (mu_fac * (alpha * a - beta * nws), mu_fac * (alpha * b))
+    return g_val, _scaled(mu_fac, alpha * a - beta * nws, alpha * b)
 
 
 def _project(w, target):
@@ -453,55 +468,56 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
         bk, a, b, sob = _Floats, float(a[0]), float(b[0]), bool(sob[0])
     else:
         bk = _Arrays
-    nws = target.norm
+    target, floor = target.on(bk), (1e-9 * target.norm) ** 2
+    h, h2, h6, grow, depart, floor = map(bk.const, (dt, 0.5 * dt, dt / 6.0, 1.21, 0.25, floor))
+    nws, two = target.norm, bk.two
 
     def rhs(a, b):
         (va, vb), g_der = _planar_gradients(a, b, target, der, bk)
         if g_der is not None:
-            va, vb = bk.where(sob, va + g_der[0], va), bk.where(sob, vb + g_der[1], vb)
-        return -va, -vb
+            va, vb = bk.add_where(sob, va, g_der[0]), bk.add_where(sob, vb, g_der[1])
+        return va, vb
 
     def sum_sq(x, y):
         return x * x + y * y
 
-    half, sixth = 0.5 * dt, dt / 6.0
-    floor = (1e-9 * nws) ** 2
     d2 = sum_sq(a - nws, b)
-    ka, kb = rhs(a, b)
-    # dw/dt at a recorded step is the next step's k1
-    steps, records = [0], [(a, b, ka, kb)]
+    ga, gb = rhs(a, b)
+    # the gradient g, not the slope -g: x + h * (-g) rounds as x - h * g, and
+    # dw/dt at a recorded step is the next step's k1 = -g1
+    steps, records = [0], [(a, b, ga, gb)]
     for step in range(1, n_steps + 1):
-        ka2, kb2 = rhs(a + half * ka, b + half * kb)
-        ka3, kb3 = rhs(a + half * ka2, b + half * kb2)
-        ka4, kb4 = rhs(a + dt * ka3, b + dt * kb3)
-        da = sixth * (ka + 2.0 * ka2 + 2.0 * ka3 + ka4)
-        db = sixth * (kb + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        a, b = a + da, b + db
+        ga2, gb2 = rhs(a - h2 * ga, b - h2 * gb)
+        ga3, gb3 = rhs(a - h2 * ga2, b - h2 * gb2)
+        ga4, gb4 = rhs(a - h * ga3, b - h * gb3)
+        da = h6 * (ga + two * ga2 + two * ga3 + ga4)
+        db = h6 * (gb + two * gb2 + two * gb3 + gb4)
+        a, b = a - da, b - db
         d2_new = sum_sq(a - nws, b)
         # A too-large step can also land on a spurious fixed point of the
         # discrete map, where the distance stops changing; the increment
         # then departs from its Euler predictor dt * k1 by O(1) relative.
-        ea, eb = dt * ka, dt * kb
-        departs = sum_sq(da - ea, db - eb) > 0.25 * sum_sq(ea, eb)
-        if bk.any((d2 > floor) & ((d2_new > 1.21 * d2) | departs)):
+        ea, eb = h * ga, h * gb
+        departs = sum_sq(da - ea, db - eb) > depart * sum_sq(ea, eb)
+        if bk.any((d2 > floor) & ((d2_new > grow * d2) | departs)):
             raise StepTooLargeError(
                 f"step {step} too large: the distance grew more than 10% or the RK4 "
                 "increment left its Euler predictor by more than half; reduce dt",
                 step_index=step,
             )
         d2 = d2_new
-        ka, kb = rhs(a, b)
+        ga, gb = rhs(a, b)
         if step % stride == 0 or step == n_steps:
             steps.append(step)
-            records.append((a, b, ka, kb))
+            records.append((a, b, ga, gb))
     # (S, 4) floats or (S, 4, B) arrays -> four (B, S) coordinate tables
-    a, b, ka, kb = np.reshape(records, (len(steps), 4, -1)).transpose(1, 2, 0)
+    a, b, ga, gb = np.reshape(records, (len(steps), 4, -1)).transpose(1, 2, 0)
     e_b = e_b[:, None]
     weights = _embed(a, b, e_b, target)
     weights[:, 0] = w
     diff = weights - target.w_star
     # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
-    ddt = 2.0 * np.sum(diff * _embed(ka, kb, e_b, target), axis=-1)
+    ddt = 2.0 * np.sum(diff * _embed(-ga, -gb, e_b, target), axis=-1)
     return np.asarray(steps) * dt, weights, np.sum(diff * diff, axis=-1), ddt
 
 
@@ -686,8 +702,11 @@ def sample_basin(w_star, count, rng, theta_range=None, radius_limit=0.999):
     """Random starts strictly inside the basin |w - w_star| < |w_star|.
 
     With theta_range, rejection-samples until the angle to w_star lies
-    in the given open interval.
+    in the given open interval, which must meet (0, asin(radius_limit)).
     """
+    reach = math.asin(min(radius_limit, 1.0))
+    if theta_range is not None and not theta_range[0] < min(theta_range[1], reach):
+        raise ConfigError(f"theta_range {theta_range} misses the angles (0, {reach:.6g})")
     w_star = np.asarray(w_star, dtype=float)
     n = w_star.shape[0]
     nws = float(np.linalg.norm(w_star))

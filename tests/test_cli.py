@@ -219,7 +219,10 @@ def test_flow_both_modes_match_separate_runs_in_10_dimensions(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--theta0", "nan"), ("--theta0", "inf"), ("--ratio0", "nan"), ("--ratio0", "inf"), ("--ratio0", "0")],
+    [
+        ("--theta0", "nan"), ("--theta0", "inf"), ("--ratio0", "nan"), ("--ratio0", "inf"),
+        ("--ratio0", "0"), ("--ratio0", "1e-320"), ("--ratio0", "1e-200"),  # the last two square to 0
+    ],
 )
 def test_flow_non_finite_start_exits_3(tmp_path, capsys, flags):
     out = tmp_path / "f"

@@ -231,6 +231,17 @@ def test_amplitudes_scale_gradients():
     np.testing.assert_allclose(g2, 4.0 * g1, rtol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_unit_amplitude_skips_only_an_exact_product(n):
+    # mu = (1.0,) forms no mu product; mu = (2.0,) multiplies by 4.0, which
+    # scales every float exactly, so the two paths agree bit for bit
+    rng = np.random.default_rng(40 + n)
+    w_star = rng.standard_normal(n)
+    w = rng.standard_normal((4, n))
+    for grad in (value_flow_gradient, derivative_flow_gradient):
+        assert np.array_equal(grad(w, w_star, mu=(2.0,)), 4.0 * grad(w, w_star))
+
+
 # -- scalar inequalities -----------------------------------------------------------
 
 def test_angular_term_endpoints_and_midpoint():
@@ -351,6 +362,23 @@ def test_flow_zero_horizon_single_row():
     assert traj.times.shape == (1,)
     assert traj.weights.shape == (1, 1, 2)
     assert traj.modes == ("L2",)
+
+
+@pytest.mark.parametrize("theta_range", [(1.6, 3.0), (1.53, 1.6), (1.0, 1.0), (1.2, 0.5)])
+def test_sample_basin_rejects_an_angle_range_it_cannot_reach(theta_range):
+    # a start within 0.999 |w*| of w* makes an angle below asin(0.999) ~ 1.526
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="theta_range"):
+        sample_basin(np.array([1.0, 0.0, 0.0]), 1, rng, theta_range=theta_range)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+def test_sample_basin_reaches_angles_just_below_its_limit():
+    rng = np.random.default_rng(0)
+    w_star = np.array([1.0, 0.0])
+    w = sample_basin(w_star, 2, rng, theta_range=(1.4, 3.0))
+    assert np.all(angle_between(w, w_star) > 1.4)
 
 
 def test_flow_converges_and_is_monotone():
