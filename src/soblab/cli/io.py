@@ -12,19 +12,25 @@ import tempfile
 
 import numpy as np
 
+from ..errors import ConfigError
+
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file + rename in the same directory."""
+    """Write text to path via a temp file + rename in the same directory;
+    an output path that cannot be written raises ConfigError."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
         raise
 
 

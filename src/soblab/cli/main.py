@@ -9,10 +9,11 @@ names the command; its config and seed resolve like a config file's).
 DEFAULTS lists each command's settings; a setting is the flag --key with
 "_" spelled "-" (t_final is --T), typed by its default.
 
-Exit codes, carried by each error class: 2 input parse error, 3
-configuration error (a setting too large to allocate is one too), 4
-numerical failure.  Expected errors print a one-line message, never a
-stack trace.
+Exit codes, carried by each error class: 2 input parse error (an
+unreadable input file too), 3 configuration error (a setting too large
+to allocate is one too, and so is an output path that cannot be
+written), 4 numerical failure.  Expected errors print a one-line
+message, never a stack trace.
 """
 
 from __future__ import annotations
@@ -278,6 +279,17 @@ def run_landscape(config, out_dir, seed):
 
 
 def _train_once(config, seed):
+    cfg = TrainConfig(
+        epochs=int(config["epochs"]),
+        learning_rate=float(config["learning_rate"]),
+        batch_size=int(config["batch_size"]) or None,
+        der_weight=float(config["der_weight"]),
+        rank=int(config["rank"]),
+        hidden=tuple(_parse_list(config["hidden"], int)),
+        optimizer=config["optimizer"],
+        seed=seed,
+    )
+    cfg.validate()  # before the dataset is synthesized
     sizes = DatasetSizes(
         train=int(config["train_size"]),
         val=int(config["val_size"]),
@@ -293,17 +305,6 @@ def _train_once(config, seed):
         derivative_source=config["derivative_source"],
         mls_k=int(config["k"]),
         mls_m=int(config["m"]),
-    )
-    hidden = tuple(_parse_list(config["hidden"], int))
-    cfg = TrainConfig(
-        epochs=int(config["epochs"]),
-        learning_rate=float(config["learning_rate"]),
-        batch_size=int(config["batch_size"]) or None,
-        der_weight=float(config["der_weight"]),
-        rank=int(config["rank"]),
-        hidden=hidden,
-        optimizer=config["optimizer"],
-        seed=seed,
     )
     return train(cfg, dataset, config["mode"])
 
@@ -456,7 +457,10 @@ def resolve_config(command: str, cli_args: dict, file_values: dict) -> dict:
 def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -> None:
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out-dir {out_dir!r}: {exc.strerror or exc}") from None
     started = time.monotonic()
     inputs = RUNNERS[command](config, out_dir, seed) or []
     write_manifest(
@@ -506,7 +510,7 @@ def main(argv=None) -> int:
     except SoblabError as exc:
         print(f"soblab: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # outputs raise ConfigError, so this is an input file
         print(f"soblab: input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, TypeError, MemoryError) as exc:

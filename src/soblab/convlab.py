@@ -283,32 +283,32 @@ def derivative_flow_gradient(w, w_star, mu=(1.0,)):
     return _gradients(w, _target(w_star, _mu_factor(mu)))[1]
 
 
-def finite_sample_value_gradient(x_rows, w, w_star, mu=(1.0,)):
+def _draw_terms(w, w_star, mu=(1.0,)):
+    """The terms of the finite-sample gradients that no draw changes:
+    (w, w*, w_hat, amp, amp*, gated_correlation(w_hat, w*), mu factor)."""
+    w, w_star = _check_nonzero(w, w_star)
+    w_hat = w / _norm(w)
+    amp, amp_star = effective_amplitude(w, w_star), effective_amplitude(w_star, w_star)
+    return w, w_star, w_hat, amp, amp_star, gated_correlation(w_hat, w_star), _mu_factor(mu)
+
+
+def finite_sample_value_gradient(x_rows, w, w_star, mu=(1.0,), terms=None):
     """Per-draw value-loss gradient with the query average left empirical.
 
     Averaging this over fresh Gaussian draws converges to
-    value_flow_gradient; used as the Monte-Carlo oracle.
+    value_flow_gradient; used as the Monte-Carlo oracle.  terms, if
+    given, is _draw_terms(w, w_star, mu), computed once for many draws.
     """
-    w, w_star = _check_nonzero(w, w_star)
-    j = x_rows.shape[0]
-    w_hat = w / _norm(w)
-    amp = effective_amplitude(w, w_star)
-    amp_star = effective_amplitude(w_star, w_star)
-    corr_star = gated_correlation(w_hat, w_star)
+    w, w_star, w_hat, amp, amp_star, corr_star, mu_fac = terms or _draw_terms(w, w_star, mu)
     f_self = gated_correlation_sum(x_rows, w_hat, w)
     f_star = gated_correlation_sum(x_rows, w_hat, w_star)
     inner = amp * f_self - amp_star * f_star
-    return _mu_factor(mu) * (amp * inner + corr_star * float(w @ inner)) / j
+    return mu_fac * (amp * inner + corr_star * float(w @ inner)) / x_rows.shape[0]
 
 
-def finite_sample_derivative_gradient(x_rows, w, w_star, mu=(1.0,)):
+def finite_sample_derivative_gradient(x_rows, w, w_star, mu=(1.0,), terms=None):
     """Per-draw derivative-loss gradient with empirical activation gates."""
-    w, w_star = _check_nonzero(w, w_star)
-    j = x_rows.shape[0]
-    w_hat = w / _norm(w)
-    amp = effective_amplitude(w, w_star)
-    amp_star = effective_amplitude(w_star, w_star)
-    corr_star = gated_correlation(w_hat, w_star)
+    w, w_star, _, amp, amp_star, corr_star, mu_fac = terms or _draw_terms(w, w_star, mu)
     gate_w = (x_rows @ w > 0)
     gate_both = gate_w & (x_rows @ w_star > 0)
     n_w = float(np.count_nonzero(gate_w))
@@ -319,7 +319,7 @@ def finite_sample_derivative_gradient(x_rows, w, w_star, mu=(1.0,)):
         - amp * amp_star * n_both * w_star
         - amp * n_both * float(corr_star @ w_star) * w
     )
-    return _mu_factor(mu) * term / j
+    return mu_fac * term / x_rows.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +798,11 @@ def validation_suite(seed=0, full=False):
         w = sample_basin(w_star, 1, rng)[0]
         acc_v = np.zeros(n)
         acc_d = np.zeros(n)
+        terms = _draw_terms(w, w_star)
         for _ in range(draws):
             x = rng.standard_normal((j_rows, n))
-            acc_v += finite_sample_value_gradient(x, w, w_star)
-            acc_d += finite_sample_derivative_gradient(x, w, w_star)
+            acc_v += finite_sample_value_gradient(x, w, w_star, terms=terms)
+            acc_d += finite_sample_derivative_gradient(x, w, w_star, terms=terms)
         for acc, closed in zip((acc_v, acc_d), _gradients(w, _target(w_star, 1.0))):
             worst = max(worst, float(np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)))
     add("population_gradient_mc_rel", worst, 0.02, worst <= 0.02)

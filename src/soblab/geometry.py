@@ -3,7 +3,7 @@
 Clouds are irregular sets of points with one scalar sample per point.
 Neighbor queries are exact Euclidean KNN backed by a KD-tree, with ties
 broken by ascending point index so that stencils are deterministic.
-knn_all queries every point at once: a KD-tree query for K + 1
+knn_all queries blocks of BLOCK_ROWS points: a KD-tree query for K + 1
 candidates, and a batched re-query with more candidates for only the
 rows whose K-th neighbor ties the last candidate (regular grids).  Rows
 already in (distance, index) order are read in place; only the finished
@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 
 # Relative slack when collecting tie candidates at the K-th distance.
 _TIE_SLACK = 1.0 + 1e-12
+# Rows per block of knn_all and estimate_derivatives; sets memory, not bits.
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,13 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, _tree=cKDTree(cloud.points))
 
 
+def row_blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_ROWS rows covering range(count)."""
+    return [slice(start, min(start + BLOCK_ROWS, count)) for start in range(0, count, BLOCK_ROWS)]
+
+
 def knn_all(index: SpatialIndex, k: int):
-    """KNN stencils for every cloud point at once.
+    """KNN stencils for every cloud point, in blocks of BLOCK_ROWS rows.
 
     Returns (indices, distances) of shape (J, k).  Row j holds the k
     nearest cloud points to point j, itself first (distance 0), sorted by
@@ -104,7 +111,7 @@ def knn_all(index: SpatialIndex, k: int):
     squared differences), so exact ties break by ascending index.  The
     first k of k + 1 tree candidates are exact unless the last
     candidate's tree distance ties the k-th distance: a tie may continue
-    past the candidates, so those rows alone are queried again, all
+    past the candidates, so those rows of a block alone are queried again,
     together, with 4x more extra candidates each round (k + 1, k + 4,
     k + 16, ...).  A row whose recomputed distances strictly increase is
     already in (distance, index) order and is read in place; the k-th
@@ -117,31 +124,32 @@ def knn_all(index: SpatialIndex, k: int):
         raise KTooLargeError(f"K={k} outside [1, {j}]")
     nbr = np.empty((j, k), dtype=np.intp)
     dist = np.empty((j, k))
-    pending = np.arange(j)
-    extra = 1
-    while pending.size:
-        kq = min(k + extra, j)
-        x = points[pending]
-        d_tree, cand = index._tree.query(x, k=kq)
-        d_tree = d_tree.reshape(-1, kq)
-        cand = cand.reshape(-1, kq)
-        diff = points[cand] - x[:, None, :]
-        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        del diff
-        ordered = (d[:, 1:] > d[:, :-1]).all(axis=1)
-        kth = d[:, k - 1].copy()
-        kth[~ordered] = np.partition(d[~ordered], k - 1, axis=1)[:, k - 1]
-        # Every point outside the candidates is at least the last
-        # candidate's tree distance away.
-        done = d_tree[:, -1] > kth * _TIE_SLACK if kq < j else np.ones(len(x), bool)
-        fix = np.flatnonzero(done & ~ordered)
-        order = np.lexsort((cand[fix], d[fix]), axis=1)
-        cand[fix] = np.take_along_axis(cand[fix], order, axis=1)
-        d[fix] = np.take_along_axis(d[fix], order, axis=1)
-        nbr[pending[done]] = cand[done, :k]
-        dist[pending[done]] = d[done, :k]
-        pending = pending[~done]
-        extra *= 4
+    for rows in row_blocks(j):
+        pending = np.arange(rows.start, rows.stop)
+        extra = 1
+        while pending.size:
+            kq = min(k + extra, j)
+            x = points[pending]
+            d_tree, cand = index._tree.query(x, k=kq)
+            d_tree = d_tree.reshape(-1, kq)
+            cand = cand.reshape(-1, kq)
+            diff = points[cand] - x[:, None, :]
+            d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+            del diff
+            ordered = (d[:, 1:] > d[:, :-1]).all(axis=1)
+            kth = d[:, k - 1].copy()
+            kth[~ordered] = np.partition(d[~ordered], k - 1, axis=1)[:, k - 1]
+            # Every point outside the candidates is at least the last
+            # candidate's tree distance away.
+            done = d_tree[:, -1] > kth * _TIE_SLACK if kq < j else np.ones(len(x), bool)
+            fix = np.flatnonzero(done & ~ordered)
+            order = np.lexsort((cand[fix], d[fix]), axis=1)
+            cand[fix] = np.take_along_axis(cand[fix], order, axis=1)
+            d[fix] = np.take_along_axis(d[fix], order, axis=1)
+            nbr[pending[done]] = cand[done, :k]
+            dist[pending[done]] = d[done, :k]
+            pending = pending[~done]
+            extra *= 4
     return nbr, dist
 
 

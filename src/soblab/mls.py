@@ -13,11 +13,13 @@ cfg) forms those matrices once per geometry (KNN, weights, basis, normal
 matrices, the flags and the per-stencil inverse), and
 MlsPlan.apply(values) maps one or many value vectors on those points to
 coefficients with two batched matrix products and no solve.
-estimate_derivatives is plan-then-apply.  The condition checks behind
-the flags and the refinement come from bounds (the ridge bounds the
-condition number; the Frobenius norms of each matrix and its inverse
-bound it within a factor I), and eigvalsh runs only on the stencils
-those bounds leave undecided.
+estimate_derivatives runs the KNN once (the global support radius needs
+every distance), then plans and applies the fits in blocks of
+geometry.BLOCK_ROWS rows, so its memory grows with a block, not the
+cloud.  The condition checks behind the flags and the refinement come
+from bounds (the ridge bounds the condition number; the Frobenius norms
+of each matrix and its inverse bound it within a factor I), and eigvalsh
+runs only on the stencils those bounds leave undecided.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     OrderTooHighError,
     SingularNormalMatrixError,
 )
-from .geometry import PointCloud, SpatialIndex, build_index, knn_all
+from .geometry import PointCloud, SpatialIndex, build_index, knn_all, row_blocks
 
 # Stencils whose (scaled) normal matrix is worse conditioned than this fall
 # back to a truncated pseudo-inverse and are flagged in the output.
@@ -220,9 +222,8 @@ class MlsPlan:
     toward it precomposed (the truncated pseudo-inverse on flagged rows),
     divided by scale ** |alpha|.  Whether a row is flagged or refined is
     decided from condition bounds, with eigvalsh only where they cannot
-    (see _normal_inverse).  normal holds the unregularized normal
-    matrices E in stencil-scaled coordinates; h is the largest nearest
-    non-self neighbor distance.
+    (see _normal_inverse).  h is the largest nearest non-self neighbor
+    distance.
     """
 
     neighbors: np.ndarray
@@ -230,7 +231,6 @@ class MlsPlan:
     h: float
     support_radius: float
     flagged: np.ndarray
-    normal: np.ndarray = field(repr=False)
     _weighted_basis: np.ndarray = field(repr=False)  # (R, I, K): w_k b_i(x_k)
     _operator: np.ndarray = field(repr=False)  # (R, I, I)
 
@@ -256,36 +256,37 @@ def mls_plan(points, cfg: MlsConfig) -> MlsPlan:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cloud = PointCloud(points=points, values=np.zeros(points.shape[0]))
-    return _cloud_plan(build_index(cloud), cfg)
+    return _plan_rows(cloud.points, _stencils(build_index(cloud), cfg), slice(None), cfg)
 
 
-def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
-    """KNN stencils at every cloud point, then the operators of their fits.
-
-    The support radius is global, weight_margin times the largest
-    neighbor distance over all stencils; with per_point_support each
-    stencil uses its own radius instead.
-    """
-    points = index.cloud.points
-    cfg.validate(points.shape[1])
+def _stencils(index: SpatialIndex, cfg: MlsConfig):
+    """KNN stencils (J, K) at every cloud point, their distances, each
+    row's support radius (J,), the spacing h and the largest radius.  The
+    radius is weight_margin times the largest neighbor distance, over all
+    stencils, or over each stencil's own with per_point_support."""
+    cfg.validate(index.cloud.dim)
     nbr, dist = knn_all(index, cfg.k)
     if cfg.per_point_support:
         d_support = cfg.weight_margin * dist.max(axis=1)
         d_support[d_support == 0.0] = 1.0  # single-point cloud, constant fit
-        support_radius = float(d_support.max())
     else:
-        support_radius = cfg.weight_margin * float(dist.max())
-        if support_radius == 0.0:
-            support_radius = 1.0
-        d_support = support_radius
-    w = weight(dist, np.reshape(d_support, (-1, 1)))
+        d_support = np.full(len(dist), cfg.weight_margin * float(dist.max()) or 1.0)
+    h = float(dist[:, 1].max()) if cfg.k >= 2 else float("nan")
+    return nbr, dist, d_support, h, float(d_support.max())
 
+
+def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig) -> MlsPlan:
+    """The plan of the fits at points[rows]: weights, basis, normal
+    matrices, their inverses and the scale undo, each row on its own."""
+    nbr, dist, d_support, h, support_radius = stencils
+    nbr, dist = nbr[rows], dist[rows]
+    w = weight(dist, d_support[rows, None])
     indices = enumerate_multi_indices(points.shape[1], cfg.m)
     # Scale each stencil to the unit ball before forming the normal matrix;
     # the raw basis has entries ~ h^|alpha| and is needlessly ill conditioned.
     scale = dist.max(axis=1)
     scale[scale == 0.0] = 1.0
-    b = _basis_matrix((points[nbr] - points[:, None, :]) / scale[:, None, None], indices)
+    b = _basis_matrix((points[nbr] - points[rows, None, :]) / scale[:, None, None], indices)
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
     del b  # the largest temporary; the operator is built after it is freed
@@ -293,17 +294,7 @@ def _cloud_plan(index: SpatialIndex, cfg: MlsConfig) -> MlsPlan:
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
     operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
-
-    return MlsPlan(
-        neighbors=nbr,
-        multi_indices=tuple(indices),
-        h=float(dist[:, 1].max()) if cfg.k >= 2 else float("nan"),
-        support_radius=support_radius,
-        flagged=flagged,
-        normal=e,
-        _weighted_basis=wb,
-        _operator=operator,
-    )
+    return MlsPlan(nbr, tuple(indices), h, support_radius, flagged, wb, operator)
 
 
 def _normal_inverse(e: np.ndarray, ridge: float, k: int):
@@ -400,18 +391,18 @@ def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
 
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig) -> JetField:
-    """Order-m jets at every cloud point (Algorithm: KNN + local fits),
-    as one plan applied to the cloud's values."""
-    plan = _cloud_plan(build_index(cloud), cfg)
-    return JetField(
-        points=cloud.points,
-        coefficients=plan.apply(cloud.values),
-        multi_indices=plan.multi_indices,
-        order=cfg.m,
-        h=plan.h,
-        support_radius=plan.support_radius,
-        flagged=plan.flagged,
-    )
+    """Order-m jets at every cloud point (Algorithm: KNN + local fits):
+    one KNN pass, then mls_plan's fits planned and applied in blocks of
+    geometry.BLOCK_ROWS rows, with the same jets bit for bit."""
+    stencils = _stencils(build_index(cloud), cfg)
+    coefficients = np.empty((cloud.size, basis_size(cloud.dim, cfg.m)))
+    flagged = np.empty(cloud.size, dtype=bool)
+    for rows in row_blocks(cloud.size):
+        plan = _plan_rows(cloud.points, stencils, rows, cfg)
+        coefficients[rows] = plan.apply(cloud.values)
+        flagged[rows] = plan.flagged
+    return JetField(cloud.points, coefficients, plan.multi_indices, cfg.m, plan.h,
+                    plan.support_radius, flagged)
 
 
 class AnalyticFunction:

@@ -16,6 +16,7 @@ initial one, each epoch's end); the next epoch's first step reuses its rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,8 +45,10 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"--learning-rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.der_weight) and self.der_weight >= 0):
+            raise ConfigError(f"--der-weight must be finite and >= 0, got {self.der_weight}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1 or None, got {self.batch_size}")
         if min((self.rank, *self.hidden)) < 1:

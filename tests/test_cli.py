@@ -387,6 +387,21 @@ def test_train_settings_that_train_nothing_exit_3(tmp_path, capsys, flags):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--learning-rate", v) for v in ("nan", "inf", "0", "-1")]
+    + [("--der-weight", v) for v in ("nan", "inf", "-1")],
+)
+def test_train_bad_rate_or_weight_exits_3_naming_the_flag(tmp_path, capsys, flag, value):
+    # a negative --der-weight would ascend the derivative loss; the others
+    # ran to a non-finite loss (exit 4) or failed unnamed
+    out = tmp_path / "t"
+    assert run_cli("--out-dir", out, "train", *TRAIN_FAST, flag, value) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"soblab: configuration error: {flag} ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
+
+
 def test_train_ordinary_on_unreliable_task_runs(tmp_path):
     code = run_cli(
         "--out-dir", tmp_path / "o", "train", "--task", "discontinuous_inverse",
@@ -666,6 +681,26 @@ def test_memory_error_is_a_one_line_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli.RUNNERS, "landscape", fail)
     assert run_cli("--out-dir", tmp_path, "landscape") == 3
     assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
+
+
+def test_out_dir_naming_a_file_is_a_one_line_config_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    assert run_cli("--out-dir", tmp_path / "taken", "landscape") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("soblab: configuration error: cannot use --out-dir") and err.count("\n") == 1
+
+
+def test_empty_derivs_out_is_a_one_line_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, "derivs", "--input", grid_csv(tmp_path), "--out", "") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("soblab: configuration error: cannot write output") and err.count("\n") == 1
+    assert os.listdir(out) == []  # no temporary file is left behind
+
+
+def test_derivs_input_directory_is_a_one_line_input_error(tmp_path, capsys):
+    assert run_cli("--out-dir", tmp_path / "o", "derivs", "--input", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("soblab: input error: ")
 
 
 def test_no_command_is_config_error():

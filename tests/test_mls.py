@@ -11,6 +11,7 @@ from soblab.errors import (
 from soblab.geometry import PointCloud
 from soblab.mls import (
     MlsConfig,
+    _basis_matrix,
     basis_size,
     convergence_study,
     derivative_at,
@@ -185,10 +186,16 @@ def test_translation_equivariance():
 
 
 def test_normal_matrix_symmetric_psd():
+    # E = B^T W B per stencil: the plan's weighted basis W B, transposed,
+    # times the basis B of its stencils in stencil-scaled coordinates
     rng = np.random.default_rng(8)
     for _ in range(20):
-        plan = mls_plan(rng.normal(size=(12, 2)), MlsConfig(k=12, m=2))
-        for e in plan.normal:
+        pts = rng.normal(size=(12, 2))
+        plan = mls_plan(pts, MlsConfig(k=12, m=2))
+        diffs = pts[plan.neighbors] - pts[:, None, :]
+        scale = np.linalg.norm(diffs, axis=2).max(axis=1)
+        b = _basis_matrix(diffs / scale[:, None, None], plan.multi_indices)
+        for e in plan._weighted_basis @ b:
             np.testing.assert_allclose(e, e.T, atol=1e-12)
             assert np.linalg.eigvalsh(e).min() >= -1e-12
 
