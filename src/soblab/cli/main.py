@@ -126,6 +126,8 @@ def _parse_list(value, kind):
 
 
 def run_derivs(config, out_dir, seed):
+    if not os.path.basename(config["out"]):  # before the cloud is read and fitted
+        raise ConfigError(f"--out must name a file, got {config['out']!r}")
     cloud = load_cloud_csv(config["input"])
     cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
     jet = mls.estimate_derivatives(cloud, cfg)
@@ -185,13 +187,14 @@ def _flow_start(dim, theta0, ratio0):
     for flag, value in (("--theta0", theta0), ("--ratio0", ratio0)):
         if not math.isfinite(value):
             raise ConfigError(f"flow needs a finite {flag}, got {value}")
+    x, y = ratio0 * math.cos(theta0), ratio0 * math.sin(theta0)
+    if not 0.0 < x * x + y * y < math.inf:  # Python floats: no overflow or underflow warning
+        raise ConfigError(
+            f"flow needs a --ratio0 whose square is positive and finite, got {ratio0}")
     w_star = np.zeros(dim)
     w_star[0] = 1.0
     w0 = np.zeros(dim)
-    w0[0] = ratio0 * math.cos(theta0)
-    w0[1] = ratio0 * math.sin(theta0)
-    if not (w0 * w0).any():  # also a tiny --ratio0 whose square underflows to 0
-        raise ConfigError(f"flow needs a --ratio0 whose square is not 0, got {ratio0}")
+    w0[:2] = x, y
     return w0, w_star
 
 
@@ -241,6 +244,10 @@ def run_landscape(config, out_dir, seed):
     x_max = float(config["x_max"])
     if not math.isfinite(x_max):
         raise ConfigError("grids must be finite")
+    # every ratio in [1e-150, 1e75]: below, the squares of the planar
+    # coordinates underflow; above, the rates overflow
+    if not 1e-150 * x_steps <= x_max <= 1e75:
+        raise ConfigError(f"--x-max must lie in [{1e-150 * x_steps:.6g}, 1e75], got {x_max}")
     thetas = np.linspace(0.0, math.pi, steps + 2)[1:-1]
     ratios = np.linspace(0.0, x_max, x_steps + 1)[1:]
     table = convlab.descent_landscape(thetas, ratios)

@@ -10,14 +10,15 @@ convergence argument rests on, and cross-checks everything against
 Monte-Carlo sampling.
 
 Both gradients are combinations of w and the target w*, so they are
-written once on two scalar coordinates in the plane of w and w*, and a
-flow integrates each row on its two coordinates.  The planar body and
-the RK4 loop run over a small backend: (B,) arrays for bundles, grids
-and the public gradient functions, and Python floats for a single flow
-start, with the same operations in the same order, so both give the
-same bits.  The backend also carries the constants, as 0-d arrays on the
-array side: a ufunc on (B,) arrays costs mostly dispatch, and converting a
-Python-float operand on every call adds about half.  The loop integrates
+written once on two scalar coordinates in the plane of w and w*:
+flow_gradients embeds both pairs back in n-D, and a flow integrates each
+row on its two coordinates.  The planar body and the RK4 loop run over a
+small backend: (B,) arrays for bundles, grids and flow_gradients, and
+Python floats for a single flow start, with the same operations in the
+same order, so both give the same bits.  The backend also carries the
+constants, as 0-d arrays on the array side: a ufunc on (B,) arrays costs
+mostly dispatch, and converting a Python-float operand on every call adds
+about half.  The loop integrates
 the gradient g, with slopes -g.
 """
 
@@ -49,6 +50,11 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+# a flow's angle stays in [_THETA_CLAMP, pi - _THETA_CLAMP], off the kinks at 0 and pi
+_THETA_CLAMP = 1e-8
+_MC_CHUNK = 200_000  # Monte-Carlo draws per block
+# sample_basin's starts lie within this fraction of |w*| of w*
+_BASIN_RADIUS = 0.999
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +176,6 @@ def quadrant_prob(rho) -> float:
 # population gradients of the two losses
 # ---------------------------------------------------------------------------
 
-def _mu_factor(mu) -> float:
-    mu = np.asarray(mu, dtype=float)
-    if mu.size == 0:
-        raise ConfigError("amplitude list must be nonempty")
-    if not np.isfinite(mu).all():
-        raise ConfigError(f"amplitudes must be finite, got {mu.tolist()}")
-    return float(np.mean(np.abs(mu) ** 2))
-
-
 class _Target(NamedTuple):
     """The target-only constants of _planar_gradients, computed once."""
 
@@ -186,25 +183,17 @@ class _Target(NamedTuple):
     unit: np.ndarray  # w*/|w*|, the first axis of every row's plane
     norm: float  # |w*|, the target's coordinate along unit
     amp: float  # amp* = |w*|^2 / 2
-    mu_fac: float | None  # None for 1.0: x * 1.0 is x, so no product is formed
-    clamp: tuple[float, float] | None  # (theta_clamp, pi - theta_clamp)
+    clamp: tuple[float, float] | None  # the angle range of a flow, None elsewhere
 
     def on(self, bk):
         """This target with its scalars as constants of backend bk."""
-        mu_fac, clamp = self.mu_fac, self.clamp and tuple(map(bk.const, self.clamp))
-        return self._replace(norm=bk.const(self.norm), amp=bk.const(self.amp), clamp=clamp,
-                             mu_fac=None if mu_fac is None else bk.const(mu_fac))
+        clamp = self.clamp and tuple(map(bk.const, self.clamp))
+        return self._replace(norm=bk.const(self.norm), amp=bk.const(self.amp), clamp=clamp)
 
 
-def _target(w_star, mu_fac, theta_clamp=0.0) -> _Target:
+def _target(w_star, clamp=None) -> _Target:
     nws = float(_norm(w_star))
-    clamp = (theta_clamp, math.pi - theta_clamp) if theta_clamp > 0.0 else None
-    mu_fac = None if mu_fac == 1.0 else mu_fac
-    return _Target(w_star, w_star / nws, nws, 0.5 * nws * nws, mu_fac, clamp)
-
-
-def _scaled(mu_fac, x, y):
-    return (x, y) if mu_fac is None else (mu_fac * x, mu_fac * y)
+    return _Target(w_star, w_star / nws, nws, 0.5 * nws * nws, clamp)
 
 
 def _planar_gradients(a, b, target, der=True, bk=_Arrays):
@@ -215,7 +204,7 @@ def _planar_gradients(a, b, target, der=True, bk=_Arrays):
     on the two in-plane components, in the same order.  With der=False the
     derivative term is skipped and returned as None.
     """
-    nws, amp_star, mu_fac = target.norm, target.amp, target.mu_fac
+    nws, amp_star = target.norm, target.amp
     nw = bk.sqrt(a * a + b * b)
     scale = nw * nws
     t = bk.arccos(bk.clip(a * nws / scale, bk.neg_one, bk.one))
@@ -232,14 +221,14 @@ def _planar_gradients(a, b, target, der=True, bk=_Arrays):
     ia = half_amp * a - amp_star * ca
     ib = half_amp * b - amp_star * cb
     s = a * ia + b * ib
-    g_val = _scaled(mu_fac, amp * ia + ca * s, amp * ib + cb * s)
+    g_val = amp * ia + ca * s, amp * ib + cb * s
     if not der:
         return g_val, None
     cw = ca * a + cb * b
     cws = ca * nws
     alpha = half_amp * amp + half_amp * cw - amp * p1 * cws
     beta = amp * amp_star * p1
-    return g_val, _scaled(mu_fac, alpha * a - beta * nws, alpha * b)
+    return g_val, (alpha * a - beta * nws, alpha * b)
 
 
 def _project(w, target):
@@ -259,56 +248,45 @@ def _embed(a, b, e_b, target):
     return a[..., None] * target.unit + b[..., None] * e_b + 0.0
 
 
-def _gradients(w, target, der=True):
-    """Population gradients (value, derivative) at rows w (..., n)."""
-    a, b, e_b = _project(w, target)
-    g_val, g_der = _planar_gradients(a, b, target, der)
-    return _embed(*g_val, e_b, target), None if g_der is None else _embed(*g_der, e_b, target)
+def flow_gradients(w, w_star):
+    """Closed-form expectations over queries of the value-loss and the
+    derivative-loss gradients at rows w (..., n): (g_value, g_der).
 
-
-def value_flow_gradient(w, w_star, mu=(1.0,)):
-    """Closed-form expectation over queries of the value-loss gradient.
-
-    Assembled as (amp * I + corr w^T)(amp * corr_self - amp* * corr_star)
-    averaged over the squared input amplitudes; vanishes exactly at
-    w = w_star.  Raises ConfigError for an empty or non-finite mu.
+    The value gradient is (amp * I + corr w^T)(amp * corr_self - amp* *
+    corr_star); both vanish exactly at w = w_star.
     """
     w, w_star = _check_nonzero(w, w_star)
-    return _gradients(w, _target(w_star, _mu_factor(mu)), der=False)[0]
+    target = _target(w_star)
+    a, b, e_b = _project(w, target)
+    return tuple(_embed(*g, e_b, target) for g in _planar_gradients(a, b, target))
 
 
-def derivative_flow_gradient(w, w_star, mu=(1.0,)):
-    """Closed-form expectation over queries of the derivative-loss gradient."""
-    w, w_star = _check_nonzero(w, w_star)
-    return _gradients(w, _target(w_star, _mu_factor(mu)))[1]
-
-
-def _draw_terms(w, w_star, mu=(1.0,)):
+def _draw_terms(w, w_star):
     """The terms of the finite-sample gradients that no draw changes:
-    (w, w*, w_hat, amp, amp*, gated_correlation(w_hat, w*), mu factor)."""
+    (w, w*, w_hat, amp, amp*, gated_correlation(w_hat, w*))."""
     w, w_star = _check_nonzero(w, w_star)
     w_hat = w / _norm(w)
     amp, amp_star = effective_amplitude(w, w_star), effective_amplitude(w_star, w_star)
-    return w, w_star, w_hat, amp, amp_star, gated_correlation(w_hat, w_star), _mu_factor(mu)
+    return w, w_star, w_hat, amp, amp_star, gated_correlation(w_hat, w_star)
 
 
-def finite_sample_value_gradient(x_rows, w, w_star, mu=(1.0,), terms=None):
+def finite_sample_value_gradient(x_rows, w, w_star, terms=None):
     """Per-draw value-loss gradient with the query average left empirical.
 
-    Averaging this over fresh Gaussian draws converges to
-    value_flow_gradient; used as the Monte-Carlo oracle.  terms, if
-    given, is _draw_terms(w, w_star, mu), computed once for many draws.
+    Averaging this over fresh Gaussian draws converges to the value
+    gradient of flow_gradients; used as the Monte-Carlo oracle.  terms,
+    if given, is _draw_terms(w, w_star), computed once for many draws.
     """
-    w, w_star, w_hat, amp, amp_star, corr_star, mu_fac = terms or _draw_terms(w, w_star, mu)
+    w, w_star, w_hat, amp, amp_star, corr_star = terms or _draw_terms(w, w_star)
     f_self = gated_correlation_sum(x_rows, w_hat, w)
     f_star = gated_correlation_sum(x_rows, w_hat, w_star)
     inner = amp * f_self - amp_star * f_star
-    return mu_fac * (amp * inner + corr_star * float(w @ inner)) / x_rows.shape[0]
+    return (amp * inner + corr_star * float(w @ inner)) / x_rows.shape[0]
 
 
-def finite_sample_derivative_gradient(x_rows, w, w_star, mu=(1.0,), terms=None):
+def finite_sample_derivative_gradient(x_rows, w, w_star, terms=None):
     """Per-draw derivative-loss gradient with empirical activation gates."""
-    w, w_star, _, amp, amp_star, corr_star, mu_fac = terms or _draw_terms(w, w_star, mu)
+    w, w_star, _, amp, amp_star, corr_star = terms or _draw_terms(w, w_star)
     gate_w = (x_rows @ w > 0)
     gate_both = gate_w & (x_rows @ w_star > 0)
     n_w = float(np.count_nonzero(gate_w))
@@ -319,7 +297,7 @@ def finite_sample_derivative_gradient(x_rows, w, w_star, mu=(1.0,), terms=None):
         - amp * amp_star * n_both * w_star
         - amp * n_both * float(corr_star @ w_star) * w
     )
-    return mu_fac * term / x_rows.shape[0]
+    return term / x_rows.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +437,20 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     recorded every record_every steps and at the last step, weights[:, 0]
     being the starts w.  The step guard raises at the first step at which
     any row trips it.  A single row runs on Python floats, a bundle on
-    (B,) arrays.
+    (B,) arrays.  The record table is allocated before the first step, so
+    a grid too large to record fails at once.
     """
     n_steps, stride = _flow_grid(dt, t_final, record_every)
+    # (a, b, ga, gb) at steps 0, stride, 2 stride, ... and n_steps: (S, 4, B)
+    try:
+        table = rec = np.empty((-(-n_steps // stride) + 1, 4, len(w)))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"{n_steps:.6g} steps recorded every {stride} are too many "
+                          "to record; reduce t_final / dt or raise record_every") from None
     der = bool(np.any(sob))
     a, b, e_b = _project(w, target)
     if len(w) == 1:
-        bk, a, b, sob = _Floats, float(a[0]), float(b[0]), bool(sob[0])
+        bk, a, b, sob, rec = _Floats, float(a[0]), float(b[0]), bool(sob[0]), table[..., 0]
     else:
         bk = _Arrays
     target, floor = target.on(bk), (1e-9 * target.norm) ** 2
@@ -485,7 +470,7 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     ga, gb = rhs(a, b)
     # the gradient g, not the slope -g: x + h * (-g) rounds as x - h * g, and
     # dw/dt at a recorded step is the next step's k1 = -g1
-    steps, records = [0], [(a, b, ga, gb)]
+    rec[0], row = (a, b, ga, gb), 1
     for step in range(1, n_steps + 1):
         ga2, gb2 = rhs(a - h2 * ga, b - h2 * gb)
         ga3, gb3 = rhs(a - h2 * ga2, b - h2 * gb2)
@@ -508,27 +493,24 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
         d2 = d2_new
         ga, gb = rhs(a, b)
         if step % stride == 0 or step == n_steps:
-            steps.append(step)
-            records.append((a, b, ga, gb))
-    # (S, 4) floats or (S, 4, B) arrays -> four (B, S) coordinate tables
-    a, b, ga, gb = np.reshape(records, (len(steps), 4, -1)).transpose(1, 2, 0)
+            rec[row], row = (a, b, ga, gb), row + 1
+    a, b, ga, gb = table.transpose(1, 2, 0)  # four (B, S) coordinate tables
     e_b = e_b[:, None]
     weights = _embed(a, b, e_b, target)
     weights[:, 0] = w
     diff = weights - target.w_star
     # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
     ddt = 2.0 * np.sum(diff * _embed(-ga, -gb, e_b, target), axis=-1)
-    return np.asarray(steps) * dt, weights, np.sum(diff * diff, axis=-1), ddt
+    steps = np.minimum(np.arange(len(table)) * stride, n_steps)
+    return steps * dt, weights, np.sum(diff * diff, axis=-1), ddt
 
 
 def integrate_flow_batch(
     w0_batch,
     w_star,
-    mu=(1.0,),
     dt=1e-3,
     t_final=10.0,
     mode="L2",
-    theta_clamp=1e-8,
     record_every=1,
     allow_outside_basin=False,
 ) -> FlowTrajectory:
@@ -536,16 +518,17 @@ def integrate_flow_batch(
     start in w0_batch ((n,) or (B, n)) as the rows of one array.
 
     mode is "L2" (value loss only) or "Sob" (value plus derivative loss),
-    one mode for all rows or a sequence of one mode per row.  theta_clamp,
-    in [0, pi/2), keeps the angle away from the kinks at 0 and pi.
-    Samples are taken every record_every steps and at the last step.
+    one mode for all rows or a sequence of one mode per row.  The angle
+    is clamped to [_THETA_CLAMP, pi - _THETA_CLAMP], away from the kinks
+    at 0 and pi.  Samples are taken every record_every steps and at the
+    last step.
 
     Raises ZeroVectorError for a zero target or start, ConfigError for a
     non-finite one, DimMismatchError when the starts, the target and the
     modes disagree in shape or count, ConfigError for an empty mode list,
-    an empty or non-finite mu, a theta_clamp outside [0, pi/2), a start
-    outside the basin |w - w_star| < |w_star| (unless allow_outside_basin)
-    or a bad grid, and StepTooLargeError,
+    a start outside the basin |w - w_star| < |w_star| (unless
+    allow_outside_basin), a bad grid or one with too many records to
+    allocate, and StepTooLargeError,
     naming the first step at which any row trips it, when in a single step
     a squared distance grows by more than 21% (distance by 10%) or the RK4
     increment differs from the Euler increment dt * k1 by more than half
@@ -572,12 +555,9 @@ def integrate_flow_batch(
             "initialization outside the basin |w - w_star| < |w_star|; "
             "set allow_outside_basin to integrate anyway"
         )
-    if not 0.0 <= theta_clamp < 0.5 * math.pi:
-        raise ConfigError(f"theta_clamp must lie in [0, pi/2), got {theta_clamp}")
     sob = np.array([_is_sob(m) for m in modes], dtype=bool)
-    times, weights, dist2, ddt = _rk4_flow(
-        w, _target(w_star, _mu_factor(mu), theta_clamp), sob, dt, t_final, record_every
-    )
+    target = _target(w_star, (_THETA_CLAMP, math.pi - _THETA_CLAMP))
+    times, weights, dist2, ddt = _rk4_flow(w, target, sob, dt, t_final, record_every)
     return FlowTrajectory(times, weights, dist2, ddt, tuple(modes))
 
 
@@ -631,7 +611,7 @@ def descent_landscape(theta_grid, ratio_grid, w_star_norm=1.0) -> LandscapeTable
     if not (math.isfinite(nws) and nws > 0.0):
         raise OutOfDomainError(f"|w_star| must be finite and positive, got {nws}")
 
-    target = _target(np.array([nws]), 1.0)
+    target = _target(np.array([nws]))
     tt, xx = np.meshgrid(theta_grid, ratio_grid, indexing="ij")
     a = xx * nws * np.cos(tt)
     b = xx * nws * np.sin(tt)
@@ -655,7 +635,7 @@ def descent_landscape(theta_grid, ratio_grid, w_star_norm=1.0) -> LandscapeTable
 # Monte-Carlo cross checks and the validation suite
 # ---------------------------------------------------------------------------
 
-def mc_gated_correlation(e, w, draws, seed=0, chunk=200_000):
+def mc_gated_correlation(e, w, draws, seed=0):
     """Empirical mean and standard error of the per-row gated correlation."""
     e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -665,7 +645,7 @@ def mc_gated_correlation(e, w, draws, seed=0, chunk=200_000):
     total_sq = np.zeros(n)
     done = 0
     while done < draws:
-        m = int(min(chunk, draws - done))
+        m = int(min(_MC_CHUNK, draws - done))
         x = rng.standard_normal((m, n))
         xw = x @ w
         gate = (x @ e > 0) & (xw > 0)
@@ -698,13 +678,13 @@ def mc_quadrant_prob(rho, draws, seed=0):
     return float(np.mean((z1 > 0) & (y > 0)))
 
 
-def sample_basin(w_star, count, rng, theta_range=None, radius_limit=0.999):
+def sample_basin(w_star, count, rng, theta_range=None):
     """Random starts strictly inside the basin |w - w_star| < |w_star|.
 
     With theta_range, rejection-samples until the angle to w_star lies
-    in the given open interval, which must meet (0, asin(radius_limit)).
+    in the given open interval, which must meet (0, asin(_BASIN_RADIUS)).
     """
-    reach = math.asin(min(radius_limit, 1.0))
+    reach = math.asin(_BASIN_RADIUS)
     if theta_range is not None and not theta_range[0] < min(theta_range[1], reach):
         raise ConfigError(f"theta_range {theta_range} misses the angles (0, {reach:.6g})")
     w_star = np.asarray(w_star, dtype=float)
@@ -715,7 +695,7 @@ def sample_basin(w_star, count, rng, theta_range=None, radius_limit=0.999):
     while got < count:
         direction = rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
-        radius = radius_limit * nws * rng.random() ** (1.0 / n)
+        radius = _BASIN_RADIUS * nws * rng.random() ** (1.0 / n)
         w = w_star + radius * direction
         if theta_range is not None:
             t = angle_between(w, w_star)
@@ -803,7 +783,7 @@ def validation_suite(seed=0, full=False):
             x = rng.standard_normal((j_rows, n))
             acc_v += finite_sample_value_gradient(x, w, w_star, terms=terms)
             acc_d += finite_sample_derivative_gradient(x, w, w_star, terms=terms)
-        for acc, closed in zip((acc_v, acc_d), _gradients(w, _target(w_star, 1.0))):
+        for acc, closed in zip((acc_v, acc_d), flow_gradients(w, w_star)):
             worst = max(worst, float(np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)))
     add("population_gradient_mc_rel", worst, 0.02, worst <= 0.02)
 

@@ -46,6 +46,8 @@ _COND_LIMIT = 1e12
 # ridge is doing real stabilization work and must be left in place.
 _REFINE_COND_LIMIT = 1e8
 _PINV_CUTOFF = 1e-12
+# The support radius is this factor times the largest neighbor distance.
+_WEIGHT_MARGIN = 1.1
 
 
 def enumerate_multi_indices(n: int, m: int) -> list[tuple[int, ...]]:
@@ -109,23 +111,19 @@ class MlsConfig:
     """Stencil parameters for the local fits.
 
     k: neighbor count (self included); m: polynomial order;
-    weight_margin: support radius inflation over the largest neighbor
-    distance; ridge: relative Tikhonov regularizer on the normal matrix;
+    ridge: relative Tikhonov regularizer on the normal matrix;
     per_point_support: use a per-stencil support radius instead of the
     global one (for strongly graded meshes).
     """
 
     k: int = 20
     m: int = 2
-    weight_margin: float = 1.1
     ridge: float = 1e-10
     per_point_support: bool = False
 
     def validate(self, dim: int) -> None:
         if self.m < 1 and not (self.m == 0 and self.k >= 1):
             raise ConfigError(f"polynomial order must be >= 1 (or 0 with K >= 1), got m={self.m}")
-        if self.weight_margin <= 1.0:
-            raise ConfigError(f"weight_margin must exceed 1, got {self.weight_margin}")
         if self.ridge < 0:
             raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
         needed = basis_size(dim, self.m)
@@ -169,16 +167,6 @@ class JetField:
             raise OrderTooHighError(
                 f"multi-index {tuple(alpha)} not in the order-{self.order} jet"
             ) from None
-
-
-def derivative_at(jet: JetField, j: int, alpha) -> float:
-    """Derivative estimate D^alpha u(x_j) = alpha! * c_{j, alpha}."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != jet.dim:
-        raise OrderTooHighError(f"multi-index {alpha} has wrong length for dim {jet.dim}")
-    if sum(alpha) > jet.order:
-        raise OrderTooHighError(f"|alpha|={sum(alpha)} exceeds fitted order m={jet.order}")
-    return multi_index_factorial(alpha) * float(jet.coefficients[j, jet.index_of(alpha)])
 
 
 def derivative_field(jet: JetField, alpha) -> np.ndarray:
@@ -262,15 +250,15 @@ def mls_plan(points, cfg: MlsConfig) -> MlsPlan:
 def _stencils(index: SpatialIndex, cfg: MlsConfig):
     """KNN stencils (J, K) at every cloud point, their distances, each
     row's support radius (J,), the spacing h and the largest radius.  The
-    radius is weight_margin times the largest neighbor distance, over all
+    radius is _WEIGHT_MARGIN times the largest neighbor distance, over all
     stencils, or over each stencil's own with per_point_support."""
     cfg.validate(index.cloud.dim)
     nbr, dist = knn_all(index, cfg.k)
     if cfg.per_point_support:
-        d_support = cfg.weight_margin * dist.max(axis=1)
+        d_support = _WEIGHT_MARGIN * dist.max(axis=1)
         d_support[d_support == 0.0] = 1.0  # single-point cloud, constant fit
     else:
-        d_support = np.full(len(dist), cfg.weight_margin * float(dist.max()) or 1.0)
+        d_support = np.full(len(dist), _WEIGHT_MARGIN * float(dist.max()) or 1.0)
     h = float(dist[:, 1].max()) if cfg.k >= 2 else float("nan")
     return nbr, dist, d_support, h, float(d_support.max())
 

@@ -7,12 +7,7 @@ from .datasets import (  # noqa: F401
     mls_derivative_targets,
     synth_dataset,
 )
-from .losses import (  # noqa: F401
-    der_loss,
-    l2_loss,
-    pcgrad_merge,
-    relative_l2_error,
-)
+from .losses import pcgrad_merge, relative_l2_error  # noqa: F401
 from .loop import MODES, TrainConfig, TrainReport, train  # noqa: F401
 from .mlp import ReluMLP  # noqa: F401
 from .operator_net import (  # noqa: F401
@@ -20,6 +15,5 @@ from .operator_net import (  # noqa: F401
     ForwardState,
     OperatorNet,
     forward_state,
-    loss_and_grads,
     make_operator_net,
 )

@@ -134,8 +134,7 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     rng = np.random.default_rng(cfg.seed + 1)
     n_train = dataset.train_inputs.shape[0]
     batch_size = cfg.batch_size or n_train
-    full = Batch(dataset.train_inputs, dataset.query_points, dataset.train_targets,
-                 dataset.train_d_targets)
+    full = Batch(dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
 
     state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
     evaluation = evaluate_losses(state, full)
@@ -190,7 +189,7 @@ def _run_epochs(cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_
                 rows = [None if a is None else a[pick] for a in evaluation[:3]]
             else:
                 d_targets = None if mode == "ordinary" else dataset.train_d_targets[pick]
-                batch = Batch(inputs, dataset.query_points, dataset.train_targets[pick], d_targets)
+                batch = Batch(inputs, dataset.train_targets[pick], d_targets)
                 rows = evaluate_losses(state, batch)[:3]
             grads = loss_gradients(net, state, inputs, *rows, kinds)
             g_value = grads[0]

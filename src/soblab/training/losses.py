@@ -31,16 +31,6 @@ def mean_square(res) -> float:
     return float(np.add.reduce(res**2, axis=None) / res.size)  # np.mean without its dispatch
 
 
-def l2_loss(pred, target) -> float:
-    """Mean over samples of the per-sample mean squared value residual."""
-    return mean_square(residual(pred, target))
-
-
-def der_loss(pred_grad, target_grad) -> float:
-    """Mean squared derivative residual, averaged over the components too."""
-    return mean_square(residual(pred_grad, target_grad))
-
-
 def relative_l2_error(pred, target) -> float:
     """Mean over samples of ||pred_i - target_i||_2 / ||target_i||_2."""
     pred, target = _check_same_shape(pred, target)

@@ -79,11 +79,10 @@ def make_operator_net(
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch: sampled input functions, shared query points,
-    value targets and (optionally) derivative targets."""
+    """One training batch: sampled input functions, value targets and
+    (optionally) derivative targets at the forward state's query points."""
 
     inputs: np.ndarray        # (N, Jt)
-    queries: np.ndarray       # (J, n)
     targets: np.ndarray       # (N, J)
     d_targets: np.ndarray | None = None  # (N, J, n)
 
@@ -94,7 +93,6 @@ class ForwardState:
     query points and, when built with jvps, phi's JVPs along the n query
     axes as one stacked (outputs (n, J, rank), tangent cache)."""
 
-    queries: np.ndarray
     psi_out: np.ndarray
     psi_cache: tuple
     phi_out: np.ndarray
@@ -132,18 +130,15 @@ def forward_state(net: OperatorNet, queries, jvps: bool = True) -> ForwardState:
     if jvps:
         axes = np.eye(queries.shape[1])[:, None, :]  # tangent d is the unit vector e_d
         jvp = net.phi.jvp(phi_cache, np.repeat(axes, queries.shape[0], axis=1))
-    return ForwardState(queries, psi_out, psi_cache, phi_out, phi_cache, jvp)
+    return ForwardState(psi_out, psi_cache, phi_out, phi_cache, jvp)
 
 
 def evaluate_losses(state: ForwardState, batch: Batch):
     """(coeffs, res, d_res, value loss, derivative loss) of the batch at the state.
 
     res (N, J) and d_res (N, J, n) are the residuals; without derivative
-    targets d_res is None and the derivative loss NaN.  batch.queries
-    must be the state's.
+    targets d_res is None and the derivative loss NaN.
     """
-    if batch.queries is not state.queries and not np.array_equal(batch.queries, state.queries):
-        raise DimMismatchError("the batch's query points differ from the forward state's")
     coeffs = state.coefficients(batch.inputs)
     res = residual(state.values(coeffs), batch.targets)
     d_res = None if batch.d_targets is None else residual(state.gradients(coeffs), batch.d_targets)
@@ -179,9 +174,3 @@ def loss_gradients(net: OperatorNet, state: ForwardState, inputs, coeffs, res, d
             raise ValueError(f"loss kind must be 'l2' or 'der', got {kind!r}")
     psi_grads = net.psi.backward(state.psi_cache, inputs.T @ np.stack(d_coeffs) / inputs.shape[1])
     return [np.concatenate(pair) for pair in zip(phi_grads, psi_grads)]
-
-
-def loss_and_grads(net: OperatorNet, state: ForwardState, batch: Batch, kinds=()):
-    """(value loss, derivative loss, gradients of kinds) of the batch at the state."""
-    *rows, l2, der = evaluate_losses(state, batch)
-    return l2, der, loss_gradients(net, state, batch.inputs, *rows, kinds) if kinds else []

@@ -21,12 +21,12 @@ from soblab.training import (
     DatasetSizes,
     TrainConfig,
     forward_state,
-    loss_and_grads,
     make_operator_net,
     pcgrad_merge,
     synth_dataset,
     train,
 )
+from soblab.training.operator_net import evaluate_losses, loss_gradients
 
 
 def report(number, name, passed, detail, started):
@@ -185,22 +185,20 @@ def test_c08_backprop_vs_finite_differences():
     rng = np.random.default_rng(108)
     sensor_points = rng.random((10, 1))
     net = make_operator_net(2, sensor_points, rank=3, hidden=(10, 10), seed=108)
-    batch = Batch(
-        inputs=rng.normal(size=(4, 10)),
-        queries=rng.normal(size=(6, 2)),
-        targets=rng.normal(size=(4, 6)),
-        d_targets=rng.normal(size=(4, 6, 2)),
-    )
+    inputs, queries = rng.normal(size=(4, 10)), rng.normal(size=(6, 2))
+    batch = Batch(inputs, targets=rng.normal(size=(4, 6)), d_targets=rng.normal(size=(4, 6, 2)))
     worst = 0.0
     params = net.params.copy()
     step = 1e-6
 
+    # the two calls of a training step: evaluate_losses, then loss_gradients
     def loss(kind):
-        l2, der, _ = loss_and_grads(net, forward_state(net, batch.queries), batch)
+        l2, der = evaluate_losses(forward_state(net, queries), batch)[3:]
         return l2 if kind == "l2" else der
 
     for kind in ("l2", "der"):
-        (grad,) = loss_and_grads(net, forward_state(net, batch.queries), batch, (kind,))[2]
+        state = forward_state(net, queries)
+        (grad,) = loss_gradients(net, state, inputs, *evaluate_losses(state, batch)[:3], (kind,))
         coords = rng.choice(net.n_params, size=32, replace=False)
         for c in coords:
             net.params[c] = params[c] + step

@@ -217,18 +217,32 @@ def test_flow_both_modes_match_separate_runs_in_10_dimensions(tmp_path):
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / mode / name).read_bytes()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "flags",
     [
         ("--theta0", "nan"), ("--theta0", "inf"), ("--ratio0", "nan"), ("--ratio0", "inf"),
-        ("--ratio0", "0"), ("--ratio0", "1e-320"), ("--ratio0", "1e-200"),  # the last two square to 0
+        ("--ratio0", "0"), ("--ratio0", "1e-320"), ("--ratio0", "1e-200"),  # these two square to 0
+        ("--ratio0", "1e300"),  # and this one to inf
     ],
 )
 def test_flow_non_finite_start_exits_3(tmp_path, capsys, flags):
+    # a warning would fail this test: the one stderr line is the whole report
     out = tmp_path / "f"
     assert run_cli("--out-dir", out, "flow", *flags) == 3
     err = capsys.readouterr().err
-    assert "configuration error" in err and flags[0] in err
+    assert err.count("\n") == 1 and "configuration error" in err and flags[0] in err
+    assert not list(out.glob("trajectory_*.csv"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_flow_too_many_records_exits_3_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # 1e302 steps: the record table is refused before any step is taken
+    monkeypatch.setattr(cli.convlab, "_planar_gradients", None)  # a step would raise TypeError
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", "--T", "1e300") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too many to record" in err
     assert not list(out.glob("trajectory_*.csv"))
 
 
@@ -300,6 +314,18 @@ def test_landscape_non_finite_grid_exits_3(tmp_path, capsys, x_max):
     out = tmp_path / "l"
     assert run_cli("--out-dir", out, "landscape", "--x-max", x_max) == 3
     assert capsys.readouterr().err == "soblab: configuration error: grids must be finite\n"
+    assert not (out / "landscape.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x_max", ["1e-320", "1e300"])
+def test_landscape_x_max_whose_rates_are_undefined_exits_3(tmp_path, capsys, x_max):
+    # ratios that underflow when squared or overflow the rates would give
+    # nan or inf in every row, each marked defined
+    out = tmp_path / "l"
+    assert run_cli("--out-dir", out, "landscape", "--x-max", x_max) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("soblab: configuration error: --x-max ")
     assert not (out / "landscape.csv").exists()
 
 
@@ -691,11 +717,13 @@ def test_out_dir_naming_a_file_is_a_one_line_config_error(tmp_path, capsys):
 
 
 def test_empty_derivs_out_is_a_one_line_config_error(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert run_cli("--out-dir", out, "derivs", "--input", grid_csv(tmp_path), "--out", "") == 3
-    err = capsys.readouterr().err
-    assert err.startswith("soblab: configuration error: cannot write output") and err.count("\n") == 1
-    assert os.listdir(out) == []  # no temporary file is left behind
+    # rejected before the input is read: a missing input would exit 2
+    out, missing = tmp_path / "o", tmp_path / "missing.csv"
+    for name in ("", "sub/"):
+        assert run_cli("--out-dir", out, "derivs", "--input", missing, "--out", name) == 3
+        err = capsys.readouterr().err
+        assert err == f"soblab: configuration error: --out must name a file, got {name!r}\n"
+        assert os.listdir(out) == []  # no temporary file is left behind
 
 
 def test_derivs_input_directory_is_a_one_line_input_error(tmp_path, capsys):

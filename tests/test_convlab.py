@@ -10,12 +10,12 @@ from soblab.convlab import (
     angle_between,
     cubic_local_min,
     derivative_cubic_coefficients,
-    derivative_flow_gradient,
     derivative_flow_margin_scan,
     descent_landscape,
     effective_amplitude,
     finite_sample_derivative_gradient,
     finite_sample_value_gradient,
+    flow_gradients,
     gated_correlation,
     gated_correlation_sum,
     integrate_flow_batch,
@@ -24,7 +24,6 @@ from soblab.convlab import (
     quadrant_prob,
     sample_basin,
     value_flow_angular_term,
-    value_flow_gradient,
 )
 from soblab.errors import (
     ConfigError,
@@ -170,20 +169,20 @@ def test_quadrant_prob_monte_carlo():
 
 def test_gradients_vanish_at_target():
     w = np.array([0.3, -1.2, 0.8])
-    np.testing.assert_allclose(value_flow_gradient(w, w), 0.0, atol=1e-12)
-    np.testing.assert_allclose(derivative_flow_gradient(w, w), 0.0, atol=1e-12)
+    for g in flow_gradients(w, w):
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
 def test_gradients_reject_zero_vectors():
     with pytest.raises(ZeroVectorError):
-        value_flow_gradient(np.zeros(2), np.ones(2))
+        flow_gradients(np.zeros(2), np.ones(2))
 
 
 def test_value_gradient_positive_alignment_in_basin():
     rng = np.random.default_rng(4)
     w_star = rng.standard_normal(4)
     starts = sample_basin(w_star, 10_000, rng)
-    g = value_flow_gradient(starts, w_star)
+    g = flow_gradients(starts, w_star)[0]
     dots = np.sum((starts - w_star) * g, axis=-1)
     assert dots.min() >= -1e-12
 
@@ -192,7 +191,7 @@ def test_derivative_gradient_positive_alignment_in_basin():
     rng = np.random.default_rng(5)
     w_star = rng.standard_normal(3)
     starts = sample_basin(w_star, 10_000, rng)
-    g = derivative_flow_gradient(starts, w_star)
+    g = flow_gradients(starts, w_star)[1]
     dots = np.sum((starts - w_star) * g, axis=-1)
     assert dots.min() >= -1e-12
 
@@ -205,7 +204,7 @@ def test_value_gradient_matches_monte_carlo():
     draws = 100
     for _ in range(draws):
         acc += finite_sample_value_gradient(rng.standard_normal((10_000, 3)), w, w_star)
-    closed = value_flow_gradient(w, w_star)
+    closed = flow_gradients(w, w_star)[0]
     rel = np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)
     assert rel < 0.02
 
@@ -218,28 +217,9 @@ def test_derivative_gradient_matches_monte_carlo():
     draws = 100
     for _ in range(draws):
         acc += finite_sample_derivative_gradient(rng.standard_normal((10_000, 3)), w, w_star)
-    closed = derivative_flow_gradient(w, w_star)
+    closed = flow_gradients(w, w_star)[1]
     rel = np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)
     assert rel < 0.02
-
-
-def test_amplitudes_scale_gradients():
-    w_star = np.array([1.0, 0.2])
-    w = np.array([0.7, 0.5])
-    g1 = value_flow_gradient(w, w_star, mu=(1.0,))
-    g2 = value_flow_gradient(w, w_star, mu=(2.0, 2.0))
-    np.testing.assert_allclose(g2, 4.0 * g1, rtol=1e-14)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_unit_amplitude_skips_only_an_exact_product(n):
-    # mu = (1.0,) forms no mu product; mu = (2.0,) multiplies by 4.0, which
-    # scales every float exactly, so the two paths agree bit for bit
-    rng = np.random.default_rng(40 + n)
-    w_star = rng.standard_normal(n)
-    w = rng.standard_normal((4, n))
-    for grad in (value_flow_gradient, derivative_flow_gradient):
-        assert np.array_equal(grad(w, w_star, mu=(2.0,)), 4.0 * grad(w, w_star))
 
 
 # -- scalar inequalities -----------------------------------------------------------
@@ -341,7 +321,7 @@ def test_derivative_cubic_matches_gradient_projection():
         a, b, c, d = derivative_cubic_coefficients(t)
         nw, nws = np.linalg.norm(w), np.linalg.norm(w_star)
         x = nw / nws
-        lhs = float((w - w_star) @ derivative_flow_gradient(w, w_star))
+        lhs = float((w - w_star) @ flow_gradients(w, w_star)[1])
         p0 = _coefficients(w, w_star)[0]
         rhs = p0 * nw * nws**5 * (a * x**3 - b * x**2 - c * x + d)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -406,8 +386,8 @@ def _reference_flow(w0, w_star, mode, dt, t_final, record_every):
     """The scalar RK4 loop the one-start flow used before it shared the
     batched loop, kept as the oracle: (times, weights, dist2, ddt_dist2)."""
     def rhs(u):
-        g = value_flow_gradient(u, w_star)
-        return -(g + derivative_flow_gradient(u, w_star) if mode == "Sob" else g)
+        g_value, g_der = flow_gradients(u, w_star)
+        return -(g_value + g_der if mode == "Sob" else g_value)
 
     w, n_steps = np.asarray(w0, dtype=float), int(round(t_final / dt))
     rec = [(0.0, w, 2.0 * float((w - w_star) @ rhs(w)))]
@@ -575,29 +555,6 @@ def test_flow_rejects_a_non_finite_target_or_start():
             integrate_flow_batch(starts, w_star, allow_outside_basin=True, **kw)
 
 
-@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
-def test_non_finite_amplitude_is_rejected(amplitude):
-    w_star = np.array([1.0, 0.0])
-    mu = (1.0, amplitude)
-    for grad in (value_flow_gradient, derivative_flow_gradient):
-        with pytest.raises(ConfigError):
-            grad(np.array([0.8, 0.3]), w_star, mu)
-    for starts in ([0.8, 0.3], [[0.8, 0.3], [0.6, -0.2]]):
-        with pytest.raises(ConfigError):
-            integrate_flow_batch(starts, w_star, mu=mu, dt=0.1, t_final=0.3)
-
-
-@pytest.mark.parametrize("theta_clamp", [-1e-8, math.nan, math.pi / 2, 2.0, math.inf])
-def test_theta_clamp_outside_its_range_is_rejected(theta_clamp):
-    # a clamp of pi/2 or more makes the clip bounds meet or cross, and a
-    # negative or NaN one would silently drop the clamp
-    for starts in ([0.8, 0.3], [[0.8, 0.3], [0.6, -0.2]]):
-        with pytest.raises(ConfigError):
-            integrate_flow_batch(starts, [1.0, 0.0], dt=0.1, t_final=0.3, theta_clamp=theta_clamp)
-    integrate_flow_batch([0.8, 0.3], [1.0, 0.0], dt=0.1, t_final=0.3, theta_clamp=0.0)
-    integrate_flow_batch([0.8, 0.3], [1.0, 0.0], dt=0.1, t_final=0.3, theta_clamp=1.5)
-
-
 # -- landscape ----------------------------------------------------------------------------
 
 def test_landscape_near_fixed_point_small():
@@ -626,8 +583,9 @@ def test_landscape_dimension_independent():
         w[..., dim - 1] = xx * np.cos(tt)
         w[..., 0] = xx * np.sin(tt)
         diff = w - w_star
-        v_l2 = -2.0 * np.sum(diff * value_flow_gradient(w, w_star), axis=-1)
-        v_sob = v_l2 - 2.0 * np.sum(diff * derivative_flow_gradient(w, w_star), axis=-1)
+        g_value, g_der = flow_gradients(w, w_star)
+        v_l2 = -2.0 * np.sum(diff * g_value, axis=-1)
+        v_sob = v_l2 - 2.0 * np.sum(diff * g_der, axis=-1)
         norm = 2.0 * _coefficients(w, w_star)[0] * xx
         np.testing.assert_allclose(table.v_l2, v_l2 / norm, atol=1e-10)
         np.testing.assert_allclose(table.v_sob, v_sob / norm, atol=1e-10)

@@ -25,13 +25,7 @@ import numpy as np
 import pytest
 
 from soblab import convlab
-from soblab.convlab import (
-    derivative_flow_gradient,
-    descent_landscape,
-    integrate_flow_batch,
-    sample_basin,
-    value_flow_gradient,
-)
+from soblab.convlab import descent_landscape, flow_gradients, integrate_flow_batch, sample_basin
 from soblab.errors import StepTooLargeError
 
 TWO_PI = 2.0 * math.pi
@@ -49,7 +43,7 @@ def _coeffs_of_angle(theta):
     return p0, p1, p2
 
 
-def _population_gradients(w, w_star, mu_fac, theta_clamp=0.0, der=True, matmul=False):
+def _population_gradients(w, w_star, theta_clamp=0.0, der=True, matmul=False):
     nw = _norm(w, keepdims=True)
     nws = float(_norm(w_star))
     dot = w @ w_star if matmul else np.add.reduce(w * w_star, axis=-1)
@@ -65,22 +59,22 @@ def _population_gradients(w, w_star, mu_fac, theta_clamp=0.0, der=True, matmul=F
     inner = amp[..., None] * (0.5 * w) - amp_star * corr_star
     g_val = amp[..., None] * inner + corr_star * np.sum(w * inner, axis=-1, keepdims=True)
     if not der:
-        return mu_fac * g_val, None
+        return g_val, None
     cw = np.sum(corr_star * w, axis=-1)
     cws = np.sum(corr_star * w_star, axis=-1)
     g_der = (
         (0.5 * amp * amp + 0.5 * amp * cw - amp * p1 * cws)[..., None] * w
         - (amp * amp_star * p1)[..., None] * w_star
     )
-    return mu_fac * g_val, mu_fac * g_der
+    return g_val, g_der
 
 
-def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp, matmul=False):
+def _rk4_flow(w, w_star, sob, dt, t_final, record_every, theta_clamp, matmul=False):
     der = bool(np.any(sob))
     sob = sob[:, None]
 
     def rhs(u):
-        g_val, g_der = _population_gradients(u, w_star, mu_fac, theta_clamp, der, matmul)
+        g_val, g_der = _population_gradients(u, w_star, theta_clamp, der, matmul)
         return -(g_val if g_der is None else np.where(sob, g_val + g_der, g_val))
 
     n_steps = max(0, int(round(t_final / dt)))
@@ -113,6 +107,12 @@ def _rk4_flow(w, w_star, sob, mu_fac, dt, t_final, record_every, theta_clamp, ma
 
 
 ROWS = {"L2": [False] * 3, "Sob": [True] * 3, "mixed": [False, True, True, False, True, False]}
+
+
+def _target(w_star, theta_clamp):
+    """convlab's target of w_star with the angle clamped to
+    [theta_clamp, pi - theta_clamp], or unclamped for 0."""
+    return convlab._target(w_star, (theta_clamp, math.pi - theta_clamp) if theta_clamp else None)
 
 
 def _starts(n, count, on_axis=False):
@@ -172,12 +172,9 @@ def test_rk4_flow_is_bit_identical_to_the_oracle(rows, n, theta_clamp, record_ev
     """Bit-identical in a coordinate plane; off-axis, equivalent at RTOL."""
     sob = np.array(ROWS[rows])
     w0, w_star = _starts(n, len(sob))
-    mu_fac = convlab._mu_factor((0.5, 1.5))  # a factor != 1 keeps the scaling in play
     for starts, target, check in _cases(w0, w_star):
-        got = convlab._rk4_flow(
-            starts, convlab._target(target, mu_fac, theta_clamp), sob, 0.05, 3.0, record_every
-        )
-        check(got, _rk4_flow(starts, target, sob, mu_fac, 0.05, 3.0, record_every, theta_clamp))
+        got = convlab._rk4_flow(starts, _target(target, theta_clamp), sob, 0.05, 3.0, record_every)
+        check(got, _rk4_flow(starts, target, sob, 0.05, 3.0, record_every, theta_clamp))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -192,13 +189,13 @@ def test_public_flows_are_bit_identical_to_the_oracle(n):
         assert traj.modes == tuple(modes)
         check(
             (traj.times, traj.weights, traj.dist2, traj.ddt_dist2),
-            _rk4_flow(starts, target, sob, 1.0, theta_clamp=1e-8, **kw),
+            _rk4_flow(starts, target, sob, theta_clamp=1e-8, **kw),
         )
         for i, mode in enumerate(modes):
             traj = integrate_flow_batch(starts[i], target, mode=mode, **kw)
             check(
                 (traj.times, traj.weights, traj.dist2, traj.ddt_dist2),
-                _rk4_flow(starts[i : i + 1], target, sob[i : i + 1], 1.0, theta_clamp=1e-8, **kw),
+                _rk4_flow(starts[i : i + 1], target, sob[i : i + 1], theta_clamp=1e-8, **kw),
             )
 
 
@@ -214,7 +211,7 @@ def test_two_mode_call_rows_equal_one_mode_runs(on_axis):
         one = integrate_flow_batch(starts[0], w_star, mode=mode, **kw)
         _assert_same(got, (one.times, one.weights, one.dist2, one.ddt_dist2))
         sob = np.array([mode == "Sob"])
-        _assert_close(got, _rk4_flow(starts, w_star, sob, 1.0, theta_clamp=1e-8, **kw), w_star)
+        _assert_close(got, _rk4_flow(starts, w_star, sob, theta_clamp=1e-8, **kw), w_star)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -224,12 +221,12 @@ def test_on_axis_flows_keep_the_bits_of_the_matmul_form(n):
     # outside that plane agree with it at RTOL
     w0, w_star = _starts(n, 6, on_axis=True)
     sob = np.array(ROWS["mixed"])
-    target = convlab._target(w_star, 1.0, 1e-8)
+    target = _target(w_star, 1e-8)
     for starts, _, check in _cases(w0, w_star):
         for rows in (slice(None), slice(1, 2)):  # the bundle, and one start on floats
             check(
                 convlab._rk4_flow(starts[rows], target, sob[rows], 0.05, 3.0, 7),
-                _rk4_flow(starts[rows], w_star, sob[rows], 1.0, 0.05, 3.0, 7, 1e-8, matmul=True),
+                _rk4_flow(starts[rows], w_star, sob[rows], 0.05, 3.0, 7, 1e-8, matmul=True),
             )
 
 
@@ -246,7 +243,7 @@ def test_single_start_on_floats_equals_its_bundle_row(n, on_axis, theta_clamp, r
     # at every n: the projection sums each row on its own (np.add.reduce)
     sob = np.array(ROWS["mixed"])
     w0, w_star = _starts(n, len(sob), on_axis)
-    target = convlab._target(w_star, convlab._mu_factor((0.5, 1.5)), theta_clamp)
+    target = _target(w_star, theta_clamp)
     bundle = convlab._rk4_flow(w0, target, sob, 0.05, 3.0, record_every)
     for i in range(len(sob)):  # L2 and Sob rows
         single = convlab._rk4_flow(w0[i : i + 1], target, sob[i : i + 1], 0.05, 3.0, record_every)
@@ -269,7 +266,7 @@ def test_out_of_plane_components_are_positive_zero():
     # formulas, and the parallel start never leaves the axis of w*
     w_star = np.array([1.0, 0.0, 0.0, 0.0])
     rows = np.array([[-0.2, 0.5, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.3, 0.2, 0.0, 0.0]])
-    zeros = [value_flow_gradient(rows, w_star)[:, 2:], derivative_flow_gradient(rows, w_star)[:, 2:]]
+    zeros = [g[:, 2:] for g in flow_gradients(rows, w_star)]
     for starts in (rows, rows[0], rows[1]):
         weights = integrate_flow_batch(
             starts, w_star, dt=0.05, t_final=1.0, mode="Sob", allow_outside_basin=True
@@ -287,7 +284,7 @@ def _oracle_landscape(thetas, ratios, nws, dim=3):
     w_grid[..., 0] = xx * nws * np.cos(tt)
     w_grid[..., 1] = xx * nws * np.sin(tt)
     w_star = nws * np.eye(dim)[0]
-    g_val, g_der = _population_gradients(w_grid, w_star, 1.0)
+    g_val, g_der = _population_gradients(w_grid, w_star)
     ddt_l2 = -2.0 * np.sum((w_grid - w_star) * g_val, axis=-1)
     ddt_sob = ddt_l2 - 2.0 * np.sum((w_grid - w_star) * g_der, axis=-1)
     norm = 2.0 * _coeffs_of_angle(tt)[0] * (xx * nws) * nws**5
@@ -299,19 +296,14 @@ def test_gradients_and_landscape_are_bit_identical_to_the_oracle():
     rng = np.random.default_rng(5)
     w_star = rng.standard_normal(4)
     w = rng.standard_normal((6, 4))
-    mu = (0.5, 2.0)
-    mu_fac = convlab._mu_factor(mu)
     # the rows' angles to w_star lie in (0.8, 2.8), where sin(theta) > sin(0.3)
     for rows, target, check in (
         (*_in_plane(w, w_star), np.array_equal),
         (w, w_star, lambda got, want: np.allclose(got, want, RTOL, RTOL * np.abs(want).max())),
     ):
-        g_val, g_der = _population_gradients(rows, target, mu_fac)
-        assert check(value_flow_gradient(rows, target, mu), g_val)
-        assert check(derivative_flow_gradient(rows, target, mu), g_der)
-        assert check(
-            value_flow_gradient(rows[0], target, mu), _population_gradients(rows[0], target, mu_fac)[0]
-        )
+        for w_rows in (rows, rows[0]):
+            want = _population_gradients(w_rows, target)
+            assert all(map(check, flow_gradients(w_rows, target), want))
 
     thetas, ratios = np.linspace(0.1, 3.0, 7), np.linspace(0.2, 2.5, 5)
     table = descent_landscape(thetas, ratios)
@@ -339,7 +331,7 @@ def test_step_guard_still_names_step_3():
     for starts in (rows, rows[2:3]):
         sob = np.zeros(len(starts), dtype=bool)
         with pytest.raises(StepTooLargeError) as want:
-            _rk4_flow(starts, w_star, sob, 1.0, 4.0, 120.0, 1, 1e-8)
+            _rk4_flow(starts, w_star, sob, 4.0, 120.0, 1, 1e-8)
         with pytest.raises(StepTooLargeError) as got:
             integrate_flow_batch(starts, w_star, dt=4.0, t_final=120.0)
         assert got.value.step_index == want.value.step_index == 3

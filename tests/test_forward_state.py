@@ -20,14 +20,14 @@ from soblab.training import (
     TrainConfig,
     TrainReport,
     forward_state,
-    loss_and_grads,
     make_operator_net,
     pcgrad_merge,
     synth_dataset,
     train,
 )
 from soblab.training import loop
-from soblab.training.losses import der_loss, l2_loss, relative_l2_error
+from soblab.training.losses import mean_square, relative_l2_error, residual
+from soblab.training.operator_net import evaluate_losses, loss_gradients
 
 # -- reference ------------------------------------------------------------------
 
@@ -114,18 +114,18 @@ def ref_predict_gradients(net, inputs, queries):
     return out
 
 
-def ref_evaluate_losses(net, batch):
-    values = ref_predict_values(net, batch.inputs, batch.queries)
-    l2 = l2_loss(values, batch.targets)
+def ref_evaluate_losses(net, queries, batch):
+    values = ref_predict_values(net, batch.inputs, queries)
+    l2 = mean_square(residual(values, batch.targets))
     if batch.d_targets is None:
         return l2, float("nan")
-    grads = ref_predict_gradients(net, batch.inputs, batch.queries)
-    return l2, der_loss(grads, batch.d_targets)
+    grads = ref_predict_gradients(net, batch.inputs, queries)
+    return l2, mean_square(residual(grads, batch.d_targets))
 
 
-def ref_backward(net, batch, kind):
+def ref_backward(net, queries, batch, kind):
     inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
-    queries = np.atleast_2d(np.asarray(batch.queries, dtype=float))
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
     coeffs, psi_out, psi_cache = _ref_coefficients(net, inputs)
     phi_out, phi_cache = _ref_forward(net.phi, queries)
     n_samples, jt = inputs.shape
@@ -176,9 +176,9 @@ def ref_train(cfg, dataset, mode):
     rng = np.random.default_rng(cfg.seed + 1)
     n_train = dataset.train_inputs.shape[0]
     batch_size = cfg.batch_size or n_train
-    full = Batch(dataset.train_inputs, dataset.query_points, dataset.train_targets,
-                 dataset.train_d_targets)
-    init_l2, init_der = ref_evaluate_losses(net, full)
+    queries = dataset.query_points
+    full = Batch(dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
+    init_l2, init_der = ref_evaluate_losses(net, queries, full)
     init_val = relative_l2_error(
         ref_predict_values(net, dataset.val_inputs, dataset.query_points), dataset.val_targets
     )
@@ -190,17 +190,16 @@ def ref_train(cfg, dataset, mode):
             pick = order[start : start + batch_size]
             batch = Batch(
                 inputs=dataset.train_inputs[pick],
-                queries=dataset.query_points,
                 targets=dataset.train_targets[pick],
                 d_targets=dataset.train_d_targets[pick],
             )
-            g_value = ref_backward(net, batch, "l2")
+            g_value = ref_backward(net, queries, batch, "l2")
             if mode == "ordinary":
                 step_grad = g_value
             elif mode == "sobolev":
-                step_grad = g_value + cfg.der_weight * ref_backward(net, batch, "der")
+                step_grad = g_value + cfg.der_weight * ref_backward(net, queries, batch, "der")
             else:
-                g_der = cfg.der_weight * ref_backward(net, batch, "der")
+                g_der = cfg.der_weight * ref_backward(net, queries, batch, "der")
                 if np.any(g_value) or np.any(g_der):
                     step_grad = pcgrad_merge(g_value, g_der)
                 else:
@@ -211,7 +210,7 @@ def ref_train(cfg, dataset, mode):
             else:
                 params = adam.step(params, step_grad)
             net.params[:] = params
-        l2, der = ref_evaluate_losses(net, full)
+        l2, der = ref_evaluate_losses(net, queries, full)
         hist_l2.append(l2)
         hist_der.append(der)
         hist_val.append(relative_l2_error(
@@ -270,14 +269,14 @@ def test_loss_and_grads_match_reference_bit_for_bit(seed):
     for n_samples in (1, 5):
         batch = Batch(
             inputs=rng.normal(size=(n_samples, 12)),
-            queries=queries,
             targets=rng.normal(size=(n_samples, 10)),
             d_targets=rng.normal(size=(n_samples, 10, query_dim)),
         )
-        l2, der, (g_l2, g_der) = loss_and_grads(net, state, batch, ("l2", "der"))
-        assert (l2, der) == ref_evaluate_losses(net, batch)
-        assert np.array_equal(g_l2, ref_backward(net, batch, "l2"))
-        assert np.array_equal(g_der, ref_backward(net, batch, "der"))
+        *rows, l2, der = evaluate_losses(state, batch)
+        g_l2, g_der = loss_gradients(net, state, batch.inputs, *rows, ("l2", "der"))
+        assert (l2, der) == ref_evaluate_losses(net, queries, batch)
+        assert np.array_equal(g_l2, ref_backward(net, queries, batch, "l2"))
+        assert np.array_equal(g_der, ref_backward(net, queries, batch, "der"))
 
 
 # -- work per update ------------------------------------------------------------

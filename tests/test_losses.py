@@ -6,57 +6,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soblab.errors import BothZeroError, ShapeMismatchError, ZeroTargetNormError
-from soblab.training import (
-    der_loss,
-    l2_loss,
-    pcgrad_merge,
-    relative_l2_error,
-)
+from soblab.training import pcgrad_merge, relative_l2_error
+from soblab.training.losses import mean_square, residual
+
+
+def _loss(pred, target):
+    """The value or derivative loss, as evaluate_losses forms either."""
+    return mean_square(residual(pred, target))
 
 
 def test_l2_loss_zero_on_match():
     x = np.arange(6.0).reshape(2, 3)
-    assert l2_loss(x, x) == 0.0
+    assert _loss(x, x) == 0.0
 
 
 def test_l2_loss_single_unit_residual():
-    assert l2_loss(np.array([[1.0]]), np.array([[0.0]])) == 1.0
+    assert _loss(np.array([[1.0]]), np.array([[0.0]])) == 1.0
 
 
 def test_l2_loss_two_sample_hand_value():
     # sample means: (1 + 1)/2 = 1 and (0 + 4)/2 = 2; average 1.5
     pred = np.array([[1.0, 1.0], [0.0, 2.0]])
     target = np.array([[0.0, 0.0], [0.0, 0.0]])
-    assert l2_loss(pred, target) == 1.5
+    assert _loss(pred, target) == 1.5
 
 
 def test_l2_loss_shape_guard():
     with pytest.raises(ShapeMismatchError):
-        l2_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+        _loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_der_loss_component_mean():
     # one sample, one point, two components: (1 + 0)/2
     pred = np.array([[[1.0, 0.0]]])
     target = np.zeros((1, 1, 2))
-    assert der_loss(pred, target) == 0.5
+    assert _loss(pred, target) == 0.5
 
 
 def test_der_loss_quadratic_homogeneity():
     rng = np.random.default_rng(0)
     pred = rng.normal(size=(3, 4, 2))
     target = rng.normal(size=(3, 4, 2))
-    base = der_loss(pred, target)
-    assert der_loss(3.0 * pred, 3.0 * target) == pytest.approx(9.0 * base, rel=1e-12)
+    base = _loss(pred, target)
+    assert _loss(3.0 * pred, 3.0 * target) == pytest.approx(9.0 * base, rel=1e-12)
 
 
 def test_combined_loss_zero_iff_both_residuals_vanish():
     rng = np.random.default_rng(2)
     values = rng.normal(size=(2, 5))
     grads = rng.normal(size=(2, 5, 1))
-    assert l2_loss(values, values) + der_loss(grads, grads) == 0.0
-    assert l2_loss(values + 1e-3, values) + der_loss(grads, grads) > 0.0
-    assert l2_loss(values, values) + der_loss(grads + 1e-3, grads) > 0.0
+    assert _loss(values, values) + _loss(grads, grads) == 0.0
+    assert _loss(values + 1e-3, values) + _loss(grads, grads) > 0.0
+    assert _loss(values, values) + _loss(grads + 1e-3, grads) > 0.0
 
 
 def test_relative_l2_error_basics():

@@ -14,7 +14,6 @@ from soblab.mls import (
     _basis_matrix,
     basis_size,
     convergence_study,
-    derivative_at,
     derivative_field,
     enumerate_multi_indices,
     estimate_derivatives,
@@ -112,7 +111,7 @@ def test_fit_square_coefficient_and_taylor_convention():
     jet = estimate_derivatives(cloud, MlsConfig(k=14, m=2))
     # c_(2,0) is the Taylor coefficient: 1; the derivative is 2! * c = 2
     np.testing.assert_allclose(jet.coefficients[:, jet.index_of((2, 0))], 1.0, atol=1e-8)
-    assert derivative_at(jet, 11, (2, 0)) == pytest.approx(2.0, abs=1e-8)
+    assert derivative_field(jet, (2, 0))[11] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_derivative_at_order_guard():
@@ -120,9 +119,9 @@ def test_derivative_at_order_guard():
     cloud = random_cloud(rng, 40, 2, lambda x: x[:, 0])
     jet = estimate_derivatives(cloud, MlsConfig(k=10, m=1))
     with pytest.raises(OrderTooHighError):
-        derivative_at(jet, 0, (2, 0))
+        derivative_field(jet, (2, 0))
     with pytest.raises(OrderTooHighError):
-        derivative_at(jet, 0, (1,))
+        derivative_field(jet, (1,))
 
 
 def test_zero_order_matches_samples():

@@ -91,10 +91,11 @@ def _reference_solve(diffs, dists, values, cfg, d_support):
 
 def _reference_jets(cloud, cfg):
     nbr, dist = knn_all(build_index(cloud), cfg.k)
+    # the support radius: 1.1 times the largest neighbor distance
     if cfg.per_point_support:
-        d_support = cfg.weight_margin * dist.max(axis=1)
+        d_support = 1.1 * dist.max(axis=1)
     else:
-        d_support = cfg.weight_margin * float(dist.max())
+        d_support = 1.1 * float(dist.max())
     diffs = cloud.points[nbr] - cloud.points[:, None, :]
     return _reference_solve(diffs, dist, cloud.values[nbr], cfg, d_support)
 

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from soblab.errors import DimMismatchError
-from soblab.training import (
-    Batch,
-    ReluMLP,
-    der_loss,
-    forward_state,
-    l2_loss,
-    loss_and_grads,
-    make_operator_net,
-)
+from soblab.training import Batch, ReluMLP, forward_state, make_operator_net
+from soblab.training.losses import mean_square, residual
+from soblab.training.operator_net import evaluate_losses, loss_gradients
 
 
 def small_net(seed=0, rank=3, hidden=(8, 8), sensors=12, query_dim=2):
@@ -22,12 +16,18 @@ def small_net(seed=0, rank=3, hidden=(8, 8), sensors=12, query_dim=2):
 
 
 def random_batch(net, seed=1, n_samples=4, n_queries=6, with_derivs=True):
+    """(query points, batch of targets at them)."""
     rng = np.random.default_rng(seed)
     inputs = rng.normal(size=(n_samples, net.n_sensors))
     queries = rng.normal(size=(n_queries, net.query_dim))
     targets = rng.normal(size=(n_samples, n_queries))
     d_targets = rng.normal(size=(n_samples, n_queries, net.query_dim)) if with_derivs else None
-    return Batch(inputs=inputs, queries=queries, targets=targets, d_targets=d_targets)
+    return queries, Batch(inputs=inputs, targets=targets, d_targets=d_targets)
+
+
+def grads_of(net, state, batch, kinds):
+    """The gradients of kinds, from the two calls of a training step."""
+    return loss_gradients(net, state, batch.inputs, *evaluate_losses(state, batch)[:3], kinds)
 
 
 def predict(net, inputs, queries):
@@ -80,9 +80,9 @@ def test_input_gradient_matches_finite_differences():
 
 def test_batch_state_matches_single_point_state():
     net = small_net(seed=7)
-    batch = random_batch(net, seed=8)
-    values, grads = predict(net, batch.inputs, batch.queries)
-    value0, grad0 = predict(net, batch.inputs[2], batch.queries[4])
+    queries, batch = random_batch(net, seed=8)
+    values, grads = predict(net, batch.inputs, queries)
+    value0, grad0 = predict(net, batch.inputs[2], queries[4])
     np.testing.assert_allclose(grads[2, 4], grad0[0, 0], atol=1e-12)
     assert values[2, 4] == pytest.approx(value0[0, 0], rel=1e-12)
 
@@ -96,37 +96,35 @@ def test_sensor_count_guard():
 
 def test_state_guards():
     net = small_net()
-    batch = random_batch(net)
-    with pytest.raises(DimMismatchError):  # the batch's queries are not the state's
-        loss_and_grads(net, forward_state(net, batch.queries + 1.0), batch, ("l2",))
+    queries, batch = random_batch(net)
     with pytest.raises(DimMismatchError):  # derivatives from a state built without JVPs
-        loss_and_grads(net, forward_state(net, batch.queries, jvps=False), batch)
+        evaluate_losses(forward_state(net, queries, jvps=False), batch)
     with pytest.raises(DimMismatchError):  # derivative gradient without derivative targets
-        no_derivs = Batch(inputs=batch.inputs, queries=batch.queries, targets=batch.targets)
-        loss_and_grads(net, forward_state(net, batch.queries), no_derivs, ("der",))
+        no_derivs = Batch(inputs=batch.inputs, targets=batch.targets)
+        grads_of(net, forward_state(net, queries), no_derivs, ("der",))
     with pytest.raises(ValueError):
-        loss_and_grads(net, forward_state(net, batch.queries), batch, ("sobolev",))
+        grads_of(net, forward_state(net, queries), batch, ("sobolev",))
 
 
-def param_loss(net, batch, kind):
-    l2, der, _ = loss_and_grads(net, forward_state(net, batch.queries), batch)
+def param_loss(net, queries, batch, kind):
+    l2, der = evaluate_losses(forward_state(net, queries), batch)[3:]
     return l2 if kind == "l2" else der
 
 
 @pytest.mark.parametrize("kind", ["l2", "der"])
 def test_backward_matches_finite_differences(kind):
     net = small_net(seed=9)
-    batch = random_batch(net, seed=10)
-    (grad,) = loss_and_grads(net, forward_state(net, batch.queries), batch, (kind,))[2]
+    queries, batch = random_batch(net, seed=10)
+    (grad,) = grads_of(net, forward_state(net, queries), batch, (kind,))
     params = net.params.copy()
     rng = np.random.default_rng(11)
     coords = rng.choice(net.n_params, size=32, replace=False)
     step = 1e-6
     for c in coords:
         net.params[c] = params[c] + step
-        up = param_loss(net, batch, kind)
+        up = param_loss(net, queries, batch, kind)
         net.params[c] = params[c] + step - 2 * step
-        down = param_loss(net, batch, kind)
+        down = param_loss(net, queries, batch, kind)
         fd = (up - down) / (2 * step)
         net.params[:] = params
         assert grad[c] == pytest.approx(fd, rel=1e-4, abs=1e-10)
@@ -134,12 +132,12 @@ def test_backward_matches_finite_differences(kind):
 
 def test_backward_zero_residual_gives_zero_gradient():
     net = small_net(seed=12)
-    batch = random_batch(net, seed=13)
-    values, grads = predict(net, batch.inputs, batch.queries)
-    exact = Batch(inputs=batch.inputs, queries=batch.queries, targets=values, d_targets=grads)
-    l2, der, (g_l2, g_der) = loss_and_grads(
-        net, forward_state(net, batch.queries), exact, ("l2", "der")
-    )
+    queries, batch = random_batch(net, seed=13)
+    values, grads = predict(net, batch.inputs, queries)
+    exact = Batch(inputs=batch.inputs, targets=values, d_targets=grads)
+    state = forward_state(net, queries)
+    l2, der = evaluate_losses(state, exact)[3:]
+    g_l2, g_der = grads_of(net, state, exact, ("l2", "der"))
     assert l2 == 0.0 and der == 0.0
     np.testing.assert_allclose(g_l2, 0.0, atol=1e-14)
     np.testing.assert_allclose(g_der, 0.0, atol=1e-14)
@@ -147,29 +145,29 @@ def test_backward_zero_residual_gives_zero_gradient():
 
 def test_combined_gradient_is_sum_of_parts():
     net = small_net(seed=14)
-    batch = random_batch(net, seed=15)
-    state = forward_state(net, batch.queries)
-    l2, der, (g1, g2) = loss_and_grads(net, state, batch, ("l2", "der"))
+    queries, batch = random_batch(net, seed=15)
+    state = forward_state(net, queries)
+    l2, der = evaluate_losses(state, batch)[3:]
+    g1, g2 = grads_of(net, state, batch, ("l2", "der"))
     # the combined objective is optimized by stepping along g1 + g2
     step = 1e-7
     direction = g1 + g2
     direction = direction / np.linalg.norm(direction)
     net.params[:] = net.params - step * direction
-    l2b, derb, _ = loss_and_grads(net, forward_state(net, batch.queries), batch)
+    l2b, derb = evaluate_losses(forward_state(net, queries), batch)[3:]
     drop = (l2 + der) - (l2b + derb)
     assert drop == pytest.approx(step * np.linalg.norm(g1 + g2), rel=1e-3)
 
 
 def test_loss_evaluation_matches_loss_functions():
     net = small_net(seed=16)
-    batch = random_batch(net, seed=17)
-    l2, der, grads = loss_and_grads(net, forward_state(net, batch.queries), batch)
-    assert grads == []
-    values, pred_grads = predict(net, batch.inputs, batch.queries)
-    assert l2 == l2_loss(values, batch.targets)
-    assert der == der_loss(pred_grads, batch.d_targets)
-    no_derivs = Batch(inputs=batch.inputs, queries=batch.queries, targets=batch.targets)
-    l2_only, der_nan, _ = loss_and_grads(net, forward_state(net, batch.queries), no_derivs)
+    queries, batch = random_batch(net, seed=17)
+    l2, der = evaluate_losses(forward_state(net, queries), batch)[3:]
+    values, pred_grads = predict(net, batch.inputs, queries)
+    assert l2 == mean_square(residual(values, batch.targets))
+    assert der == mean_square(residual(pred_grads, batch.d_targets))
+    no_derivs = Batch(inputs=batch.inputs, targets=batch.targets)
+    l2_only, der_nan = evaluate_losses(forward_state(net, queries), no_derivs)[3:]
     assert l2_only == l2 and np.isnan(der_nan)
 
 
