@@ -31,16 +31,20 @@ def _ticks(lo: float, hi: float, count: int = 5):
 class _Axes:
     def __init__(self, xlim, ylim, logx=False, logy=False):
         self.logx, self.logy = logx, logy
-        self.x0, self.x1 = self._tr(xlim[0], logx), self._tr(xlim[1], logx)
-        self.y0, self.y1 = self._tr(ylim[0], logy), self._tr(ylim[1], logy)
-        if self.x1 == self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 == self.y0:
-            self.y1 = self.y0 + 1.0
+        self.x0, self.x1 = self._span(self._tr(xlim[0], logx), self._tr(xlim[1], logx))
+        self.y0, self.y1 = self._span(self._tr(ylim[0], logy), self._tr(ylim[1], logy))
 
     @staticmethod
     def _tr(v, log):
         return math.log10(v) if log else float(v)
+
+    @staticmethod
+    def _span(lo, hi):
+        """(lo, hi), with an empty range widened by 1, or by |lo| where 1
+        is below the float spacing at lo."""
+        if hi == lo:
+            hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+        return lo, hi
 
     def px(self, x):
         t = (self._tr(x, self.logx) - self.x0) / (self.x1 - self.x0)

@@ -37,17 +37,7 @@ try:  # the clip ufunc itself, without the Python dispatch of np.clip
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-from .errors import (
-    ConfigError,
-    DimMismatchError,
-    NoLocalMinError,
-    NotUnitError,
-    OutOfDomainError,
-    PhiZeroError,
-    SoblabError,
-    StepTooLargeError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, NumericalError, SoblabError, StepTooLargeError
 
 TWO_PI = 2.0 * math.pi
 # a flow's angle stays in [_THETA_CLAMP, pi - _THETA_CLAMP], off the kinks at 0 and pi
@@ -64,8 +54,8 @@ _BASIN_RADIUS = 0.999
 class _Arrays:
     """A bundle: each planar coordinate a (B,) array, each constant a 0-d array."""
 
-    sqrt, arccos, sin, cos, clip = np.sqrt, np.arccos, np.sin, np.cos, _clip
-    any = np.logical_or.reduce
+    sqrt, arccos, sin, cos, clip, isfinite = np.sqrt, np.arccos, np.sin, np.cos, _clip, np.isfinite
+    any, all = np.logical_or.reduce, np.logical_and.reduce
     const = functools.partial(np.asarray, dtype=float)
     pi, two_pi, half, one, neg_one, two = map(const, (math.pi, TWO_PI, 0.5, 1.0, -1.0, 2.0))
     # x + y where mask, else x, written over x, a fresh temporary
@@ -76,14 +66,14 @@ class _Floats:
     """One row: each planar coordinate is a Python float, rounded as the
     array ufuncs round it."""
 
-    sqrt = math.sqrt
+    sqrt, isfinite = math.sqrt, math.isfinite
     # numpy's own float64 loops: math.acos rounds differently on some hosts
     arccos, sin, cos = ((lambda x, f=f: float(f(x))) for f in (np.arccos, np.sin, np.cos))
     const = float
     pi, two_pi, half, one, neg_one, two = math.pi, TWO_PI, 0.5, 1.0, -1.0, 2.0
     clip = staticmethod(lambda x, lo, hi: min(max(x, lo), hi))  # NaN stays NaN
     add_where = staticmethod(lambda mask, x, y: x + y if mask else x)
-    any = bool
+    any = all = bool
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +87,11 @@ def _norm(w, keepdims=False):
 
 
 def _check_nonzero(*vectors):
-    """The vectors as float arrays; raises ZeroVectorError if any is zero."""
+    """The vectors as float arrays; raises ConfigError if any is zero."""
     vectors = [np.asarray(w, dtype=float) for w in vectors]
     for w in vectors:
         if np.any(_norm(w) == 0.0):
-            raise ZeroVectorError("angle undefined for a zero vector")
+            raise ConfigError("angle undefined for a zero vector")
     return vectors
 
 
@@ -132,7 +122,7 @@ def gated_correlation(e, w):
     e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(_norm(e) - 1.0) > 1e-9):
-        raise NotUnitError("direction argument must be a unit vector")
+        raise ConfigError("direction argument must be a unit vector")
     _check_nonzero(w)
     t = angle_between(e, w)
     t = np.asarray(t)
@@ -147,7 +137,7 @@ def gated_correlation_sum(x_rows, e, w):
     e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
     if x_rows.ndim != 2 or x_rows.shape[1] != e.shape[-1] or e.shape != w.shape:
-        raise DimMismatchError(
+        raise ConfigError(
             f"rows {x_rows.shape} incompatible with directions {e.shape}/{w.shape}"
         )
     xw = x_rows @ w
@@ -168,7 +158,7 @@ def quadrant_prob(rho) -> float:
     """P[x > 0, y > 0] for standard bivariate normals with correlation rho."""
     rho = float(rho)
     if not -1.0 <= rho <= 1.0:
-        raise OutOfDomainError(f"correlation must lie in [-1, 1], got {rho}")
+        raise ConfigError(f"correlation must lie in [-1, 1], got {rho}")
     return 0.25 + math.asin(rho) / TWO_PI
 
 
@@ -270,23 +260,24 @@ def _draw_terms(w, w_star):
     return w, w_star, w_hat, amp, amp_star, gated_correlation(w_hat, w_star)
 
 
-def finite_sample_value_gradient(x_rows, w, w_star, terms=None):
+def finite_sample_value_gradient(x_rows, terms):
     """Per-draw value-loss gradient with the query average left empirical.
 
     Averaging this over fresh Gaussian draws converges to the value
-    gradient of flow_gradients; used as the Monte-Carlo oracle.  terms,
-    if given, is _draw_terms(w, w_star), computed once for many draws.
+    gradient of flow_gradients; used as the Monte-Carlo oracle.  terms is
+    _draw_terms(w, w_star), computed once for many draws.
     """
-    w, w_star, w_hat, amp, amp_star, corr_star = terms or _draw_terms(w, w_star)
+    w, w_star, w_hat, amp, amp_star, corr_star = terms
     f_self = gated_correlation_sum(x_rows, w_hat, w)
     f_star = gated_correlation_sum(x_rows, w_hat, w_star)
     inner = amp * f_self - amp_star * f_star
     return (amp * inner + corr_star * float(w @ inner)) / x_rows.shape[0]
 
 
-def finite_sample_derivative_gradient(x_rows, w, w_star, terms=None):
-    """Per-draw derivative-loss gradient with empirical activation gates."""
-    w, w_star, _, amp, amp_star, corr_star = terms or _draw_terms(w, w_star)
+def finite_sample_derivative_gradient(x_rows, terms):
+    """Per-draw derivative-loss gradient with empirical activation gates;
+    terms is _draw_terms(w, w_star)."""
+    w, w_star, _, amp, amp_star, corr_star = terms
     gate_w = (x_rows @ w > 0)
     gate_both = gate_w & (x_rows @ w_star > 0)
     n_w = float(np.count_nonzero(gate_w))
@@ -307,7 +298,7 @@ def finite_sample_derivative_gradient(x_rows, w, w_star, terms=None):
 def _check_angle_domain(theta):
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
-        raise OutOfDomainError("angle must lie in [0, pi]")
+        raise ConfigError("angle must lie in [0, pi]")
     return np.clip(theta, 0.0, math.pi)
 
 
@@ -350,10 +341,10 @@ def cubic_local_min(a, b, c, d):
     """
     a, b, c, d = float(a), float(b), float(c), float(d)
     if a <= 0:
-        raise NoLocalMinError(f"leading coefficient must be positive, got {a}")
+        raise ConfigError(f"leading coefficient must be positive, got {a}")
     disc = b * b + 3.0 * a * c
     if disc < 0:
-        raise NoLocalMinError(f"discriminant b^2 + 3ac = {disc} is negative")
+        raise ConfigError(f"discriminant b^2 + 3ac = {disc} is negative")
     t0 = (b + math.sqrt(disc)) / (3.0 * a)
     f_closed = float(_scaled_cubic_min(a, b, c, d, disc)) / (27.0 * a * a)
     f_direct = a * t0**3 - b * t0**2 - c * t0 + d
@@ -428,6 +419,7 @@ def _flow_grid(dt, t_final, record_every):
     return int(round(steps)), stride
 
 
+@np.errstate(all="ignore")
 def _rk4_flow(w, target, sob, dt, t_final, record_every):
     """Classical fixed-step RK4 on rows w (B, n); sob (B,) marks the Sob rows.
 
@@ -436,9 +428,12 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
     recorded every record_every steps and at the last step, weights[:, 0]
     being the starts w.  The step guard raises at the first step at which
-    any row trips it.  A single row runs on Python floats, a bundle on
-    (B,) arrays.  The record table is allocated before the first step, so
-    a grid too large to record fails at once.
+    any row trips it, and a step that leaves any row's distance non-finite
+    trips it too; a non-finite record raises NumericalError.  Float
+    overflow is therefore reported by these errors, not by warnings.  A
+    single row runs on Python floats, a bundle on (B,) arrays.  The record
+    table is allocated before the first step, so a grid too large to
+    record fails at once.
     """
     n_steps, stride = _flow_grid(dt, t_final, record_every)
     # (a, b, ga, gb) at steps 0, stride, 2 stride, ... and n_steps: (S, 4, B)
@@ -484,7 +479,9 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
         # then departs from its Euler predictor dt * k1 by O(1) relative.
         ea, eb = h * ga, h * gb
         departs = sum_sq(da - ea, db - eb) > depart * sum_sq(ea, eb)
-        if bk.any((d2 > floor) & ((d2_new > grow * d2) | departs)):
+        tripped = (d2 > floor) & ((d2_new > grow * d2) | departs)
+        # a NaN distance fails every comparison, so finiteness is tested apart
+        if bk.any(tripped) or not bk.all(bk.isfinite(d2_new)):
             raise StepTooLargeError(
                 f"step {step} too large: the distance grew more than 10% or the RK4 "
                 "increment left its Euler predictor by more than half; reduce dt",
@@ -501,8 +498,12 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     diff = weights - target.w_star
     # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
     ddt = 2.0 * np.sum(diff * _embed(-ga, -gb, e_b, target), axis=-1)
+    dist2 = np.sum(diff * diff, axis=-1)
+    if not (np.isfinite(dist2).all() and np.isfinite(ddt).all()):
+        raise NumericalError("the flow left the float range: a recorded distance or rate "
+                             "is not finite; start nearer the target")
     steps = np.minimum(np.arange(len(table)) * stride, n_steps)
-    return steps * dt, weights, np.sum(diff * diff, axis=-1), ddt
+    return steps * dt, weights, dist2, ddt
 
 
 def integrate_flow_batch(
@@ -523,16 +524,16 @@ def integrate_flow_batch(
     at 0 and pi.  Samples are taken every record_every steps and at the
     last step.
 
-    Raises ZeroVectorError for a zero target or start, ConfigError for a
-    non-finite one, DimMismatchError when the starts, the target and the
-    modes disagree in shape or count, ConfigError for an empty mode list,
+    Raises ConfigError for a zero or non-finite target or start, starts,
+    target and modes that disagree in shape or count, an empty mode list,
     a start outside the basin |w - w_star| < |w_star| (unless
-    allow_outside_basin), a bad grid or one with too many records to
-    allocate, and StepTooLargeError,
-    naming the first step at which any row trips it, when in a single step
-    a squared distance grows by more than 21% (distance by 10%) or the RK4
+    allow_outside_basin), and a bad grid or one with too many records to
+    allocate.  Raises StepTooLargeError, naming the first step at which
+    any row trips it, when in a single step a squared distance grows by
+    more than 21% (distance by 10%) or becomes non-finite, or the RK4
     increment differs from the Euler increment dt * k1 by more than half
-    its norm; either signals that dt is too coarse for the configuration.
+    its norm; each signals that dt is too coarse for the configuration.
+    Raises NumericalError when a recorded distance or rate overflows.
 
     Each row stays in the plane of its start and the target and is
     integrated on its two coordinates there, so it equals its one-start
@@ -547,7 +548,7 @@ def integrate_flow_batch(
     if not modes:
         raise ConfigError("need at least one flow mode")
     if w.ndim != 2 or w.shape[1:] != w_star.shape or len(modes) != len(w):
-        raise DimMismatchError(
+        raise ConfigError(
             f"starts {w.shape}, target {w_star.shape} and {len(modes)} modes disagree"
         )
     if not allow_outside_basin and np.any(_norm(w - w_star) >= _norm(w_star)):
@@ -592,36 +593,33 @@ class LandscapeTable:
                 )
 
 
-def descent_landscape(theta_grid, ratio_grid, w_star_norm=1.0) -> LandscapeTable:
+def descent_landscape(theta_grid, ratio_grid) -> LandscapeTable:
     """Normalized descent rates over an angle-ratio grid.
 
     Evaluates both population gradients at the planar coordinates
-    (x |w*| cos theta, x |w*| sin theta) of each (theta, x) cell and
-    normalizes; the plane stands for every dimension.
+    (x cos theta, x sin theta) of each (theta, x) cell, for a unit target
+    w* = (1, 0), and normalizes; the plane stands for every dimension.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     ratio_grid = np.asarray(ratio_grid, dtype=float)
     if not (np.isfinite(theta_grid).all() and np.isfinite(ratio_grid).all()):
-        raise OutOfDomainError("grids must be finite")
+        raise ConfigError("grids must be finite")
     if np.any(theta_grid >= math.pi):
-        raise PhiZeroError("theta = pi is excluded: the normalization vanishes")
+        raise ConfigError("theta = pi is excluded: the normalization vanishes")
     if np.any(theta_grid <= 0.0) or np.any(ratio_grid <= 0.0):
-        raise OutOfDomainError("grids must lie in (0, pi) x (0, inf)")
-    nws = float(w_star_norm)
-    if not (math.isfinite(nws) and nws > 0.0):
-        raise OutOfDomainError(f"|w_star| must be finite and positive, got {nws}")
+        raise ConfigError("grids must lie in (0, pi) x (0, inf)")
 
-    target = _target(np.array([nws]))
+    target = _target(np.array([1.0]))
     tt, xx = np.meshgrid(theta_grid, ratio_grid, indexing="ij")
-    a = xx * nws * np.cos(tt)
-    b = xx * nws * np.sin(tt)
+    a = xx * np.cos(tt)
+    b = xx * np.sin(tt)
     (va, vb), (da, db) = _planar_gradients(a, b, target)
-    diff_a = a - nws
+    diff_a = a - 1.0
     ddt_l2 = -2.0 * (diff_a * va + b * vb)
     ddt_sob = ddt_l2 - 2.0 * (diff_a * da + b * db)
 
     p0 = _coeffs_of_angle(tt)[0]
-    norm = 2.0 * p0 * (xx * nws) * nws**5
+    norm = 2.0 * p0 * xx
     defined = p0 > 1e-12
     safe = np.where(defined, norm, 1.0)
     v_l2 = np.where(defined, ddt_l2 / safe, np.nan)
@@ -781,8 +779,8 @@ def validation_suite(seed=0, full=False):
         terms = _draw_terms(w, w_star)
         for _ in range(draws):
             x = rng.standard_normal((j_rows, n))
-            acc_v += finite_sample_value_gradient(x, w, w_star, terms=terms)
-            acc_d += finite_sample_derivative_gradient(x, w, w_star, terms=terms)
+            acc_v += finite_sample_value_gradient(x, terms)
+            acc_d += finite_sample_derivative_gradient(x, terms)
         for acc, closed in zip((acc_v, acc_d), flow_gradients(w, w_star)):
             worst = max(worst, float(np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)))
     add("population_gradient_mc_rel", worst, 0.02, worst <= 0.02)

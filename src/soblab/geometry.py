@@ -23,12 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    CloudFormatError,
-    DuplicatePointsError,
-    EmptyCloudError,
-    KTooLargeError,
-)
+from .errors import ConfigError, InputError
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -54,21 +49,25 @@ class PointCloud:
         pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
         vals = np.asarray(self.values, dtype=float).ravel()
         if pts.size == 0:
-            raise EmptyCloudError("point cloud is empty")
+            raise InputError("point cloud is empty")
         if pts.ndim != 2:
-            raise CloudFormatError(f"points must be a (J, n) array, got shape {pts.shape}")
+            raise InputError(f"points must be a (J, n) array, got shape {pts.shape}")
         if pts.shape[0] != vals.shape[0]:
-            raise CloudFormatError(
+            raise InputError(
                 f"{pts.shape[0]} points but {vals.shape[0]} values"
             )
         if not np.isfinite(pts).all():
-            raise CloudFormatError("points contain non-finite coordinates")
+            raise InputError("points contain non-finite coordinates")
         if not np.isfinite(vals).all():
-            raise CloudFormatError("values contain non-finite entries")
+            raise InputError("values contain non-finite entries")
+        with np.errstate(over="ignore"):  # the KNN query squares coordinate differences
+            span = pts.max(axis=0) - pts.min(axis=0)
+            if not np.isfinite(np.add.reduce(span * span)):
+                raise InputError("points spread so far that squared distances overflow")
         # equal rows are adjacent once the rows are sorted
         rows = pts[np.lexsort(pts.T)]
         if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise DuplicatePointsError("cloud contains bitwise-identical points")
+            raise InputError("cloud contains bitwise-identical points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 
@@ -121,7 +120,7 @@ def knn_all(index: SpatialIndex, k: int):
     points = index.cloud.points
     j = points.shape[0]
     if k < 1 or k > j:
-        raise KTooLargeError(f"K={k} outside [1, {j}]")
+        raise ConfigError(f"K={k} outside [1, {j}]")
     nbr = np.empty((j, k), dtype=np.intp)
     dist = np.empty((j, k))
     for rows in row_blocks(j):
@@ -158,29 +157,29 @@ def load_cloud_csv(path) -> PointCloud:
     with open(path, newline="") as fh:
         line = fh.readline()
         if not line:
-            raise CloudFormatError(f"{path}: empty file")
+            raise InputError(f"{path}: empty file")
         header = [c.strip() for c in next(csv.reader([line]), [])]
         if len(header) < 2 or header[-1] != "u":
-            raise CloudFormatError(
+            raise InputError(
                 f"{path}: expected header x1,...,xn,u, got {header!r}"
             )
         for d, name in enumerate(header[:-1]):
             if name != f"x{d + 1}":
-                raise CloudFormatError(f"{path}: column {d + 1} named {name!r}, expected x{d + 1}")
+                raise InputError(f"{path}: column {d + 1} named {name!r}, expected x{d + 1}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a body with no rows
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise CloudFormatError(f"{path}: {str(exc).split(';')[0]}") from None
+            raise InputError(f"{path}: {str(exc).split(';')[0]}") from None
     if data.size == 0:
-        raise EmptyCloudError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     if data.shape[1] != len(header):
-        raise CloudFormatError(f"{path}: expected {len(header)} fields, got {data.shape[1]}")
+        raise InputError(f"{path}: expected {len(header)} fields, got {data.shape[1]}")
     try:
         return PointCloud(points=data[:, :-1], values=data[:, -1])
-    except (CloudFormatError, DuplicatePointsError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:

@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CloudFormatError,
-    ConfigError,
-    NonpositiveSupportError,
-    OrderTooHighError,
-    SingularNormalMatrixError,
-)
+from .errors import ConfigError, InputError, NumericalError
 from .geometry import PointCloud, SpatialIndex, build_index, knn_all, row_blocks
 
 # Stencils whose (scaled) normal matrix is worse conditioned than this fall
@@ -46,6 +40,9 @@ _COND_LIMIT = 1e12
 # ridge is doing real stabilization work and must be left in place.
 _REFINE_COND_LIMIT = 1e8
 _PINV_CUTOFF = 1e-12
+# Relative Tikhonov regularizer: the normal matrix E gets ridge * tr(E) / I
+# added to its diagonal.
+_RIDGE = 1e-10
 # The support radius is this factor times the largest neighbor distance.
 _WEIGHT_MARGIN = 1.1
 
@@ -93,12 +90,11 @@ def weight(t, d_support):
     """Compactly supported stencil weight (1 - t/D)^4 (4 t/D + 1).
 
     Equals 1 at t=0, 0 at t=D, strictly decreasing in between; clamped
-    to 0 for t > D.  Accepts scalars or arrays; d_support may be an array
-    that broadcasts against t, such as one radius per stencil row.
+    to 0 for t > D.  t may be a scalar or an array; D is one radius.
     """
-    d_support = np.asarray(d_support, dtype=float)
-    if np.any(d_support <= 0):
-        raise NonpositiveSupportError(f"support radius must be positive, got {d_support.min()}")
+    d_support = float(d_support)
+    if d_support <= 0:
+        raise ConfigError(f"support radius must be positive, got {d_support}")
     s = np.asarray(t, dtype=float) / d_support
     w = np.where(s <= 1.0, (1.0 - s) ** 4 * (4.0 * s + 1.0), 0.0)
     if w.ndim == 0:
@@ -110,22 +106,17 @@ def weight(t, d_support):
 class MlsConfig:
     """Stencil parameters for the local fits.
 
-    k: neighbor count (self included); m: polynomial order;
-    ridge: relative Tikhonov regularizer on the normal matrix;
-    per_point_support: use a per-stencil support radius instead of the
-    global one (for strongly graded meshes).
+    k: neighbor count (self included); m: polynomial order.  Every
+    stencil is weighted with one support radius and regularized with
+    the relative ridge _RIDGE.
     """
 
     k: int = 20
     m: int = 2
-    ridge: float = 1e-10
-    per_point_support: bool = False
 
     def validate(self, dim: int) -> None:
         if self.m < 1 and not (self.m == 0 and self.k >= 1):
             raise ConfigError(f"polynomial order must be >= 1 (or 0 with K >= 1), got m={self.m}")
-        if self.ridge < 0:
-            raise ConfigError(f"ridge must be >= 0, got {self.ridge}")
         needed = basis_size(dim, self.m)
         if self.k < needed:
             raise ConfigError(
@@ -164,7 +155,7 @@ class JetField:
         try:
             return self.multi_indices.index(tuple(int(a) for a in alpha))
         except ValueError:
-            raise OrderTooHighError(
+            raise ConfigError(
                 f"multi-index {tuple(alpha)} not in the order-{self.order} jet"
             ) from None
 
@@ -173,7 +164,7 @@ def derivative_field(jet: JetField, alpha) -> np.ndarray:
     """Vector of derivative estimates D^alpha u at every point."""
     alpha = tuple(int(a) for a in alpha)
     if sum(alpha) > jet.order:
-        raise OrderTooHighError(f"|alpha|={sum(alpha)} exceeds fitted order m={jet.order}")
+        raise ConfigError(f"|alpha|={sum(alpha)} exceeds fitted order m={jet.order}")
     return multi_index_factorial(alpha) * jet.coefficients[:, jet.index_of(alpha)]
 
 
@@ -231,7 +222,7 @@ class MlsPlan:
         """
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
-            raise CloudFormatError("values contain non-finite entries")
+            raise InputError("values contain non-finite entries")
         samples = np.atleast_2d(values)[:, self.neighbors, None]  # (N, R, K, 1)
         coeffs = (self._operator @ (self._weighted_basis @ samples))[..., 0]
         return coeffs[0] if values.ndim == 1 else coeffs
@@ -248,27 +239,21 @@ def mls_plan(points, cfg: MlsConfig) -> MlsPlan:
 
 
 def _stencils(index: SpatialIndex, cfg: MlsConfig):
-    """KNN stencils (J, K) at every cloud point, their distances, each
-    row's support radius (J,), the spacing h and the largest radius.  The
-    radius is _WEIGHT_MARGIN times the largest neighbor distance, over all
-    stencils, or over each stencil's own with per_point_support."""
+    """KNN stencils (J, K) at every cloud point, their distances, the
+    spacing h and the support radius: _WEIGHT_MARGIN times the largest
+    neighbor distance over all stencils (1 for a single-point cloud)."""
     cfg.validate(index.cloud.dim)
     nbr, dist = knn_all(index, cfg.k)
-    if cfg.per_point_support:
-        d_support = _WEIGHT_MARGIN * dist.max(axis=1)
-        d_support[d_support == 0.0] = 1.0  # single-point cloud, constant fit
-    else:
-        d_support = np.full(len(dist), _WEIGHT_MARGIN * float(dist.max()) or 1.0)
     h = float(dist[:, 1].max()) if cfg.k >= 2 else float("nan")
-    return nbr, dist, d_support, h, float(d_support.max())
+    return nbr, dist, h, _WEIGHT_MARGIN * float(dist.max()) or 1.0
 
 
 def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig) -> MlsPlan:
     """The plan of the fits at points[rows]: weights, basis, normal
     matrices, their inverses and the scale undo, each row on its own."""
-    nbr, dist, d_support, h, support_radius = stencils
+    nbr, dist, h, support_radius = stencils
     nbr, dist = nbr[rows], dist[rows]
-    w = weight(dist, d_support[rows, None])
+    w = weight(dist, support_radius)
     indices = enumerate_multi_indices(points.shape[1], cfg.m)
     # Scale each stencil to the unit ball before forming the normal matrix;
     # the raw basis has entries ~ h^|alpha| and is needlessly ill conditioned.
@@ -278,7 +263,7 @@ def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig) -> MlsPlan:
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
     del b  # the largest temporary; the operator is built after it is freed
-    operator, flagged = _normal_inverse(e, cfg.ridge, cfg.k)
+    operator, flagged = _normal_inverse(e, _RIDGE, cfg.k)
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
     operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
@@ -294,7 +279,7 @@ def _normal_inverse(e: np.ndarray, ridge: float, k: int):
     iterative refinement toward E, precomposed (M E = I - rho M, so two
     steps from x = M r give G = M (I + rho M + (rho M)^2)); the others get
     G = M, and those with cond > _COND_LIMIT are flagged and get the
-    truncated pseudo-inverse of E.  Raises SingularNormalMatrixError for a
+    truncated pseudo-inverse of E.  Raises NumericalError for a
     numerically zero E.
 
     eigvalsh runs only on the rows that two bounds leave open:
@@ -360,9 +345,7 @@ def _normal_inverse(e: np.ndarray, ridge: float, k: int):
         u_svd, sv, vt = np.linalg.svd(e[row], hermitian=True)
         keep = sv > _PINV_CUTOFF * sv[0] if sv[0] > 0 else sv > 0
         if not np.any(keep):
-            raise SingularNormalMatrixError(
-                f"normal matrix at point {row} is numerically zero", point_index=int(row)
-            )
+            raise NumericalError(f"normal matrix at point {row} is numerically zero")
         g[row] = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
     return g, flagged
 
@@ -513,7 +496,7 @@ def convergence_study(
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
     seen so far.  orders defaults to 0..m; an order outside [0, m] raises
-    OrderTooHighError and a repeated order ConfigError.  The same seed
+    ConfigError, and so does a repeated order.  The same seed
     reproduces the table bit for bit.
     """
     resolutions = [int(r) for r in resolutions]
@@ -527,7 +510,7 @@ def convergence_study(
         orders = list(range(cfg.m + 1))
     for order in orders:
         if not 0 <= order <= cfg.m:
-            raise OrderTooHighError(f"order {order} outside [0, m={cfg.m}]")
+            raise ConfigError(f"order {order} outside [0, m={cfg.m}]")
     if len(set(orders)) != len(orders):
         raise ConfigError(f"orders must not repeat, got {list(orders)}")
 

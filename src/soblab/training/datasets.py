@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, OrderTooHighError
+from ..errors import ConfigError
 from ..mls import MlsConfig, mls_plan
 
 GENERATORS = ("antiderivative1d", "poisson1d", "smoothing2d", "discontinuous_inverse")
@@ -200,7 +200,7 @@ def mls_derivative_targets(query_points, targets, k=20, m=2):
     targets = np.atleast_2d(targets)
     n = query_points.shape[1]
     if m < 1:
-        raise OrderTooHighError(f"|alpha|=1 exceeds fitted order m={m}")
+        raise ConfigError(f"|alpha|=1 exceeds fitted order m={m}")
     plan = mls_plan(query_points, MlsConfig(k=min(k, query_points.shape[0]), m=m))
     # first derivatives are the degree-1 coefficients (1! = 1), in axis order
     axes = [plan.multi_indices.index(tuple(int(d == i) for i in range(n))) for d in range(n)]

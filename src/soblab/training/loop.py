@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NanLossError
+from ..errors import ConfigError, NumericalError
 from .datasets import OperatorDataset
 from .losses import pcgrad_merge, relative_l2_error
 from .operator_net import Batch, evaluate_losses, forward_state, loss_gradients, make_operator_net
@@ -109,7 +109,7 @@ class _Adam:
 def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     """Train a fresh operator network on the dataset in the given mode.
 
-    Raises NanLossError (with the epoch index) if a loss diverges, and
+    Raises NumericalError, naming the epoch, if a loss diverges, and
     ConfigError when a derivative-supervised mode is requested on a
     dataset without derivative targets or with targets marked unreliable.
     """
@@ -137,8 +137,11 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     full = Batch(dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
 
     state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
-    evaluation = evaluate_losses(state, full)
+    # divergence is detected explicitly; inf/NaN transients must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluation = evaluate_losses(state, full)
     init_l2, init_der = evaluation[3:]
+    _check_losses(init_l2, init_der, mode, "at the initial parameters")
     init_val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
 
     adam = _Adam(net.n_params, cfg.learning_rate) if cfg.optimizer == "adam" else None
@@ -146,7 +149,6 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     hist_der: list[float] = []
     hist_val: list[float] = []
 
-    # divergence is detected explicitly below; inf/NaN transients must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         state = _run_epochs(
             cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_size, full, adam,
@@ -169,6 +171,11 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
         final_test_rel_l2=final_test,
         n_params=net.n_params,
     )
+
+
+def _check_losses(l2, der, mode, when):
+    if not np.isfinite(l2) or (mode != "ordinary" and not np.isfinite(der)):
+        raise NumericalError(f"loss became non-finite {when}")
 
 
 def _predict(state, inputs):
@@ -211,8 +218,7 @@ def _run_epochs(cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_
 
         evaluation = evaluate_losses(state, full)
         l2, der = evaluation[3:]
-        if not np.isfinite(l2) or (mode != "ordinary" and not np.isfinite(der)):
-            raise NanLossError(f"loss became non-finite at epoch {epoch}", epoch=epoch)
+        _check_losses(l2, der, mode, f"at epoch {epoch}")
         val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
         hist_l2.append(l2)
         hist_der.append(der)

@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BothZeroError, ShapeMismatchError, ZeroTargetNormError
+from ..errors import ConfigError
 
 
 def _check_same_shape(pred, target):
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
-        raise ShapeMismatchError(f"prediction {pred.shape} vs target {target.shape}")
+        raise ConfigError(f"prediction {pred.shape} vs target {target.shape}")
     return pred, target
 
 
 def residual(pred, target):
-    """pred - target; raises ShapeMismatchError unless the shapes agree."""
+    """pred - target; raises ConfigError unless the shapes agree."""
     pred, target = _check_same_shape(pred, target)
     return pred - target
 
@@ -38,7 +38,7 @@ def relative_l2_error(pred, target) -> float:
     target = np.atleast_2d(target)
     norms = np.linalg.norm(target, axis=-1)
     if np.any(norms == 0.0):
-        raise ZeroTargetNormError("a target function is identically zero")
+        raise ConfigError("a target function is identically zero")
     ratios = np.linalg.norm(pred - target, axis=-1) / norms
     return float(np.add.reduce(ratios, axis=None) / ratios.size)
 
@@ -53,9 +53,9 @@ def pcgrad_merge(g1, g2) -> np.ndarray:
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape:
-        raise ShapeMismatchError(f"gradient shapes differ: {g1.shape} vs {g2.shape}")
+        raise ConfigError(f"gradient shapes differ: {g1.shape} vs {g2.shape}")
     if not (np.any(g1) or np.any(g2)):
-        raise BothZeroError("both task gradients are zero")
+        raise ConfigError("both task gradients are zero")
     dot = float(np.dot(g1, g2))
     if dot >= 0.0:
         return g1 + g2

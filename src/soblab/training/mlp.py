@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimMismatchError
+from ..errors import ConfigError
 
 
 def param_count(layer_sizes) -> int:
@@ -29,21 +29,17 @@ class ReluMLP:
     and output widths.  All parameters live in one flat vector, params,
     in layer order (weights then bias per layer); weights and biases are
     views into it, so writing params in place updates the network.
-    params, when given, is the buffer to use, such as a slice of a larger
-    vector; its contents are overwritten by the initialization.
+    params is the buffer to use, such as a slice of a larger vector; its
+    contents are overwritten by the initialization, drawn from rng.
     """
 
-    def __init__(self, layer_sizes, rng=None, params=None):
+    def __init__(self, layer_sizes, rng, params):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         if len(self.layer_sizes) < 2:
-            raise DimMismatchError("need at least input and output sizes")
-        if rng is None:
-            rng = np.random.default_rng(0)
+            raise ConfigError("need at least input and output sizes")
         size = param_count(self.layer_sizes)
-        if params is None:
-            params = np.empty(size)
         if params.shape != (size,):
-            raise DimMismatchError(f"expected {size} parameters, got {params.shape}")
+            raise ConfigError(f"expected {size} parameters, got {params.shape}")
         self.params = params
         weights, biases = [], []
         pos = 0
@@ -77,7 +73,7 @@ class ReluMLP:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
-            raise DimMismatchError(f"input width {x.shape[1]} != {self.in_dim}")
+            raise ConfigError(f"input width {x.shape[1]} != {self.in_dim}")
         activations = [x]
         masks = []
         a = x

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimMismatchError
+from ..errors import ConfigError
 from .losses import mean_square, residual
 from .mlp import ReluMLP, param_count
 
@@ -104,7 +104,7 @@ class ForwardState:
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         n_sensors = self.psi_out.shape[0]
         if inputs.shape[1] != n_sensors:
-            raise DimMismatchError(
+            raise ConfigError(
                 f"{inputs.shape[1]} sensor values but the net expects {n_sensors}"
             )
         return inputs @ self.psi_out / n_sensors
@@ -116,7 +116,7 @@ class ForwardState:
     def gradients(self, coeffs):
         """Predicted query-space gradients (N, J, n), exact differentiation."""
         if self.jvp is None:
-            raise DimMismatchError("gradients need a forward state built with jvps")
+            raise ConfigError("gradients need a forward state built with jvps")
         # C order (N, J, n): the derivative loss sums in that order
         return np.ascontiguousarray((coeffs @ self.jvp[0].swapaxes(1, 2)).transpose(1, 2, 0))
 
@@ -163,7 +163,7 @@ def loss_gradients(net: OperatorNet, state: ForwardState, inputs, coeffs, res, d
             d_coeffs.append(cot_values @ state.phi_out)
         elif kind == "der":
             if d_res is None:
-                raise DimMismatchError("derivative loss requested but the batch has none")
+                raise ConfigError("derivative loss requested but the batch has none")
             t_out, t_cache = state.jvp
             cot = 2.0 * np.ascontiguousarray(d_res.transpose(2, 0, 1)) / d_res.size
             grads_d = net.phi.jvp_param_grads(state.phi_cache, t_cache, cot.swapaxes(1, 2) @ coeffs)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from soblab import geometry
+from soblab import geometry, mls
 from soblab.geometry import PointCloud, build_index, knn_all
 from soblab.mls import MlsConfig, basis_size, estimate_derivatives, mls_plan
 
@@ -43,17 +43,17 @@ def _collinear():
 CLOUDS = {
     "uniform": (np.random.default_rng(50).random((700, 2)), MlsConfig(k=20, m=2)),
     "grid": (_grid(26), MlsConfig(k=20, m=2)),
-    "per-point-support": (
-        np.random.default_rng(51).random((600, 2)) ** 4, MlsConfig(k=12, m=2, per_point_support=True)
-    ),
-    # no ridge: every stencil of collinear points is flagged
-    "flagged": (_collinear(), MlsConfig(k=8, m=2, ridge=0.0)),
+    "graded": (np.random.default_rng(51).random((600, 2)) ** 4, MlsConfig(k=12, m=2)),
+    # run with no ridge: every stencil of collinear points is flagged
+    "flagged": (_collinear(), MlsConfig(k=8, m=2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLOUDS))
 def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, case):
     points, cfg = CLOUDS[case]
+    if case == "flagged":
+        monkeypatch.setattr(mls, "_RIDGE", 0.0)
     values = np.sin(3.0 * points[:, 0]) * np.cos(2.0 * points[:, 1]) + points[:, 0] ** 2
     plan = mls_plan(points, cfg)
     assert plan.flagged.any() == (case == "flagged")

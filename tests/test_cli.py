@@ -11,11 +11,24 @@ import pytest
 
 from soblab import errors
 from soblab.cli import main as cli
+from soblab.cli import svg
 from soblab.cli.io import atomic_write_text, write_csv
 from soblab.cli.main import DEFAULTS, build_parser, main
-from soblab.errors import CloudFormatError, DuplicatePointsError, EmptyCloudError
-from soblab.geometry import PointCloud, load_cloud_csv, save_cloud_csv
+from soblab.convlab import (
+    angle_between,
+    cubic_local_min,
+    descent_landscape,
+    gated_correlation,
+    gated_correlation_sum,
+    quadrant_prob,
+)
+from soblab.errors import InputError
+from soblab.geometry import PointCloud, build_index, knn_all, load_cloud_csv, save_cloud_csv
+from soblab.mls import _normal_inverse, weight
 from soblab.training import TrainConfig
+from soblab.training.datasets import mls_derivative_targets
+from soblab.training.loop import _check_losses
+from soblab.training.losses import pcgrad_merge, relative_l2_error, residual
 
 
 def read_csv(path):
@@ -246,6 +259,44 @@ def test_flow_too_many_records_exits_3_before_the_first_step(tmp_path, capsys, m
     assert not list(out.glob("trajectory_*.csv"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["L2", "Sob", "both"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # the first step overflows to NaN: the step guard trips
+        (("--ratio0", "1e30", "--T", "1"), "step 1 too large"),
+        # no step, but the recorded rate at the start overflows
+        (("--ratio0", "1e100", "--T", "0"), "recorded distance or rate is not finite"),
+    ],
+)
+def test_flow_that_overflows_exits_4_with_one_line(tmp_path, capsys, mode, flags, message):
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", "--allow-outside", "--mode", mode, *flags) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("soblab: numerical failure: ") and message in err
+    assert not list(out.glob("trajectory_*.csv"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_flow_plot_of_a_constant_beyond_2_to_53(tmp_path):
+    # one sample at |w - w*| ~ 1e20: y0 + 1 == y0, so the empty y range is
+    # widened by |y0| instead
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", "--allow-outside", "--ratio0", "1e20", "--T", 0) == 0
+    assert "<polyline" in (out / "flow.svg").read_text()
+
+
+def test_svg_widens_an_empty_range_by_one_where_one_changes_it():
+    for value in (0.0, -3.5, 1e15, 2.0**53 - 1):
+        ax = svg._Axes((value, value), (value, value))
+        assert (ax.x0, ax.x1, ax.y0, ax.y1) == (value, value + 1.0, value, value + 1.0)
+    for value in (2.0**53, 1e20, -1e300):
+        ax, wide = svg._Axes((value, value), (value, value)), value + abs(value)
+        assert (ax.x0, ax.x1, ax.y0, ax.y1) == (value, wide, value, wide)
+        assert ax.y1 > ax.y0 and ax.py(value) == svg.HEIGHT - svg.MARGIN_B
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--T", -5), ("--T", "inf"), ("--record-every", 0), ("--dt", 0), ("--dt", "nan")],
@@ -425,6 +476,17 @@ def test_train_bad_rate_or_weight_exits_3_naming_the_flag(tmp_path, capsys, flag
     assert run_cli("--out-dir", out, "train", *TRAIN_FAST, flag, value) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"soblab: configuration error: {flag} ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["ordinary", "sobolev"])
+def test_train_noise_whose_loss_overflows_exits_4_with_one_line(tmp_path, capsys, mode):
+    # noise 1e300 times the targets' spread: the initial loss squares to inf
+    out = tmp_path / "t"
+    assert run_cli("--out-dir", out, "train", *TRAIN_FAST, "--mode", mode, "--noise", "1e300") == 4
+    err = capsys.readouterr().err
+    assert err == "soblab: numerical failure: loss became non-finite at the initial parameters\n"
     assert not (out / "report.json").exists()
 
 
@@ -661,40 +723,80 @@ def test_every_setting_flag_parses_back_its_default(command, key):
 
 ERROR_TABLE = [
     (errors.SoblabError, 4, "soblab: "),
-    (errors.EmptyCloudError, 2, "soblab: input error: "),
-    (errors.DuplicatePointsError, 2, "soblab: input error: "),
-    (errors.CloudFormatError, 2, "soblab: input error: "),
-    (errors.KTooLargeError, 3, "soblab: configuration error: "),
+    (errors.InputError, 2, "soblab: input error: "),
     (errors.ConfigError, 3, "soblab: configuration error: "),
-    (errors.NonpositiveSupportError, 3, "soblab: configuration error: "),
-    (errors.OrderTooHighError, 3, "soblab: configuration error: "),
-    (errors.OutOfDomainError, 3, "soblab: configuration error: "),
-    (errors.SingularNormalMatrixError, 4, "soblab: numerical failure: "),
+    (errors.NumericalError, 4, "soblab: numerical failure: "),
     (errors.StepTooLargeError, 4, "soblab: numerical failure: "),
-    (errors.PhiZeroError, 4, "soblab: numerical failure: "),
-    (errors.NanLossError, 4, "soblab: numerical failure: "),
-    (errors.ShapeMismatchError, 4, "soblab: "),
-    (errors.BothZeroError, 4, "soblab: "),
-    (errors.DimMismatchError, 4, "soblab: "),
-    (errors.ZeroTargetNormError, 4, "soblab: "),
-    (errors.ZeroVectorError, 4, "soblab: "),
-    (errors.NotUnitError, 4, "soblab: "),
-    (errors.NoLocalMinError, 4, "soblab: "),
 ]
 
 
+def _error_classes(cls):
+    return {cls}.union(*map(_error_classes, cls.__subclasses__()))
+
+
 def test_error_table_lists_every_error_class():
-    assert {row[0] for row in ERROR_TABLE} == {errors.SoblabError, *errors.SoblabError.__subclasses__()}
+    assert [row[0] for row in ERROR_TABLE] == [
+        errors.SoblabError, errors.InputError, errors.ConfigError, errors.NumericalError,
+        errors.StepTooLargeError,
+    ]
+    assert {row[0] for row in ERROR_TABLE} == _error_classes(errors.SoblabError)
 
 
-@pytest.mark.parametrize("cls, code, prefix", ERROR_TABLE, ids=[r[0].__name__ for r in ERROR_TABLE])
-def test_error_class_gives_its_exit_code_and_prefix(tmp_path, capsys, monkeypatch, cls, code, prefix):
+def _raise_boom(cls):
+    def trigger():
+        raise cls("boom", step_index=1) if cls is errors.StepTooLargeError else cls("boom")
+
+    return trigger
+
+
+# Each condition that had an error class of its own before the classes were
+# folded into one per exit code, raised by the library code that checks it.
+# The id keeps the old class name; the class is the one it raises now.
+FOLDED_CONDITIONS = [
+    ("EmptyCloudError", lambda: PointCloud(points=np.empty((0, 2)), values=np.empty(0)), errors.InputError),
+    ("DuplicatePointsError", lambda: PointCloud(points=[[1.0, 2.0], [1.0, 2.0]], values=[0.0, 1.0]),
+     errors.InputError),
+    ("CloudFormatError", lambda: PointCloud(points=[[0.0, np.inf], [1.0, 0.0]], values=[0.0, 1.0]),
+     errors.InputError),
+    ("KTooLargeError", lambda: knn_all(build_index(PointCloud(points=[[0.0], [1.0]], values=[0.0, 1.0])), 3),
+     errors.ConfigError),
+    ("NonpositiveSupportError", lambda: weight(0.5, 0.0), errors.ConfigError),
+    ("OrderTooHighError", lambda: mls_derivative_targets(np.zeros((3, 1)), np.zeros((1, 3)), m=0),
+     errors.ConfigError),
+    ("OutOfDomainError", lambda: quadrant_prob(1.5), errors.ConfigError),
+    ("DimMismatchError", lambda: gated_correlation_sum(np.zeros((2, 3)), [1.0, 0.0], [0.0, 1.0]),
+     errors.ConfigError),
+    ("ShapeMismatchError", lambda: residual(np.zeros((2, 3)), np.zeros((3, 2))), errors.ConfigError),
+    ("ZeroVectorError", lambda: angle_between([0.0, 0.0], [1.0, 0.0]), errors.ConfigError),
+    ("NotUnitError", lambda: gated_correlation([2.0, 0.0], [1.0, 1.0]), errors.ConfigError),
+    ("NoLocalMinError", lambda: cubic_local_min(-1.0, 0.0, 1.0, 0.0), errors.ConfigError),
+    ("BothZeroError", lambda: pcgrad_merge(np.zeros(3), np.zeros(3)), errors.ConfigError),
+    ("ZeroTargetNormError", lambda: relative_l2_error(np.ones((1, 2)), np.zeros((1, 2))), errors.ConfigError),
+    ("PhiZeroError", lambda: descent_landscape(np.array([np.pi]), np.array([1.0])), errors.ConfigError),
+    ("SingularNormalMatrixError", lambda: _normal_inverse(np.zeros((1, 6, 6)), 0.0, 6),
+     errors.NumericalError),
+    ("NanLossError", lambda: _check_losses(np.nan, 0.0, "ordinary", "at epoch 3"), errors.NumericalError),
+]
+EXIT_OF = {cls: (code, prefix) for cls, code, prefix in ERROR_TABLE}
+ERROR_CASES = [(cls.__name__, _raise_boom(cls), cls) for cls, _, _ in ERROR_TABLE] + FOLDED_CONDITIONS
+
+
+@pytest.mark.parametrize("trigger, cls", [c[1:] for c in ERROR_CASES], ids=[c[0] for c in ERROR_CASES])
+def test_error_class_gives_its_exit_code_and_prefix(tmp_path, capsys, monkeypatch, trigger, cls):
+    raised = []
+
     def fail(config, out_dir, seed):
-        raise cls("boom")
+        try:
+            trigger()
+        except errors.SoblabError as exc:
+            raised.append(exc)
+            raise
 
     monkeypatch.setitem(cli.RUNNERS, "validate", fail)
+    code, prefix = EXIT_OF[cls]
     assert run_cli("--out-dir", tmp_path, "validate") == code
-    assert capsys.readouterr().err == prefix + "boom\n"
+    assert type(raised[0]) is cls
+    assert capsys.readouterr().err == prefix + str(raised[0]) + "\n"
 
 
 def test_memory_error_is_a_one_line_config_error(tmp_path, capsys, monkeypatch):
@@ -803,24 +905,35 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _old_id(text, match, old_class):
+    """A case whose id keeps the name of the error class it raised before
+    the input-file classes were folded into InputError."""
+    return pytest.param(text, match, id=f"{text}-{old_class}")
+
+
 @pytest.mark.parametrize(
-    "text, error",
+    "text, match",
     [
-        ("a1,x2,u\n0.0,0.0,1.0\n", CloudFormatError),  # bad header
-        ("x1,x2,u\n0.0,0.0,1.0\n1.0,2.0\n", CloudFormatError),  # short row
-        ("x1,x2,u\n0.0,0.0,1.0\n1.0,2.0,3.0,4.0\n", CloudFormatError),  # long row
-        ("x1,x2,u\n0.0,0.0,1.0\n0.5,oops,1.0\n", CloudFormatError),  # non-numeric cell
-        ("x1,x2,u\n", EmptyCloudError),  # header only
-        ("", CloudFormatError),  # empty file
-        ("x1,x2,u\n0.0,0.0,1.0\n0.5,0.5,1.0\n0.0,0.0,2.0\n", DuplicatePointsError),
-        ("x1,x2,u\n0.0,0.0,1.0\n0.5,0.5,nan\n", CloudFormatError),  # non-finite value
-        ("x1,x2,u\n0.0,inf,1.0\n0.5,0.5,1.0\n", CloudFormatError),  # non-finite point
+        _old_id("a1,x2,u\n0.0,0.0,1.0\n", "column 1 named 'a1'", "CloudFormatError"),  # bad header
+        _old_id("x1,x2,u\n0.0,0.0,1.0\n1.0,2.0\n", "(?i)number of columns", "CloudFormatError"),  # short row
+        # long row
+        _old_id("x1,x2,u\n0.0,0.0,1.0\n1.0,2.0,3.0,4.0\n", "(?i)number of columns", "CloudFormatError"),
+        _old_id("x1,x2,u\n0.0,0.0,1.0\n0.5,oops,1.0\n", "oops", "CloudFormatError"),  # non-numeric cell
+        _old_id("x1,x2,u\n", "no data rows", "EmptyCloudError"),  # header only
+        _old_id("", "empty file", "CloudFormatError"),
+        _old_id(
+            "x1,x2,u\n0.0,0.0,1.0\n0.5,0.5,1.0\n0.0,0.0,2.0\n", "bitwise-identical points", "DuplicatePointsError"
+        ),
+        _old_id("x1,x2,u\n0.0,0.0,1.0\n0.5,0.5,nan\n", "values contain non-finite", "CloudFormatError"),
+        _old_id("x1,x2,u\n0.0,inf,1.0\n0.5,0.5,1.0\n", "points contain non-finite", "CloudFormatError"),
+        # a 1e160 spread: the KNN's squared distances would overflow
+        ("x1,x2,u\n0.0,0.0,1.0\n1e160,0.0,1.0\n0.0,1e160,2.0\n", "squared distances overflow"),
     ],
 )
-def test_derivs_malformed_cloud_exits_2(tmp_path, capsys, text, error):
+def test_derivs_malformed_cloud_exits_2(tmp_path, capsys, text, match):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
-    with pytest.raises(error):
+    with pytest.raises(InputError, match=match):
         load_cloud_csv(bad)
     assert run_cli("--out-dir", tmp_path / "o", "derivs", "--input", bad) == 2
     err = capsys.readouterr().err

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from soblab.errors import (
-    CloudFormatError,
-    DuplicatePointsError,
-    EmptyCloudError,
-    KTooLargeError,
-)
+from soblab.errors import ConfigError, InputError
 from soblab.geometry import (
     PointCloud,
     SpatialIndex,
@@ -41,19 +36,19 @@ def test_build_index_single_point():
 
 
 def test_empty_cloud_rejected():
-    with pytest.raises(EmptyCloudError):
+    with pytest.raises(InputError, match="point cloud is empty"):
         PointCloud(points=np.empty((0, 2)), values=np.empty(0))
 
 
 def test_duplicate_points_rejected():
-    with pytest.raises(DuplicatePointsError):
+    with pytest.raises(InputError, match="bitwise-identical points"):
         PointCloud(points=[[1.0, 2.0], [1.0, 2.0]], values=[0.0, 1.0])
 
 
 def _accepted(points):
     try:
         PointCloud(points=points, values=np.zeros(len(points)))
-    except DuplicatePointsError as exc:
+    except InputError as exc:
         assert str(exc) == "cloud contains bitwise-identical points"
         return False
     return True
@@ -80,10 +75,21 @@ def test_duplicate_check_signed_zero_and_single_point():
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(CloudFormatError):
+    with pytest.raises(InputError, match="points contain non-finite"):
         PointCloud(points=[[np.nan, 0.0]], values=[1.0])
-    with pytest.raises(CloudFormatError):
+    with pytest.raises(InputError, match="values contain non-finite"):
         PointCloud(points=[[0.0, 0.0]], values=[np.inf])
+
+
+@pytest.mark.filterwarnings("error")
+def test_spread_whose_squared_distances_overflow_rejected():
+    # at a 1e153 spread the KNN squares finite differences; beyond, the KD
+    # tree reports the neighbours it cannot reach as index J
+    near = PointCloud(points=[[0.0, 0.0], [1e153, 0.0], [0.0, 1e153]], values=[0.0, 1.0, 2.0])
+    assert np.isfinite(knn_all(build_index(near), 3)[1]).all()
+    for far in ([[0.0, 0.0], [1e160, 0.0]], [[-1e308, 0.0], [1e308, 0.0]]):
+        with pytest.raises(InputError, match="squared distances overflow"):
+            PointCloud(points=far, values=[0.0, 1.0])
 
 
 def test_knn_self_is_nearest_and_ties_break_low():
@@ -97,9 +103,9 @@ def test_knn_self_is_nearest_and_ties_break_low():
 
 def test_knn_k_too_large():
     index = build_index(line_cloud())
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(ConfigError, match=r"K=4 outside \[1, 3\]"):
         knn_all(index, 4)
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(ConfigError, match=r"K=0 outside \[1, 3\]"):
         knn_all(index, 0)
 
 
@@ -164,7 +170,7 @@ def test_cloud_csv_round_trip(tmp_path):
 def test_cloud_csv_header_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,0.0,1.0\n")
-    with pytest.raises(CloudFormatError):
+    with pytest.raises(InputError, match="expected header x1,...,xn,u"):
         load_cloud_csv(path)
 
 

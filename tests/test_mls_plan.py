@@ -11,7 +11,8 @@ max|dc| / max|c| per polynomial degree.
 import numpy as np
 import pytest
 
-from soblab.errors import CloudFormatError
+from soblab import mls
+from soblab.errors import InputError
 from soblab.geometry import PointCloud, build_index, knn_all
 from soblab.mls import (
     MlsConfig,
@@ -39,14 +40,13 @@ def _reference_basis(diffs, indices):
     return b
 
 
-def _reference_solve(diffs, dists, values, cfg, d_support):
+def _reference_solve(diffs, dists, values, cfg, d_support, ridge):
     j_count, k_count, dim = diffs.shape
     indices = enumerate_multi_indices(dim, cfg.m)
     i_count = len(indices)
     degrees = np.array([sum(a) for a in indices], dtype=float)
 
-    d_arr = np.broadcast_to(np.asarray(d_support, dtype=float), (j_count,))
-    s = dists / d_arr[:, None]
+    s = dists / d_support
     w = np.where(s <= 1.0, (1.0 - s) ** 4 * (4.0 * s + 1.0), 0.0)
 
     scale = dists.max(axis=1)
@@ -57,7 +57,7 @@ def _reference_solve(diffs, dists, values, cfg, d_support):
     rhs = np.einsum("jk,jki,jk->ji", w, b, values)
 
     trace = np.trace(e, axis1=1, axis2=2)
-    reg = cfg.ridge * trace / i_count
+    reg = ridge * trace / i_count
     e_reg = e + reg[:, None, None] * np.eye(i_count)
 
     eig = np.linalg.eigvalsh(e_reg)
@@ -89,15 +89,12 @@ def _reference_solve(diffs, dists, values, cfg, d_support):
     return coeffs, flagged
 
 
-def _reference_jets(cloud, cfg):
+def _reference_jets(cloud, cfg, ridge):
     nbr, dist = knn_all(build_index(cloud), cfg.k)
     # the support radius: 1.1 times the largest neighbor distance
-    if cfg.per_point_support:
-        d_support = 1.1 * dist.max(axis=1)
-    else:
-        d_support = 1.1 * float(dist.max())
+    d_support = 1.1 * float(dist.max())
     diffs = cloud.points[nbr] - cloud.points[:, None, :]
-    return _reference_solve(diffs, dist, cloud.values[nbr], cfg, d_support)
+    return _reference_solve(diffs, dist, cloud.values[nbr], cfg, d_support, ridge)
 
 
 def _grid(side):
@@ -112,14 +109,13 @@ def _collinear():
     return np.column_stack([xs, np.zeros_like(xs)])
 
 
+# (points, config, ridge): the degenerate case runs with the ridge disabled
 CASES = {
-    "grid-m2": (_grid(25), MlsConfig(k=20, m=2)),
-    "random2d-m2": (np.random.default_rng(40).random((800, 2)), MlsConfig(k=20, m=2)),
-    "random3d-m3": (np.random.default_rng(41).random((600, 3)), MlsConfig(k=40, m=3)),
-    "random3d-m2-per-point": (
-        np.random.default_rng(42).random((500, 3)), MlsConfig(k=20, m=2, per_point_support=True)
-    ),
-    "degenerate": (_collinear(), MlsConfig(k=8, m=2, ridge=0.0)),
+    "grid-m2": (_grid(25), MlsConfig(k=20, m=2), mls._RIDGE),
+    "random2d-m2": (np.random.default_rng(40).random((800, 2)), MlsConfig(k=20, m=2), mls._RIDGE),
+    "random3d-m3": (np.random.default_rng(41).random((600, 3)), MlsConfig(k=40, m=3), mls._RIDGE),
+    "random3d-m2": (np.random.default_rng(42).random((500, 3)), MlsConfig(k=20, m=2), mls._RIDGE),
+    "degenerate": (_collinear(), MlsConfig(k=8, m=2), 0.0),
 }
 
 
@@ -129,7 +125,7 @@ def _values(points):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_basis_bit_identical_to_reference(case):
-    points, cfg = CASES[case]
+    points, cfg, _ = CASES[case]
     cloud = PointCloud(points=points, values=_values(points))
     nbr, dist = knn_all(build_index(cloud), cfg.k)
     diffs = (cloud.points[nbr] - cloud.points[:, None, :]) / dist.max(axis=1)[:, None, None]
@@ -138,10 +134,11 @@ def test_basis_bit_identical_to_reference(case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_coefficients_match_reference_solver(case):
-    points, cfg = CASES[case]
+def test_coefficients_match_reference_solver(monkeypatch, case):
+    points, cfg, ridge = CASES[case]
+    monkeypatch.setattr(mls, "_RIDGE", ridge)
     cloud = PointCloud(points=points, values=_values(points))
-    want, want_flagged = _reference_jets(cloud, cfg)
+    want, want_flagged = _reference_jets(cloud, cfg, ridge)
     jet = estimate_derivatives(cloud, cfg)
     assert np.array_equal(jet.flagged, want_flagged)
     if case == "degenerate":
@@ -156,8 +153,9 @@ def test_coefficients_match_reference_solver(case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_batched_apply_matches_single_applies(case):
-    points, cfg = CASES[case]
+def test_batched_apply_matches_single_applies(monkeypatch, case):
+    points, cfg, ridge = CASES[case]
+    monkeypatch.setattr(mls, "_RIDGE", ridge)
     plan = mls_plan(points, cfg)
     rng = np.random.default_rng(43)
     samples = rng.normal(size=(5, points.shape[0]))
@@ -182,5 +180,5 @@ def test_batched_targets_match_per_sample_jets():
 def test_non_finite_values_rejected():
     targets = np.ones((2, 30))
     targets[1, 3] = np.nan
-    with pytest.raises(CloudFormatError):
+    with pytest.raises(InputError, match="values contain non-finite"):
         mls_derivative_targets(np.linspace(0.0, 1.0, 30)[:, None], targets, k=8, m=2)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from soblab.errors import DimMismatchError
+from soblab.errors import ConfigError
 from soblab.training import Batch, ReluMLP, forward_state, make_operator_net
 from soblab.training.losses import mean_square, residual
+from soblab.training.mlp import param_count
 from soblab.training.operator_net import evaluate_losses, loss_gradients
 
 
@@ -90,16 +91,16 @@ def test_batch_state_matches_single_point_state():
 def test_sensor_count_guard():
     net = small_net()
     state = forward_state(net, np.zeros((3, 2)))
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ConfigError, match="sensor values but the net expects"):
         state.coefficients(np.ones((2, net.n_sensors + 1)))
 
 
 def test_state_guards():
     net = small_net()
     queries, batch = random_batch(net)
-    with pytest.raises(DimMismatchError):  # derivatives from a state built without JVPs
+    with pytest.raises(ConfigError, match="forward state built with jvps"):
         evaluate_losses(forward_state(net, queries, jvps=False), batch)
-    with pytest.raises(DimMismatchError):  # derivative gradient without derivative targets
+    with pytest.raises(ConfigError, match="the batch has none"):
         no_derivs = Batch(inputs=batch.inputs, targets=batch.targets)
         grads_of(net, forward_state(net, queries), no_derivs, ("der",))
     with pytest.raises(ValueError):
@@ -172,8 +173,9 @@ def test_loss_evaluation_matches_loss_functions():
 
 
 def test_mlp_param_round_trip():
-    mlp = ReluMLP([3, 5, 2], rng=np.random.default_rng(0))
-    mlp2 = ReluMLP([3, 5, 2], rng=np.random.default_rng(99))
+    size = param_count([3, 5, 2])
+    mlp = ReluMLP([3, 5, 2], rng=np.random.default_rng(0), params=np.empty(size))
+    mlp2 = ReluMLP([3, 5, 2], rng=np.random.default_rng(99), params=np.empty(size))
     mlp2.params[:] = mlp.params
     x = np.random.default_rng(1).normal(size=(4, 3))
     np.testing.assert_array_equal(mlp.forward(x)[0], mlp2.forward(x)[0])
