@@ -38,8 +38,9 @@ BLOCK_ROWS = 2048
 class PointCloud:
     """Irregular mesh points with scalar samples u(x_j).
 
-    points has shape (J, n), values shape (J,).  Duplicate points are
-    rejected at construction: every stencil must be well posed.
+    points has shape (J, n); values has shape (J,), or (N, J) for N
+    samples on the same points.  Duplicate points are rejected at
+    construction: every stencil must be well posed.
     """
 
     points: np.ndarray
@@ -47,15 +48,15 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
-        vals = np.asarray(self.values, dtype=float).ravel()
+        vals = np.asarray(self.values, dtype=float)
         if pts.size == 0:
             raise InputError("point cloud is empty")
         if pts.ndim != 2:
             raise InputError(f"points must be a (J, n) array, got shape {pts.shape}")
-        if pts.shape[0] != vals.shape[0]:
-            raise InputError(
-                f"{pts.shape[0]} points but {vals.shape[0]} values"
-            )
+        if vals.ndim not in (1, 2):
+            raise InputError(f"values must be a (J,) or (N, J) array, got shape {vals.shape}")
+        if pts.shape[0] != vals.shape[-1]:
+            raise InputError(f"{pts.shape[0]} points but {vals.shape[-1]} values")
         if not np.isfinite(pts).all():
             raise InputError("points contain non-finite coordinates")
         if not np.isfinite(vals).all():

@@ -8,15 +8,16 @@ derivative of order alpha at x_j is alpha! times the coefficient c_alpha
 known derivatives is included.
 
 The fit is linear in the sample values: each stencil's jet is a fixed
-matrix times the stencil's samples (the GMLS form).  mls_plan(points,
-cfg) forms those matrices once per geometry (KNN, weights, basis, normal
-matrices, the flags and the per-stencil inverse), and
-MlsPlan.apply(values) maps one or many value vectors on those points to
-coefficients with two batched matrix products and no solve.
-estimate_derivatives runs the KNN once (the global support radius needs
-every distance), then plans and applies the fits in blocks of
-geometry.BLOCK_ROWS rows, so its memory grows with a block, not the
-cloud.  The condition checks behind the flags and the refinement come
+matrix times the stencil's samples (the GMLS form).
+estimate_derivatives(cloud, cfg) runs the KNN once (the global support
+radius needs every distance), then, in blocks of geometry.BLOCK_ROWS
+rows, forms the value-independent half of the fits (weights, basis,
+normal matrices, the flags and the per-stencil inverse) and applies it
+to every sample on the cloud with two batched matrix products and no
+solve.  A cloud may carry one sample (J,) or a stack (N, J) on the same
+points; either way memory grows with a block and the results, not with
+the cloud's plan, and a sample's jets are the same bits alone or in a
+stack.  The condition checks behind the flags and the refinement come
 from bounds (the ridge bounds the condition number; the Frobenius norms
 of each matrix and its inverse bound it within a factor I), and eigvalsh
 runs only on the stencils those bounds leave undecided.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, NumericalError
 from .geometry import PointCloud, SpatialIndex, build_index, knn_all, row_blocks
 
 # Stencils whose (scaled) normal matrix is worse conditioned than this fall
@@ -129,7 +130,8 @@ class MlsConfig:
 class JetField:
     """Per-point MLS coefficient vectors, graded-lex multi-index order.
 
-    coefficients[j, i] is c_{j, alpha_i}; h is the mesh spacing statistic
+    coefficients[..., j, i] is c_{j, alpha_i}, (J, I) for one sample and
+    (N, J, I) for a stack of N; h is the mesh spacing statistic
     max over points of the nearest non-self neighbor distance (a
     fill-distance proxy, ~ J^(-1/n) on uniform clouds); flagged marks
     points rescued by the pseudo-inverse fallback.
@@ -145,7 +147,7 @@ class JetField:
 
     @property
     def size(self) -> int:
-        return self.coefficients.shape[0]
+        return self.points.shape[0]
 
     @property
     def dim(self) -> int:
@@ -161,11 +163,11 @@ class JetField:
 
 
 def derivative_field(jet: JetField, alpha) -> np.ndarray:
-    """Vector of derivative estimates D^alpha u at every point."""
+    """Derivative estimates D^alpha u at every point, (J,) or (N, J)."""
     alpha = tuple(int(a) for a in alpha)
     if sum(alpha) > jet.order:
         raise ConfigError(f"|alpha|={sum(alpha)} exceeds fitted order m={jet.order}")
-    return multi_index_factorial(alpha) * jet.coefficients[:, jet.index_of(alpha)]
+    return multi_index_factorial(alpha) * jet.coefficients[..., jet.index_of(alpha)]
 
 
 def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
@@ -188,56 +190,6 @@ def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
     return np.moveaxis(b, 0, -1)
 
 
-@dataclass(frozen=True)
-class MlsPlan:
-    """The value-independent half of the local fits: a linear operator
-    from sample values to jet coefficients.
-
-    Row r fits the samples u[neighbors[r]] (K of the cloud's J points) as
-    _operator[r] @ _weighted_basis[r] @ u[neighbors[r]].  Everything that
-    depends on the points only is computed once: the weights, the scaled
-    basis, the normal matrices, the flags and the operator, which is the
-    regularized inverse of the normal matrix with two refinement steps
-    toward it precomposed (the truncated pseudo-inverse on flagged rows),
-    divided by scale ** |alpha|.  Whether a row is flagged or refined is
-    decided from condition bounds, with eigvalsh only where they cannot
-    (see _normal_inverse).  h is the largest nearest non-self neighbor
-    distance.
-    """
-
-    neighbors: np.ndarray
-    multi_indices: tuple[tuple[int, ...], ...]
-    h: float
-    support_radius: float
-    flagged: np.ndarray
-    _weighted_basis: np.ndarray = field(repr=False)  # (R, I, K): w_k b_i(x_k)
-    _operator: np.ndarray = field(repr=False)  # (R, I, I)
-
-    def apply(self, values) -> np.ndarray:
-        """Coefficients (R, I) for values (J,), or (N, R, I) for (N, J).
-
-        Two batched matrix products and no solve.  Every (sample, stencil)
-        pair is its own product, so a sample's jets are bit-identical
-        whether it is fitted alone or in a batch.
-        """
-        values = np.asarray(values, dtype=float)
-        if not np.isfinite(values).all():
-            raise InputError("values contain non-finite entries")
-        samples = np.atleast_2d(values)[:, self.neighbors, None]  # (N, R, K, 1)
-        coeffs = (self._operator @ (self._weighted_basis @ samples))[..., 0]
-        return coeffs[0] if values.ndim == 1 else coeffs
-
-
-def mls_plan(points, cfg: MlsConfig) -> MlsPlan:
-    """Plan the order-m fits at every point of a cloud without values.
-
-    Duplicate or non-finite points are rejected as in PointCloud.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    cloud = PointCloud(points=points, values=np.zeros(points.shape[0]))
-    return _plan_rows(cloud.points, _stencils(build_index(cloud), cfg), slice(None), cfg)
-
-
 def _stencils(index: SpatialIndex, cfg: MlsConfig):
     """KNN stencils (J, K) at every cloud point, their distances, the
     spacing h and the support radius: _WEIGHT_MARGIN times the largest
@@ -248,10 +200,18 @@ def _stencils(index: SpatialIndex, cfg: MlsConfig):
     return nbr, dist, h, _WEIGHT_MARGIN * float(dist.max()) or 1.0
 
 
-def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig) -> MlsPlan:
-    """The plan of the fits at points[rows]: weights, basis, normal
-    matrices, their inverses and the scale undo, each row on its own."""
-    nbr, dist, h, support_radius = stencils
+def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
+    """The value-independent half of the fits at points[rows], each row on
+    its own: (weighted basis (R, I, K), operator (R, I, I), flags (R,)).
+
+    Row r fits the samples u[nbr[r]] as operator[r] @ weighted_basis[r] @
+    u[nbr[r]].  The weighted basis holds w_k b_i(x_k) in stencil-scaled
+    coordinates; the operator is the regularized inverse of the normal
+    matrix with two refinement steps toward it precomposed (the truncated
+    pseudo-inverse on flagged rows), divided by scale ** |alpha|.  Whether
+    a row is flagged or refined is decided from condition bounds, with
+    eigvalsh only where they cannot (see _normal_inverse)."""
+    nbr, dist, _, support_radius = stencils
     nbr, dist = nbr[rows], dist[rows]
     w = weight(dist, support_radius)
     indices = enumerate_multi_indices(points.shape[1], cfg.m)
@@ -267,7 +227,7 @@ def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig) -> MlsPlan:
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
     operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
-    return MlsPlan(nbr, tuple(indices), h, support_radius, flagged, wb, operator)
+    return wb, operator, flagged
 
 
 def _normal_inverse(e: np.ndarray, ridge: float, k: int):
@@ -362,18 +322,23 @@ def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
 
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig) -> JetField:
-    """Order-m jets at every cloud point (Algorithm: KNN + local fits):
-    one KNN pass, then mls_plan's fits planned and applied in blocks of
-    geometry.BLOCK_ROWS rows, with the same jets bit for bit."""
+    """Order-m jets at every cloud point (Algorithm: KNN + local fits) of
+    each sample the cloud carries: one KNN pass, then the fits planned in
+    blocks of geometry.BLOCK_ROWS rows, each block applied to every sample.
+    Every (sample, stencil) pair is its own product, so the jets do not
+    depend on the block size or on the other samples."""
     stencils = _stencils(build_index(cloud), cfg)
-    coefficients = np.empty((cloud.size, basis_size(cloud.dim, cfg.m)))
+    nbr, _, h, support_radius = stencils
+    indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
+    values = np.atleast_2d(cloud.values)
+    coefficients = np.empty((len(values), cloud.size, len(indices)))
     flagged = np.empty(cloud.size, dtype=bool)
     for rows in row_blocks(cloud.size):
-        plan = _plan_rows(cloud.points, stencils, rows, cfg)
-        coefficients[rows] = plan.apply(cloud.values)
-        flagged[rows] = plan.flagged
-    return JetField(cloud.points, coefficients, plan.multi_indices, cfg.m, plan.h,
-                    plan.support_radius, flagged)
+        wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
+        samples = values[:, nbr[rows], None]  # (N, R, K, 1)
+        coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
+    return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), indices,
+                    cfg.m, h, support_radius, flagged)
 
 
 class AnalyticFunction:
@@ -467,9 +432,6 @@ class ConvergenceStudy:
 
     rows: tuple[ConvergenceRow, ...]
     slopes: dict[int, float]
-    seed: int
-    config: MlsConfig
-    function: str
 
     def mse_series(self, order: int):
         rows = [r for r in self.rows if r.order == order]
@@ -535,9 +497,7 @@ def convergence_study(
             slope = _loglog_slope(hs, es)
             rows.append(ConvergenceRow(res, jet.h, order, mse, slope))
     slopes = {o: _loglog_slope(*seen[o]) for o in orders}
-    return ConvergenceStudy(
-        rows=tuple(rows), slopes=slopes, seed=seed, config=cfg, function=fn.name
-    )
+    return ConvergenceStudy(rows=tuple(rows), slopes=slopes)
 
 
 def _loglog_slope(hs, errors) -> float:

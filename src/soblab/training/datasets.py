@@ -7,7 +7,9 @@ Gaussian with standard deviation sigma times the clean training-target
 range, injected into the training targets only.  Derivative targets are
 either the exact closed forms or meshfree estimates recomputed from the
 (possibly noisy) sampled targets, which is the pipeline the training
-experiments exercise.
+experiments exercise: every training sample is one value row of a
+PointCloud on the query points, and estimate_derivatives fits them all
+in one pass of row blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..mls import MlsConfig, mls_plan
+from ..geometry import PointCloud
+from ..mls import MlsConfig, estimate_derivatives
 
 GENERATORS = ("antiderivative1d", "poisson1d", "smoothing2d", "discontinuous_inverse")
 
@@ -50,9 +53,6 @@ class OperatorDataset:
     val_targets: np.ndarray
     test_inputs: np.ndarray
     test_targets: np.ndarray
-    noise: float
-    seed: int
-    derivative_source: str             # "exact", "mls" or "none"
     derivatives_reliable: bool
     train_d_targets: np.ndarray | None = None  # (N_train, J, n)
 
@@ -193,18 +193,18 @@ def _build_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
     return sensors, queries, inputs, targets, d_targets
 
 
-def mls_derivative_targets(query_points, targets, k=20, m=2):
-    """Meshfree first-derivative estimates (samples, queries, n) from sampled
-    target values: one MLS plan on the query points applied to every sample."""
-    query_points = np.atleast_2d(query_points)
-    targets = np.atleast_2d(targets)
-    n = query_points.shape[1]
+def mls_derivative_targets(query_points, targets, k, m):
+    """Meshfree first-derivative estimates (N, J, n) from sampled target
+    values (N, J) on the query points (J, n): the first-order part of the
+    MLS jets of every sample, with K capped at J."""
     if m < 1:
         raise ConfigError(f"|alpha|=1 exceeds fitted order m={m}")
-    plan = mls_plan(query_points, MlsConfig(k=min(k, query_points.shape[0]), m=m))
+    cloud = PointCloud(points=query_points, values=targets)
+    jet = estimate_derivatives(cloud, MlsConfig(k=min(k, cloud.size), m=m))
     # first derivatives are the degree-1 coefficients (1! = 1), in axis order
-    axes = [plan.multi_indices.index(tuple(int(d == i) for i in range(n))) for d in range(n)]
-    return plan.apply(targets)[:, :, axes]
+    n = cloud.dim
+    axes = [jet.index_of(tuple(int(d == i) for i in range(n))) for d in range(n)]
+    return jet.coefficients[..., axes]
 
 
 def synth_dataset(
@@ -264,9 +264,6 @@ def synth_dataset(
         val_targets=targets[n_train : n_train + n_val],
         test_inputs=inputs[n_train + n_val :],
         test_targets=targets[n_train + n_val :],
-        noise=float(noise),
-        seed=int(seed),
-        derivative_source=derivative_source,
         derivatives_reliable=reliable,
         train_d_targets=d_targets,
     )

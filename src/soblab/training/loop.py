@@ -205,11 +205,7 @@ def _run_epochs(cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_
             elif mode == "sobolev":
                 step_grad = g_value + cfg.der_weight * grads[1]
             else:
-                g_der = cfg.der_weight * grads[1]
-                if np.any(g_value) or np.any(g_der):
-                    step_grad = pcgrad_merge(g_value, g_der)
-                else:
-                    step_grad = g_value  # exactly stationary: nothing to merge
+                step_grad = pcgrad_merge(g_value, cfg.der_weight * grads[1])
             if adam is None:
                 net.params -= cfg.learning_rate * step_grad
             else:

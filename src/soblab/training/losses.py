@@ -54,8 +54,6 @@ def pcgrad_merge(g1, g2) -> np.ndarray:
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape:
         raise ConfigError(f"gradient shapes differ: {g1.shape} vs {g2.shape}")
-    if not (np.any(g1) or np.any(g2)):
-        raise ConfigError("both task gradients are zero")
     dot = float(np.dot(g1, g2))
     if dot >= 0.0:
         return g1 + g2

@@ -8,7 +8,8 @@ import pytest
 
 from soblab import geometry, mls
 from soblab.geometry import PointCloud, build_index, knn_all
-from soblab.mls import MlsConfig, basis_size, estimate_derivatives, mls_plan
+from soblab.mls import MlsConfig, basis_size, estimate_derivatives
+from soblab.training import mls_derivative_targets
 
 
 def _grid(side):
@@ -55,21 +56,23 @@ def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, case):
     if case == "flagged":
         monkeypatch.setattr(mls, "_RIDGE", 0.0)
     values = np.sin(3.0 * points[:, 0]) * np.cos(2.0 * points[:, 1]) + points[:, 0] ** 2
-    plan = mls_plan(points, cfg)
-    assert plan.flagged.any() == (case == "flagged")
+    cloud = PointCloud(points=points, values=values)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", len(points))  # the whole cloud in one block
+    whole = estimate_derivatives(cloud, cfg)
+    assert whole.flagged.any() == (case == "flagged")
     monkeypatch.setattr(geometry, "BLOCK_ROWS", 61)  # divides none of the cloud sizes
     assert all(len(points) % 61 for points, _ in CLOUDS.values())
-    jet = estimate_derivatives(PointCloud(points=points, values=values), cfg)
-    assert np.array_equal(jet.coefficients, plan.apply(values))
-    assert np.array_equal(jet.flagged, plan.flagged)
-    assert jet.h == plan.h
-    assert jet.support_radius == plan.support_radius
+    jet = estimate_derivatives(cloud, cfg)
+    assert np.array_equal(jet.coefficients, whole.coefficients)
+    assert np.array_equal(jet.flagged, whole.flagged)
+    assert jet.h == whole.h
+    assert jet.support_radius == whole.support_radius
 
 
-def _peak_bytes(cloud, cfg):
+def _peak_bytes(fit, *args):
     tracemalloc.start()
     try:
-        estimate_derivatives(cloud, cfg)
+        fit(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -86,8 +89,27 @@ def test_memory_grows_with_the_results_not_the_plan():
     build_index(PointCloud(points=[[0.0]], values=[0.0]))  # scipy's import is not traced
     small, large = (2 * geometry.BLOCK_ROWS, 8 * geometry.BLOCK_ROWS)
     peaks = [
-        _peak_bytes(PointCloud(points=pts, values=np.sin(pts[:, 0])), cfg)
+        _peak_bytes(estimate_derivatives, PointCloud(points=pts, values=np.sin(pts[:, 0])), cfg)
         for pts in (rng.random((small, 2)), rng.random((large, 2)))
     ]
     per_row = cfg.k * (np.dtype(np.intp).itemsize + 8) + basis_size(2, cfg.m) * 8
+    assert peaks[1] - peaks[0] <= (large - small) * (per_row + 64) + 2**20, peaks
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_target_memory_grows_with_the_results_not_the_plan(dim):
+    # 64 samples fitted together: quadrupling J may add the (J, k) stencils
+    # and distances, the (N, J, I) jets and the (N, J, n) targets picked
+    # from them, plus the slack of the test above.  A whole-cloud plan
+    # gathers the (N, J, k) samples of every stencil at once, over 10 KB
+    # per row.
+    k, m, samples = 20, 2, 64
+    rng = np.random.default_rng(53)
+    build_index(PointCloud(points=[[0.0]], values=[0.0]))  # scipy's import is not traced
+    small, large = (2 * geometry.BLOCK_ROWS, 8 * geometry.BLOCK_ROWS)
+    peaks = [
+        _peak_bytes(mls_derivative_targets, rng.random((count, dim)), rng.normal(size=(samples, count)), k, m)
+        for count in (small, large)
+    ]
+    per_row = k * (np.dtype(np.intp).itemsize + 8) + samples * (basis_size(dim, m) + dim) * 8
     assert peaks[1] - peaks[0] <= (large - small) * (per_row + 64) + 2**20, peaks

@@ -28,7 +28,7 @@ from soblab.mls import _normal_inverse, weight
 from soblab.training import TrainConfig
 from soblab.training.datasets import mls_derivative_targets
 from soblab.training.loop import _check_losses
-from soblab.training.losses import pcgrad_merge, relative_l2_error, residual
+from soblab.training.losses import relative_l2_error, residual
 
 
 def read_csv(path):
@@ -607,6 +607,20 @@ def test_validate_passes_and_writes_verdicts(tmp_path):
     assert "gated_correlation_mc_3se" in names
 
 
+def test_validate_records_a_cubic_minimum_mismatch_as_a_failed_verdict(tmp_path, monkeypatch):
+    # a closed form off by 1e-6 fails the cubic verdict; the other verdicts
+    # run and validate.json is written before the exit
+    scaled = cli.convlab._scaled_cubic_min
+    monkeypatch.setattr(cli.convlab, "_scaled_cubic_min",
+                        lambda a, b, c, d, disc: scaled(a, b, c, d, disc) + 27e-6 * a * a)
+    out = tmp_path / "v"
+    assert run_cli("--seed", 0, "--out-dir", out, "validate") == 4
+    verdicts = {v["name"]: v for v in json.loads((out / "validate.json").read_text())}
+    cubic = verdicts["cubic_min_closed_vs_direct"]
+    assert not cubic["pass"] and cubic["statistic"] == pytest.approx(1e-6, rel=1e-3)
+    assert "gated_correlation_mc_3se" in verdicts
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 6\nm = 5\nseed = 7\n")
@@ -761,7 +775,7 @@ FOLDED_CONDITIONS = [
     ("KTooLargeError", lambda: knn_all(build_index(PointCloud(points=[[0.0], [1.0]], values=[0.0, 1.0])), 3),
      errors.ConfigError),
     ("NonpositiveSupportError", lambda: weight(0.5, 0.0), errors.ConfigError),
-    ("OrderTooHighError", lambda: mls_derivative_targets(np.zeros((3, 1)), np.zeros((1, 3)), m=0),
+    ("OrderTooHighError", lambda: mls_derivative_targets(np.zeros((3, 1)), np.zeros((1, 3)), k=20, m=0),
      errors.ConfigError),
     ("OutOfDomainError", lambda: quadrant_prob(1.5), errors.ConfigError),
     ("DimMismatchError", lambda: gated_correlation_sum(np.zeros((2, 3)), [1.0, 0.0], [0.0, 1.0]),
@@ -770,7 +784,6 @@ FOLDED_CONDITIONS = [
     ("ZeroVectorError", lambda: angle_between([0.0, 0.0], [1.0, 0.0]), errors.ConfigError),
     ("NotUnitError", lambda: gated_correlation([2.0, 0.0], [1.0, 1.0]), errors.ConfigError),
     ("NoLocalMinError", lambda: cubic_local_min(-1.0, 0.0, 1.0, 0.0), errors.ConfigError),
-    ("BothZeroError", lambda: pcgrad_merge(np.zeros(3), np.zeros(3)), errors.ConfigError),
     ("ZeroTargetNormError", lambda: relative_l2_error(np.ones((1, 2)), np.zeros((1, 2))), errors.ConfigError),
     ("PhiZeroError", lambda: descent_landscape(np.array([np.pi]), np.array([1.0])), errors.ConfigError),
     ("SingularNormalMatrixError", lambda: _normal_inverse(np.zeros((1, 6, 6)), 0.0, 6),

@@ -79,6 +79,17 @@ def test_nonfinite_rejected():
         PointCloud(points=[[np.nan, 0.0]], values=[1.0])
     with pytest.raises(InputError, match="values contain non-finite"):
         PointCloud(points=[[0.0, 0.0]], values=[np.inf])
+    with pytest.raises(InputError, match="values contain non-finite"):
+        PointCloud(points=[[0.0], [1.0]], values=[[0.0, 1.0], [2.0, np.nan]])
+
+
+def test_values_are_one_sample_or_a_stack_on_the_points():
+    assert PointCloud(points=[[0.0], [1.0]], values=np.zeros((3, 2))).size == 2
+    with pytest.raises(InputError, match="2 points but 3 values"):
+        PointCloud(points=[[0.0], [1.0]], values=np.zeros((2, 3)))
+    for shape in ((), (1, 2, 2)):
+        with pytest.raises(InputError, match=r"values must be a \(J,\) or \(N, J\) array"):
+            PointCloud(points=[[0.0], [1.0]], values=np.zeros(shape))
 
 
 @pytest.mark.filterwarnings("error")

@@ -98,9 +98,9 @@ def test_pcgrad_fully_opposed_cancels():
     np.testing.assert_allclose(pcgrad_merge(g, -g), 0.0, atol=1e-15)
 
 
-def test_pcgrad_both_zero_rejected():
-    with pytest.raises(ConfigError, match="both task gradients are zero"):
-        pcgrad_merge(np.zeros(3), np.zeros(3))
+def test_pcgrad_both_zero_sums_to_zero():
+    # no conflict (the dot product is 0), so the merge is the plain sum
+    np.testing.assert_array_equal(pcgrad_merge(np.zeros(3), np.zeros(3)), np.zeros(3))
 
 
 def test_pcgrad_one_zero_passes_through():

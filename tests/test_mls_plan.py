@@ -1,7 +1,8 @@
-"""The planned MLS solve against a copy of the per-call solver it replaced.
+"""The operator-form MLS fit against a copy of the per-call solver it replaced.
 
 _reference_basis and _reference_solve are the basis loop and the stencil
-solver as they were before the fit was split into plan and apply.  The
+solver as they were before the fit was written as a linear operator on
+the values, formed per row block and applied to every sample.  The
 basis must be bit-identical.  The coefficients may differ in the last
 bits, because the normal matrices and right-hand sides are now assembled
 by batched matrix products instead of einsum; the bounds below are
@@ -19,7 +20,6 @@ from soblab.mls import (
     _basis_matrix,
     enumerate_multi_indices,
     estimate_derivatives,
-    mls_plan,
 )
 from soblab.training import mls_derivative_targets
 
@@ -156,13 +156,15 @@ def test_coefficients_match_reference_solver(monkeypatch, case):
 def test_batched_apply_matches_single_applies(monkeypatch, case):
     points, cfg, ridge = CASES[case]
     monkeypatch.setattr(mls, "_RIDGE", ridge)
-    plan = mls_plan(points, cfg)
     rng = np.random.default_rng(43)
     samples = rng.normal(size=(5, points.shape[0]))
-    batched = plan.apply(samples)
-    assert batched.shape == (5, points.shape[0], len(plan.multi_indices))
+    batched = estimate_derivatives(PointCloud(points=points, values=samples), cfg)
+    assert batched.coefficients.shape == (5, points.shape[0], len(batched.multi_indices))
+    assert batched.size == points.shape[0] and batched.flagged.shape == (points.shape[0],)
     for n in range(5):
-        assert np.array_equal(batched[n], plan.apply(samples[n]))
+        single = estimate_derivatives(PointCloud(points=points, values=samples[n]), cfg)
+        assert np.array_equal(batched.coefficients[n], single.coefficients)
+        assert np.array_equal(batched.flagged, single.flagged)
 
 
 def test_batched_targets_match_per_sample_jets():

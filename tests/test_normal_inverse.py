@@ -1,4 +1,4 @@
-"""The MLS plan's per-stencil inverse: flags and refinement decided by bounds.
+"""The MLS fits' per-stencil inverse: flags and refinement decided by bounds.
 
 _normal_inverse decides the pseudo-inverse flag (cond > 1e12) and the
 refinement (cond < 1e8) from a ridge bound and a Frobenius bound, and
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from soblab.errors import NumericalError
-from soblab.mls import MlsConfig, _normal_inverse, mls_plan
+from soblab.geometry import PointCloud
+from soblab.mls import MlsConfig, _normal_inverse, estimate_derivatives
 
 _COND_LIMIT = 1e12
 _REFINE_COND_LIMIT = 1e8
@@ -144,6 +145,6 @@ def _grid(side):
     ids=["grid60", "uniform2d", "uniform3d"],
 )
 def test_bounds_decide_every_row_of_ordinary_clouds(points, cfg, eigvalsh_rows):
-    plan = mls_plan(points, cfg)
-    assert not plan.flagged.any()
+    jet = estimate_derivatives(PointCloud(points=points, values=np.zeros(len(points))), cfg)
+    assert not jet.flagged.any()
     assert eigvalsh_rows == []

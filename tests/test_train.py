@@ -33,9 +33,6 @@ def toy_linear_dataset(seed=0, n_train=32):
         val_targets=uva,
         test_inputs=vte,
         test_targets=ute,
-        noise=0.0,
-        seed=seed,
-        derivative_source="none",
         derivatives_reliable=True,
         train_d_targets=None,
     )
