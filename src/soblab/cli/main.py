@@ -1,6 +1,6 @@
 """soblab command line: derivs, rates, flow, landscape, train, sweep, validate.
 
-Global flags come before the subcommand: --seed, --out-dir, --threads
+Global flags come before the subcommand: --seed (>= 0), --out-dir, --threads
 (>= 1 and recorded in manifest.json; it changes nothing else, as every
 command runs sequentially), --config FILE (key = value lines; explicit
 flags win; unknown keys are an error), and --from-manifest FILE to replay
@@ -350,6 +350,8 @@ def run_sweep(config, out_dir, seed):
         if not modes:
             raise ConfigError(f"--param {param} needs derivative targets; --mode ordinary has none")
     key, kind = {"K": ("k", int), "m": ("m", int), "noise": ("noise", float)}[param]
+    if kind is int and not all(value.is_integer() for value in values):  # NaN and inf are not
+        raise ConfigError(f"--values for --param {param} must be integers, got {config['values']!r}")
     rows = [
         [value, mode, seed + rep,
          _train_once({**config, "mode": mode, key: kind(value)}, seed + rep).final_test_rel_l2]
@@ -464,6 +466,8 @@ def resolve_config(command: str, cli_args: dict, file_values: dict) -> dict:
 def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -> None:
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

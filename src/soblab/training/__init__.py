@@ -11,7 +11,6 @@ from .losses import pcgrad_merge, relative_l2_error  # noqa: F401
 from .loop import MODES, TrainConfig, TrainReport, train  # noqa: F401
 from .mlp import ReluMLP  # noqa: F401
 from .operator_net import (  # noqa: F401
-    Batch,
     ForwardState,
     OperatorNet,
     forward_state,

@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import ConfigError, NumericalError
 from .datasets import OperatorDataset
 from .losses import pcgrad_merge, relative_l2_error
-from .operator_net import Batch, evaluate_losses, forward_state, loss_gradients, make_operator_net
+from .operator_net import evaluate_losses, forward_state, loss_gradients, make_operator_net
 
 MODES = ("ordinary", "sobolev", "sobolev+pcgrad")
 
@@ -134,89 +134,61 @@ def train(cfg: TrainConfig, dataset: OperatorDataset, mode: str) -> TrainReport:
     rng = np.random.default_rng(cfg.seed + 1)
     n_train = dataset.train_inputs.shape[0]
     batch_size = cfg.batch_size or n_train
-    full = Batch(dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
-
+    adam = _Adam(net.n_params, cfg.learning_rate) if cfg.optimizer == "adam" else None
     state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
+    records = []  # (l2, der, val) of the initial parameters, then after each epoch
+
     # divergence is detected explicitly; inf/NaN transients must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluation = evaluate_losses(state, full)
-    init_l2, init_der = evaluation[3:]
-    _check_losses(init_l2, init_der, mode, "at the initial parameters")
-    init_val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
+        for epoch in (None, *range(cfg.epochs)):  # None: the initial parameters
+            if epoch is not None:
+                order = rng.permutation(n_train)
+                for start in range(0, n_train, batch_size):
+                    pick = order[start : start + batch_size]
+                    inputs = dataset.train_inputs[pick]
+                    if start == 0:  # no update since the training-set evaluation: reuse its rows
+                        coeffs, res, d_res = (None if a is None else a[pick] for a in evaluation[:3])
+                    else:
+                        d_targets = None if mode == "ordinary" else dataset.train_d_targets[pick]
+                        coeffs, res, d_res = evaluate_losses(
+                            state, inputs, dataset.train_targets[pick], d_targets)[:3]
+                    grads = loss_gradients(
+                        net, state, inputs, coeffs, res, None if mode == "ordinary" else d_res)
+                    if mode == "ordinary":
+                        step_grad = grads[0]
+                    elif mode == "sobolev":
+                        step_grad = grads[0] + cfg.der_weight * grads[1]
+                    else:
+                        step_grad = pcgrad_merge(grads[0], cfg.der_weight * grads[1])
+                    if adam is None:
+                        net.params -= cfg.learning_rate * step_grad
+                    else:
+                        adam.step(net.params, step_grad)
+                    state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
 
-    adam = _Adam(net.n_params, cfg.learning_rate) if cfg.optimizer == "adam" else None
-    hist_l2: list[float] = []
-    hist_der: list[float] = []
-    hist_val: list[float] = []
+            evaluation = evaluate_losses(
+                state, dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
+            l2, der = evaluation[3:]
+            if not np.isfinite(l2) or (mode != "ordinary" and not np.isfinite(der)):
+                when = "at the initial parameters" if epoch is None else f"at epoch {epoch}"
+                raise NumericalError(f"loss became non-finite {when}")
+            val = state.values(state.coefficients(dataset.val_inputs))
+            records.append((l2, der, relative_l2_error(val, dataset.val_targets)))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = _run_epochs(
-            cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_size, full, adam,
-            hist_l2, hist_der, hist_val,
-        )
-
-    final_test = relative_l2_error(_predict(state, dataset.test_inputs), dataset.test_targets)
+    test = state.values(state.coefficients(dataset.test_inputs))
+    l2s, ders, vals = zip(*records)
     config = asdict(cfg)
     config["hidden"] = list(cfg.hidden)
     return TrainReport(
         mode=mode,
         seed=cfg.seed,
         config=config,
-        initial_l2=init_l2,
-        initial_der=init_der,
-        initial_val_rel_l2=init_val,
-        epoch_l2=tuple(hist_l2),
-        epoch_der=tuple(hist_der),
-        epoch_val_rel_l2=tuple(hist_val),
-        final_test_rel_l2=final_test,
+        initial_l2=l2s[0],
+        initial_der=ders[0],
+        initial_val_rel_l2=vals[0],
+        epoch_l2=l2s[1:],
+        epoch_der=ders[1:],
+        epoch_val_rel_l2=vals[1:],
+        final_test_rel_l2=relative_l2_error(test, dataset.test_targets),
         n_params=net.n_params,
     )
-
-
-def _check_losses(l2, der, mode, when):
-    if not np.isfinite(l2) or (mode != "ordinary" and not np.isfinite(der)):
-        raise NumericalError(f"loss became non-finite {when}")
-
-
-def _predict(state, inputs):
-    return state.values(state.coefficients(inputs))
-
-
-def _run_epochs(cfg, dataset, mode, net, state, evaluation, rng, n_train, batch_size, full,
-                adam, hist_l2, hist_der, hist_val):
-    """Train for cfg.epochs epochs from the forward state and training-set
-    evaluation of net's current parameters; returns the final forward state."""
-    kinds = ("l2",) if mode == "ordinary" else ("l2", "der")
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            pick = order[start : start + batch_size]
-            inputs = dataset.train_inputs[pick]
-            if start == 0:  # no update since the training-set evaluation: reuse its rows
-                rows = [None if a is None else a[pick] for a in evaluation[:3]]
-            else:
-                d_targets = None if mode == "ordinary" else dataset.train_d_targets[pick]
-                batch = Batch(inputs, dataset.train_targets[pick], d_targets)
-                rows = evaluate_losses(state, batch)[:3]
-            grads = loss_gradients(net, state, inputs, *rows, kinds)
-            g_value = grads[0]
-            if mode == "ordinary":
-                step_grad = g_value
-            elif mode == "sobolev":
-                step_grad = g_value + cfg.der_weight * grads[1]
-            else:
-                step_grad = pcgrad_merge(g_value, cfg.der_weight * grads[1])
-            if adam is None:
-                net.params -= cfg.learning_rate * step_grad
-            else:
-                adam.step(net.params, step_grad)
-            state = forward_state(net, dataset.query_points, jvps=dataset.has_derivatives)
-
-        evaluation = evaluate_losses(state, full)
-        l2, der = evaluation[3:]
-        _check_losses(l2, der, mode, f"at epoch {epoch}")
-        val = relative_l2_error(_predict(state, dataset.val_inputs), dataset.val_targets)
-        hist_l2.append(l2)
-        hist_der.append(der)
-        hist_val.append(val)
-    return state

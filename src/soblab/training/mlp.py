@@ -91,16 +91,7 @@ class ReluMLP:
     def backward(self, cache, out_cot):
         """Reverse pass: flat parameter gradient of sum(out_cot * output), (..., n_params)."""
         activations, masks = cache
-        delta = np.asarray(out_cot, dtype=float)
-        grads = []
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i != len(self.weights) - 1:
-                delta = delta * masks[i]
-            grads.append(delta.sum(axis=-2))
-            grads.append(delta.swapaxes(-1, -2) @ activations[i])
-            if i:
-                delta = delta @ self.weights[i]
-        return np.concatenate([g.reshape(*delta.shape[:-2], -1) for g in grads[::-1]], axis=-1)
+        return self._reverse(masks, activations, out_cot, biases=True)
 
     # -- input tangents and their parameter gradients ------------------------
 
@@ -128,13 +119,21 @@ class ReluMLP:
         rule for ReLU; bias gradients on this path are identically zero.
         """
         _, masks = cache
-        r = np.asarray(out_weights, dtype=float)
+        return self._reverse(masks, tangent_cache, out_weights, biases=False)
+
+    def _reverse(self, masks, layer_inputs, cot, biases):
+        """The reverse loop of backward and jvp_param_grads, gates held fixed:
+        each layer's weight block contracts its cotangent with its input (an
+        activation or a tangent); its bias block is the summed cotangent, or
+        zeros when biases is false."""
+        delta = np.asarray(cot, dtype=float)
         grads = []
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
-                r = r * masks[i]
-            grads.append(np.zeros((*r.shape[:-2], self.biases[i].size)))
-            grads.append(r.swapaxes(-1, -2) @ tangent_cache[i])
+                delta = delta * masks[i]
+            bias = delta.sum(axis=-2) if biases else np.zeros((*delta.shape[:-2], self.biases[i].size))
+            grads.append(bias)
+            grads.append(delta.swapaxes(-1, -2) @ layer_inputs[i])
             if i:
-                r = r @ self.weights[i]
-        return np.concatenate([g.reshape(*r.shape[:-2], -1) for g in grads[::-1]], axis=-1)
+                delta = delta @ self.weights[i]
+        return np.concatenate([g.reshape(*delta.shape[:-2], -1) for g in grads[::-1]], axis=-1)

@@ -42,16 +42,7 @@ class OperatorNet:
     phi: ReluMLP
     psi: ReluMLP
     sensor_points: np.ndarray
-    rank: int
     params: np.ndarray
-
-    @property
-    def query_dim(self) -> int:
-        return self.phi.in_dim
-
-    @property
-    def n_sensors(self) -> int:
-        return self.sensor_points.shape[0]
 
     @property
     def n_params(self) -> int:
@@ -74,17 +65,7 @@ def make_operator_net(
     params = np.empty(n_phi + param_count(psi_sizes))
     phi = ReluMLP(phi_sizes, rng=rng, params=params[:n_phi])
     psi = ReluMLP(psi_sizes, rng=rng, params=params[n_phi:])
-    return OperatorNet(phi=phi, psi=psi, sensor_points=sensor_points, rank=rank, params=params)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """One training batch: sampled input functions, value targets and
-    (optionally) derivative targets at the forward state's query points."""
-
-    inputs: np.ndarray        # (N, Jt)
-    targets: np.ndarray       # (N, J)
-    d_targets: np.ndarray | None = None  # (N, J, n)
+    return OperatorNet(phi=phi, psi=psi, sensor_points=sensor_points, params=params)
 
 
 @dataclass(frozen=True)
@@ -133,44 +114,40 @@ def forward_state(net: OperatorNet, queries, jvps: bool = True) -> ForwardState:
     return ForwardState(psi_out, psi_cache, phi_out, phi_cache, jvp)
 
 
-def evaluate_losses(state: ForwardState, batch: Batch):
-    """(coeffs, res, d_res, value loss, derivative loss) of the batch at the state.
+def evaluate_losses(state: ForwardState, inputs, targets, d_targets):
+    """(coeffs, res, d_res, value loss, derivative loss) of a batch at the state.
 
-    res (N, J) and d_res (N, J, n) are the residuals; without derivative
+    inputs (N, Jt) are sampled input functions, targets (N, J) and
+    d_targets (N, J, n) the value and derivative targets at the state's
+    query points.  res and d_res are the residuals; without derivative
     targets d_res is None and the derivative loss NaN.
     """
-    coeffs = state.coefficients(batch.inputs)
-    res = residual(state.values(coeffs), batch.targets)
-    d_res = None if batch.d_targets is None else residual(state.gradients(coeffs), batch.d_targets)
+    coeffs = state.coefficients(inputs)
+    res = residual(state.values(coeffs), targets)
+    d_res = None if d_targets is None else residual(state.gradients(coeffs), d_targets)
     der = float("nan") if d_res is None else mean_square(d_res)
     return coeffs, res, d_res, mean_square(res), der
 
 
-def loss_gradients(net: OperatorNet, state: ForwardState, inputs, coeffs, res, d_res, kinds):
-    """Exact flat parameter gradient of each loss kind in kinds, from the
-    inputs and evaluate_losses' coeffs, res and d_res (or rows of them).
+def loss_gradients(net: OperatorNet, state: ForwardState, inputs, coeffs, res, d_res):
+    """Exact flat parameter gradients [g_value], or [g_value, g_der] when
+    d_res is given, from the inputs and evaluate_losses' coeffs, res and
+    d_res (or rows of them).
 
-    "l2" differentiates the value loss, "der" the derivative loss through
-    the almost-everywhere rule for the gated tangents.  One psi reverse
-    pass serves all kinds, on their stacked cotangents.
+    g_value differentiates the value loss, g_der the derivative loss
+    through the almost-everywhere rule for the gated tangents.  One psi
+    reverse pass serves both, on their stacked cotangents.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    phi_grads, d_coeffs = [], []
-    for kind in kinds:
-        if kind == "l2":
-            cot_values = 2.0 * res / res.size
-            phi_grads.append(net.phi.backward(state.phi_cache, cot_values.T @ coeffs))
-            d_coeffs.append(cot_values @ state.phi_out)
-        elif kind == "der":
-            if d_res is None:
-                raise ConfigError("derivative loss requested but the batch has none")
-            t_out, t_cache = state.jvp
-            cot = 2.0 * np.ascontiguousarray(d_res.transpose(2, 0, 1)) / d_res.size
-            grads_d = net.phi.jvp_param_grads(state.phi_cache, t_cache, cot.swapaxes(1, 2) @ coeffs)
-            # per-axis terms added to zeros in axis order
-            phi_grads.append(sum(grads_d, np.zeros(net.phi.n_params)))
-            d_coeffs.append(sum(cot @ t_out, np.zeros_like(coeffs)))
-        else:
-            raise ValueError(f"loss kind must be 'l2' or 'der', got {kind!r}")
+    cot_values = 2.0 * res / res.size
+    phi_grads = [net.phi.backward(state.phi_cache, cot_values.T @ coeffs)]
+    d_coeffs = [cot_values @ state.phi_out]
+    if d_res is not None:
+        t_out, t_cache = state.jvp
+        cot = 2.0 * np.ascontiguousarray(d_res.transpose(2, 0, 1)) / d_res.size
+        grads_d = net.phi.jvp_param_grads(state.phi_cache, t_cache, cot.swapaxes(1, 2) @ coeffs)
+        # per-axis terms added to zeros in axis order
+        phi_grads.append(sum(grads_d, np.zeros(net.phi.n_params)))
+        d_coeffs.append(sum(cot @ t_out, np.zeros_like(coeffs)))
     psi_grads = net.psi.backward(state.psi_cache, inputs.T @ np.stack(d_coeffs) / inputs.shape[1])
     return [np.concatenate(pair) for pair in zip(phi_grads, psi_grads)]

@@ -17,7 +17,6 @@ from soblab import convlab, mls
 from soblab.cli.main import main as cli_main
 from soblab.geometry import PointCloud, save_cloud_csv
 from soblab.training import (
-    Batch,
     DatasetSizes,
     TrainConfig,
     forward_state,
@@ -186,19 +185,20 @@ def test_c08_backprop_vs_finite_differences():
     sensor_points = rng.random((10, 1))
     net = make_operator_net(2, sensor_points, rank=3, hidden=(10, 10), seed=108)
     inputs, queries = rng.normal(size=(4, 10)), rng.normal(size=(6, 2))
-    batch = Batch(inputs, targets=rng.normal(size=(4, 6)), d_targets=rng.normal(size=(4, 6, 2)))
+    targets, d_targets = rng.normal(size=(4, 6)), rng.normal(size=(4, 6, 2))
     worst = 0.0
     params = net.params.copy()
     step = 1e-6
 
     # the two calls of a training step: evaluate_losses, then loss_gradients
     def loss(kind):
-        l2, der = evaluate_losses(forward_state(net, queries), batch)[3:]
+        l2, der = evaluate_losses(forward_state(net, queries), inputs, targets, d_targets)[3:]
         return l2 if kind == "l2" else der
 
-    for kind in ("l2", "der"):
+    for index, kind in enumerate(("l2", "der")):
         state = forward_state(net, queries)
-        (grad,) = loss_gradients(net, state, inputs, *evaluate_losses(state, batch)[:3], (kind,))
+        rows = evaluate_losses(state, inputs, targets, d_targets)[:3]
+        grad = loss_gradients(net, state, inputs, *rows)[index]
         coords = rng.choice(net.n_params, size=32, replace=False)
         for c in coords:
             net.params[c] = params[c] + step

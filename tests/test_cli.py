@@ -25,9 +25,8 @@ from soblab.convlab import (
 from soblab.errors import InputError
 from soblab.geometry import PointCloud, build_index, knn_all, load_cloud_csv, save_cloud_csv
 from soblab.mls import _normal_inverse, weight
-from soblab.training import TrainConfig
+from soblab.training import DatasetSizes, TrainConfig, synth_dataset, train
 from soblab.training.datasets import mls_derivative_targets
-from soblab.training.loop import _check_losses
 from soblab.training.losses import relative_l2_error, residual
 
 
@@ -564,6 +563,29 @@ def test_sweep_stencil_param_with_only_ordinary_exits_3(tmp_path, capsys, param)
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "param, values",
+    [("K", "20.7,12.2"), ("m", "2,inf"), ("K", "nan,20"), ("m", "1.5,2")],
+)
+def test_sweep_stencil_values_that_are_not_integers_exit_3_before_training(
+    tmp_path, capsys, monkeypatch, param, values
+):
+    # a fractional K or m would be truncated while sweep.csv records the value
+    trained = []
+    monkeypatch.setattr(cli, "_train_once", lambda *args: trained.append(args))
+    out = tmp_path / "s"
+    code = run_cli(
+        "--out-dir", out, "sweep", "--param", param, "--values", values, "--repeats", 1,
+        *TRAIN_FAST,
+    )
+    assert code == 3 and trained == []
+    err = capsys.readouterr().err
+    assert err == (
+        f"soblab: configuration error: --values for --param {param} must be integers, got {values!r}\n"
+    )
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [["--repeats", 0], ["--repeats", -2]])
 def test_sweep_without_repeats_exits_3(tmp_path, flags):
     out = tmp_path / "s"
@@ -619,6 +641,32 @@ def test_validate_records_a_cubic_minimum_mismatch_as_a_failed_verdict(tmp_path,
     cubic = verdicts["cubic_min_closed_vs_direct"]
     assert not cubic["pass"] and cubic["statistic"] == pytest.approx(1e-6, rel=1e-3)
     assert "gated_correlation_mc_3se" in verdicts
+
+
+SEED_RUNS = {
+    "train": ["train", *TRAIN_FAST],
+    "rates": ["rates", "--resolutions", "30,60"],
+    "validate": ["validate"],
+    "flow": ["flow", "--T", "1"],
+    "landscape": ["landscape", "--theta-steps", 4, "--x-steps", 4],
+}
+
+
+@pytest.mark.parametrize("command", SEED_RUNS)
+@pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+def test_negative_seed_exits_3_naming_the_flag(tmp_path, capsys, command, source):
+    argv = ["--seed", -3, *SEED_RUNS[command]]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("seed = -3\n")
+        argv = ["--config", tmp_path / "run.cfg", *SEED_RUNS[command]]
+    elif source == "manifest":
+        record = {"command": command, "config": {}, "seed": -3}
+        (tmp_path / "manifest.json").write_text(json.dumps(record))
+        argv = ["--from-manifest", tmp_path / "manifest.json"]
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert capsys.readouterr().err == "soblab: configuration error: --seed must be >= 0, got -3\n"
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -763,6 +811,14 @@ def _raise_boom(cls):
     return trigger
 
 
+def _diverging_train():
+    """A gradient-descent step so large that the loss overflows at epoch 3."""
+    sizes = DatasetSizes(train=4, val=2, test=2, sensors=8, queries=12)
+    dataset = synth_dataset("antiderivative1d", sizes=sizes, derivative_source="none")
+    cfg = TrainConfig(epochs=20, learning_rate=1e6, optimizer="gd", rank=2, hidden=(4,))
+    train(cfg, dataset, "ordinary")
+
+
 # Each condition that had an error class of its own before the classes were
 # folded into one per exit code, raised by the library code that checks it.
 # The id keeps the old class name; the class is the one it raises now.
@@ -788,7 +844,7 @@ FOLDED_CONDITIONS = [
     ("PhiZeroError", lambda: descent_landscape(np.array([np.pi]), np.array([1.0])), errors.ConfigError),
     ("SingularNormalMatrixError", lambda: _normal_inverse(np.zeros((1, 6, 6)), 0.0, 6),
      errors.NumericalError),
-    ("NanLossError", lambda: _check_losses(np.nan, 0.0, "ordinary", "at epoch 3"), errors.NumericalError),
+    ("NanLossError", _diverging_train, errors.NumericalError),
 ]
 EXIT_OF = {cls: (code, prefix) for cls, code, prefix in ERROR_TABLE}
 ERROR_CASES = [(cls.__name__, _raise_boom(cls), cls) for cls, _, _ in ERROR_TABLE] + FOLDED_CONDITIONS

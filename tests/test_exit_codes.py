@@ -34,6 +34,16 @@ BASE = {
     "sweep": ["sweep", *TINY_TRAIN, "--param", "noise", "--values", "0,0.1", "--repeats", "1",
               "--mode", "ordinary"],
 }
+# list-valued string settings also get typed lists, under each setting
+# that decides how they parse: (command, the flags before the case, key)
+LISTS = [
+    ("sweep", ["--param", "K", "--mode", "sobolev"], "values"),
+    ("sweep", ["--param", "m", "--mode", "sobolev"], "values"),
+    ("rates", [], "resolutions"),
+    ("rates", [], "orders"),
+    ("train", [], "hidden"),
+]
+LIST_VALUES = ["nan,1", "inf,1", "1.5,2", "-1,2"]
 GLOBALS = {"seed": int, "threads": int, "out_dir": str, "config": str, "from_manifest": str}
 TIME_LIMIT_S = 10.0
 
@@ -52,6 +62,10 @@ def _cases():
             for value in VALUES[str if default is None else type(default)]:
                 case = f"{flag}={value}"
                 yield f"{command} {case}", ["--out-dir", "out", *BASE[command], case]
+    for command, flags, key in LISTS:
+        for value in LIST_VALUES:
+            case = " ".join([*flags[:2], f"--{key}={value}"])
+            yield f"{command} {case}", ["--out-dir", "out", *BASE[command], *flags, f"--{key}={value}"]
 
 
 CASES = dict(_cases())

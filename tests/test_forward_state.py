@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from soblab.training import (
-    Batch,
     DatasetSizes,
     ReluMLP,
     TrainConfig,
@@ -91,7 +90,7 @@ def _ref_jvp_param_grads(mlp, cache, tangents, out_weights):
 def _ref_coefficients(net, inputs):
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     psi_out, psi_cache = _ref_forward(net.psi, net.sensor_points)
-    return inputs @ psi_out / net.n_sensors, psi_out, psi_cache
+    return inputs @ psi_out / net.sensor_points.shape[0], psi_out, psi_cache
 
 
 def ref_predict_values(net, inputs, queries):
@@ -114,29 +113,29 @@ def ref_predict_gradients(net, inputs, queries):
     return out
 
 
-def ref_evaluate_losses(net, queries, batch):
-    values = ref_predict_values(net, batch.inputs, queries)
-    l2 = mean_square(residual(values, batch.targets))
-    if batch.d_targets is None:
+def ref_evaluate_losses(net, queries, inputs, targets, d_targets):
+    values = ref_predict_values(net, inputs, queries)
+    l2 = mean_square(residual(values, targets))
+    if d_targets is None:
         return l2, float("nan")
-    grads = ref_predict_gradients(net, batch.inputs, queries)
-    return l2, mean_square(residual(grads, batch.d_targets))
+    grads = ref_predict_gradients(net, inputs, queries)
+    return l2, mean_square(residual(grads, d_targets))
 
 
-def ref_backward(net, queries, batch, kind):
-    inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
+def ref_backward(net, queries, inputs, targets, d_targets, kind):
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     coeffs, psi_out, psi_cache = _ref_coefficients(net, inputs)
     phi_out, phi_cache = _ref_forward(net.phi, queries)
     n_samples, jt = inputs.shape
     j, n = queries.shape
     if kind == "l2":
-        residual = coeffs @ phi_out.T - np.asarray(batch.targets, dtype=float)
+        residual = coeffs @ phi_out.T - np.asarray(targets, dtype=float)
         cot_values = 2.0 * residual / residual.size
         phi_grads = _ref_backward(net.phi, phi_cache, cot_values.T @ coeffs)
         d_coeffs = cot_values @ phi_out
     else:
-        d_targets = np.asarray(batch.d_targets, dtype=float)
+        d_targets = np.asarray(d_targets, dtype=float)
         phi_grads = np.zeros(net.phi.n_params)
         d_coeffs = np.zeros_like(coeffs)
         denom = n_samples * j * n
@@ -177,8 +176,8 @@ def ref_train(cfg, dataset, mode):
     n_train = dataset.train_inputs.shape[0]
     batch_size = cfg.batch_size or n_train
     queries = dataset.query_points
-    full = Batch(dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
-    init_l2, init_der = ref_evaluate_losses(net, queries, full)
+    full = (dataset.train_inputs, dataset.train_targets, dataset.train_d_targets)
+    init_l2, init_der = ref_evaluate_losses(net, queries, *full)
     init_val = relative_l2_error(
         ref_predict_values(net, dataset.val_inputs, dataset.query_points), dataset.val_targets
     )
@@ -188,18 +187,18 @@ def ref_train(cfg, dataset, mode):
         order = rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
             pick = order[start : start + batch_size]
-            batch = Batch(
-                inputs=dataset.train_inputs[pick],
-                targets=dataset.train_targets[pick],
-                d_targets=dataset.train_d_targets[pick],
+            batch = (
+                dataset.train_inputs[pick],
+                dataset.train_targets[pick],
+                dataset.train_d_targets[pick],
             )
-            g_value = ref_backward(net, queries, batch, "l2")
+            g_value = ref_backward(net, queries, *batch, "l2")
             if mode == "ordinary":
                 step_grad = g_value
             elif mode == "sobolev":
-                step_grad = g_value + cfg.der_weight * ref_backward(net, queries, batch, "der")
+                step_grad = g_value + cfg.der_weight * ref_backward(net, queries, *batch, "der")
             else:
-                g_der = cfg.der_weight * ref_backward(net, queries, batch, "der")
+                g_der = cfg.der_weight * ref_backward(net, queries, *batch, "der")
                 if np.any(g_value) or np.any(g_der):
                     step_grad = pcgrad_merge(g_value, g_der)
                 else:
@@ -210,7 +209,7 @@ def ref_train(cfg, dataset, mode):
             else:
                 params = adam.step(params, step_grad)
             net.params[:] = params
-        l2, der = ref_evaluate_losses(net, queries, full)
+        l2, der = ref_evaluate_losses(net, queries, *full)
         hist_l2.append(l2)
         hist_der.append(der)
         hist_val.append(relative_l2_error(
@@ -267,16 +266,16 @@ def test_loss_and_grads_match_reference_bit_for_bit(seed):
     queries = rng.normal(size=(10, query_dim))
     state = forward_state(net, queries)
     for n_samples in (1, 5):
-        batch = Batch(
-            inputs=rng.normal(size=(n_samples, 12)),
-            targets=rng.normal(size=(n_samples, 10)),
-            d_targets=rng.normal(size=(n_samples, 10, query_dim)),
+        batch = (
+            rng.normal(size=(n_samples, 12)),
+            rng.normal(size=(n_samples, 10)),
+            rng.normal(size=(n_samples, 10, query_dim)),
         )
-        *rows, l2, der = evaluate_losses(state, batch)
-        g_l2, g_der = loss_gradients(net, state, batch.inputs, *rows, ("l2", "der"))
-        assert (l2, der) == ref_evaluate_losses(net, queries, batch)
-        assert np.array_equal(g_l2, ref_backward(net, queries, batch, "l2"))
-        assert np.array_equal(g_der, ref_backward(net, queries, batch, "der"))
+        *rows, l2, der = evaluate_losses(state, *batch)
+        g_l2, g_der = loss_gradients(net, state, batch[0], *rows)
+        assert (l2, der) == ref_evaluate_losses(net, queries, *batch)
+        assert np.array_equal(g_l2, ref_backward(net, queries, *batch, "l2"))
+        assert np.array_equal(g_der, ref_backward(net, queries, *batch, "der"))
 
 
 # -- work per update ------------------------------------------------------------
@@ -315,9 +314,9 @@ def test_one_evaluation_and_stacked_passes_per_parameter_state(monkeypatch, mode
     evaluated = []  # rows of every evaluated batch
     evaluate = loop.evaluate_losses
 
-    def counting_evaluate(state, batch):
-        evaluated.append(batch.inputs.shape[0])
-        return evaluate(state, batch)
+    def counting_evaluate(state, inputs, targets, d_targets):
+        evaluated.append(inputs.shape[0])
+        return evaluate(state, inputs, targets, d_targets)
 
     monkeypatch.setattr(loop, "evaluate_losses", counting_evaluate)
     ds = dataset("antiderivative1d")

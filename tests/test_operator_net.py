@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soblab.errors import ConfigError
-from soblab.training import Batch, ReluMLP, forward_state, make_operator_net
+from soblab.training import ReluMLP, forward_state, make_operator_net
 from soblab.training.losses import mean_square, residual
 from soblab.training.mlp import param_count
 from soblab.training.operator_net import evaluate_losses, loss_gradients
@@ -17,18 +17,20 @@ def small_net(seed=0, rank=3, hidden=(8, 8), sensors=12, query_dim=2):
 
 
 def random_batch(net, seed=1, n_samples=4, n_queries=6, with_derivs=True):
-    """(query points, batch of targets at them)."""
+    """(query points, (inputs, targets, d_targets) at them)."""
     rng = np.random.default_rng(seed)
-    inputs = rng.normal(size=(n_samples, net.n_sensors))
-    queries = rng.normal(size=(n_queries, net.query_dim))
+    query_dim = net.phi.in_dim
+    inputs = rng.normal(size=(n_samples, net.sensor_points.shape[0]))
+    queries = rng.normal(size=(n_queries, query_dim))
     targets = rng.normal(size=(n_samples, n_queries))
-    d_targets = rng.normal(size=(n_samples, n_queries, net.query_dim)) if with_derivs else None
-    return queries, Batch(inputs=inputs, targets=targets, d_targets=d_targets)
+    d_targets = rng.normal(size=(n_samples, n_queries, query_dim)) if with_derivs else None
+    return queries, (inputs, targets, d_targets)
 
 
-def grads_of(net, state, batch, kinds):
-    """The gradients of kinds, from the two calls of a training step."""
-    return loss_gradients(net, state, batch.inputs, *evaluate_losses(state, batch)[:3], kinds)
+def grads_of(net, state, batch):
+    """[g_value, g_der] (g_value alone without d_targets), from the two
+    calls of a training step."""
+    return loss_gradients(net, state, batch[0], *evaluate_losses(state, *batch)[:3])
 
 
 def predict(net, inputs, queries):
@@ -41,7 +43,7 @@ def predict(net, inputs, queries):
 def test_zero_phi_network_predicts_zero():
     net = small_net()
     net.params[: net.phi.n_params] = 0.0
-    value, grad = predict(net, np.ones(net.n_sensors), np.array([0.3, -0.2]))
+    value, grad = predict(net, np.ones(net.sensor_points.shape[0]), np.array([0.3, -0.2]))
     assert value[0, 0] == 0.0
     np.testing.assert_array_equal(grad, 0.0)
 
@@ -66,7 +68,7 @@ def test_rank_one_single_layer_reduces_to_gated_form():
 def test_input_gradient_matches_finite_differences():
     net = small_net(seed=5, query_dim=3)
     rng = np.random.default_rng(6)
-    v = rng.normal(size=net.n_sensors)
+    v = rng.normal(size=net.sensor_points.shape[0])
     x = rng.normal(size=3)
     _, grad = predict(net, v, x)
     step = 1e-5
@@ -82,8 +84,8 @@ def test_input_gradient_matches_finite_differences():
 def test_batch_state_matches_single_point_state():
     net = small_net(seed=7)
     queries, batch = random_batch(net, seed=8)
-    values, grads = predict(net, batch.inputs, queries)
-    value0, grad0 = predict(net, batch.inputs[2], queries[4])
+    values, grads = predict(net, batch[0], queries)
+    value0, grad0 = predict(net, batch[0][2], queries[4])
     np.testing.assert_allclose(grads[2, 4], grad0[0, 0], atol=1e-12)
     assert values[2, 4] == pytest.approx(value0[0, 0], rel=1e-12)
 
@@ -92,23 +94,18 @@ def test_sensor_count_guard():
     net = small_net()
     state = forward_state(net, np.zeros((3, 2)))
     with pytest.raises(ConfigError, match="sensor values but the net expects"):
-        state.coefficients(np.ones((2, net.n_sensors + 1)))
+        state.coefficients(np.ones((2, net.sensor_points.shape[0] + 1)))
 
 
 def test_state_guards():
     net = small_net()
     queries, batch = random_batch(net)
     with pytest.raises(ConfigError, match="forward state built with jvps"):
-        evaluate_losses(forward_state(net, queries, jvps=False), batch)
-    with pytest.raises(ConfigError, match="the batch has none"):
-        no_derivs = Batch(inputs=batch.inputs, targets=batch.targets)
-        grads_of(net, forward_state(net, queries), no_derivs, ("der",))
-    with pytest.raises(ValueError):
-        grads_of(net, forward_state(net, queries), batch, ("sobolev",))
+        evaluate_losses(forward_state(net, queries, jvps=False), *batch)
 
 
 def param_loss(net, queries, batch, kind):
-    l2, der = evaluate_losses(forward_state(net, queries), batch)[3:]
+    l2, der = evaluate_losses(forward_state(net, queries), *batch)[3:]
     return l2 if kind == "l2" else der
 
 
@@ -116,7 +113,7 @@ def param_loss(net, queries, batch, kind):
 def test_backward_matches_finite_differences(kind):
     net = small_net(seed=9)
     queries, batch = random_batch(net, seed=10)
-    (grad,) = grads_of(net, forward_state(net, queries), batch, (kind,))
+    grad = grads_of(net, forward_state(net, queries), batch)[("l2", "der").index(kind)]
     params = net.params.copy()
     rng = np.random.default_rng(11)
     coords = rng.choice(net.n_params, size=32, replace=False)
@@ -134,11 +131,11 @@ def test_backward_matches_finite_differences(kind):
 def test_backward_zero_residual_gives_zero_gradient():
     net = small_net(seed=12)
     queries, batch = random_batch(net, seed=13)
-    values, grads = predict(net, batch.inputs, queries)
-    exact = Batch(inputs=batch.inputs, targets=values, d_targets=grads)
+    values, grads = predict(net, batch[0], queries)
+    exact = (batch[0], values, grads)
     state = forward_state(net, queries)
-    l2, der = evaluate_losses(state, exact)[3:]
-    g_l2, g_der = grads_of(net, state, exact, ("l2", "der"))
+    l2, der = evaluate_losses(state, *exact)[3:]
+    g_l2, g_der = grads_of(net, state, exact)
     assert l2 == 0.0 and der == 0.0
     np.testing.assert_allclose(g_l2, 0.0, atol=1e-14)
     np.testing.assert_allclose(g_der, 0.0, atol=1e-14)
@@ -148,14 +145,14 @@ def test_combined_gradient_is_sum_of_parts():
     net = small_net(seed=14)
     queries, batch = random_batch(net, seed=15)
     state = forward_state(net, queries)
-    l2, der = evaluate_losses(state, batch)[3:]
-    g1, g2 = grads_of(net, state, batch, ("l2", "der"))
+    l2, der = evaluate_losses(state, *batch)[3:]
+    g1, g2 = grads_of(net, state, batch)
     # the combined objective is optimized by stepping along g1 + g2
     step = 1e-7
     direction = g1 + g2
     direction = direction / np.linalg.norm(direction)
     net.params[:] = net.params - step * direction
-    l2b, derb = evaluate_losses(forward_state(net, queries), batch)[3:]
+    l2b, derb = evaluate_losses(forward_state(net, queries), *batch)[3:]
     drop = (l2 + der) - (l2b + derb)
     assert drop == pytest.approx(step * np.linalg.norm(g1 + g2), rel=1e-3)
 
@@ -163,12 +160,12 @@ def test_combined_gradient_is_sum_of_parts():
 def test_loss_evaluation_matches_loss_functions():
     net = small_net(seed=16)
     queries, batch = random_batch(net, seed=17)
-    l2, der = evaluate_losses(forward_state(net, queries), batch)[3:]
-    values, pred_grads = predict(net, batch.inputs, queries)
-    assert l2 == mean_square(residual(values, batch.targets))
-    assert der == mean_square(residual(pred_grads, batch.d_targets))
-    no_derivs = Batch(inputs=batch.inputs, targets=batch.targets)
-    l2_only, der_nan = evaluate_losses(forward_state(net, queries), no_derivs)[3:]
+    inputs, targets, d_targets = batch
+    l2, der = evaluate_losses(forward_state(net, queries), *batch)[3:]
+    values, pred_grads = predict(net, inputs, queries)
+    assert l2 == mean_square(residual(values, targets))
+    assert der == mean_square(residual(pred_grads, d_targets))
+    l2_only, der_nan = evaluate_losses(forward_state(net, queries), inputs, targets, None)[3:]
     assert l2_only == l2 and np.isnan(der_nan)
 
 
@@ -191,3 +188,58 @@ def test_operator_net_params_are_one_vector():
     net.params[0] = 5.0
     assert net.phi.weights[0][0, 0] == 5.0
     assert net.n_params == net.phi.n_params + net.psi.n_params
+
+
+def test_value_gradient_alone_without_derivative_residuals():
+    net = small_net(seed=18)
+    queries, batch = random_batch(net, seed=19)
+    state = forward_state(net, queries)
+    g_value, _ = grads_of(net, state, batch)
+    (alone,) = grads_of(net, state, (batch[0], batch[1], None))
+    np.testing.assert_allclose(alone, g_value, rtol=1e-13, atol=1e-15)
+
+
+# ReluMLP's two reverse loops before they became one, kept as the reference
+def _two_loop_backward(mlp, cache, out_cot):
+    activations, masks = cache
+    delta = np.asarray(out_cot, dtype=float)
+    grads = []
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if i != len(mlp.weights) - 1:
+            delta = delta * masks[i]
+        grads.append(delta.sum(axis=-2))
+        grads.append(delta.swapaxes(-1, -2) @ activations[i])
+        if i:
+            delta = delta @ mlp.weights[i]
+    return np.concatenate([g.reshape(*delta.shape[:-2], -1) for g in grads[::-1]], axis=-1)
+
+
+def _two_loop_jvp_param_grads(mlp, cache, tangent_cache, out_weights):
+    _, masks = cache
+    r = np.asarray(out_weights, dtype=float)
+    grads = []
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if i != len(mlp.weights) - 1:
+            r = r * masks[i]
+        grads.append(np.zeros((*r.shape[:-2], mlp.biases[i].size)))
+        grads.append(r.swapaxes(-1, -2) @ tangent_cache[i])
+        if i:
+            r = r @ mlp.weights[i]
+    return np.concatenate([g.reshape(*r.shape[:-2], -1) for g in grads[::-1]], axis=-1)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
+def test_one_reverse_loop_equals_the_two_it_replaced(stack):
+    sizes = [2, 7, 5, 3]
+    rng = np.random.default_rng(20)
+    mlp = ReluMLP(sizes, rng=rng, params=np.empty(param_count(sizes)))
+    mlp.params[:] += 0.1 * rng.standard_normal(mlp.n_params)  # nonzero biases too
+    _, cache = mlp.forward(rng.normal(size=(9, 2)))
+    _, tangent_cache = mlp.jvp(cache, rng.normal(size=(*stack, 9, 2)))
+    cot = rng.normal(size=(*stack, 9, 3))
+    grad = mlp.backward(cache, cot)
+    assert grad.shape == (*stack, mlp.n_params)
+    assert np.array_equal(grad, _two_loop_backward(mlp, cache, cot))
+    grad = mlp.jvp_param_grads(cache, tangent_cache, cot)
+    assert grad.shape == (*stack, mlp.n_params)
+    assert np.array_equal(grad, _two_loop_jvp_param_grads(mlp, cache, tangent_cache, cot))
