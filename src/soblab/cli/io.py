@@ -14,17 +14,20 @@ import numpy as np
 
 from ..errors import ConfigError
 
+_CHUNK_ROWS = 4096  # lines per string that write_csv hands to the file
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file + rename in the same directory;
-    an output path that cannot be written raises ConfigError."""
+
+def atomic_write_text(path, text) -> None:
+    """Write text (a str, or an iterable of str written in turn) to path via
+    a temp file + rename in the same directory, so that path is untouched
+    on any error; an output path that cannot be written raises ConfigError."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -40,8 +43,13 @@ def write_csv(path, header, rows) -> None:
     Each row is formatted by one printf-style format chosen from its cell
     types: %d for ints, bools and numpy integers, %s for strings (quoted
     as the csv module quotes them) and %.17g for everything else, which
-    equals format(float(x), ".17g") for every float64.
+    equals format(float(x), ".17g") for every float64.  Lines go to disk
+    in chunks of _CHUNK_ROWS, so memory does not grow with the rows.
     """
+    atomic_write_text(path, _csv_chunks(header, rows))
+
+
+def _csv_chunks(header, rows):
     formats = {}
     lines = [",".join(map(_quote, header))]
     for row in rows:
@@ -54,8 +62,11 @@ def write_csv(path, header, rows) -> None:
         if has_str:
             row = [_quote(c) if isinstance(c, str) else c for c in row]
         lines.append(fmt % tuple(row))
-    lines.append("")
-    atomic_write_text(path, "\n".join(lines))
+        if len(lines) == _CHUNK_ROWS:
+            yield "\n".join(lines) + "\n"
+            lines = []
+    if lines:
+        yield "\n".join(lines) + "\n"
 
 
 def _spec(cell_type) -> str:

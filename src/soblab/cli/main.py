@@ -1,11 +1,13 @@
 """soblab command line: derivs, rates, flow, landscape, train, sweep, validate.
 
 Global flags come before the subcommand: --seed (>= 0), --out-dir, --threads
-(>= 1 and recorded in manifest.json; it changes nothing else, as every
-command runs sequentially), --config FILE (key = value lines; explicit
-flags win; unknown keys are an error), and --from-manifest FILE to replay
-a previous run byte for byte (no subcommand or --config: the manifest
-names the command; its config and seed resolve like a config file's).
+(>= 1, by default the CPUs this process may use; derivs and rates run the
+row blocks of their KNN and MLS fits on that many threads, with the same
+outputs at any count), --config FILE (key = value lines; explicit flags
+win; unknown keys are an error), and --from-manifest FILE to replay a
+previous run byte for byte (no subcommand or --config: the manifest names
+the command; its config and seed resolve like a config file's).  A seed
+or thread count from either file must be integral.
 DEFAULTS lists each command's settings; a setting is the flag --key with
 "_" spelled "-" (t_final is --T), typed by its default.
 
@@ -130,7 +132,7 @@ def run_derivs(config, out_dir, seed):
         raise ConfigError(f"--out must name a file, got {config['out']!r}")
     cloud = load_cloud_csv(config["input"])
     cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
-    jet = mls.estimate_derivatives(cloud, cfg)
+    jet = mls.estimate_derivatives(cloud, cfg, config["threads"])
     header = (
         ["j"]
         + [f"x{d + 1}" for d in range(jet.dim)]
@@ -153,7 +155,8 @@ def run_rates(config, out_dir, seed):
     cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
     orders = _parse_list(config["orders"], int) if config.get("orders") else None
     box = (np.zeros(fn.dim), np.ones(fn.dim))
-    study = mls.convergence_study(fn, box, resolutions, cfg, seed=seed, orders=orders)
+    study = mls.convergence_study(fn, box, resolutions, cfg, seed=seed, orders=orders,
+                                  threads=config["threads"])
     rows = [
         [r.resolution, r.h, r.order, r.mse, r.slope_running, int(r.mse < 1e-12), seed]
         for r in study.rows
@@ -473,11 +476,12 @@ def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -
     except OSError as exc:
         raise ConfigError(f"cannot use --out-dir {out_dir!r}: {exc.strerror or exc}") from None
     started = time.monotonic()
+    config = {**config, "out_dir": out_dir, "threads": threads}  # as the manifest records it
     inputs = RUNNERS[command](config, out_dir, seed) or []
     write_manifest(
         out_dir,
         command,
-        {**config, "out_dir": out_dir, "threads": threads},
+        config,
         seed,
         __version__,
         input_files=inputs,
@@ -500,6 +504,23 @@ def _replay_source(path):
     return command, {**record["config"], "seed": record["seed"]}
 
 
+def _file_int(file_values, key, default, source) -> int:
+    """file_values[key], or default, as an int; an integral float counts."""
+    value = file_values.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:  # a bool is an int subclass, not an integer here
+        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default of --threads."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -513,9 +534,12 @@ def main(argv=None) -> int:
             file_values = _read_config_file(args.config) if args.config else {}
         else:
             raise ConfigError("a command is required (or --from-manifest)")
-        seed = args.seed if args.seed is not None else int(file_values.get("seed", 0))
+        source = args.from_manifest or args.config  # the file of file_values
+        seed = args.seed if args.seed is not None else _file_int(file_values, "seed", 0, source)
         out_dir = args.out_dir or str(file_values.get("out_dir", "."))
-        threads = args.threads if args.threads is not None else int(file_values.get("threads", 1))
+        threads = args.threads
+        if threads is None:
+            threads = _file_int(file_values, "threads", _usable_cpus(), source)
         execute(command, resolve_config(command, vars(args), file_values), out_dir, seed, threads)
         return 0
     except SoblabError as exc:

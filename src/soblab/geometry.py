@@ -96,13 +96,26 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, _tree=cKDTree(cloud.points))
 
 
-def row_blocks(count: int) -> list[slice]:
-    """Consecutive slices of at most BLOCK_ROWS rows covering range(count)."""
-    return [slice(start, min(start + BLOCK_ROWS, count)) for start in range(0, count, BLOCK_ROWS)]
+def run_blocks(count: int, threads: int, fn) -> None:
+    """Call fn(rows) for each slice of BLOCK_ROWS rows (the last may be
+    shorter) covering range(count), on up to `threads` threads; each call
+    writes only its own rows.  One thread or one block runs inline and
+    starts no pool.  The first exception, in block order, propagates."""
+    blocks = [slice(start, min(start + BLOCK_ROWS, count)) for start in range(0, count, BLOCK_ROWS)]
+    workers = min(threads, len(blocks))
+    if workers <= 1:
+        for rows in blocks:
+            fn(rows)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here: not paid by every cold start
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fn, blocks))
 
 
-def knn_all(index: SpatialIndex, k: int):
-    """KNN stencils for every cloud point, in blocks of BLOCK_ROWS rows.
+def knn_all(index: SpatialIndex, k: int, threads: int = 1):
+    """KNN stencils for every cloud point, in blocks of BLOCK_ROWS rows
+    run on up to `threads` threads.
 
     Returns (indices, distances) of shape (J, k).  Row j holds the k
     nearest cloud points to point j, itself first (distance 0), sorted by
@@ -124,7 +137,8 @@ def knn_all(index: SpatialIndex, k: int):
         raise ConfigError(f"K={k} outside [1, {j}]")
     nbr = np.empty((j, k), dtype=np.intp)
     dist = np.empty((j, k))
-    for rows in row_blocks(j):
+
+    def fill(rows):
         pending = np.arange(rows.start, rows.stop)
         extra = 1
         while pending.size:
@@ -150,6 +164,8 @@ def knn_all(index: SpatialIndex, k: int):
             dist[pending[done]] = d[done, :k]
             pending = pending[~done]
             extra *= 4
+
+    run_blocks(j, threads, fill)
     return nbr, dist
 
 

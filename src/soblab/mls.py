@@ -15,12 +15,13 @@ rows, forms the value-independent half of the fits (weights, basis,
 normal matrices, the flags and the per-stencil inverse) and applies it
 to every sample on the cloud with two batched matrix products and no
 solve.  A cloud may carry one sample (J,) or a stack (N, J) on the same
-points; either way memory grows with a block and the results, not with
-the cloud's plan, and a sample's jets are the same bits alone or in a
-stack.  The condition checks behind the flags and the refinement come
-from bounds (the ridge bounds the condition number; the Frobenius norms
-of each matrix and its inverse bound it within a factor I), and eigvalsh
-runs only on the stencils those bounds leave undecided.
+points; either way memory grows with the `threads` blocks in flight
+and the results, not with the cloud's plan, and a sample's jets are the
+same bits alone, in a stack or at any thread count.  The condition
+checks behind the flags and the refinement come from bounds (the ridge
+bounds the condition number; the Frobenius norms of each matrix and its
+inverse bound it within a factor I), and eigvalsh runs only on the
+stencils those bounds leave undecided.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .geometry import PointCloud, SpatialIndex, build_index, knn_all, row_blocks
+from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks
 
 # Stencils whose (scaled) normal matrix is worse conditioned than this fall
 # back to a truncated pseudo-inverse and are flagged in the output.
@@ -190,12 +191,12 @@ def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
     return np.moveaxis(b, 0, -1)
 
 
-def _stencils(index: SpatialIndex, cfg: MlsConfig):
+def _stencils(index: SpatialIndex, cfg: MlsConfig, threads: int = 1):
     """KNN stencils (J, K) at every cloud point, their distances, the
     spacing h and the support radius: _WEIGHT_MARGIN times the largest
     neighbor distance over all stencils (1 for a single-point cloud)."""
     cfg.validate(index.cloud.dim)
-    nbr, dist = knn_all(index, cfg.k)
+    nbr, dist = knn_all(index, cfg.k, threads)
     h = float(dist[:, 1].max()) if cfg.k >= 2 else float("nan")
     return nbr, dist, h, _WEIGHT_MARGIN * float(dist.max()) or 1.0
 
@@ -321,22 +322,26 @@ def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
         return np.where(lo > 0, hi / np.maximum(lo, np.finfo(float).tiny), np.inf)
 
 
-def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig) -> JetField:
+def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) -> JetField:
     """Order-m jets at every cloud point (Algorithm: KNN + local fits) of
     each sample the cloud carries: one KNN pass, then the fits planned in
-    blocks of geometry.BLOCK_ROWS rows, each block applied to every sample.
-    Every (sample, stencil) pair is its own product, so the jets do not
-    depend on the block size or on the other samples."""
-    stencils = _stencils(build_index(cloud), cfg)
+    blocks of geometry.BLOCK_ROWS rows, each block applied to every sample,
+    both on up to `threads` threads.  Every (sample, stencil) pair is its
+    own product, so the jets do not depend on the block size, the thread
+    count or the other samples."""
+    stencils = _stencils(build_index(cloud), cfg, threads)
     nbr, _, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, len(indices)))
     flagged = np.empty(cloud.size, dtype=bool)
-    for rows in row_blocks(cloud.size):
+
+    def fit(rows):
         wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
         coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
+
+    run_blocks(cloud.size, threads, fit)
     return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), indices,
                     cfg.m, h, support_radius, flagged)
 
@@ -449,6 +454,7 @@ def convergence_study(
     cfg: MlsConfig,
     seed: int = 0,
     orders=None,
+    threads: int = 1,
 ) -> ConvergenceStudy:
     """Estimate jets on nested random clouds and tabulate errors vs h.
 
@@ -458,8 +464,8 @@ def convergence_study(
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
     seen so far.  orders defaults to 0..m; an order outside [0, m] raises
-    ConfigError, and so does a repeated order.  The same seed
-    reproduces the table bit for bit.
+    ConfigError, and so does a repeated order.  The same seed reproduces
+    the table bit for bit, at any `threads` (see estimate_derivatives).
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
@@ -483,7 +489,7 @@ def convergence_study(
     for res in resolutions:
         pts = lo + (hi - lo) * rng.random((res, fn.dim))
         cloud = PointCloud(points=pts, values=fn.value(pts))
-        jet = estimate_derivatives(cloud, cfg)
+        jet = estimate_derivatives(cloud, cfg, threads)
         for order in orders:
             sq = np.zeros(res)
             for alpha in all_indices:

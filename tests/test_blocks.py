@@ -1,6 +1,8 @@
 """Row blocks of knn_all and estimate_derivatives: the same bits as one
-block, and memory that grows with the block, not with the cloud."""
+block and as one thread, and memory that grows with the block, not with
+the cloud."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -113,3 +115,79 @@ def test_target_memory_grows_with_the_results_not_the_plan(dim):
     ]
     per_row = k * (np.dtype(np.intp).itemsize + 8) + samples * (basis_size(dim, m) + dim) * 8
     assert peaks[1] - peaks[0] <= (large - small) * (per_row + 64) + 2**20, peaks
+
+
+# -- blocks on threads: the same bits as one thread ------------------------------------
+
+def _cloud_3d():
+    pts = np.random.default_rng(54).random((4500, 3))
+    return PointCloud(points=pts, values=np.sin(pts[:, 0]) * np.cos(pts[:, 1]) * pts[:, 2])
+
+
+def _stack_2d():
+    pts = np.random.default_rng(55).random((4500, 2))
+    return PointCloud(points=pts, values=np.random.default_rng(56).normal(size=(4, len(pts))))
+
+
+PARALLEL = {
+    # tie-heavy, three blocks, the last one short
+    "grid": (lambda: PointCloud(points=_grid(71), values=np.sin(_grid(71)).sum(axis=1)),
+             MlsConfig(k=20, m=2)),
+    "cloud3d": (_cloud_3d, MlsConfig(k=30, m=3)),
+    "stack": (_stack_2d, MlsConfig(k=20, m=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARALLEL))
+def test_threaded_blocks_equal_one_thread(case):
+    make, cfg = PARALLEL[case]
+    cloud = make()
+    assert math.ceil(cloud.size / geometry.BLOCK_ROWS) == 3
+    index = build_index(cloud)
+    want_knn = knn_all(index, cfg.k)
+    want = estimate_derivatives(cloud, cfg)
+    for threads in (2, 3):
+        nbr, dist = knn_all(index, cfg.k, threads)
+        assert np.array_equal(nbr, want_knn[0]) and np.array_equal(dist, want_knn[1])
+        jet = estimate_derivatives(cloud, cfg, threads)
+        assert np.array_equal(jet.coefficients, want.coefficients)
+        assert np.array_equal(jet.flagged, want.flagged)
+        assert (jet.h, jet.support_radius) == (want.h, want.support_radius)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool made while the test runs."""
+    import concurrent.futures
+
+    made = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    return made
+
+
+def test_one_thread_or_one_block_makes_no_pool(pools):
+    small = PointCloud(points=_grid(20), values=np.zeros(400))  # one block
+    estimate_derivatives(small, MlsConfig(k=12, m=2), threads=1000000)
+    large = PointCloud(points=_grid(50), values=np.zeros(2500))  # two blocks
+    estimate_derivatives(large, MlsConfig(k=12, m=2), threads=1)
+    assert pools == []
+    estimate_derivatives(large, MlsConfig(k=12, m=2), threads=1000000)
+    assert pools == [2, 2]  # knn_all, then the fits: one worker per block
+
+
+def test_the_first_failing_block_raises_its_own_exception():
+    errors = [ValueError(f"block {b}") for b in range(3)]
+
+    def fail(rows):
+        if rows.start:
+            raise errors[rows.start // geometry.BLOCK_ROWS]
+
+    with pytest.raises(ValueError) as info:
+        geometry.run_blocks(3 * geometry.BLOCK_ROWS, 3, fail)
+    assert info.value is errors[1]

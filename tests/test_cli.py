@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soblab import errors
+from soblab import errors, geometry
+from soblab.cli import io as cli_io
 from soblab.cli import main as cli
 from soblab.cli import svg
 from soblab.cli.io import atomic_write_text, write_csv
@@ -618,6 +619,74 @@ def test_threads_below_one_exits_3(tmp_path, threads):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["config", "manifest"])
+@pytest.mark.parametrize(
+    "key, value", [("threads", 1.7), ("threads", True), ("threads", "abc"), ("seed", 1.5),
+                   ("seed", False), ("seed", [1])],
+    ids=["threads-1.7", "threads-true", "threads-abc", "seed-1.5", "seed-false", "seed-list"])
+def test_global_from_a_file_that_is_not_an_integer_exits_3_naming_it(
+        tmp_path, capsys, source, key, value):
+    if source == "config":
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {json.dumps(value)}\n")
+        argv = ["--config", path, "landscape", "--theta-steps", 4, "--x-steps", 4]
+    else:
+        path = tmp_path / "manifest.json"
+        record = {**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 4}}
+        if key == "seed":
+            record["seed"] = value
+        else:
+            record["config"][key] = value
+        path.write_text(json.dumps(record))
+        argv = ["--from-manifest", path]
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: {path}: {key} must be an integer, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+def test_global_from_a_file_may_be_an_integral_float(tmp_path, source):
+    if source == "config":
+        path = tmp_path / "run.cfg"
+        path.write_text("threads = 2.0\nseed = 3.0\n")
+        argv = ["--config", path, "landscape", "--theta-steps", 4, "--x-steps", 4]
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**_GOOD_RECORD, "seed": 3.0,
+                                    "config": {"theta_steps": 4, "x_steps": 4, "threads": 2.0}}))
+        argv = ["--from-manifest", path]
+    assert run_cli("--out-dir", tmp_path / "o", *argv) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert (manifest["seed"], manifest["config"]["threads"]) == (3, 2)
+    assert type(manifest["seed"]) is int and type(manifest["config"]["threads"]) is int
+
+
+def test_derivs_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 64)  # 400 points: 7 blocks
+    pts = np.random.default_rng(7).random((400, 2))
+    data = tmp_path / "cloud.csv"
+    save_cloud_csv(PointCloud(points=pts, values=np.sin(3 * pts[:, 0]) * pts[:, 1]), data)
+    for threads in (1, 2):
+        assert run_cli("--threads", threads, "--out-dir", tmp_path / f"t{threads}", "derivs",
+                       "--input", data) == 0
+    assert read_all_bytes(tmp_path / "t1") == read_all_bytes(tmp_path / "t2")
+    # a --threads 2 manifest replays to the same bytes at --threads 1
+    assert run_cli("--threads", 1, "--out-dir", tmp_path / "r", "--from-manifest",
+                   tmp_path / "t2" / "manifest.json") == 0
+    assert read_all_bytes(tmp_path / "r") == read_all_bytes(tmp_path / "t2")
+    assert json.loads((tmp_path / "r" / "manifest.json").read_text())["config"]["threads"] == 1
+
+
+def test_derivs_with_more_threads_than_blocks_exits_0(tmp_path):
+    # one block: the fits run inline and no thread starts
+    out = tmp_path / "o"
+    assert run_cli("--threads", 1000000, "--out-dir", out, "derivs", "--input", grid_csv(tmp_path),
+                   "--k", 6, "--m", 1) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1000000
+
+
 # -- validate, config file, misc -------------------------------------------------------
 
 def test_validate_passes_and_writes_verdicts(tmp_path):
@@ -733,7 +802,7 @@ def test_manifest_replay_uses_the_config_file_resolution(tmp_path):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"] == {
         **DEFAULTS["landscape"], "theta_steps": 4, "x_steps": 3,
-        "out_dir": str(tmp_path / "o"), "threads": 1,
+        "out_dir": str(tmp_path / "o"), "threads": cli._usable_cpus(),
     }
     assert manifest["seed"] == 0
 
@@ -972,6 +1041,33 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     # generators of tuples, as the derivs command passes them
     write_csv(tmp_path / "gen.csv", header, (tuple(r) for r in rows))
     assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_streamed_csv_bytes_match_csv_writer_at_the_chunk_boundaries(tmp_path):
+    chunk = cli_io._CHUNK_ROWS
+    header = ["j", "a,b", "x"]
+    for count in (0, chunk - 1, chunk, chunk + 1):
+        rows = [(j, 'q"' if j % 3 else "a,b", j / 7) for j in range(count)]
+        write_csv(tmp_path / "new.csv", header, iter(rows))
+        _csv_writer_reference(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), count
+
+
+def test_csv_whose_rows_fail_midway_leaves_no_file(tmp_path):
+    def rows():
+        for j in range(3 * cli_io._CHUNK_ROWS):  # chunks are on disk before the failure
+            if j == 2 * cli_io._CHUNK_ROWS + 5:
+                raise ValueError("row generator failed")
+            yield j, j / 7
+
+    with pytest.raises(ValueError, match="row generator failed"):
+        write_csv(tmp_path / "new.csv", ["j", "x"], rows())
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept.csv").write_text("kept\n")
+    with pytest.raises(ValueError, match="row generator failed"):
+        write_csv(tmp_path / "kept.csv", ["j", "x"], rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+    assert (tmp_path / "kept.csv").read_text() == "kept\n"
 
 
 def _old_id(text, match, old_class):
