@@ -2,14 +2,16 @@
 
 Global flags come before the subcommand: --seed (>= 0), --out-dir, --threads
 (>= 1, by default the CPUs this process may use; derivs and rates run the
-row blocks of their KNN and MLS fits on that many threads, with the same
-outputs at any count), --config FILE (key = value lines; explicit flags
-win; unknown keys are an error), and --from-manifest FILE to replay a
-previous run byte for byte (no subcommand or --config: the manifest names
-the command; its config and seed resolve like a config file's).  A seed
-or thread count from either file must be integral.
+row blocks of their KNN and MLS fits on that many threads, each thread
+holding one block, with the same outputs at any count), --config FILE
+(key = value lines; explicit flags win; unknown keys are an error), and
+--from-manifest FILE to replay a previous run byte for byte (no
+subcommand or --config: the manifest names the command; its config and
+seed resolve like a config file's).  A seed or thread count from either
+file must be integral.
 DEFAULTS lists each command's settings; a setting is the flag --key with
-"_" spelled "-" (t_final is --T), typed by its default.
+"_" spelled "-" (t_final is --T), typed by its default.  derivs --input,
+rates --resolutions and sweep --values have no default and are required.
 
 Exit codes, carried by each error class: 2 input parse error (an
 unreadable input file too), 3 configuration error (a setting too large
@@ -104,6 +106,12 @@ DEFAULTS["sweep"] = {
 _CONFIG_KEYS = {"seed", "out_dir", "threads"}.union(*DEFAULTS.values())
 # every setting is the flag "--" + key with "_" -> "-", except these
 _FLAGS = {"t_final": "--T"}
+# the settings a command cannot run without, and the message when one is missing
+_REQUIRED = {
+    "derivs": {"input": "--input is required (a point-cloud CSV)"},
+    "rates": {"resolutions": "--resolutions is required (comma-separated point counts)"},
+    "sweep": {"values": "--values is required"},
+}
 HELP = {
     "derivs": "estimate jets for a point-cloud CSV",
     "rates": "convergence-rate study on random clouds",
@@ -148,8 +156,6 @@ def run_rates(config, out_dir, seed):
     name = config["function"]
     if name not in mls.BUILTIN_FUNCTIONS:
         raise ConfigError(f"unknown function {name!r}; choose from {sorted(mls.BUILTIN_FUNCTIONS)}")
-    if not config["resolutions"]:
-        raise ConfigError("--resolutions is required (comma-separated point counts)")
     fn = mls.BUILTIN_FUNCTIONS[name]()
     resolutions = _parse_list(config["resolutions"], int)
     cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
@@ -338,8 +344,6 @@ def run_sweep(config, out_dir, seed):
     param = config["param"]
     if param not in ("K", "m", "noise"):
         raise ConfigError("--param must be one of K, m, noise")
-    if not config["values"]:
-        raise ConfigError("--values is required")
     values = _parse_list(config["values"], float)
     if len(values) < 2:
         raise ConfigError("need at least 2 sweep values")
@@ -471,6 +475,9 @@ def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
+    for key, message in _REQUIRED.get(command, {}).items():
+        if not config[key]:
+            raise ConfigError(message)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 # Relative slack when collecting tie candidates at the K-th distance.
 _TIE_SLACK = 1.0 + 1e-12
-# Rows per block of knn_all and estimate_derivatives; sets memory, not bits.
+# Rows per knn_all block, and at most per fit block; sets memory, not bits.
 BLOCK_ROWS = 2048
 
 
@@ -96,12 +96,12 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud=cloud, _tree=cKDTree(cloud.points))
 
 
-def run_blocks(count: int, threads: int, fn) -> None:
-    """Call fn(rows) for each slice of BLOCK_ROWS rows (the last may be
+def run_blocks(count: int, size: int, threads: int, fn) -> None:
+    """Call fn(rows) for each slice of `size` rows (the last may be
     shorter) covering range(count), on up to `threads` threads; each call
     writes only its own rows.  One thread or one block runs inline and
     starts no pool.  The first exception, in block order, propagates."""
-    blocks = [slice(start, min(start + BLOCK_ROWS, count)) for start in range(0, count, BLOCK_ROWS)]
+    blocks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
     workers = min(threads, len(blocks))
     if workers <= 1:
         for rows in blocks:
@@ -165,7 +165,7 @@ def knn_all(index: SpatialIndex, k: int, threads: int = 1):
             pending = pending[~done]
             extra *= 4
 
-    run_blocks(j, threads, fill)
+    run_blocks(j, BLOCK_ROWS, threads, fill)
     return nbr, dist
 
 

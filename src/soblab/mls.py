@@ -10,18 +10,18 @@ known derivatives is included.
 The fit is linear in the sample values: each stencil's jet is a fixed
 matrix times the stencil's samples (the GMLS form).
 estimate_derivatives(cloud, cfg) runs the KNN once (the global support
-radius needs every distance), then, in blocks of geometry.BLOCK_ROWS
-rows, forms the value-independent half of the fits (weights, basis,
+radius needs every distance), then, in row blocks sized by the stencil
+footprint, forms the value-independent half of the fits (weights, basis,
 normal matrices, the flags and the per-stencil inverse) and applies it
 to every sample on the cloud with two batched matrix products and no
 solve.  A cloud may carry one sample (J,) or a stack (N, J) on the same
-points; either way memory grows with the `threads` blocks in flight
-and the results, not with the cloud's plan, and a sample's jets are the
-same bits alone, in a stack or at any thread count.  The condition
-checks behind the flags and the refinement come from bounds (the ridge
-bounds the condition number; the Frobenius norms of each matrix and its
-inverse bound it within a factor I), and eigvalsh runs only on the
-stencils those bounds leave undecided.
+points; either way memory grows with the `threads` blocks in flight and
+the results, not with the cloud's plan or the footprint, and a sample's
+jets are the same bits alone, in a stack or at any thread count.
+The condition checks behind the flags and the refinement come from
+bounds (the ridge bounds the condition number; the Frobenius norms of
+each matrix and its inverse bound it within a factor I), and eigvalsh
+runs only on the stencils those bounds leave undecided.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import ConfigError, NumericalError
 from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks
 
@@ -47,6 +48,8 @@ _PINV_CUTOFF = 1e-12
 _RIDGE = 1e-10
 # The support radius is this factor times the largest neighbor distance.
 _WEIGHT_MARGIN = 1.1
+# Elements K * max(I, N) * rows of a fit block: 2-D k=20, m=2 in 2048 rows.
+FIT_ELEMENTS = 2048 * 20 * 6
 
 
 def enumerate_multi_indices(n: int, m: int) -> list[tuple[int, ...]]:
@@ -325,10 +328,11 @@ def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) -> JetField:
     """Order-m jets at every cloud point (Algorithm: KNN + local fits) of
     each sample the cloud carries: one KNN pass, then the fits planned in
-    blocks of geometry.BLOCK_ROWS rows, each block applied to every sample,
-    both on up to `threads` threads.  Every (sample, stencil) pair is its
-    own product, so the jets do not depend on the block size, the thread
-    count or the other samples."""
+    blocks, each applied to every sample, both on up to `threads` threads.
+    A fit block holds FIT_ELEMENTS // (K max(I, N)) rows, 1 to
+    geometry.BLOCK_ROWS, so its (R, K, I) bases and (N, R, K) samples keep
+    one size.  Every (sample, stencil) pair is its own product, so the jets
+    do not depend on the block size, the thread count or the other samples."""
     stencils = _stencils(build_index(cloud), cfg, threads)
     nbr, _, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
@@ -341,7 +345,8 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
         coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
 
-    run_blocks(cloud.size, threads, fit)
+    size = FIT_ELEMENTS // (cfg.k * max(len(indices), len(values)))
+    run_blocks(cloud.size, max(1, min(size, geometry.BLOCK_ROWS)), threads, fit)
     return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), indices,
                     cfg.m, h, support_radius, flagged)
 

@@ -1,6 +1,6 @@
 """Row blocks of knn_all and estimate_derivatives: the same bits as one
-block and as one thread, and memory that grows with the block, not with
-the cloud."""
+block and as one thread, fit blocks sized by the stencil footprint, and
+memory that grows with the block, not with the cloud."""
 
 import math
 import tracemalloc
@@ -23,6 +23,67 @@ def _knn(points, k):
     return knn_all(build_index(PointCloud(points=points, values=np.zeros(len(points)))), k)
 
 
+@pytest.fixture
+def fit_blocks(monkeypatch):
+    """The row count of each block of every estimate_derivatives fit made
+    while the test runs, one list per fit."""
+    made = []
+
+    def record(count, size, threads, fn):
+        made.append([min(size, count - start) for start in range(0, count, size)])
+        geometry.run_blocks(count, size, threads, fn)
+
+    monkeypatch.setattr(mls, "run_blocks", record)
+    return made
+
+
+# (dim, k, m, samples) -> rows per fit block: K * max(I, N) * rows stays
+# within a 2-D k=20, m=2 block of 2,048 rows
+FOOTPRINTS = {
+    (2, 20, 2, 1): 2048,
+    (2, 12, 2, 1): 2048,  # a smaller footprint gets no larger block
+    (3, 40, 3, 1): 307,
+    (2, 20, 2, 64): 192,
+    (1, 20, 2, 64): 192,
+    (3, 40, 3, 64): 96,
+}
+
+
+@pytest.mark.parametrize("footprint", FOOTPRINTS, ids=str)
+def test_fit_blocks_are_sized_by_the_stencil_footprint(fit_blocks, footprint):
+    dim, k, m, samples = footprint
+    rows = FOOTPRINTS[footprint]
+    pts = np.random.default_rng(49).random((rows + 5, dim))
+    values = np.random.default_rng(48).normal(size=(samples, len(pts)))
+    estimate_derivatives(PointCloud(points=pts, values=values[0] if samples == 1 else values),
+                         MlsConfig(k=k, m=m))
+    assert fit_blocks == [[rows, 5]]
+    assert rows * k * max(basis_size(dim, m), samples) <= mls.FIT_ELEMENTS
+
+
+def test_a_footprint_over_the_budget_fits_one_row_per_block(monkeypatch, fit_blocks):
+    pts = np.random.default_rng(46).random((30, 2))
+    cloud = PointCloud(points=pts, values=np.sin(pts[:, 0]) + pts[:, 1] ** 3)
+    cfg = MlsConfig(k=12, m=2)  # K * I = 72
+    want = estimate_derivatives(cloud, cfg)
+    monkeypatch.setattr(mls, "FIT_ELEMENTS", 50)
+    jet = estimate_derivatives(cloud, cfg)
+    assert fit_blocks == [[30], [1] * 30]
+    assert np.array_equal(jet.coefficients, want.coefficients)
+
+
+def test_knn_blocks_keep_block_rows(monkeypatch):
+    sizes, run_blocks = [], geometry.run_blocks
+
+    def record(count, size, threads, fn):
+        sizes.append(size)
+        run_blocks(count, size, threads, fn)
+
+    monkeypatch.setattr(geometry, "run_blocks", record)
+    _knn(np.random.default_rng(47).random((400, 3)), 40)  # a large footprint
+    assert sizes == [geometry.BLOCK_ROWS] == [2048]
+
+
 @pytest.mark.parametrize("block", [13, 64])
 def test_blocked_knn_equals_one_block_on_a_tie_heavy_grid(monkeypatch, block):
     pts, k = _grid(30), 14  # interior rows need three query rounds (test_geometry)
@@ -43,28 +104,40 @@ def _collinear():
     return np.column_stack([xs, np.zeros_like(xs)])
 
 
+# (points, cfg, samples, BLOCK_ROWS of the blocked run, fit blocks it makes)
 CLOUDS = {
-    "uniform": (np.random.default_rng(50).random((700, 2)), MlsConfig(k=20, m=2)),
-    "grid": (_grid(26), MlsConfig(k=20, m=2)),
-    "graded": (np.random.default_rng(51).random((600, 2)) ** 4, MlsConfig(k=12, m=2)),
+    # 61 rows divide none of these cloud sizes
+    "uniform": (np.random.default_rng(50).random((700, 2)), MlsConfig(k=20, m=2), 1, 61, 12),
+    "grid": (_grid(26), MlsConfig(k=20, m=2), 1, 61, 12),
+    "graded": (np.random.default_rng(51).random((600, 2)) ** 4, MlsConfig(k=12, m=2), 1, 61, 10),
     # run with no ridge: every stencil of collinear points is flagged
-    "flagged": (_collinear(), MlsConfig(k=8, m=2)),
+    "flagged": (_collinear(), MlsConfig(k=8, m=2), 1, 61, 5),
+    # blocks sized by the footprint alone: 307 and 192 rows
+    "cloud3d": (np.random.default_rng(57).random((1000, 3)), MlsConfig(k=40, m=3), 1, 2048, 4),
+    "stack": (np.random.default_rng(58).random((700, 2)), MlsConfig(k=20, m=2), 64, 2048, 4),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLOUDS))
-def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, case):
-    points, cfg = CLOUDS[case]
+def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, fit_blocks, case):
+    points, cfg, samples, block_rows, blocks = CLOUDS[case]
     if case == "flagged":
         monkeypatch.setattr(mls, "_RIDGE", 0.0)
     values = np.sin(3.0 * points[:, 0]) * np.cos(2.0 * points[:, 1]) + points[:, 0] ** 2
+    if samples > 1:
+        values = values + np.random.default_rng(59).normal(size=(samples, len(points)))
     cloud = PointCloud(points=points, values=values)
-    monkeypatch.setattr(geometry, "BLOCK_ROWS", len(points))  # the whole cloud in one block
+    budget = mls.FIT_ELEMENTS
+    # the whole cloud in one block
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", len(points))
+    footprint = cfg.k * max(samples, basis_size(cloud.dim, cfg.m))
+    monkeypatch.setattr(mls, "FIT_ELEMENTS", len(points) * footprint)
     whole = estimate_derivatives(cloud, cfg)
     assert whole.flagged.any() == (case == "flagged")
-    monkeypatch.setattr(geometry, "BLOCK_ROWS", 61)  # divides none of the cloud sizes
-    assert all(len(points) % 61 for points, _ in CLOUDS.values())
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(mls, "FIT_ELEMENTS", budget)
     jet = estimate_derivatives(cloud, cfg)
+    assert [len(b) for b in fit_blocks] == [1, blocks]
     assert np.array_equal(jet.coefficients, whole.coefficients)
     assert np.array_equal(jet.flagged, whole.flagged)
     assert jet.h == whole.h
@@ -126,26 +199,30 @@ def _cloud_3d():
 
 def _stack_2d():
     pts = np.random.default_rng(55).random((4500, 2))
-    return PointCloud(points=pts, values=np.random.default_rng(56).normal(size=(4, len(pts))))
+    return PointCloud(points=pts, values=np.random.default_rng(56).normal(size=(12, len(pts))))
 
 
+# (cloud, cfg, fit blocks); every cloud is three KNN blocks, the last one short
 PARALLEL = {
-    # tie-heavy, three blocks, the last one short
+    # tie-heavy
     "grid": (lambda: PointCloud(points=_grid(71), values=np.sin(_grid(71)).sum(axis=1)),
-             MlsConfig(k=20, m=2)),
-    "cloud3d": (_cloud_3d, MlsConfig(k=30, m=3)),
-    "stack": (_stack_2d, MlsConfig(k=20, m=2)),
+             MlsConfig(k=20, m=2), 3),
+    # 409-row fit blocks, the last one a single row
+    "cloud3d": (_cloud_3d, MlsConfig(k=30, m=3), 12),
+    # 1,024-row fit blocks: 12 samples outweigh the 6 basis functions
+    "stack": (_stack_2d, MlsConfig(k=20, m=2), 5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PARALLEL))
-def test_threaded_blocks_equal_one_thread(case):
-    make, cfg = PARALLEL[case]
+def test_threaded_blocks_equal_one_thread(fit_blocks, case):
+    make, cfg, blocks = PARALLEL[case]
     cloud = make()
     assert math.ceil(cloud.size / geometry.BLOCK_ROWS) == 3
     index = build_index(cloud)
     want_knn = knn_all(index, cfg.k)
     want = estimate_derivatives(cloud, cfg)
+    assert len(fit_blocks[0]) == blocks
     for threads in (2, 3):
         nbr, dist = knn_all(index, cfg.k, threads)
         assert np.array_equal(nbr, want_knn[0]) and np.array_equal(dist, want_knn[1])
@@ -186,8 +263,21 @@ def test_the_first_failing_block_raises_its_own_exception():
 
     def fail(rows):
         if rows.start:
-            raise errors[rows.start // geometry.BLOCK_ROWS]
+            raise errors[rows.start // 5]
 
     with pytest.raises(ValueError) as info:
-        geometry.run_blocks(3 * geometry.BLOCK_ROWS, 3, fail)
+        geometry.run_blocks(15, 5, 3, fail)
     assert info.value is errors[1]
+
+
+def test_each_thread_adds_about_one_small_block_on_a_large_footprint():
+    # 20k 3-D points at k=40, m=3 (I=20): a 307-row fit block, and a 2,048-row
+    # KNN block, each hold about 6 MiB of temporaries; 2,048-row fit blocks
+    # held about 35 MiB each.  At most 4 threads, so no host starts more.
+    pts = np.random.default_rng(60).random((20000, 3))
+    cloud = PointCloud(points=pts, values=np.sin(pts[:, 0]) * np.cos(pts[:, 1]) * pts[:, 2])
+    cfg = MlsConfig(k=40, m=3)
+    build_index(PointCloud(points=[[0.0]], values=[0.0]))  # scipy's import is not traced
+    one, four = (_peak_bytes(estimate_derivatives, cloud, cfg, threads) for threads in (1, 4))
+    assert one <= 25 * 2**20, one
+    assert four - one <= 3 * 6 * 2**20, (one, four)

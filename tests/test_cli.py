@@ -664,19 +664,25 @@ def test_global_from_a_file_may_be_an_integral_float(tmp_path, source):
 
 
 def test_derivs_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch):
-    monkeypatch.setattr(geometry, "BLOCK_ROWS", 64)  # 400 points: 7 blocks
     pts = np.random.default_rng(7).random((400, 2))
-    data = tmp_path / "cloud.csv"
-    save_cloud_csv(PointCloud(points=pts, values=np.sin(3 * pts[:, 0]) * pts[:, 1]), data)
-    for threads in (1, 2):
-        assert run_cli("--threads", threads, "--out-dir", tmp_path / f"t{threads}", "derivs",
-                       "--input", data) == 0
-    assert read_all_bytes(tmp_path / "t1") == read_all_bytes(tmp_path / "t2")
-    # a --threads 2 manifest replays to the same bytes at --threads 1
-    assert run_cli("--threads", 1, "--out-dir", tmp_path / "r", "--from-manifest",
-                   tmp_path / "t2" / "manifest.json") == 0
-    assert read_all_bytes(tmp_path / "r") == read_all_bytes(tmp_path / "t2")
-    assert json.loads((tmp_path / "r" / "manifest.json").read_text())["config"]["threads"] == 1
+    save_cloud_csv(PointCloud(points=pts, values=np.sin(3 * pts[:, 0]) * pts[:, 1]),
+                   tmp_path / "cloud2d.csv")
+    pts = np.random.default_rng(8).random((1200, 3))
+    save_cloud_csv(PointCloud(points=pts, values=np.sin(3 * pts[:, 0]) * pts[:, 1] * pts[:, 2]),
+                   tmp_path / "cloud3d.csv")
+    # 2-D: 7 blocks of 64 rows; 3-D at k=40, m=3: 4 fit blocks of 307 rows
+    for cloud, block_rows, flags in (("cloud2d", 64, []), ("cloud3d", 2048, ["--k", 40, "--m", 3])):
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
+        out = tmp_path / cloud
+        for threads in (1, 2):
+            assert run_cli("--threads", threads, "--out-dir", out / f"t{threads}", "derivs",
+                           "--input", tmp_path / f"{cloud}.csv", *flags) == 0
+        assert read_all_bytes(out / "t1") == read_all_bytes(out / "t2")
+        # a --threads 2 manifest replays to the same bytes at --threads 1
+        assert run_cli("--threads", 1, "--out-dir", out / "r", "--from-manifest",
+                       out / "t2" / "manifest.json") == 0
+        assert read_all_bytes(out / "r") == read_all_bytes(out / "t2")
+        assert json.loads((out / "r" / "manifest.json").read_text())["config"]["threads"] == 1
 
 
 def test_derivs_with_more_threads_than_blocks_exits_0(tmp_path):

@@ -6,6 +6,7 @@ sizes, with warnings as errors and a time limit, and must exit 0, 2, 3 or
 4 with no traceback, printing one stderr line exactly when it fails.
 """
 
+import json
 import signal
 import warnings
 
@@ -97,3 +98,27 @@ def test_every_setting_value_exits_with_a_documented_code(tmp_path, monkeypatch,
     assert code in (0, 2, 3, 4), (code, err)
     assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0), err
     assert err == "" or err.startswith("soblab: "), err
+
+
+# each command with a setting it cannot run without, and some other setting
+MISSING = {
+    "derivs": ({"k": 12}, "--input is required (a point-cloud CSV)"),
+    "rates": ({"k": 10}, "--resolutions is required (comma-separated point counts)"),
+    "sweep": ({"param": "noise"}, "--values is required"),
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("command", sorted(MISSING))
+def test_a_missing_required_setting_exits_3_naming_its_flag(tmp_path, capsys, command, source):
+    settings, message = MISSING[command]
+    out = tmp_path / "out"
+    if source == "flags":
+        argv = [command, *(f"--{key}={value}" for key, value in settings.items())]
+    else:
+        lines = [f"{key} = {json.dumps(value)}\n" for key, value in settings.items()]
+        (tmp_path / "c.cfg").write_text("".join(lines))
+        argv = ["--config", str(tmp_path / "c.cfg"), command]
+    assert main(["--out-dir", str(out), *argv]) == 3
+    assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
+    assert not out.exists()  # refused before the out-dir is made
