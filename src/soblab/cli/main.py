@@ -7,11 +7,12 @@ holding one block, with the same outputs at any count), --config FILE
 (key = value lines; explicit flags win; unknown keys are an error), and
 --from-manifest FILE to replay a previous run byte for byte (no
 subcommand or --config: the manifest names the command; its config and
-seed resolve like a config file's).  A seed or thread count from either
-file must be integral.
+seed resolve like a config file's).
 DEFAULTS lists each command's settings; a setting is the flag --key with
-"_" spelled "-" (t_final is --T), typed by its default.  derivs --input,
-rates --resolutions and sweep --values have no default and are required.
+"_" spelled "-" (t_final is --T).  Each value, from a flag or a file, is
+typed once like its flag (_typed); a file value that fails exits 3 naming
+the key and the file.  derivs --input, rates --resolutions and sweep
+--param and --values are required.
 
 Exit codes, carried by each error class: 2 input parse error (an
 unreadable input file too), 3 configuration error (a setting too large
@@ -106,11 +107,14 @@ DEFAULTS["sweep"] = {
 _CONFIG_KEYS = {"seed", "out_dir", "threads"}.union(*DEFAULTS.values())
 # every setting is the flag "--" + key with "_" -> "-", except these
 _FLAGS = {"t_final": "--T"}
+# the list settings, given as a comma-separated string or a JSON list, and their element type
+_LISTS = {"hidden": int, "resolutions": int, "orders": int, "values": float}
+_NOUNS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 # the settings a command cannot run without, and the message when one is missing
 _REQUIRED = {
     "derivs": {"input": "--input is required (a point-cloud CSV)"},
     "rates": {"resolutions": "--resolutions is required (comma-separated point counts)"},
-    "sweep": {"values": "--values is required"},
+    "sweep": {"param": "--param is required (K, m or noise)", "values": "--values is required"},
 }
 HELP = {
     "derivs": "estimate jets for a point-cloud CSV",
@@ -123,23 +127,11 @@ HELP = {
 }
 
 
-def _parse_list(value, kind):
-    """A list, or a comma-separated string, as a list of kind (int or float)."""
-    items = value
-    if not isinstance(value, (list, tuple)):
-        items = [v for v in str(value).split(",") if v != ""]
-    try:
-        return [kind(v) for v in items]
-    except ValueError:
-        noun = "integer" if kind is int else "number"
-        raise ConfigError(f"expected a comma-separated {noun} list, got {value!r}") from None
-
-
 def run_derivs(config, out_dir, seed):
     if not os.path.basename(config["out"]):  # before the cloud is read and fitted
         raise ConfigError(f"--out must name a file, got {config['out']!r}")
     cloud = load_cloud_csv(config["input"])
-    cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
+    cfg = mls.MlsConfig(k=config["k"], m=config["m"])
     jet = mls.estimate_derivatives(cloud, cfg, config["threads"])
     header = (
         ["j"]
@@ -157,12 +149,10 @@ def run_rates(config, out_dir, seed):
     if name not in mls.BUILTIN_FUNCTIONS:
         raise ConfigError(f"unknown function {name!r}; choose from {sorted(mls.BUILTIN_FUNCTIONS)}")
     fn = mls.BUILTIN_FUNCTIONS[name]()
-    resolutions = _parse_list(config["resolutions"], int)
-    cfg = mls.MlsConfig(k=int(config["k"]), m=int(config["m"]))
-    orders = _parse_list(config["orders"], int) if config.get("orders") else None
+    cfg = mls.MlsConfig(k=config["k"], m=config["m"])
     box = (np.zeros(fn.dim), np.ones(fn.dim))
-    study = mls.convergence_study(fn, box, resolutions, cfg, seed=seed, orders=orders,
-                                  threads=config["threads"])
+    study = mls.convergence_study(fn, box, config["resolutions"], cfg, seed=seed,
+                                  orders=config["orders"] or None, threads=config["threads"])
     rows = [
         [r.resolution, r.h, r.order, r.mse, r.slope_running, int(r.mse < 1e-12), seed]
         for r in study.rows
@@ -209,13 +199,9 @@ def _flow_start(dim, theta0, ratio0):
 
 def run_flow(config, out_dir, seed):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [config["mode"]]
-    w0, w_star = _flow_start(int(config["dim"]), float(config["theta0"]), float(config["ratio0"]))
-    grid = dict(
-        dt=float(config["dt"]),
-        t_final=float(config["t_final"]),
-        record_every=config["record_every"],
-        allow_outside_basin=bool(config["allow_outside"]),
-    )
+    w0, w_star = _flow_start(config["dim"], config["theta0"], config["ratio0"])
+    grid = dict(dt=config["dt"], t_final=config["t_final"], record_every=config["record_every"],
+                allow_outside_basin=config["allow_outside"])
     # one single-start run per mode; nothing is written unless every mode
     # passes the step guard, and a failure names the earliest tripping step
     trajs, guards = [], []
@@ -246,11 +232,9 @@ def run_flow(config, out_dir, seed):
 
 
 def run_landscape(config, out_dir, seed):
-    steps = int(config["theta_steps"])
-    x_steps = int(config["x_steps"])
+    steps, x_steps, x_max = config["theta_steps"], config["x_steps"], config["x_max"]
     if steps < 2 or x_steps < 2:
         raise ConfigError("need at least 2 steps per axis")
-    x_max = float(config["x_max"])
     if not math.isfinite(x_max):
         raise ConfigError("grids must be finite")
     # every ratio in [1e-150, 1e75]: below, the squares of the planar
@@ -296,31 +280,31 @@ def run_landscape(config, out_dir, seed):
 
 def _train_once(config, seed):
     cfg = TrainConfig(
-        epochs=int(config["epochs"]),
-        learning_rate=float(config["learning_rate"]),
-        batch_size=int(config["batch_size"]) or None,
-        der_weight=float(config["der_weight"]),
-        rank=int(config["rank"]),
-        hidden=tuple(_parse_list(config["hidden"], int)),
+        epochs=config["epochs"],
+        learning_rate=config["learning_rate"],
+        batch_size=config["batch_size"] or None,
+        der_weight=config["der_weight"],
+        rank=config["rank"],
+        hidden=tuple(config["hidden"]),
         optimizer=config["optimizer"],
         seed=seed,
     )
     cfg.validate()  # before the dataset is synthesized
     sizes = DatasetSizes(
-        train=int(config["train_size"]),
-        val=int(config["val_size"]),
-        test=int(config["test_size"]),
-        sensors=int(config["sensors"]),
-        queries=int(config["queries"]),
+        train=config["train_size"],
+        val=config["val_size"],
+        test=config["test_size"],
+        sensors=config["sensors"],
+        queries=config["queries"],
     )
     dataset = synth_dataset(
         config["task"],
         sizes=sizes,
-        noise=float(config["noise"]),
+        noise=config["noise"],
         seed=seed,
         derivative_source=config["derivative_source"],
-        mls_k=int(config["k"]),
-        mls_m=int(config["m"]),
+        mls_k=config["k"],
+        mls_m=config["m"],
     )
     return train(cfg, dataset, config["mode"])
 
@@ -344,10 +328,9 @@ def run_sweep(config, out_dir, seed):
     param = config["param"]
     if param not in ("K", "m", "noise"):
         raise ConfigError("--param must be one of K, m, noise")
-    values = _parse_list(config["values"], float)
+    values, repeats = config["values"], config["repeats"]
     if len(values) < 2:
         raise ConfigError("need at least 2 sweep values")
-    repeats = int(config["repeats"])
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     modes = MODES if config["mode"] == "all" else [config["mode"]]
@@ -358,7 +341,7 @@ def run_sweep(config, out_dir, seed):
             raise ConfigError(f"--param {param} needs derivative targets; --mode ordinary has none")
     key, kind = {"K": ("k", int), "m": ("m", int), "noise": ("noise", float)}[param]
     if kind is int and not all(value.is_integer() for value in values):  # NaN and inf are not
-        raise ConfigError(f"--values for --param {param} must be integers, got {config['values']!r}")
+        raise ConfigError(f"--values for --param {param} must be integers, got {values!r}")
     rows = [
         [value, mode, seed + rep,
          _train_once({**config, "mode": mode, key: kind(value)}, seed + rep).final_test_rel_l2]
@@ -390,7 +373,7 @@ def run_sweep(config, out_dir, seed):
 
 
 def run_validate(config, out_dir, seed):
-    verdicts = convlab.validation_suite(seed=seed, full=bool(config["full"]))
+    verdicts = convlab.validation_suite(seed=seed, full=config["full"])
     atomic_write_text(
         os.path.join(out_dir, "validate.json"), json.dumps(verdicts, indent=2, sort_keys=True) + "\n"
     )
@@ -458,19 +441,58 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def resolve_config(command: str, cli_args: dict, file_values: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    config = dict(DEFAULTS[command])
-    for key, value in file_values.items():
-        if key in config:
-            config[key] = value
-    for key, value in cli_args.items():
-        if key in config and value is not None:
-            config[key] = value
+def _as(kind, value):
+    """value as kind: an integral float is an int, an int or a numeric string
+    a float, and nothing else converts (a bool is no number)."""
+    if kind is float and isinstance(value, str):
+        return float(value)  # as the flag parses it
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(value)
+    return value
+
+
+def _typed(key, value, default, source):
+    """value as the type of its default, a _LISTS setting as a list from a
+    comma-separated string (parsed like its flag) or a JSON number or list.
+    An unset setting with no default stays None.  A failure names the key
+    and source, the file of the value (None for a flag)."""
+    if value is None and default is None:
+        return None
+    element = _LISTS.get(key)
+    kind = element or (str if default is None else type(default))
+    try:
+        if element is None:
+            return _as(kind, value)
+        if isinstance(value, str):
+            return [element(item) for item in value.split(",") if item != ""]
+        return [_as(element, item) for item in (value if isinstance(value, list) else [value])]
+    except (ValueError, OverflowError):
+        noun = _NOUNS[kind] if element is None else f"a list of {_NOUNS[kind].split()[-1]}s"
+        name = f"{source}: {key}" if source else _FLAGS.get(key, "--" + key.replace("_", "-"))
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
+
+
+def resolve_config(command: str, cli_args: dict, file_values: dict, source=None) -> dict:
+    """The command's settings and the globals seed, out_dir and threads, each
+    typed once: defaults < file values (read from source) < explicit flags."""
+    config = {**DEFAULTS[command], "seed": 0, "out_dir": ".", "threads": _usable_cpus()}
+    for key, default in config.items():
+        if cli_args.get(key) is not None:
+            config[key] = _typed(key, cli_args[key], default, None)
+        else:
+            config[key] = _typed(key, file_values.get(key, default), default, source)
     return config
 
 
-def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -> None:
+def execute(command: str, config: dict) -> None:
+    """Run command on its resolved config and write the manifest beside its outputs."""
+    config = dict(config)
+    seed = config.pop("seed")  # the manifest records it beside the config
+    threads, out_dir = config["threads"], config["out_dir"]
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     if seed < 0:
@@ -483,17 +505,9 @@ def execute(command: str, config: dict, out_dir: str, seed: int, threads: int) -
     except OSError as exc:
         raise ConfigError(f"cannot use --out-dir {out_dir!r}: {exc.strerror or exc}") from None
     started = time.monotonic()
-    config = {**config, "out_dir": out_dir, "threads": threads}  # as the manifest records it
     inputs = RUNNERS[command](config, out_dir, seed) or []
-    write_manifest(
-        out_dir,
-        command,
-        config,
-        seed,
-        __version__,
-        input_files=inputs,
-        duration_s=time.monotonic() - started,
-    )
+    write_manifest(out_dir, command, config, seed, __version__, input_files=inputs,
+                   duration_s=time.monotonic() - started)
 
 
 def _replay_source(path):
@@ -509,16 +523,6 @@ def _replay_source(path):
     if not isinstance(command, str) or command not in RUNNERS:
         raise ConfigError(f"{path}: unknown command {command!r}")
     return command, {**record["config"], "seed": record["seed"]}
-
-
-def _file_int(file_values, key, default, source) -> int:
-    """file_values[key], or default, as an int; an integral float counts."""
-    value = file_values.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if type(value) is not int:  # a bool is an int subclass, not an integer here
-        raise ConfigError(f"{source}: {key} must be an integer, got {value!r}")
-    return value
 
 
 def _usable_cpus() -> int:
@@ -542,12 +546,7 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("a command is required (or --from-manifest)")
         source = args.from_manifest or args.config  # the file of file_values
-        seed = args.seed if args.seed is not None else _file_int(file_values, "seed", 0, source)
-        out_dir = args.out_dir or str(file_values.get("out_dir", "."))
-        threads = args.threads
-        if threads is None:
-            threads = _file_int(file_values, "threads", _usable_cpus(), source)
-        execute(command, resolve_config(command, vars(args), file_values), out_dir, seed, threads)
+        execute(command, resolve_config(command, vars(args), file_values, source))
         return 0
     except SoblabError as exc:
         print(f"soblab: {exc.prefix}{exc}", file=sys.stderr)

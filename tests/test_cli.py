@@ -581,8 +581,9 @@ def test_sweep_stencil_values_that_are_not_integers_exit_3_before_training(
     )
     assert code == 3 and trained == []
     err = capsys.readouterr().err
+    typed = [float(v) for v in values.split(",")]  # the values as resolve_config types them
     assert err == (
-        f"soblab: configuration error: --values for --param {param} must be integers, got {values!r}\n"
+        f"soblab: configuration error: --values for --param {param} must be integers, got {typed!r}\n"
     )
     assert not (out / "sweep.csv").exists()
 
@@ -838,6 +839,140 @@ def test_manifest_that_is_not_json_exits_3_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+# manifests as soblab 0.1.0 wrote them before settings were typed once: the
+# list setting hidden is the string its flag took; and the flags of each run
+FROZEN_MANIFESTS = {
+    "train": ("""{
+  "command": "train",
+  "config": {
+    "batch_size": 0,
+    "der_weight": 1.0,
+    "derivative_source": "mls",
+    "epochs": 3,
+    "hidden": "8,8",
+    "k": 8,
+    "learning_rate": 0.003,
+    "m": 2,
+    "mode": "sobolev+pcgrad",
+    "noise": 0.03,
+    "optimizer": "adam",
+    "out_dir": "fz/train",
+    "queries": 24,
+    "rank": 3,
+    "sensors": 12,
+    "task": "antiderivative1d",
+    "test_size": 3,
+    "threads": 1,
+    "train_size": 6,
+    "val_size": 3
+  },
+  "duration_s": 0.7595392200018978,
+  "input_digests": {},
+  "seed": 1,
+  "version": "0.1.0"
+}
+""", ["train", "--mode", "sobolev+pcgrad", "--noise", 0.03, *TRAIN_FAST[:-1], "8,8"]),
+    "landscape": ("""{
+  "command": "landscape",
+  "config": {
+    "out_dir": "fz/landscape",
+    "theta_steps": 6,
+    "threads": 1,
+    "x_max": 2.5,
+    "x_steps": 5
+  },
+  "duration_s": 0.008057412997004576,
+  "input_digests": {},
+  "seed": 1,
+  "version": "0.1.0"
+}
+""", ["landscape", "--theta-steps", 6, "--x-steps", 5, "--x-max", 2.5]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_MANIFESTS))
+def test_a_frozen_manifest_replays_to_the_bytes_of_its_flags(tmp_path, command):
+    text, flags = FROZEN_MANIFESTS[command]
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert run_cli("--out-dir", tmp_path / "replay", "--from-manifest", path) == 0
+    assert run_cli("--seed", 1, "--threads", 1, "--out-dir", tmp_path / "flags", *flags) == 0
+    assert read_all_bytes(tmp_path / "replay") == read_all_bytes(tmp_path / "flags")
+    expected = {**json.loads(text)["config"], "out_dir": str(tmp_path / "replay")}
+    if command == "train":
+        expected["hidden"] = [8, 8]  # recorded as the list it is typed to
+    assert json.loads((tmp_path / "replay" / "manifest.json").read_text())["config"] == expected
+
+
+def test_a_frozen_manifest_with_a_fractional_step_count_exits_3_naming_key_and_file(
+        tmp_path, capsys):
+    record = json.loads(FROZEN_MANIFESTS["landscape"][0])
+    record["config"]["theta_steps"] = 4.9
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(record))
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 3
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: {path}: theta_steps must be an integer, got 4.9\n")
+    assert not out.exists()
+
+
+# file values that a runner once cast to something else: (command, other settings, key, value)
+FILE_ESCAPES = [
+    ("landscape", {"x_steps": 4}, "theta_steps", 4.9, "an integer"),  # ran 4 angles
+    ("flow", {"ratio0": 3.0}, "allow_outside", "no", "true or false"),  # passed the basin check
+    ("validate", {}, "full", "false", "true or false"),  # ran the full suite
+    ("derivs", {"input": "missing.csv"}, "k", 20.5, "an integer"),  # trained at k = 20
+    ("derivs", {"input": "missing.csv"}, "k", "20", "an integer"),
+    ("train", {}, "epochs", True, "an integer"),  # trained 1 epoch
+    ("flow", {}, "dt", "abc", "a number"),  # named no key
+    ("flow", {}, "mode", 5, "a string"),
+    ("rates", {}, "resolutions", [500, 1.5], "a list of integers"),
+    ("sweep", {"param": "noise"}, "values", [0, True], "a list of numbers"),
+]
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+@pytest.mark.parametrize("command, settings, key, value, noun", FILE_ESCAPES,
+                         ids=[f"{e[0]}-{e[2]}-{e[3]}" for e in FILE_ESCAPES])
+def test_a_file_value_its_flag_could_not_give_exits_3_naming_key_and_file(
+        tmp_path, capsys, source, command, settings, key, value, noun):
+    if source == "config":
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in {**settings, key: value}.items()))
+        argv = ["--config", path, command]
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": command, "config": {**settings, key: value}, "seed": 0}))
+        argv = ["--from-manifest", path]
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: {path}: {key} must be {noun}, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, key, text, expected",
+    [
+        ("landscape", ["--x-steps", 4], "theta_steps", "4.0", 4),  # an integral float
+        ("flow", ["--T", 1], "dt", "1", 1.0),  # an int for a float
+        ("flow", ["--T", 1], "dt", "0.25", 0.25),
+        ("rates", [], "resolutions", "[30, 60.0, 120]", [30, 60, 120]),  # a JSON list
+        ("rates", [], "resolutions", "30,60,120", [30, 60, 120]),  # a comma-separated string
+        ("train", TRAIN_FAST[:-2], "hidden", "8", [8]),  # a JSON number
+    ],
+    ids=["integral-float", "int-for-float", "float", "json-list", "comma-string", "json-number"],
+)
+def test_a_file_value_is_recorded_typed(tmp_path, command, flags, key, text, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out-dir", out, command, *flags) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"][key]
+    assert json.dumps(recorded) == json.dumps(expected)  # 4, not 4.0; 1.0, not 1
+
+
 # every (command, setting) pair: its flag is "--" + key with "_" -> "-", "--T" for t_final
 SETTINGS = [(command, key) for command, settings in DEFAULTS.items() for key in settings]
 
@@ -856,6 +991,20 @@ def test_every_setting_flag_parses_back_its_default(command, key):
     assert value == expected and type(value) is type(expected)
     # an absent flag leaves None, so the config file and the default decide
     assert getattr(build_parser().parse_args([command]), key) is None
+
+
+@pytest.mark.parametrize("command, key", SETTINGS, ids=[f"{c}-{k}" for c, k in SETTINGS])
+def test_resolving_a_flag_keeps_the_value_argparse_typed(command, key):
+    default = DEFAULTS[command][key]
+    flag = "--T" if key == "t_final" else "--" + key.replace("_", "-")
+    argv = [flag] if isinstance(default, bool) else [flag, "1,2" if default is None else str(default)]
+    args = vars(build_parser().parse_args([command, *argv]))
+    resolved = cli.resolve_config(command, args, {})[key]
+    if key in ("hidden", "resolutions", "orders", "values"):  # a list setting is parsed
+        kind = float if key == "values" else int
+        assert resolved == [kind(v) for v in args[key].split(",")]
+    else:
+        assert resolved == args[key] and type(resolved) is type(args[key])
 
 
 ERROR_TABLE = [

@@ -1,11 +1,15 @@
 """The exit-code contract, generated from the settings table.
 
-Every non-bool setting of every command, and the global flags, get each
-adversarial value of their type: the command runs in-process at small
-sizes, with warnings as errors and a time limit, and must exit 0, 2, 3 or
-4 with no traceback, printing one stderr line exactly when it fails.
+Every setting of every command, and the global flags, get each
+adversarial value of their type, as a flag, as a config-file line and as
+a manifest value for --from-manifest; the files also get values that no
+flag can give.  The command runs in-process at small sizes, with warnings
+as errors and a time limit, and must exit 0, 2, 3 or 4 with no
+traceback, printing one stderr line exactly when it fails, and with the
+same code from each source.
 """
 
+import functools
 import json
 import signal
 import warnings
@@ -13,14 +17,19 @@ import warnings
 import numpy as np
 import pytest
 
-from soblab.cli.main import DEFAULTS, main
+from soblab.cli.main import DEFAULTS, build_parser, main
 from soblab.geometry import PointCloud, save_cloud_csv
 
 VALUES = {
     float: ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e300"],
     int: ["0", "-1", "1", "2"],
     str: ["", "xyz", ","],
+    bool: [],  # a switch takes no value
 }
+# values that only a file can hold (JSON text), for a setting of every type
+FILE_VALUES = ["1.5", "true", '"2"', "[1]"]
+# the one file value left out: full = true is valid, and runs the full validate suite (about 10 s)
+SKIP = {("validate", "full", "true")}
 TINY_TRAIN = [
     "--epochs", "1", "--train-size", "4", "--val-size", "2", "--test-size", "2",
     "--sensors", "8", "--queries", "12", "--hidden", "4", "--rank", "2", "--k", "8",
@@ -34,6 +43,7 @@ BASE = {
     "train": ["train", *TINY_TRAIN],
     "sweep": ["sweep", *TINY_TRAIN, "--param", "noise", "--values", "0,0.1", "--repeats", "1",
               "--mode", "ordinary"],
+    "validate": ["validate"],
 }
 # list-valued string settings also get typed lists, under each setting
 # that decides how they parse: (command, the flags before the case, key)
@@ -46,30 +56,82 @@ LISTS = [
 ]
 LIST_VALUES = ["nan,1", "inf,1", "1.5,2", "-1,2"]
 GLOBALS = {"seed": int, "threads": int, "out_dir": str, "config": str, "from_manifest": str}
+FILE_GLOBALS = {"seed", "threads", "out_dir"}  # the globals a file may set
 TIME_LIMIT_S = 10.0
 
 
+def _flag(key):
+    return "--T" if key == "t_final" else "--" + key.replace("_", "-")
+
+
 def _cases():
-    """(id, argv) of every case."""
+    """(id, case) of every case: (command, base argv, key, [(source, value text)]).
+
+    A flag value is also a case from each file; the file-only values of a
+    setting make one case, from each file.
+    """
+    def sources(command, key, values, flag=True):
+        files = [v for v in values if (command, key, v) not in SKIP]
+        flags = [("flag", v) for v in values] if flag else []
+        return flags + [("config", v) for v in files] + [("manifest", v) for v in files]
+
     for key, kind in GLOBALS.items():
+        files = key in FILE_GLOBALS
         for value in VALUES[kind]:
-            flag = f"--{key.replace('_', '-')}={value}"
-            yield f"{flag} landscape", [flag, *BASE["landscape"]]
+            runs = sources("landscape", key, [value]) if files else [("flag", value)]
+            yield f"{_flag(key)}={value} landscape", ("landscape", BASE["landscape"], key, runs)
+        if files:
+            runs = sources("landscape", key, FILE_VALUES, flag=False)
+            yield f"{key} = file values, landscape", ("landscape", BASE["landscape"], key, runs)
     for command, settings in DEFAULTS.items():
         for key, default in settings.items():
-            if isinstance(default, bool):
-                continue
-            flag = "--T" if key == "t_final" else "--" + key.replace("_", "-")
             for value in VALUES[str if default is None else type(default)]:
-                case = f"{flag}={value}"
-                yield f"{command} {case}", ["--out-dir", "out", *BASE[command], case]
+                yield (f"{command} {_flag(key)}={value}",
+                       (command, BASE[command], key, sources(command, key, [value])))
+            yield (f"{command} {key} = file values",
+                   (command, BASE[command], key, sources(command, key, FILE_VALUES, flag=False)))
     for command, flags, key in LISTS:
+        base = [*BASE[command], *flags]
         for value in LIST_VALUES:
             case = " ".join([*flags[:2], f"--{key}={value}"])
-            yield f"{command} {case}", ["--out-dir", "out", *BASE[command], *flags, f"--{key}={value}"]
+            yield f"{command} {case}", (command, base, key, sources(command, key, [value]))
+        case = " ".join([*flags[:2], f"{key} = file values"])
+        yield f"{command} {case}", (command, base, key, sources(command, key, FILE_VALUES, flag=False))
 
 
 CASES = dict(_cases())
+
+
+@functools.lru_cache
+def _settings(command, base):
+    """The settings the base argv gives, by key."""
+    parsed = vars(build_parser().parse_args(base))
+    return {k: v for k, v in parsed.items() if k in DEFAULTS[command] and v is not None}
+
+
+def _argv(source, command, base, key, value):
+    """The case as argv: its value as a flag, a config-file line or a manifest value."""
+    global_key = key in GLOBALS
+    out = [] if global_key else ["--out-dir", "out"]
+    if source == "flag":
+        case = f"{_flag(key)}={value}"
+        return [case, *base] if global_key else [*out, *base, case]
+    settings = _settings(command, tuple(base))
+    if source == "config":
+        lines = [f"{k} = {json.dumps(v)}\n" for k, v in settings.items()] + [f"{key} = {value}\n"]
+        with open("case.cfg", "w") as fh:
+            fh.writelines(lines)  # the case's line comes last, so it wins
+        return ["--config", "case.cfg", *out, command]
+    try:
+        typed = json.loads(value)
+    except json.JSONDecodeError:
+        typed = value  # a config-file line reads the same way
+    record = {"command": command, "config": {**settings, key: typed}, "seed": 0}
+    if key == "seed":  # recorded beside the config
+        record["seed"] = record["config"].pop("seed")
+    with open("case.json", "w") as fh:
+        json.dump(record, fh)
+    return ["--from-manifest", "case.json", *out]
 
 
 class _TimeLimit(BaseException):
@@ -80,38 +142,50 @@ def _alarm(signum, frame):
     raise _TimeLimit(f"no exit within {TIME_LIMIT_S} s")
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_every_setting_value_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, case):
-    monkeypatch.chdir(tmp_path)  # relative outputs, such as --out-dir=xyz, land here
-    pts = np.random.default_rng(0).random((40, 2))
-    save_cloud_csv(PointCloud(points=pts, values=pts[:, 0] * pts[:, 1]), tmp_path / "cloud.csv")
+def _run(argv):
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(CASES[case])
+            return main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4), (code, err)
-    assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0), err
-    assert err == "" or err.startswith("soblab: "), err
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_setting_value_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, case):
+    command, base, key, runs = CASES[case]
+    monkeypatch.chdir(tmp_path)  # relative outputs, such as --out-dir=xyz, land here
+    if command == "derivs":
+        pts = np.random.default_rng(0).random((40, 2))
+        save_cloud_csv(PointCloud(points=pts, values=pts[:, 0] * pts[:, 1]), tmp_path / "cloud.csv")
+    codes = {}
+    for source, value in runs:
+        code = _run(_argv(source, command, base, key, value))
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (source, value, code, err)
+        assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0), (source, value, err)
+        assert err == "" or err.startswith("soblab: "), (source, value, err)
+        codes.setdefault(value, {})[source] = code
+    # a value is typed the same from every source, so it exits the same
+    assert all(len(set(by_source.values())) == 1 for by_source in codes.values()), codes
 
 
 # each command with a setting it cannot run without, and some other setting
 MISSING = {
-    "derivs": ({"k": 12}, "--input is required (a point-cloud CSV)"),
-    "rates": ({"k": 10}, "--resolutions is required (comma-separated point counts)"),
-    "sweep": ({"param": "noise"}, "--values is required"),
+    "derivs": ("derivs", {"k": 12}, "--input is required (a point-cloud CSV)"),
+    "rates": ("rates", {"k": 10}, "--resolutions is required (comma-separated point counts)"),
+    "sweep": ("sweep", {"param": "noise"}, "--values is required"),
+    "sweep-param": ("sweep", {"values": "1,2"}, "--param is required (K, m or noise)"),
 }
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
-@pytest.mark.parametrize("command", sorted(MISSING))
-def test_a_missing_required_setting_exits_3_naming_its_flag(tmp_path, capsys, command, source):
-    settings, message = MISSING[command]
+@pytest.mark.parametrize("case", sorted(MISSING))
+def test_a_missing_required_setting_exits_3_naming_its_flag(tmp_path, capsys, case, source):
+    command, settings, message = MISSING[case]
     out = tmp_path / "out"
     if source == "flags":
         argv = [command, *(f"--{key}={value}" for key, value in settings.items())]
