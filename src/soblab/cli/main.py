@@ -6,8 +6,9 @@ row blocks of their KNN and MLS fits on that many threads, each thread
 holding one block, with the same outputs at any count), --config FILE
 (key = value lines; explicit flags win; unknown keys are an error), and
 --from-manifest FILE to replay a previous run byte for byte (no
-subcommand or --config: the manifest names the command; its config and
-seed resolve like a config file's).
+subcommand or --config: the manifest names the command; its config, whose
+keys must be the command's settings, threads or out_dir, and its seed
+resolve like a config file's).
 DEFAULTS lists each command's settings; a setting is the flag --key with
 "_" spelled "-" (t_final is --T).  Each value, from a flag or a file, is
 typed once like its flag (_typed); a file value that fails exits 3 naming
@@ -18,12 +19,14 @@ Exit codes, carried by each error class: 2 input parse error (an
 unreadable input file too), 3 configuration error (a setting too large
 to allocate is one too, and so is an output path that cannot be
 written), 4 numerical failure.  Expected errors print a one-line
-message, never a stack trace.
+message, never a stack trace, and a failed run removes the directories
+it made for --out-dir while they are empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -500,14 +503,25 @@ def execute(command: str, config: dict) -> None:
     for key, message in _REQUIRED.get(command, {}).items():
         if not config[key]:
             raise ConfigError(message)
+    created = []  # the directories this run makes, deepest first
+    head = out_dir
+    while head and not os.path.exists(head):
+        created.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use --out-dir {out_dir!r}: {exc.strerror or exc}") from None
     started = time.monotonic()
-    inputs = RUNNERS[command](config, out_dir, seed) or []
-    write_manifest(out_dir, command, config, seed, __version__, input_files=inputs,
-                   duration_s=time.monotonic() - started)
+    try:
+        inputs = RUNNERS[command](config, out_dir, seed) or []
+        write_manifest(out_dir, command, config, seed, __version__, input_files=inputs,
+                       duration_s=time.monotonic() - started)
+    except BaseException:
+        for path in created:  # one that holds an output stays
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _replay_source(path):
@@ -522,6 +536,9 @@ def _replay_source(path):
     command = record["command"]
     if not isinstance(command, str) or command not in RUNNERS:
         raise ConfigError(f"{path}: unknown command {command!r}")
+    for key in record["config"]:
+        if key not in DEFAULTS[command] and key not in ("threads", "out_dir"):
+            raise ConfigError(f"{path}: unknown setting {key!r} for {command}")
     return command, {**record["config"], "seed": record["seed"]}
 
 

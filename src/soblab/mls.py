@@ -12,37 +12,37 @@ matrix times the stencil's samples (the GMLS form).
 estimate_derivatives(cloud, cfg) runs the KNN once (the global support
 radius needs every distance), then, in row blocks sized by the stencil
 footprint, forms the value-independent half of the fits (weights, basis,
-normal matrices, the flags and the per-stencil inverse) and applies it
+normal matrices and the per-stencil inverse) and applies it
 to every sample on the cloud with two batched matrix products and no
 solve.  A cloud may carry one sample (J,) or a stack (N, J) on the same
 points; either way memory grows with the `threads` blocks in flight and
 the results, not with the cloud's plan or the footprint, and a sample's
 jets are the same bits alone, in a stack or at any thread count.
-The condition checks behind the flags and the refinement come from
-bounds (the ridge bounds the condition number; the Frobenius norms of
-each matrix and its inverse bound it within a factor I), and eigvalsh
-runs only on the stencils those bounds leave undecided.
+The relative ridge bounds every stencil's condition number by 1 + I/ridge,
+and MlsConfig.validate admits only the bases it keeps below _COND_LIMIT.
+Whether a stencil is refined comes from the Frobenius norms of each
+matrix and its inverse, which bound its condition number within a factor
+I; eigvalsh runs only on the stencils those bounds leave undecided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks
 
-# Stencils whose (scaled) normal matrix is worse conditioned than this fall
-# back to a truncated pseudo-inverse and are flagged in the output.
+# The largest condition number of a regularized normal matrix: the ridge
+# bounds it by 1 + I / _RIDGE, so validate refuses bases of I >= 100.
 _COND_LIMIT = 1e12
 # Iterative refinement toward the unregularized normal equations is applied
 # only while the stencil is comfortably well conditioned; beyond this the
 # ridge is doing real stabilization work and must be left in place.
 _REFINE_COND_LIMIT = 1e8
-_PINV_CUTOFF = 1e-12
 # Relative Tikhonov regularizer: the normal matrix E gets ridge * tr(E) / I
 # added to its diagonal.
 _RIDGE = 1e-10
@@ -123,6 +123,13 @@ class MlsConfig:
         if self.m < 1 and not (self.m == 0 and self.k >= 1):
             raise ConfigError(f"polynomial order must be >= 1 (or 0 with K >= 1), got m={self.m}")
         needed = basis_size(dim, self.m)
+        # each stencil holds its own point with weight 1, so tr E >= 1 and
+        # the ridge bounds cond(E + rho I) by 1 + I/_RIDGE
+        if needed * (1 + _RIDGE) > _COND_LIMIT * _RIDGE:
+            most = math.floor(_COND_LIMIT * _RIDGE / (1 + _RIDGE))
+            raise ConfigError(f"--m {self.m} is too high in {dim}-D: its basis has I={needed} "
+                              f"functions, but the ridge bounds the condition number by "
+                              f"{_COND_LIMIT:g} only up to I={most}")
         if self.k < needed:
             raise ConfigError(
                 f"K >= I required: K={self.k} but the order-{self.m} basis in "
@@ -137,8 +144,7 @@ class JetField:
     coefficients[..., j, i] is c_{j, alpha_i}, (J, I) for one sample and
     (N, J, I) for a stack of N; h is the mesh spacing statistic
     max over points of the nearest non-self neighbor distance (a
-    fill-distance proxy, ~ J^(-1/n) on uniform clouds); flagged marks
-    points rescued by the pseudo-inverse fallback.
+    fill-distance proxy, ~ J^(-1/n) on uniform clouds).
     """
 
     points: np.ndarray
@@ -147,11 +153,16 @@ class JetField:
     order: int
     h: float
     support_radius: float
-    flagged: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """All False (the flagged column of jets.csv): the ridge keeps every
+        stencil of a basis that validate admits below _COND_LIMIT."""
+        return np.zeros(self.size, dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -206,15 +217,15 @@ def _stencils(index: SpatialIndex, cfg: MlsConfig, threads: int = 1):
 
 def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
     """The value-independent half of the fits at points[rows], each row on
-    its own: (weighted basis (R, I, K), operator (R, I, I), flags (R,)).
+    its own: (weighted basis (R, I, K), operator (R, I, I)).
 
     Row r fits the samples u[nbr[r]] as operator[r] @ weighted_basis[r] @
     u[nbr[r]].  The weighted basis holds w_k b_i(x_k) in stencil-scaled
     coordinates; the operator is the regularized inverse of the normal
-    matrix with two refinement steps toward it precomposed (the truncated
-    pseudo-inverse on flagged rows), divided by scale ** |alpha|.  Whether
-    a row is flagged or refined is decided from condition bounds, with
-    eigvalsh only where they cannot (see _normal_inverse)."""
+    matrix, with two refinement steps toward it precomposed on the rows
+    that are well conditioned, divided by scale ** |alpha|.  Whether a row
+    is refined is decided from condition bounds, with eigvalsh only where
+    they cannot (see _normal_inverse)."""
     nbr, dist, _, support_radius = stencils
     nbr, dist = nbr[rows], dist[rows]
     w = weight(dist, support_radius)
@@ -227,68 +238,44 @@ def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
     del b  # the largest temporary; the operator is built after it is freed
-    operator, flagged = _normal_inverse(e, _RIDGE, cfg.k)
+    operator = _normal_inverse(e)
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
     operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
-    return wb, operator, flagged
+    return wb, operator
 
 
-def _normal_inverse(e: np.ndarray, ridge: float, k: int):
-    """Per-stencil inverses G (R, I, I) of the normal matrices e, and the flags.
+def _normal_inverse(e: np.ndarray):
+    """Per-stencil inverses G (R, I, I) of the normal matrices e.
 
-    With rho = ridge * tr(E) / I, M = (E + rho I)^-1 and cond the
+    With rho = _RIDGE * tr(E) / I, M = (E + rho I)^-1 and cond the
     condition number lambda_max / lambda_min of E + rho I as eigvalsh
     gives it: a stencil with cond < _REFINE_COND_LIMIT gets two steps of
     iterative refinement toward E, precomposed (M E = I - rho M, so two
     steps from x = M r give G = M (I + rho M + (rho M)^2)); the others get
-    G = M, and those with cond > _COND_LIMIT are flagged and get the
-    truncated pseudo-inverse of E.  Raises NumericalError for a
-    numerically zero E.
+    G = M.
 
-    eigvalsh runs only on the rows that two bounds leave open:
-
-    - Flag.  e holds Gram matrices B^T W B with w >= 0 whose entries sum
-      k products, so for rho > 0 the eigenvalues eigvalsh returns lie in
-      [rho, tr(E)(1 + ridge)] up to s tr(E), s = (k + 2 I^2) eps: k eps
-      for the Gram sums, I^2 eps for eigvalsh's backward error, the rest
-      for the trace and the shift.  If (1 + ridge + s) / (ridge / I - s)
-      <= _COND_LIMIT no row can be flagged, and only rows with rho = 0
-      run eigvalsh before the inverse; otherwise every row does.
-    - Refinement.  cond_F = ||E + rho I||_F ||M||_F lies in [cond, I cond].
-      inv and eigvalsh are backward stable within about
-      I^2 eps ||E + rho I||, which near cond = _REFINE_COND_LIMIT puts a
-      relative error below I^2 eps _REFINE_COND_LIMIT on the computed
-      cond_F and on the computed cond each; delta = 4 I^2 eps
-      _REFINE_COND_LIMIT (3e-6 at I = 6, 4e-5 at I = 20) covers both.  A
-      row with cond_F < _REFINE_COND_LIMIT (1 - delta) is refined, one
-      with cond_F > I _REFINE_COND_LIMIT (1 + delta) is not, and the rows
-      in between run eigvalsh.
+    eigvalsh runs only on the rows that a bound leaves open.  cond_F =
+    ||E + rho I||_F ||M||_F lies in [cond, I cond].  inv and eigvalsh are
+    backward stable within about I^2 eps ||E + rho I||, which near cond =
+    _REFINE_COND_LIMIT puts a relative error below I^2 eps
+    _REFINE_COND_LIMIT on the computed cond_F and on the computed cond
+    each; delta = 4 I^2 eps _REFINE_COND_LIMIT (3e-6 at I = 6, 4e-5 at
+    I = 20) covers both.  A row with cond_F < _REFINE_COND_LIMIT (1 - delta)
+    is refined, one with cond_F > I _REFINE_COND_LIMIT (1 + delta) is not,
+    and the rows in between run eigvalsh.
 
     inv works matrix by matrix, so no row's M or G depends on which rows
     ran eigvalsh.
     """
     i_count = e.shape[-1]
-    eps = np.finfo(float).eps
-    reg = ridge * np.trace(e, axis1=1, axis2=2) / i_count
+    reg = _RIDGE * np.trace(e, axis1=1, axis2=2) / i_count
     e_reg = e + reg[:, None, None] * np.eye(i_count)
-
-    slack = (k + 2 * i_count**2) * eps
-    if (1 + ridge + slack) <= _COND_LIMIT * (ridge / i_count - slack):
-        exact = ~(reg > 0)
-    else:
-        exact = np.ones(len(e), dtype=bool)
-    cond_exact = _eig_cond(e_reg[exact])
-    flagged = np.zeros(len(e), dtype=bool)
-    flagged[exact] = cond_exact > _COND_LIMIT
-
-    e_reg[flagged] = np.eye(i_count)  # inverted, then replaced by the pinv rows
     m = np.linalg.inv(e_reg)
     # cond_F, replaced by eigvalsh's cond on every row that ran it
     cond = np.sqrt(np.einsum("rij,rij->r", e_reg, e_reg) * np.einsum("rij,rij->r", m, m))
-    cond[exact] = cond_exact
-    delta = 4 * i_count**2 * eps * _REFINE_COND_LIMIT
-    undecided = ~exact & ~(
+    delta = 4 * i_count**2 * np.finfo(float).eps * _REFINE_COND_LIMIT
+    undecided = ~(
         (cond < _REFINE_COND_LIMIT * (1 - delta))
         | (cond > i_count * _REFINE_COND_LIMIT * (1 + delta))
     )
@@ -303,15 +290,7 @@ def _normal_inverse(e: np.ndarray, ridge: float, k: int):
     del t, e_reg
     g *= rho
     g += m
-    del m
-
-    for row in np.flatnonzero(flagged):
-        u_svd, sv, vt = np.linalg.svd(e[row], hermitian=True)
-        keep = sv > _PINV_CUTOFF * sv[0] if sv[0] > 0 else sv > 0
-        if not np.any(keep):
-            raise NumericalError(f"normal matrix at point {row} is numerically zero")
-        g[row] = (vt[keep].T / sv[keep]) @ u_svd[:, keep].T
-    return g, flagged
+    return g
 
 
 def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
@@ -338,17 +317,16 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, len(indices)))
-    flagged = np.empty(cloud.size, dtype=bool)
 
     def fit(rows):
-        wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
+        wb, operator = _plan_rows(cloud.points, stencils, rows, cfg)
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
         coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
 
     size = FIT_ELEMENTS // (cfg.k * max(len(indices), len(values)))
     run_blocks(cloud.size, max(1, min(size, geometry.BLOCK_ROWS)), threads, fit)
     return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), indices,
-                    cfg.m, h, support_radius, flagged)
+                    cfg.m, h, support_radius)
 
 
 class AnalyticFunction:

@@ -99,19 +99,12 @@ def test_blocked_knn_equals_one_block_on_a_tie_heavy_grid(monkeypatch, block):
     assert np.array_equal(dist, want_dist)
 
 
-def _collinear():
-    xs = np.linspace(0.0, 1.0, 300)
-    return np.column_stack([xs, np.zeros_like(xs)])
-
-
 # (points, cfg, samples, BLOCK_ROWS of the blocked run, fit blocks it makes)
 CLOUDS = {
     # 61 rows divide none of these cloud sizes
     "uniform": (np.random.default_rng(50).random((700, 2)), MlsConfig(k=20, m=2), 1, 61, 12),
     "grid": (_grid(26), MlsConfig(k=20, m=2), 1, 61, 12),
     "graded": (np.random.default_rng(51).random((600, 2)) ** 4, MlsConfig(k=12, m=2), 1, 61, 10),
-    # run with no ridge: every stencil of collinear points is flagged
-    "flagged": (_collinear(), MlsConfig(k=8, m=2), 1, 61, 5),
     # blocks sized by the footprint alone: 307 and 192 rows
     "cloud3d": (np.random.default_rng(57).random((1000, 3)), MlsConfig(k=40, m=3), 1, 2048, 4),
     "stack": (np.random.default_rng(58).random((700, 2)), MlsConfig(k=20, m=2), 64, 2048, 4),
@@ -121,8 +114,6 @@ CLOUDS = {
 @pytest.mark.parametrize("case", sorted(CLOUDS))
 def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, fit_blocks, case):
     points, cfg, samples, block_rows, blocks = CLOUDS[case]
-    if case == "flagged":
-        monkeypatch.setattr(mls, "_RIDGE", 0.0)
     values = np.sin(3.0 * points[:, 0]) * np.cos(2.0 * points[:, 1]) + points[:, 0] ** 2
     if samples > 1:
         values = values + np.random.default_rng(59).normal(size=(samples, len(points)))
@@ -133,13 +124,11 @@ def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, fit_blocks, case):
     footprint = cfg.k * max(samples, basis_size(cloud.dim, cfg.m))
     monkeypatch.setattr(mls, "FIT_ELEMENTS", len(points) * footprint)
     whole = estimate_derivatives(cloud, cfg)
-    assert whole.flagged.any() == (case == "flagged")
     monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
     monkeypatch.setattr(mls, "FIT_ELEMENTS", budget)
     jet = estimate_derivatives(cloud, cfg)
     assert [len(b) for b in fit_blocks] == [1, blocks]
     assert np.array_equal(jet.coefficients, whole.coefficients)
-    assert np.array_equal(jet.flagged, whole.flagged)
     assert jet.h == whole.h
     assert jet.support_radius == whole.support_radius
 
@@ -228,7 +217,6 @@ def test_threaded_blocks_equal_one_thread(fit_blocks, case):
         assert np.array_equal(nbr, want_knn[0]) and np.array_equal(dist, want_knn[1])
         jet = estimate_derivatives(cloud, cfg, threads)
         assert np.array_equal(jet.coefficients, want.coefficients)
-        assert np.array_equal(jet.flagged, want.flagged)
         assert (jet.h, jet.support_radius) == (want.h, want.support_radius)
 
 

@@ -25,7 +25,7 @@ from soblab.convlab import (
 )
 from soblab.errors import InputError
 from soblab.geometry import PointCloud, build_index, knn_all, load_cloud_csv, save_cloud_csv
-from soblab.mls import _normal_inverse, weight
+from soblab.mls import weight
 from soblab.training import DatasetSizes, TrainConfig, synth_dataset, train
 from soblab.training.datasets import mls_derivative_targets
 from soblab.training.losses import relative_l2_error, residual
@@ -786,9 +786,11 @@ _GOOD_RECORD = {"command": "landscape", "config": {}, "seed": 0}
         ({**_GOOD_RECORD, "command": "fly"}, []),  # unknown command
         ({**_GOOD_RECORD, "command": ["train"]}, []),  # unknown command
         (_GOOD_RECORD, ["landscape", "--x-steps", "4"]),  # a command beside the manifest
+        ({**_GOOD_RECORD, "config": {"theta_stepz": 4}}, []),  # a misspelt setting
+        ({**_GOOD_RECORD, "config": {"seed": 1}}, []),  # the seed is recorded beside the config
     ],
     ids=["list", "no-command", "no-config", "list-config", "no-seed", "unknown-command",
-         "list-command", "with-command"],
+         "list-command", "with-command", "unknown-setting", "seed-in-config"],
 )
 def test_bad_manifest_exits_3(tmp_path, capsys, record, extra):
     path = tmp_path / "manifest.json"
@@ -1066,8 +1068,6 @@ FOLDED_CONDITIONS = [
     ("NoLocalMinError", lambda: cubic_local_min(-1.0, 0.0, 1.0, 0.0), errors.ConfigError),
     ("ZeroTargetNormError", lambda: relative_l2_error(np.ones((1, 2)), np.zeros((1, 2))), errors.ConfigError),
     ("PhiZeroError", lambda: descent_landscape(np.array([np.pi]), np.array([1.0])), errors.ConfigError),
-    ("SingularNormalMatrixError", lambda: _normal_inverse(np.zeros((1, 6, 6)), 0.0, 6),
-     errors.NumericalError),
     ("NanLossError", _diverging_train, errors.NumericalError),
 ]
 EXIT_OF = {cls: (code, prefix) for cls, code, prefix in ERROR_TABLE}
@@ -1111,6 +1111,20 @@ def test_out_dir_naming_a_file_is_a_one_line_config_error(tmp_path, capsys):
     assert err.startswith("soblab: configuration error: cannot use --out-dir") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["flow", "--dim", "1"], ["sweep", "--param", "m", "--values", "2,inf"]],
+    ids=["flow-dim", "sweep-values"],
+)
+def test_a_refused_run_removes_only_the_out_dir_it_made(tmp_path, capsys, argv):
+    out = tmp_path / "a" / "b"
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert os.listdir(tmp_path) == []  # both directories the run made are gone
+    out.mkdir(parents=True)  # an out-dir that existed before the run stays
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert os.listdir(out) == []
+
+
 def test_empty_derivs_out_is_a_one_line_config_error(tmp_path, capsys):
     # rejected before the input is read: a missing input would exit 2
     out, missing = tmp_path / "o", tmp_path / "missing.csv"
@@ -1118,7 +1132,7 @@ def test_empty_derivs_out_is_a_one_line_config_error(tmp_path, capsys):
         assert run_cli("--out-dir", out, "derivs", "--input", missing, "--out", name) == 3
         err = capsys.readouterr().err
         assert err == f"soblab: configuration error: --out must name a file, got {name!r}\n"
-        assert os.listdir(out) == []  # no temporary file is left behind
+        assert not out.exists()  # no temporary file is left behind in it
 
 
 def test_derivs_input_directory_is_a_one_line_input_error(tmp_path, capsys):

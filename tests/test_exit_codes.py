@@ -6,11 +6,13 @@ a manifest value for --from-manifest; the files also get values that no
 flag can give.  The command runs in-process at small sizes, with warnings
 as errors and a time limit, and must exit 0, 2, 3 or 4 with no
 traceback, printing one stderr line exactly when it fails, and with the
-same code from each source.
+same code from each source.  A case refused with exit 3 leaves no
+out-dir that it made.
 """
 
 import functools
 import json
+import os
 import signal
 import warnings
 
@@ -55,6 +57,14 @@ LISTS = [
     ("train", [], "hidden"),
 ]
 LIST_VALUES = ["nan,1", "inf,1", "1.5,2", "-1,2"]
+# values refused only beside other settings, exit 3 from every source:
+# (command, base argv, key, value)
+REFUSED = [
+    # the order-7 basis in 3-D has I = 120 >= 100 functions, with K >= I
+    ("derivs", ["derivs", "--input", "cloud3d.csv", "--k", "130"], "m", "7"),
+]
+# keys no command has, misspelt or retired, which only a file can hold
+UNKNOWN = [("landscape", "theta_stepz"), ("derivs", "ridge"), ("derivs", "chunk")]
 GLOBALS = {"seed": int, "threads": int, "out_dir": str, "config": str, "from_manifest": str}
 FILE_GLOBALS = {"seed", "threads", "out_dir"}  # the globals a file may set
 TIME_LIMIT_S = 10.0
@@ -65,7 +75,8 @@ def _flag(key):
 
 
 def _cases():
-    """(id, case) of every case: (command, base argv, key, [(source, value text)]).
+    """(id, case) of every case: (command, base argv, key, [(source, value text)],
+    the exit code every source must give or None).
 
     A flag value is also a case from each file; the file-only values of a
     setting make one case, from each file.
@@ -79,24 +90,30 @@ def _cases():
         files = key in FILE_GLOBALS
         for value in VALUES[kind]:
             runs = sources("landscape", key, [value]) if files else [("flag", value)]
-            yield f"{_flag(key)}={value} landscape", ("landscape", BASE["landscape"], key, runs)
+            yield f"{_flag(key)}={value} landscape", ("landscape", BASE["landscape"], key, runs, None)
         if files:
             runs = sources("landscape", key, FILE_VALUES, flag=False)
-            yield f"{key} = file values, landscape", ("landscape", BASE["landscape"], key, runs)
+            yield f"{key} = file values, landscape", ("landscape", BASE["landscape"], key, runs, None)
     for command, settings in DEFAULTS.items():
         for key, default in settings.items():
             for value in VALUES[str if default is None else type(default)]:
                 yield (f"{command} {_flag(key)}={value}",
-                       (command, BASE[command], key, sources(command, key, [value])))
+                       (command, BASE[command], key, sources(command, key, [value]), None))
             yield (f"{command} {key} = file values",
-                   (command, BASE[command], key, sources(command, key, FILE_VALUES, flag=False)))
+                   (command, BASE[command], key, sources(command, key, FILE_VALUES, flag=False), None))
     for command, flags, key in LISTS:
         base = [*BASE[command], *flags]
         for value in LIST_VALUES:
             case = " ".join([*flags[:2], f"--{key}={value}"])
-            yield f"{command} {case}", (command, base, key, sources(command, key, [value]))
+            yield f"{command} {case}", (command, base, key, sources(command, key, [value]), None)
         case = " ".join([*flags[:2], f"{key} = file values"])
-        yield f"{command} {case}", (command, base, key, sources(command, key, FILE_VALUES, flag=False))
+        runs = sources(command, key, FILE_VALUES, flag=False)
+        yield f"{command} {case}", (command, base, key, runs, None)
+    for command, base, key, value in REFUSED:
+        yield f"{' '.join(base)} {_flag(key)}={value}", (command, base, key, sources(command, key, [value]), 3)
+    for command, key in UNKNOWN:
+        runs = sources(command, key, ["4"], flag=False)
+        yield f"{command} {key} = 4, unknown", (command, BASE[command], key, runs, 3)
 
 
 CASES = dict(_cases())
@@ -156,21 +173,25 @@ def _run(argv):
 
 @pytest.mark.parametrize("case", CASES)
 def test_every_setting_value_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, case):
-    command, base, key, runs = CASES[case]
+    command, base, key, runs, expected = CASES[case]
     monkeypatch.chdir(tmp_path)  # relative outputs, such as --out-dir=xyz, land here
     if command == "derivs":
-        pts = np.random.default_rng(0).random((40, 2))
-        save_cloud_csv(PointCloud(points=pts, values=pts[:, 0] * pts[:, 1]), tmp_path / "cloud.csv")
+        for name, shape in (("cloud.csv", (40, 2)), ("cloud3d.csv", (200, 3))):
+            pts = np.random.default_rng(0).random(shape)
+            save_cloud_csv(PointCloud(points=pts, values=pts[:, 0] * pts[:, 1]), tmp_path / name)
     codes = {}
     for source, value in runs:
+        had_out = os.path.exists("out")
         code = _run(_argv(source, command, base, key, value))
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), (source, value, code, err)
         assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0), (source, value, err)
         assert err == "" or err.startswith("soblab: "), (source, value, err)
+        assert code != 3 or os.path.exists("out") == had_out, (source, value, "a refused run left its out-dir")
         codes.setdefault(value, {})[source] = code
     # a value is typed the same from every source, so it exits the same
     assert all(len(set(by_source.values())) == 1 for by_source in codes.values()), codes
+    assert expected is None or {c for by_source in codes.values() for c in by_source.values()} == {expected}
 
 
 # each command with a setting it cannot run without, and some other setting

@@ -152,6 +152,19 @@ def test_k_below_basis_size_rejected():
         estimate_derivatives(cloud, MlsConfig(k=3, m=2))
 
 
+@pytest.mark.parametrize(
+    "dim, m, size", [(1, 98, 99), (1, 99, 100), (2, 12, 91), (2, 13, 105), (3, 6, 84), (3, 7, 120)]
+)
+def test_a_basis_the_ridge_cannot_bound_is_rejected(dim, m, size):
+    # cond(E + rho I) <= 1 + I/ridge stays within 1e12 only up to I = 99
+    cfg = MlsConfig(k=size, m=m)
+    if size < 100:
+        cfg.validate(dim)
+    else:
+        with pytest.raises(ConfigError, match=rf"^--m {m} is too high in {dim}-D: .* I={size} .* I=99$"):
+            cfg.validate(dim)
+
+
 def test_polynomial_exactness_random_stencils():
     # any polynomial of degree <= m is reproduced exactly at every point
     rng = np.random.default_rng(6)
@@ -197,21 +210,9 @@ def test_normal_matrix_symmetric_psd():
             assert np.linalg.eigvalsh(e).min() >= -1e-12
 
 
-def test_degenerate_collinear_stencil_flagged(monkeypatch):
-    # collinear 2-D points cannot pin the cross-direction quadratics; with
-    # the ridge disabled the pseudo-inverse fallback must engage and flag
-    xs = np.linspace(0.0, 1.0, 30)
-    pts = np.column_stack([xs, np.zeros_like(xs)])
-    cloud = PointCloud(points=pts, values=xs**2)
-    monkeypatch.setattr(mls, "_RIDGE", 0.0)
-    jet = estimate_derivatives(cloud, MlsConfig(k=8, m=2))
-    assert jet.flagged.all()
-    # the along-line content is still recovered by the pseudo-inverse
-    np.testing.assert_allclose(derivative_field(jet, (2, 0)), 2.0, atol=1e-6)
-
-
 def test_degenerate_collinear_stencil_ridge_rescue():
-    # with the default ridge the same stencil stays below the flag threshold
+    # collinear 2-D points cannot pin the cross-direction quadratics; the
+    # ridge keeps the stencil below the flag threshold
     xs = np.linspace(0.0, 1.0, 30)
     pts = np.column_stack([xs, np.zeros_like(xs)])
     cloud = PointCloud(points=pts, values=xs**2)

@@ -1,18 +1,20 @@
-"""The MLS fits' per-stencil inverse: flags and refinement decided by bounds.
+"""The MLS fits' per-stencil inverse: refinement decided by a bound.
 
-_normal_inverse decides the pseudo-inverse flag (cond > 1e12) and the
-refinement (cond < 1e8) from a ridge bound and a Frobenius bound, and
-runs eigvalsh only on the rows those bounds leave open.  These tests pin
-its flags and operators to the eigvalsh-on-every-row version it replaced,
-kept here as the reference, and check which rows reach eigvalsh.
+_normal_inverse decides the refinement (cond < 1e8) from a Frobenius
+bound and runs eigvalsh only on the rows that bound leaves open; the
+ridge alone keeps every admitted stencil below the pseudo-inverse flag
+(cond > 1e12) of the eigvalsh-on-every-row version it replaced, kept here
+as the reference.  These tests pin its operators to the reference, check
+that no stencil is flagged, and check which rows reach eigvalsh.
 """
 
 import numpy as np
 import pytest
 
+from soblab import mls
 from soblab.errors import NumericalError
-from soblab.geometry import PointCloud
-from soblab.mls import MlsConfig, _normal_inverse, estimate_derivatives
+from soblab.geometry import PointCloud, build_index
+from soblab.mls import MlsConfig, _normal_inverse, _plan_rows, _stencils, estimate_derivatives
 
 _COND_LIMIT = 1e12
 _REFINE_COND_LIMIT = 1e8
@@ -91,42 +93,27 @@ def eigvalsh_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("i_count", [6, 20])
-@pytest.mark.parametrize("ridge", [0.0, 1e-13, 1e-10])
+@pytest.mark.parametrize("ridge", [mls._RIDGE])
 def test_flags_and_operator_equal_the_eigvalsh_reference(i_count, ridge, eigvalsh_rows):
     e = _matrices(i_count, seed=i_count)
     g_ref, flagged_ref, cond_ref = _reference_normal_inverse(e.copy(), ridge)
     eigvalsh_rows.clear()
-    g, flagged = _normal_inverse(e.copy(), ridge, i_count)
-    assert np.array_equal(flagged, flagged_ref)
+    g = _normal_inverse(e.copy())
     assert np.array_equal(g, g_ref)
 
     reg = ridge * np.trace(e, axis1=1, axis2=2) / i_count
     e_reg = e + reg[:, None, None] * np.eye(i_count)
-    if ridge < 1e-11:
-        # I (1 + ridge) / ridge exceeds 1e12, or rho = 0: every row runs
-        # eigvalsh once, before the inverse
-        assert flagged_ref.any() and (cond_ref < _REFINE_COND_LIMIT).any()
-        expected = np.ones(len(e), dtype=bool)
-    else:
-        # the ridge bound rules out flags; only rows with cond_F between
-        # 1e8 and I * 1e8 run eigvalsh, and they go both ways
-        assert not flagged_ref.any()
-        cond_f = np.linalg.norm(e_reg, axis=(1, 2)) * np.linalg.norm(
-            np.linalg.inv(e_reg), axis=(1, 2)
-        )
-        expected = (cond_f > _REFINE_COND_LIMIT) & (cond_f < i_count * _REFINE_COND_LIMIT)
-        assert (cond_ref[expected] < _REFINE_COND_LIMIT).any()
-        assert (cond_ref[expected] > _REFINE_COND_LIMIT).any()
-        assert (cond_ref[~expected] < _REFINE_COND_LIMIT).any()
+    # the ridge rules out flags; only rows with cond_F between 1e8 and
+    # I * 1e8 run eigvalsh, and they go both ways
+    assert not flagged_ref.any()
+    cond_f = np.linalg.norm(e_reg, axis=(1, 2)) * np.linalg.norm(
+        np.linalg.inv(e_reg), axis=(1, 2)
+    )
+    expected = (cond_f > _REFINE_COND_LIMIT) & (cond_f < i_count * _REFINE_COND_LIMIT)
+    assert (cond_ref[expected] < _REFINE_COND_LIMIT).any()
+    assert (cond_ref[expected] > _REFINE_COND_LIMIT).any()
+    assert (cond_ref[~expected] < _REFINE_COND_LIMIT).any()
     assert np.array_equal(np.concatenate(eigvalsh_rows), e_reg[expected])
-
-
-@pytest.mark.parametrize("ridge", [0.0, 1e-10])
-def test_zero_normal_matrix_still_raises(ridge):
-    e = np.zeros((3, 6, 6))
-    e[0] = e[2] = np.eye(6)
-    with pytest.raises(NumericalError, match="normal matrix at point 1 is numerically zero"):
-        _normal_inverse(e, ridge, 6)
 
 
 def _grid(side):
@@ -145,6 +132,45 @@ def _grid(side):
     ids=["grid60", "uniform2d", "uniform3d"],
 )
 def test_bounds_decide_every_row_of_ordinary_clouds(points, cfg, eigvalsh_rows):
-    jet = estimate_derivatives(PointCloud(points=points, values=np.zeros(len(points))), cfg)
-    assert not jet.flagged.any()
+    estimate_derivatives(PointCloud(points=points, values=np.zeros(len(points))), cfg)
     assert eigvalsh_rows == []
+
+
+def _collinear(count):
+    xs = np.linspace(0.0, 1.0, count)
+    return np.column_stack([xs, np.zeros_like(xs)])
+
+
+@pytest.mark.parametrize(
+    "points, cfg",
+    [
+        (np.random.default_rng(2).random((400, 2)), MlsConfig(k=40, m=7)),
+        (np.random.default_rng(3).random((400, 2)), MlsConfig(k=70, m=9)),
+        (_grid(25), MlsConfig(k=40, m=7)),
+        (np.random.default_rng(4).random((400, 3)), MlsConfig(k=70, m=5)),
+        (np.random.default_rng(5).random((400, 3)), MlsConfig(k=40, m=3)),
+        (_collinear(30), MlsConfig(k=8, m=2)),
+    ],
+    ids=["random2d-m7", "random2d-m9", "grid25-m7", "random3d-m5", "random3d-m3", "collinear-m2"],
+)
+def test_the_ridge_keeps_every_stencil_unflagged(points, cfg, monkeypatch):
+    # the normal matrices E as _plan_rows forms them, at every point
+    seen = []
+    monkeypatch.setattr(mls, "_normal_inverse", lambda e: seen.append(e.copy()) or _normal_inverse(e))
+    cloud = PointCloud(points=points, values=np.zeros(len(points)))
+    _plan_rows(cloud.points, _stencils(build_index(cloud), cfg), slice(None), cfg)
+    (e,) = seen
+    i_count = e.shape[-1]
+    g_ref, flagged_ref, cond_ref = _reference_normal_inverse(e.copy(), mls._RIDGE)
+    assert np.array_equal(_normal_inverse(e.copy()), g_ref)
+    assert not flagged_ref.any()
+    # each stencil holds its own point with weight 1 and basis row e_0
+    trace = np.trace(e, axis1=1, axis2=2)
+    assert (trace >= 1.0).all()
+    if i_count <= 20:
+        # cond(E + rho I) <= (1 + ridge) / (ridge / I) = 1 + I/ridge in exact
+        # arithmetic.  The tolerance: each eigenvalue eigvalsh returns may be
+        # off by s tr(E), s = (K + 2 I^2) eps (K eps for the Gram sums, I^2 eps
+        # for eigvalsh's backward error, the rest for the trace and the shift)
+        s = (cfg.k + 2 * i_count**2) * np.finfo(float).eps
+        assert (cond_ref <= (1 + mls._RIDGE + s) / (mls._RIDGE / i_count - s)).all()
