@@ -49,6 +49,15 @@ def write_csv(path, header, rows) -> None:
     atomic_write_text(path, _csv_chunks(header, rows))
 
 
+def array_rows(*columns):
+    """Rows of arrays side by side for write_csv: each column is (J,) or
+    (J, c) for c cells a row, turned into Python scalars _CHUNK_ROWS rows
+    at a time, so no whole-column lists exist."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        parts = [np.atleast_2d(col[start : start + _CHUNK_ROWS].T).tolist() for col in columns]
+        yield from zip(*[cells for part in parts for cells in part])
+
+
 def _csv_chunks(header, rows):
     formats = {}
     lines = [",".join(map(_quote, header))]

@@ -41,7 +41,7 @@ from ..errors import EXIT_CONFIG, EXIT_PARSE, ConfigError, SoblabError, StepTooL
 from ..geometry import load_cloud_csv
 from ..training import MODES, DatasetSizes, TrainConfig, synth_dataset, train
 from . import svg
-from .io import atomic_write_text, write_csv
+from .io import array_rows, atomic_write_text, write_csv
 from .manifest import load_manifest, write_manifest
 
 
@@ -142,8 +142,8 @@ def run_derivs(config, out_dir, seed):
         + ["c_" + "_".join(str(a) for a in alpha) for alpha in jet.multi_indices]
         + ["flagged"]
     )
-    columns = [*jet.points.T.tolist(), *jet.coefficients.T.tolist(), jet.flagged.tolist()]
-    write_csv(os.path.join(out_dir, config["out"]), header, zip(range(jet.size), *columns))
+    rows = array_rows(np.arange(jet.size), jet.points, jet.coefficients, jet.flagged)
+    write_csv(os.path.join(out_dir, config["out"]), header, rows)
     return [config["input"]]
 
 

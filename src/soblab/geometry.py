@@ -7,7 +7,9 @@ knn_all queries blocks of BLOCK_ROWS points: a KD-tree query for K + 1
 candidates, and a batched re-query with more candidates for only the
 rows whose K-th neighbor ties the last candidate (regular grids).  Rows
 already in (distance, index) order are read in place; only the finished
-rows that are not get a (distance, index) sort.
+rows that are not get a (distance, index) sort.  It keeps int32 (J, K)
+stencils but no (J, K) distances: stencil_distances, the formula it orders
+by, recomputes any block's distances bit for bit.
 scipy is imported inside build_index, the only function that makes a
 tree, so that importing soblab and the commands that build no index
 (flow, landscape, validate) do not load scipy.spatial and the
@@ -113,60 +115,66 @@ def run_blocks(count: int, size: int, threads: int, fn) -> None:
         list(pool.map(fn, blocks))
 
 
+def stencil_distances(points, nbr, rows):
+    """Offsets points[nbr] - points[rows] (R, K, n) of stencils nbr (R, K)
+    and their lengths (R, K) by the formula a brute-force scan uses
+    (np.linalg.norm's: the square root of the summed squared offsets)."""
+    diff = points[nbr] - points[rows, None, :]
+    return diff, np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
 def knn_all(index: SpatialIndex, k: int, threads: int = 1):
     """KNN stencils for every cloud point, in blocks of BLOCK_ROWS rows
     run on up to `threads` threads.
 
-    Returns (indices, distances) of shape (J, k).  Row j holds the k
-    nearest cloud points to point j, itself first (distance 0), sorted by
-    (distance, index), with distances recomputed by the formula a
-    brute-force scan uses (np.linalg.norm's: the square root of the summed
-    squared differences), so exact ties break by ascending index.  The
-    first k of k + 1 tree candidates are exact unless the last
-    candidate's tree distance ties the k-th distance: a tie may continue
-    past the candidates, so those rows of a block alone are queried again,
-    together, with 4x more extra candidates each round (k + 1, k + 4,
-    k + 16, ...).  A row whose recomputed distances strictly increase is
-    already in (distance, index) order and is read in place; the k-th
-    distance of any other row comes from a partition, and only those of
-    them that are done in a round are sorted.
+    Returns (indices, near, far).  indices (J, k), int32 below 2**31
+    points: row j holds the k nearest cloud points to point j, itself
+    first, sorted by (distance, index) with stencil_distances' distances,
+    so exact ties break by ascending index.  near and far (J,) are each
+    row's distance to its nearest other point (NaN for k = 1) and its k-th
+    distance.  The first k of k + 1 tree candidates are exact unless the
+    last candidate's tree distance ties the k-th distance: a tie may
+    continue past the candidates, so those rows of a block alone are
+    queried again, together, with 4x more extra candidates each round
+    (k + 1, k + 4, k + 16, ...).  A row whose recomputed distances strictly
+    increase is already in (distance, index) order and is read in place;
+    the k-th distance of any other row comes from a partition, and only
+    those of them that are done in a round are sorted.
     """
     points = index.cloud.points
     j = points.shape[0]
     if k < 1 or k > j:
         raise ConfigError(f"K={k} outside [1, {j}]")
-    nbr = np.empty((j, k), dtype=np.intp)
-    dist = np.empty((j, k))
+    nbr = np.empty((j, k), dtype=np.int32 if j < 2**31 else np.intp)
+    near, far = np.empty(j), np.empty(j)
 
     def fill(rows):
         pending = np.arange(rows.start, rows.stop)
         extra = 1
         while pending.size:
             kq = min(k + extra, j)
-            x = points[pending]
-            d_tree, cand = index._tree.query(x, k=kq)
+            d_tree, cand = index._tree.query(points[pending], k=kq)
             d_tree = d_tree.reshape(-1, kq)
             cand = cand.reshape(-1, kq)
-            diff = points[cand] - x[:, None, :]
-            d = np.sqrt(np.add.reduce(diff * diff, axis=2))
-            del diff
+            d = stencil_distances(points, cand, pending)[1]
             ordered = (d[:, 1:] > d[:, :-1]).all(axis=1)
             kth = d[:, k - 1].copy()
             kth[~ordered] = np.partition(d[~ordered], k - 1, axis=1)[:, k - 1]
             # Every point outside the candidates is at least the last
             # candidate's tree distance away.
-            done = d_tree[:, -1] > kth * _TIE_SLACK if kq < j else np.ones(len(x), bool)
+            done = d_tree[:, -1] > kth * _TIE_SLACK if kq < j else np.ones(len(d), bool)
             fix = np.flatnonzero(done & ~ordered)
             order = np.lexsort((cand[fix], d[fix]), axis=1)
             cand[fix] = np.take_along_axis(cand[fix], order, axis=1)
             d[fix] = np.take_along_axis(d[fix], order, axis=1)
             nbr[pending[done]] = cand[done, :k]
-            dist[pending[done]] = d[done, :k]
+            near[pending[done]] = d[done, 1] if k > 1 else np.nan
+            far[pending[done]] = d[done, k - 1]
             pending = pending[~done]
             extra *= 4
 
     run_blocks(j, BLOCK_ROWS, threads, fill)
-    return nbr, dist
+    return nbr, near, far
 
 
 def load_cloud_csv(path) -> PointCloud:
@@ -201,7 +209,7 @@ def load_cloud_csv(path) -> PointCloud:
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:
     """Write a point cloud in the format load_cloud_csv reads."""
-    from .cli.io import write_csv  # local import: io depends on nothing here
+    from .cli.io import array_rows, write_csv  # local import: io depends on nothing here
 
     header = [f"x{d + 1}" for d in range(cloud.dim)] + ["u"]
-    write_csv(path, header, zip(*cloud.points.T.tolist(), cloud.values.tolist()))
+    write_csv(path, header, array_rows(cloud.points, cloud.values))

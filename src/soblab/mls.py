@@ -10,9 +10,10 @@ known derivatives is included.
 The fit is linear in the sample values: each stencil's jet is a fixed
 matrix times the stencil's samples (the GMLS form).
 estimate_derivatives(cloud, cfg) runs the KNN once (the global support
-radius needs every distance), then, in row blocks sized by the stencil
-footprint, forms the value-independent half of the fits (weights, basis,
-normal matrices and the per-stencil inverse) and applies it
+radius needs every K-th distance) and keeps only the int32 stencils;
+then, in row blocks sized by the stencil footprint, it recomputes the
+stencils' distances, forms the value-independent half of the fits
+(weights, basis, normal matrices and the per-stencil inverse) and applies it
 to every sample on the cloud with two batched matrix products and no
 solve.  A cloud may carry one sample (J,) or a stack (N, J) on the same
 points; either way memory grows with the `threads` blocks in flight and
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConfigError
-from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks
+from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks, stencil_distances
 
 # The largest condition number of a regularized normal matrix: the ridge
 # bounds it by 1 + I / _RIDGE, so validate refuses bases of I >= 100.
@@ -206,13 +207,12 @@ def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
 
 
 def _stencils(index: SpatialIndex, cfg: MlsConfig, threads: int = 1):
-    """KNN stencils (J, K) at every cloud point, their distances, the
-    spacing h and the support radius: _WEIGHT_MARGIN times the largest
-    neighbor distance over all stencils (1 for a single-point cloud)."""
+    """KNN stencils (J, K) at every cloud point, the spacing h and the
+    support radius: _WEIGHT_MARGIN times the largest neighbor distance over
+    all stencils (1 for a single-point cloud)."""
     cfg.validate(index.cloud.dim)
-    nbr, dist = knn_all(index, cfg.k, threads)
-    h = float(dist[:, 1].max()) if cfg.k >= 2 else float("nan")
-    return nbr, dist, h, _WEIGHT_MARGIN * float(dist.max()) or 1.0
+    nbr, near, far = knn_all(index, cfg.k, threads)
+    return nbr, float(near.max()), _WEIGHT_MARGIN * float(far.max()) or 1.0
 
 
 def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
@@ -226,18 +226,19 @@ def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
     that are well conditioned, divided by scale ** |alpha|.  Whether a row
     is refined is decided from condition bounds, with eigvalsh only where
     they cannot (see _normal_inverse)."""
-    nbr, dist, _, support_radius = stencils
-    nbr, dist = nbr[rows], dist[rows]
+    nbr, _, support_radius = stencils
+    diff, dist = stencil_distances(points, nbr[rows], rows)
     w = weight(dist, support_radius)
     indices = enumerate_multi_indices(points.shape[1], cfg.m)
     # Scale each stencil to the unit ball before forming the normal matrix;
     # the raw basis has entries ~ h^|alpha| and is needlessly ill conditioned.
     scale = dist.max(axis=1)
     scale[scale == 0.0] = 1.0
-    b = _basis_matrix((points[nbr] - points[rows, None, :]) / scale[:, None, None], indices)
+    diff /= scale[:, None, None]
+    b = _basis_matrix(diff, indices)
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
-    del b  # the largest temporary; the operator is built after it is freed
+    del b, diff, dist  # the largest temporaries; the operator is built after they are freed
     operator = _normal_inverse(e)
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
@@ -313,7 +314,7 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     one size.  Every (sample, stencil) pair is its own product, so the jets
     do not depend on the block size, the thread count or the other samples."""
     stencils = _stencils(build_index(cloud), cfg, threads)
-    nbr, _, h, support_radius = stencils
+    nbr, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, len(indices)))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from soblab import geometry, mls
-from soblab.geometry import PointCloud, build_index, knn_all
+from soblab.cli import main as cli_main
+from soblab.geometry import PointCloud, build_index, knn_all, stencil_distances
 from soblab.mls import MlsConfig, basis_size, estimate_derivatives
 from soblab.training import mls_derivative_targets
 
@@ -20,7 +21,9 @@ def _grid(side):
 
 
 def _knn(points, k):
-    return knn_all(build_index(PointCloud(points=points, values=np.zeros(len(points)))), k)
+    """knn_all's stencils and their distances by stencil_distances."""
+    nbr = knn_all(build_index(PointCloud(points=points, values=np.zeros(len(points)))), k)[0]
+    return nbr, stencil_distances(points, nbr, slice(None))[1]
 
 
 @pytest.fixture
@@ -144,10 +147,10 @@ def _peak_bytes(fit, *args):
 
 def test_memory_grows_with_the_results_not_the_plan():
     # Both clouds span several full blocks, so the block temporaries are
-    # the same; quadrupling J may add the (J, k) stencils and distances and
-    # the (J, I) coefficients, plus a slack of 64 bytes per added row (the
-    # KD-tree's copy of the points and its index, each row's support
-    # radius and flag) and 1 MiB.  A whole-cloud plan adds over 2 KB per row.
+    # the same; quadrupling J may add the (J, k) int32 stencils, each row's
+    # nearest and k-th distance and the (J, I) coefficients, plus a slack of
+    # 64 bytes per added row (the KD-tree's copy of the points and its
+    # index) and 1 MiB.  A whole-cloud plan adds over 2 KB per row.
     cfg = MlsConfig(k=20, m=2)
     rng = np.random.default_rng(52)
     build_index(PointCloud(points=[[0.0]], values=[0.0]))  # scipy's import is not traced
@@ -156,15 +159,16 @@ def test_memory_grows_with_the_results_not_the_plan():
         _peak_bytes(estimate_derivatives, PointCloud(points=pts, values=np.sin(pts[:, 0])), cfg)
         for pts in (rng.random((small, 2)), rng.random((large, 2)))
     ]
-    per_row = cfg.k * (np.dtype(np.intp).itemsize + 8) + basis_size(2, cfg.m) * 8
+    per_row = cfg.k * 4 + 2 * 8 + basis_size(2, cfg.m) * 8
     assert peaks[1] - peaks[0] <= (large - small) * (per_row + 64) + 2**20, peaks
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_target_memory_grows_with_the_results_not_the_plan(dim):
-    # 64 samples fitted together: quadrupling J may add the (J, k) stencils
-    # and distances, the (N, J, I) jets and the (N, J, n) targets picked
-    # from them, plus the slack of the test above.  A whole-cloud plan
+    # 64 samples fitted together: quadrupling J may add the (J, k) int32
+    # stencils, each row's nearest and k-th distance, the (N, J, I) jets and
+    # the (N, J, n) targets picked from them, plus the slack of the test
+    # above.  A whole-cloud plan
     # gathers the (N, J, k) samples of every stencil at once, over 10 KB
     # per row.
     k, m, samples = 20, 2, 64
@@ -175,7 +179,7 @@ def test_target_memory_grows_with_the_results_not_the_plan(dim):
         _peak_bytes(mls_derivative_targets, rng.random((count, dim)), rng.normal(size=(samples, count)), k, m)
         for count in (small, large)
     ]
-    per_row = k * (np.dtype(np.intp).itemsize + 8) + samples * (basis_size(dim, m) + dim) * 8
+    per_row = k * 4 + 2 * 8 + samples * (basis_size(dim, m) + dim) * 8
     assert peaks[1] - peaks[0] <= (large - small) * (per_row + 64) + 2**20, peaks
 
 
@@ -213,8 +217,8 @@ def test_threaded_blocks_equal_one_thread(fit_blocks, case):
     want = estimate_derivatives(cloud, cfg)
     assert len(fit_blocks[0]) == blocks
     for threads in (2, 3):
-        nbr, dist = knn_all(index, cfg.k, threads)
-        assert np.array_equal(nbr, want_knn[0]) and np.array_equal(dist, want_knn[1])
+        got_knn = knn_all(index, cfg.k, threads)
+        assert all(np.array_equal(got, want) for got, want in zip(got_knn, want_knn))
         jet = estimate_derivatives(cloud, cfg, threads)
         assert np.array_equal(jet.coefficients, want.coefficients)
         assert (jet.h, jet.support_radius) == (want.h, want.support_radius)
@@ -256,6 +260,36 @@ def test_the_first_failing_block_raises_its_own_exception():
     with pytest.raises(ValueError) as info:
         geometry.run_blocks(15, 5, 3, fail)
     assert info.value is errors[1]
+
+
+def _cloud_50k():
+    pts = np.random.default_rng(61).random((50_000, 2))
+    return PointCloud(points=pts, values=np.sin(pts[:, 0]) * np.cos(pts[:, 1]))
+
+
+def test_jets_of_50k_points_hold_no_whole_cloud_distance_table():
+    # 50k 2-D points at k=20, m=2 on one thread: the int32 stencils (3.8 MiB),
+    # the (J, I) jets (2.3 MiB), each row's nearest and k-th distance and one
+    # block's temporaries.  (J, k) intp stencils with their float64 distances
+    # held 15.3 MiB and put the peak near 23 MiB.
+    cloud = _cloud_50k()
+    build_index(PointCloud(points=[[0.0]], values=[0.0]))  # scipy's import is not traced
+    peak = _peak_bytes(estimate_derivatives, cloud, MlsConfig(k=20, m=2), 1)
+    assert peak <= 15 * 2**20, peak
+
+
+def test_jets_csv_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # run_derivs on a 50k-point JetField it is handed: the CSV rows are
+    # built a chunk at a time.  Whole-cloud Python float columns put the
+    # peak near 15 MiB.
+    cloud = _cloud_50k()
+    jet = estimate_derivatives(cloud, MlsConfig(k=20, m=2))
+    monkeypatch.setattr(cli_main, "load_cloud_csv", lambda path: cloud)
+    monkeypatch.setattr(mls, "estimate_derivatives", lambda *args: jet)
+    config = {"input": "cloud.csv", "k": 20, "m": 2, "out": "jets.csv", "threads": 1}
+    peak = _peak_bytes(cli_main.run_derivs, config, str(tmp_path), 0)
+    assert peak <= 5 * 2**20, peak
+    assert (tmp_path / "jets.csv").read_text().count("\n") == cloud.size + 1
 
 
 def test_each_thread_adds_about_one_small_block_on_a_large_footprint():

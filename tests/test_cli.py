@@ -1222,6 +1222,22 @@ def test_streamed_csv_bytes_match_csv_writer_at_the_chunk_boundaries(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), count
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 5])
+def test_array_rows_equal_whole_column_rows(tmp_path, extra):
+    # the rows, cell types included, of whole-column lists, around a chunk boundary
+    count = 2 * cli_io._CHUNK_ROWS + extra
+    rng = np.random.default_rng(3)
+    points, flags = rng.random((count, 3)), rng.random(count) < 0.5
+    got = list(cli_io.array_rows(np.arange(count), points, flags))
+    want = list(zip(range(count), *points.T.tolist(), flags.tolist()))
+    assert got == want
+    assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+    header = ["j", "x1", "x2", "x3", "flagged"]
+    write_csv(tmp_path / "new.csv", header, iter(got))
+    _csv_writer_reference(tmp_path / "old.csv", header, want)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_csv_whose_rows_fail_midway_leaves_no_file(tmp_path):
     def rows():
         for j in range(3 * cli_io._CHUNK_ROWS):  # chunks are on disk before the failure

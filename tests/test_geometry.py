@@ -11,11 +11,24 @@ from soblab.geometry import (
     knn_all,
     load_cloud_csv,
     save_cloud_csv,
+    stencil_distances,
 )
 
 
 def line_cloud():
     return PointCloud(points=[[0.0], [1.0], [2.0]], values=[0.0, 1.0, 4.0])
+
+
+def knn_with_distances(index, k):
+    """knn_all's int32 stencils and their (J, k) distances by
+    stencil_distances, checked against the nearest non-self and k-th
+    distances knn_all returns for each row."""
+    nbr, near, far = knn_all(index, k)
+    assert nbr.dtype == np.int32
+    dist = stencil_distances(index.cloud.points, nbr, slice(None))[1]
+    assert np.array_equal(near, dist[:, 1]) if k > 1 else np.isnan(near).all()
+    assert np.array_equal(far, dist[:, -1])
+    return nbr, dist
 
 
 def brute_force_knn(points, q, k):
@@ -31,7 +44,7 @@ def test_build_index_three_points_on_line():
 
 def test_build_index_single_point():
     cloud = PointCloud(points=[[0.5, 0.5]], values=[2.0])
-    nbr, dist = knn_all(build_index(cloud), 1)
+    nbr, dist = knn_with_distances(build_index(cloud), 1)
     assert nbr.tolist() == [[0]] and dist.tolist() == [[0.0]]
 
 
@@ -97,7 +110,7 @@ def test_spread_whose_squared_distances_overflow_rejected():
     # at a 1e153 spread the KNN squares finite differences; beyond, the KD
     # tree reports the neighbours it cannot reach as index J
     near = PointCloud(points=[[0.0, 0.0], [1e153, 0.0], [0.0, 1e153]], values=[0.0, 1.0, 2.0])
-    assert np.isfinite(knn_all(build_index(near), 3)[1]).all()
+    assert np.isfinite(knn_with_distances(build_index(near), 3)[1]).all()
     for far in ([[0.0, 0.0], [1e160, 0.0]], [[-1e308, 0.0], [1e308, 0.0]]):
         with pytest.raises(InputError, match="squared distances overflow"):
             PointCloud(points=far, values=[0.0, 1.0])
@@ -106,9 +119,9 @@ def test_spread_whose_squared_distances_overflow_rejected():
 def test_knn_self_is_nearest_and_ties_break_low():
     index = build_index(line_cloud())
     # query=1, K=2: points 0 and 2 tie at distance 1; index 0 wins
-    nbr, dist = knn_all(index, 2)
+    nbr, dist = knn_with_distances(index, 2)
     assert nbr[1].tolist() == [1, 0] and dist[1].tolist() == [0.0, 1.0]
-    nbr, dist = knn_all(index, 1)
+    nbr, dist = knn_with_distances(index, 1)
     assert nbr[0].tolist() == [0] and dist[0].tolist() == [0.0]
 
 
@@ -124,7 +137,7 @@ def test_knn_matches_brute_force_random():
     rng = np.random.default_rng(7)
     pts = rng.random((500, 2))
     cloud = PointCloud(points=pts, values=np.zeros(500))
-    nbr, got = knn_all(build_index(cloud), 20)
+    nbr, got = knn_with_distances(build_index(cloud), 20)
     for q in [0, 17, 123, 499]:
         idx, dist = brute_force_knn(pts, q, 20)
         assert nbr[q].tolist() == idx.tolist()
@@ -136,7 +149,7 @@ def test_knn_all_matches_brute_force_large():
     pts = rng.random((10_000, 2))
     cloud = PointCloud(points=pts, values=np.zeros(10_000))
     index = build_index(cloud)
-    nbr, dist = knn_all(index, 8)
+    nbr, dist = knn_with_distances(index, 8)
     for q in rng.integers(0, 10_000, size=60):
         idx, d = brute_force_knn(pts, q, 8)
         assert nbr[q].tolist() == idx.tolist()
@@ -150,7 +163,7 @@ def test_knn_all_grid_ties_deterministic():
     pts = np.array([[x, y] for x in xs for y in xs])
     cloud = PointCloud(points=pts, values=np.zeros(len(pts)))
     index = build_index(cloud)
-    nbr, dist = knn_all(index, 6)
+    nbr, dist = knn_with_distances(index, 6)
     for q in range(len(pts)):
         idx, d = brute_force_knn(pts, q, 6)
         assert nbr[q].tolist() == idx.tolist(), f"tie break mismatch at {q}"
@@ -162,8 +175,8 @@ def test_knn_distances_nondecreasing_and_repeatable():
     pts = rng.random((300, 3))
     cloud = PointCloud(points=pts, values=np.zeros(300))
     index = build_index(cloud)
-    first = knn_all(index, 25)
-    again = knn_all(index, 25)
+    first = knn_with_distances(index, 25)
+    again = knn_with_distances(index, 25)
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
     assert np.all(np.diff(first[1], axis=1) >= 0)
 
@@ -218,7 +231,7 @@ def test_knn_matches_brute_force_on_tie_heavy_grids(side, dim, k):
     pts = grid_points(side, dim)
     index = build_index(PointCloud(points=pts, values=np.zeros(len(pts))))
     want_nbr, want_dist = brute_force_knn_all(pts, k)
-    nbr, dist = knn_all(index, k)
+    nbr, dist = knn_with_distances(index, k)
     assert np.array_equal(nbr, want_nbr)
     assert np.array_equal(dist, want_dist)
 
@@ -242,7 +255,7 @@ def test_knn_matches_brute_force_on_jittered_grids(side, dim, k):
     want_nbr, want_dist = brute_force_knn_all(pts, k)
     tied = (np.diff(want_dist, axis=1) == 0).any(axis=1)
     assert tied.any() and not tied.all()
-    nbr, dist = knn_all(index, k)
+    nbr, dist = knn_with_distances(index, k)
     assert np.array_equal(nbr, want_nbr)
     assert np.array_equal(dist, want_dist)
 
@@ -272,6 +285,6 @@ def test_knn_exact_when_tree_order_differs_in_the_last_bits(jitter):
     d = np.linalg.norm(pts[cand] - pts[:, None, :], axis=2)
     assert (np.diff(d, axis=1) < 0).any()  # out of order under the formula
     want_nbr, want_dist = brute_force_knn_all(pts, 14)
-    nbr, dist = knn_all(index, 14)
+    nbr, dist = knn_with_distances(index, 14)
     assert np.array_equal(nbr, want_nbr)
     assert np.array_equal(dist, want_dist)

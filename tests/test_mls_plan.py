@@ -90,10 +90,11 @@ def _reference_solve(diffs, dists, values, cfg, d_support, ridge):
 
 
 def _reference_jets(cloud, cfg, ridge):
-    nbr, dist = knn_all(build_index(cloud), cfg.k)
+    nbr = knn_all(build_index(cloud), cfg.k)[0]
+    diffs = cloud.points[nbr] - cloud.points[:, None, :]
+    dist = np.linalg.norm(diffs, axis=2)
     # the support radius: 1.1 times the largest neighbor distance
     d_support = 1.1 * float(dist.max())
-    diffs = cloud.points[nbr] - cloud.points[:, None, :]
     return _reference_solve(diffs, dist, cloud.values[nbr], cfg, d_support, ridge)
 
 
@@ -119,8 +120,9 @@ def _values(points):
 def test_basis_bit_identical_to_reference(case):
     points, cfg = CASES[case]
     cloud = PointCloud(points=points, values=_values(points))
-    nbr, dist = knn_all(build_index(cloud), cfg.k)
-    diffs = (cloud.points[nbr] - cloud.points[:, None, :]) / dist.max(axis=1)[:, None, None]
+    nbr = knn_all(build_index(cloud), cfg.k)[0]
+    diffs = cloud.points[nbr] - cloud.points[:, None, :]
+    diffs = diffs / np.linalg.norm(diffs, axis=2).max(axis=1)[:, None, None]
     indices = enumerate_multi_indices(points.shape[1], cfg.m)
     assert np.array_equal(_basis_matrix(diffs, indices), _reference_basis(diffs, indices))
 
