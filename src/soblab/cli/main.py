@@ -37,12 +37,13 @@ import time
 import numpy as np
 
 from .. import __version__, convlab, mls
-from ..errors import EXIT_CONFIG, EXIT_PARSE, ConfigError, SoblabError, StepTooLargeError
+from ..errors import (EXIT_CONFIG, EXIT_PARSE, ConfigError, InputError, SoblabError,
+                      StepTooLargeError)
 from ..geometry import load_cloud_csv
 from ..training import MODES, DatasetSizes, TrainConfig, synth_dataset, train
 from . import svg
 from .io import array_rows, atomic_write_text, write_csv
-from .manifest import load_manifest, write_manifest
+from .manifest import file_digest, load_manifest, write_manifest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -491,8 +492,10 @@ def resolve_config(command: str, cli_args: dict, file_values: dict, source=None)
     return config
 
 
-def execute(command: str, config: dict) -> None:
-    """Run command on its resolved config and write the manifest beside its outputs."""
+def execute(command: str, config: dict, digests=None) -> None:
+    """Run command on its resolved config and write the manifest beside its
+    outputs.  digests, {path: sha256} of a replayed manifest's inputs, must
+    still match the files, or InputError is raised before the out-dir is made."""
     config = dict(config)
     seed = config.pop("seed")  # the manifest records it beside the config
     threads, out_dir = config["threads"], config["out_dir"]
@@ -503,6 +506,14 @@ def execute(command: str, config: dict) -> None:
     for key, message in _REQUIRED.get(command, {}).items():
         if not config[key]:
             raise ConfigError(message)
+    for path, recorded in (digests or {}).items():
+        try:
+            now = file_digest(path)
+        except OSError:
+            now = "missing"
+        if now != recorded:
+            raise InputError(f"{path}: not the input the manifest recorded "
+                             f"(sha256 {recorded[:12]} recorded, {now[:12]} now)")
     created = []  # the directories this run makes, deepest first
     head = out_dir
     while head and not os.path.exists(head):
@@ -525,7 +536,8 @@ def execute(command: str, config: dict) -> None:
 
 
 def _replay_source(path):
-    """The command and file values (config plus seed) a manifest recorded."""
+    """The command, file values (config plus seed) and input digests a
+    manifest recorded."""
     try:
         record = load_manifest(path)
     except json.JSONDecodeError as exc:
@@ -539,7 +551,10 @@ def _replay_source(path):
     for key in record["config"]:
         if key not in DEFAULTS[command] and key not in ("threads", "out_dir"):
             raise ConfigError(f"{path}: unknown setting {key!r} for {command}")
-    return command, {**record["config"], "seed": record["seed"]}
+    digests = record.get("input_digests", {})
+    if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
+        raise ConfigError(f"{path}: input_digests must map each input file to its sha256")
+    return command, {**record["config"], "seed": record["seed"]}, digests
 
 
 def _usable_cpus() -> int:
@@ -556,14 +571,14 @@ def main(argv=None) -> int:
             if args.command or args.config:
                 raise ConfigError(
                     f"{args.from_manifest}: --from-manifest takes no command or --config")
-            command, file_values = _replay_source(args.from_manifest)
+            command, file_values, digests = _replay_source(args.from_manifest)
         elif args.command:
-            command = args.command
+            command, digests = args.command, None
             file_values = _read_config_file(args.config) if args.config else {}
         else:
             raise ConfigError("a command is required (or --from-manifest)")
         source = args.from_manifest or args.config  # the file of file_values
-        execute(command, resolve_config(command, vars(args), file_values, source))
+        execute(command, resolve_config(command, vars(args), file_values, source), digests)
         return 0
     except SoblabError as exc:
         print(f"soblab: {exc.prefix}{exc}", file=sys.stderr)

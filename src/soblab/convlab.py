@@ -42,7 +42,12 @@ from .errors import ConfigError, NumericalError, StepTooLargeError
 TWO_PI = 2.0 * math.pi
 # a flow's angle stays in [_THETA_CLAMP, pi - _THETA_CLAMP], off the kinks at 0 and pi
 _THETA_CLAMP = 1e-8
-_MC_CHUNK = 200_000  # Monte-Carlo draws per block
+# Monte-Carlo draws per summation group: each group is summed in row order
+# and added to the total in turn, which fixes the bits of every mean
+_MC_CHUNK = 200_000
+# float64 elements (1 MiB) in one block of Monte-Carlo draws, and in the four
+# temporaries of one column block of a flow's records; no bit depends on it
+_BLOCK_ELEMENTS = 1 << 17
 # sample_basin's starts lie within this fraction of |w*| of w*
 _BASIN_RADIUS = 0.999
 
@@ -233,9 +238,11 @@ def _project(w, target):
     return a, b, e_b
 
 
-def _embed(a, b, e_b, target):
-    # + 0.0 turns a -0.0 component into +0.0
-    return a[..., None] * target.unit + b[..., None] * e_b + 0.0
+def _embed(a, b, e_b, target, out=None):
+    out = np.multiply(a[..., None], target.unit, out=out)
+    out += b[..., None] * e_b
+    out += 0.0  # turns a -0.0 component into +0.0
+    return out
 
 
 def flow_gradients(w, w_star):
@@ -391,6 +398,18 @@ def _is_sob(mode: str) -> bool:
     raise ConfigError(f"unknown flow mode {mode!r} (expected L2 or Sob)")
 
 
+def _count(name, value):
+    """value as an int; raises ConfigError unless it is an integer >= 1 (a
+    bool is no count)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def _flow_grid(dt, t_final, record_every):
     """(step count, record stride) of the integration grid.
 
@@ -401,12 +420,7 @@ def _flow_grid(dt, t_final, record_every):
         raise ConfigError(f"dt must be finite and positive, got {dt}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ConfigError(f"t_final must be finite and nonnegative, got {t_final}")
-    try:
-        stride = operator.index(record_every)
-    except TypeError:
-        stride = 0
-    if stride < 1:
-        raise ConfigError(f"record_every must be an integer >= 1, got {record_every!r}")
+    stride = _count("record_every", record_every)
     steps = t_final / dt
     if not math.isfinite(steps):
         raise ConfigError(f"t_final / dt = {steps} steps")
@@ -418,7 +432,7 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     """Classical fixed-step RK4 on rows w (B, n); sob (B,) marks the Sob rows.
 
     Each row is integrated on its two planar coordinates (see _project);
-    the n-D weights and slopes are rebuilt once at the end.  Returns
+    the n-D weights and slopes are rebuilt at the end, in column blocks.  Returns
     (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
     recorded every record_every steps and at the last step, weights[:, 0]
     being the starts w.  The step guard raises at the first step at which
@@ -487,12 +501,19 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
             rec[row], row = (a, b, ga, gb), row + 1
     a, b, ga, gb = table.transpose(1, 2, 0)  # four (B, S) coordinate tables
     e_b = e_b[:, None]
-    weights = _embed(a, b, e_b, target)
-    weights[:, 0] = w
-    diff = weights - target.w_star
-    # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
-    ddt = 2.0 * np.sum(diff * _embed(-ga, -gb, e_b, target), axis=-1)
-    dist2 = np.sum(diff * diff, axis=-1)
+    weights, dist2, ddt = np.empty(a.shape + w.shape[1:]), np.empty(a.shape), np.empty(a.shape)
+    # column blocks whose four (B, cols, n) temporaries hold _BLOCK_ELEMENTS together;
+    # each step is per element or a sum per row, so no bit depends on the blocks
+    cols = max(1, _BLOCK_ELEMENTS // (4 * w.size))
+    for s in range(0, a.shape[1], cols):
+        c = slice(s, s + cols)
+        _embed(a[:, c], b[:, c], e_b, target, out=weights[:, c])
+        if s == 0:
+            weights[:, 0] = w
+        diff = weights[:, c] - target.w_star
+        # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
+        ddt[:, c] = 2.0 * np.sum(diff * _embed(-ga[:, c], -gb[:, c], e_b, target), axis=-1)
+        dist2[:, c] = np.sum(diff * diff, axis=-1)
     if not (np.isfinite(dist2).all() and np.isfinite(ddt).all()):
         raise NumericalError("the flow left the float range: a recorded distance or rate "
                              "is not finite; start nearer the target")
@@ -627,24 +648,40 @@ def descent_landscape(theta_grid, ratio_grid) -> LandscapeTable:
 # Monte-Carlo cross checks and the validation suite
 # ---------------------------------------------------------------------------
 
+def _blocks(draws, rows):
+    """(start, stop) of consecutive blocks of at most rows of range(draws)."""
+    return ((s, min(s + rows, draws)) for s in range(0, draws, rows))
+
+
 def mc_gated_correlation(e, w, draws, seed=0):
-    """Empirical mean and standard error of the per-row gated correlation."""
+    """Empirical mean and standard error of the per-row gated correlation.
+
+    The draws are made and reduced in blocks of _BLOCK_ELEMENTS numbers.
+    Each group of _MC_CHUNK draws is summed in row order: a block adds the
+    group's running sums into its first row before its own sum."""
+    draws = _count("draws", draws)
     e = np.asarray(e, dtype=float)
     w = np.asarray(w, dtype=float)
     n = e.shape[0]
     rng = np.random.default_rng(seed)
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    done = 0
-    while done < draws:
-        m = int(min(_MC_CHUNK, draws - done))
-        x = rng.standard_normal((m, n))
-        xw = x @ w
-        gate = (x @ e > 0) & (xw > 0)
-        rows = (gate * xw)[:, None] * x
-        total += rows.sum(axis=0)
-        total_sq += (rows * rows).sum(axis=0)
-        done += m
+    # numpy sums a single column pairwise, not in row order: one block per group
+    block = _MC_CHUNK if n == 1 else max(1, _BLOCK_ELEMENTS // n)
+    for g0, g1 in _blocks(draws, _MC_CHUNK):
+        part = part_sq = None
+        for b0, b1 in _blocks(g1 - g0, block):
+            x = rng.standard_normal((b1 - b0, n))
+            xw = x @ w
+            gate = (x @ e > 0) & (xw > 0)
+            rows = (gate * xw)[:, None] * x
+            sq = rows * rows
+            if part is not None:
+                rows[0] += part
+                sq[0] += part_sq
+            part, part_sq = rows.sum(axis=0), sq.sum(axis=0)
+        total += part
+        total_sq += part_sq
     mean = total / draws
     var = total_sq / draws - mean * mean
     se = np.sqrt(np.maximum(var, 0.0) / draws)
@@ -662,12 +699,17 @@ def random_admissible_cubic(rng):
 
 
 def mc_quadrant_prob(rho, draws, seed=0):
-    """Empirical P[x>0, y>0] for correlated standard normals."""
+    """Empirical P[x>0, y>0] for correlated standard normals.  z1 is drawn
+    whole, before z2, and z2 in blocks of _BLOCK_ELEMENTS numbers."""
+    draws = _count("draws", draws)
     rng = np.random.default_rng(seed)
     z1 = rng.standard_normal(draws)
-    z2 = rng.standard_normal(draws)
-    y = rho * z1 + math.sqrt(max(0.0, 1.0 - rho * rho)) * z2
-    return float(np.mean((z1 > 0) & (y > 0)))
+    scale = math.sqrt(max(0.0, 1.0 - rho * rho))
+    hits = 0
+    for s, t in _blocks(draws, _BLOCK_ELEMENTS):
+        y = rho * z1[s:t] + scale * rng.standard_normal(t - s)
+        hits += int(np.count_nonzero((z1[s:t] > 0) & (y > 0)))
+    return hits / draws
 
 
 def sample_basin(w_star, count, rng, theta_range=None):

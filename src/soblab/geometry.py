@@ -206,10 +206,3 @@ def load_cloud_csv(path) -> PointCloud:
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
-
-def save_cloud_csv(cloud: PointCloud, path) -> None:
-    """Write a point cloud in the format load_cloud_csv reads."""
-    from .cli.io import array_rows, write_csv  # local import: io depends on nothing here
-
-    header = [f"x{d + 1}" for d in range(cloud.dim)] + ["u"]
-    write_csv(path, header, array_rows(cloud.points, cloud.values))

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import save_cloud_csv
 
 from soblab import convlab, mls
 from soblab.cli.main import main as cli_main
-from soblab.geometry import PointCloud, save_cloud_csv
+from soblab.geometry import PointCloud
 from soblab.training import (
     DatasetSizes,
     TrainConfig,

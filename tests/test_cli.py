@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import save_cloud_csv
 
 from soblab import errors, geometry
 from soblab.cli import io as cli_io
@@ -24,7 +25,7 @@ from soblab.convlab import (
     quadrant_prob,
 )
 from soblab.errors import InputError
-from soblab.geometry import PointCloud, build_index, knn_all, load_cloud_csv, save_cloud_csv
+from soblab.geometry import PointCloud, build_index, knn_all, load_cloud_csv
 from soblab.mls import weight
 from soblab.training import DatasetSizes, TrainConfig, synth_dataset, train
 from soblab.training.datasets import mls_derivative_targets

@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from helpers import save_cloud_csv
 
 import soblab
-from soblab.geometry import PointCloud, save_cloud_csv
+from soblab.geometry import PointCloud
 
 SRC = Path(soblab.__file__).resolve().parents[1]
 

@@ -1,10 +1,12 @@
 """Closed-form half-space geometry, population gradients, inequalities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from soblab import convlab
 from soblab.convlab import (
     _coeffs_of_angle,
     _draw_terms,
@@ -24,6 +26,7 @@ from soblab.convlab import (
     mc_quadrant_prob,
     quadrant_prob,
     sample_basin,
+    validation_suite,
     value_flow_angular_term,
 )
 from soblab.errors import ConfigError, NumericalError, StepTooLargeError
@@ -155,6 +158,71 @@ def test_quadrant_prob_values():
 def test_quadrant_prob_monte_carlo():
     for rho in (-0.9, 0.0, 0.5, 0.9):
         assert abs(mc_quadrant_prob(rho, 400_000, seed=3) - quadrant_prob(rho)) < 5e-3
+
+
+def _one_shot_gated_correlation(e, w, draws, seed):
+    """The Monte Carlo that each draw group of 200,000 rows held whole."""
+    n = e.shape[0]
+    rng = np.random.default_rng(seed)
+    total, total_sq, done = np.zeros(n), np.zeros(n), 0
+    while done < draws:
+        m = min(200_000, draws - done)
+        x = rng.standard_normal((m, n))
+        xw = x @ w
+        rows = (((x @ e > 0) & (xw > 0)) * xw)[:, None] * x
+        total += rows.sum(axis=0)
+        total_sq += (rows * rows).sum(axis=0)
+        done += m
+    mean = total / draws
+    return mean, np.sqrt(np.maximum(total_sq / draws - mean * mean, 0.0) / draws)
+
+
+def _one_shot_quadrant_prob(rho, draws, seed):
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal(draws)
+    z2 = rng.standard_normal(draws)
+    y = rho * z1 + math.sqrt(max(0.0, 1.0 - rho * rho)) * z2
+    return float(np.mean((z1 > 0) & (y > 0)))
+
+
+# one draw, a partial block, one whole group, and two groups and a partial one
+@pytest.mark.parametrize("draws", [1, 16_385, 200_000, 450_001])
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_blocked_gated_correlation_equals_the_one_shot_sums(n, draws):
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal(n)
+    e /= np.linalg.norm(e)
+    w = rng.standard_normal(n)
+    mean, se = mc_gated_correlation(e, w, draws, seed=draws)
+    one_mean, one_se = _one_shot_gated_correlation(e, w, draws, seed=draws)
+    assert np.array_equal(mean, one_mean) and np.array_equal(se, one_se)
+
+
+@pytest.mark.parametrize("draws", [400_000, 1_000_001])
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.9])
+def test_blocked_quadrant_prob_equals_the_one_shot_mean(rho, draws):
+    got = mc_quadrant_prob(rho, draws, seed=7)
+    assert type(got) is float and got == _one_shot_quadrant_prob(rho, draws, seed=7)
+
+
+@pytest.mark.parametrize("draws", [0, -3, 2.5, True])
+def test_a_bad_draw_count_is_refused(draws):
+    e = np.array([1.0, 0.0])
+    with pytest.raises(ConfigError, match="draws must be an integer >= 1"):
+        mc_gated_correlation(e, np.array([0.5, 0.5]), draws)
+    with pytest.raises(ConfigError, match="draws must be an integer >= 1"):
+        mc_quadrant_prob(0.5, draws)
+
+
+def test_validation_suite_holds_blocks_not_draw_tables():
+    tracemalloc.start()
+    try:
+        validation_suite(seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole 200,000 x 10 draw tables and whole flow-record temporaries peak at 47.5 MiB
+    assert peak < 16 * 2**20
 
 
 # -- population gradients --------------------------------------------------------
@@ -445,6 +513,19 @@ def test_flow_batch_matches_single():
         integrate_flow_batch(starts, [1.0, 0.0, 0.0], **kw)
 
 
+def test_flow_records_in_column_blocks_equal_one_block(monkeypatch):
+    rng = np.random.default_rng(4)
+    w_star = np.array([1.0, 0.0, 0.0])
+    starts = sample_basin(w_star, 3, rng)
+    kw = dict(dt=0.05, t_final=2.0, mode=["L2", "Sob", "Sob"], record_every=3)
+    whole = integrate_flow_batch(starts, w_star, **kw)
+    # 14 records of 3 rows x 3 coordinates, two records a block
+    monkeypatch.setattr(convlab, "_BLOCK_ELEMENTS", 4 * 2 * 9)
+    blocked = integrate_flow_batch(starts, w_star, **kw)
+    for name in ("times", "weights", "dist2", "ddt_dist2"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+
 def test_flow_batch_step_guard_names_the_step():
     # at dt = 4 the three stable starts converge to dist2 < 1e-12 within the
     # guard, while the start [1.314, -0.034] trips it at step 3
@@ -535,6 +616,7 @@ _BAD_GRIDS = {
     "record_every_zero": dict(record_every=0),
     "record_every_negative": dict(record_every=-3),
     "record_every_fraction": dict(record_every=2.5),
+    "record_every_bool": dict(record_every=True),
 }
 
 

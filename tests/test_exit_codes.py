@@ -18,9 +18,10 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import save_cloud_csv
 
 from soblab.cli.main import DEFAULTS, build_parser, main
-from soblab.geometry import PointCloud, save_cloud_csv
+from soblab.geometry import PointCloud
 
 VALUES = {
     float: ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e300"],
@@ -217,3 +218,34 @@ def test_a_missing_required_setting_exits_3_naming_its_flag(tmp_path, capsys, ca
     assert main(["--out-dir", str(out), *argv]) == 3
     assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
     assert not out.exists()  # refused before the out-dir is made
+
+
+@pytest.mark.parametrize("change", ["changed", "deleted"])
+def test_a_replay_whose_input_changed_exits_2(tmp_path, capsys, change):
+    cloud = tmp_path / "cloud.csv"
+    pts = np.random.default_rng(0).random((40, 2))
+    save_cloud_csv(PointCloud(points=pts, values=pts[:, 0] * pts[:, 1]), cloud)
+    assert main(["--out-dir", str(tmp_path / "run"), "derivs", "--input", str(cloud)]) == 0
+    if change == "changed":
+        save_cloud_csv(PointCloud(points=pts, values=pts[:, 0] + pts[:, 1]), cloud)
+    else:
+        cloud.unlink()
+    capsys.readouterr()
+    replay = tmp_path / "replay"
+    assert main(["--out-dir", str(replay), "--from-manifest", str(tmp_path / "run" / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"soblab: input error: {cloud}: not the input the manifest recorded")
+    assert err.count("\n") == 1 and err.endswith(" now)\n"), err
+    assert ("missing now" in err) == (change == "deleted")
+    assert not replay.exists()  # refused before the out-dir is made
+
+
+@pytest.mark.parametrize("digests", [["cloud.csv"], {"cloud.csv": 5}])
+def test_a_manifest_with_malformed_input_digests_exits_3(tmp_path, capsys, digests):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "landscape", "config": {}, "seed": 0,
+                                "input_digests": digests}))
+    assert main(["--out-dir", str(tmp_path / "out"), "--from-manifest", str(path)]) == 3
+    assert capsys.readouterr().err == (f"soblab: configuration error: {path}: input_digests "
+                                       "must map each input file to its sha256\n")
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import save_cloud_csv
 
 from soblab.errors import ConfigError, InputError
 from soblab.geometry import (
@@ -10,7 +11,6 @@ from soblab.geometry import (
     build_index,
     knn_all,
     load_cloud_csv,
-    save_cloud_csv,
     stencil_distances,
 )
 
