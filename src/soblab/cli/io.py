@@ -1,8 +1,10 @@
-"""Deterministic text I/O: CSV writes and atomic files.
+"""Deterministic text I/O: CSV tables written from their columns, and
+atomic files.
 
 Every float is serialized with 17 significant digits so that
-float(text) == x exactly, and all writes go through an atomic
-replace so partially written outputs never appear on disk.
+float(text) == x exactly, each column has one cell format, and all
+writes go through an atomic replace so partially written outputs never
+appear on disk.
 """
 
 from __future__ import annotations
@@ -37,51 +39,39 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a CSV with floats in round-trip form; ints stay ints.
+def write_csv(path, header, columns) -> None:
+    """Write a CSV table given as its columns, each a (J,) or (J, c) array
+    (c cells a row) or a sequence of J cells.
 
-    Each row is formatted by one printf-style format chosen from its cell
-    types: %d for ints, bools and numpy integers, %s for strings (quoted
-    as the csv module quotes them) and %.17g for everything else, which
-    equals format(float(x), ".17g") for every float64.  Lines go to disk
-    in chunks of _CHUNK_ROWS, so memory does not grow with the rows.
+    Each column has one printf-style format, chosen by its dtype: %d for
+    integer and bool columns (and for an object column of Python ints,
+    such as seeds beyond int64), %s for strings (quoted as the csv module
+    quotes them) and %.17g for everything else, which equals
+    format(float(x), ".17g") for every float64.  Lines are formatted and
+    go to disk in chunks of _CHUNK_ROWS, so no text of the whole table is
+    ever held.
     """
-    atomic_write_text(path, _csv_chunks(header, rows))
+    atomic_write_text(path, _csv_chunks(header, [np.asarray(col) for col in columns]))
 
 
-def array_rows(*columns):
-    """Rows of arrays side by side for write_csv: each column is (J,) or
-    (J, c) for c cells a row, turned into Python scalars _CHUNK_ROWS rows
-    at a time, so no whole-column lists exist."""
+def _csv_chunks(header, columns):
+    # the format of each column, once for each of its cells in a row
+    specs = [spec for col in columns
+             for spec in [_spec(col)] * (col.shape[1] if col.ndim == 2 else 1)]
+    fmt = ",".join(specs)
+    yield ",".join(map(_quote, header)) + "\n"
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        parts = [np.atleast_2d(col[start : start + _CHUNK_ROWS].T).tolist() for col in columns]
-        yield from zip(*[cells for part in parts for cells in part])
+        cells = [cell for col in columns
+                 for cell in np.atleast_2d(col[start : start + _CHUNK_ROWS].T).tolist()]
+        cells = [list(map(_quote, c)) if spec == "%s" else c for spec, c in zip(specs, cells)]
+        yield "\n".join(fmt % row for row in zip(*cells)) + "\n"
 
 
-def _csv_chunks(header, rows):
-    formats = {}
-    lines = [",".join(map(_quote, header))]
-    for row in rows:
-        types = tuple(map(type, row))
-        spec = formats.get(types)
-        if spec is None:
-            specs = [_spec(t) for t in types]
-            spec = formats[types] = (",".join(specs), "%s" in specs)
-        fmt, has_str = spec
-        if has_str:
-            row = [_quote(c) if isinstance(c, str) else c for c in row]
-        lines.append(fmt % tuple(row))
-        if len(lines) == _CHUNK_ROWS:
-            yield "\n".join(lines) + "\n"
-            lines = []
-    if lines:
-        yield "\n".join(lines) + "\n"
-
-
-def _spec(cell_type) -> str:
-    if issubclass(cell_type, (int, np.integer)):
+def _spec(column) -> str:
+    kind = column.dtype.kind
+    if kind in "biu" or (kind == "O" and all(isinstance(c, (int, np.integer)) for c in column.flat)):
         return "%d"
-    if issubclass(cell_type, str):
+    if kind == "U":
         return "%s"
     return "%.17g"
 

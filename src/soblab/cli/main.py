@@ -42,7 +42,7 @@ from ..errors import (EXIT_CONFIG, EXIT_PARSE, ConfigError, InputError, SoblabEr
 from ..geometry import load_cloud_csv
 from ..training import MODES, DatasetSizes, TrainConfig, synth_dataset, train
 from . import svg
-from .io import array_rows, atomic_write_text, write_csv
+from .io import atomic_write_text, write_csv
 from .manifest import file_digest, load_manifest, write_manifest
 
 
@@ -143,8 +143,8 @@ def run_derivs(config, out_dir, seed):
         + ["c_" + "_".join(str(a) for a in alpha) for alpha in jet.multi_indices]
         + ["flagged"]
     )
-    rows = array_rows(np.arange(jet.size), jet.points, jet.coefficients, jet.flagged)
-    write_csv(os.path.join(out_dir, config["out"]), header, rows)
+    columns = [np.arange(jet.size), jet.points, jet.coefficients, jet.flagged]
+    write_csv(os.path.join(out_dir, config["out"]), header, columns)
     return [config["input"]]
 
 
@@ -158,13 +158,13 @@ def run_rates(config, out_dir, seed):
     study = mls.convergence_study(fn, box, config["resolutions"], cfg, seed=seed,
                                   orders=config["orders"] or None, threads=config["threads"])
     rows = [
-        [r.resolution, r.h, r.order, r.mse, r.slope_running, int(r.mse < 1e-12), seed]
+        (r.resolution, r.h, r.order, r.mse, r.slope_running, r.mse < 1e-12, seed)
         for r in study.rows
     ]
     write_csv(
         os.path.join(out_dir, "rates.csv"),
         ["resolution", "h", "order", "mse", "slope_running", "exact", "seed"],
-        rows,
+        list(zip(*rows)),
     )
     series = []
     for order in sorted(study.slopes):
@@ -202,7 +202,7 @@ def _flow_start(dim, theta0, ratio0):
 
 
 def run_flow(config, out_dir, seed):
-    modes = ["L2", "Sob"] if config["mode"] == "both" else [config["mode"]]
+    modes = ["L2", "Sob"] if config["mode"] == "both" else [convlab.flow_mode(config["mode"])]
     w0, w_star = _flow_start(config["dim"], config["theta0"], config["ratio0"])
     grid = dict(dt=config["dt"], t_final=config["t_final"], record_every=config["record_every"],
                 allow_outside_basin=config["allow_outside"])
@@ -219,11 +219,8 @@ def run_flow(config, out_dir, seed):
     header = ["t"] + [f"w{d + 1}" for d in range(len(w0))] + ["dist2", "ddt_dist2"]
     series = []
     for mode, traj in zip(modes, trajs):
-        rows = [
-            [t, *w.tolist(), d2, ddt]
-            for t, w, d2, ddt in zip(traj.times, traj.weights[0], traj.dist2[0], traj.ddt_dist2[0])
-        ]
-        write_csv(os.path.join(out_dir, f"trajectory_{mode.lower()}.csv"), header, rows)
+        columns = [traj.times, traj.weights[0], traj.dist2[0], traj.ddt_dist2[0]]
+        write_csv(os.path.join(out_dir, f"trajectory_{mode.lower()}.csv"), header, columns)
         series.append((mode, traj.times, np.sqrt(traj.dist2[0])))
     plot = svg.line_plot(
         series,
@@ -248,11 +245,13 @@ def run_landscape(config, out_dir, seed):
     thetas = np.linspace(0.0, math.pi, steps + 2)[1:-1]
     ratios = np.linspace(0.0, x_max, x_steps + 1)[1:]
     table = convlab.descent_landscape(thetas, ratios)
-    rows = [[t, x, v1, v2, int(flag)] for (t, x, v1, v2, flag) in table.rows()]
+    # one row per (theta_i, x_j), i-major
+    columns = [np.repeat(table.theta, table.ratio.size), np.tile(table.ratio, table.theta.size),
+               table.v_l2.ravel(), table.v_sob.ravel(), table.defined.ravel()]
     write_csv(
         os.path.join(out_dir, "landscape.csv"),
         ["theta", "x", "v_l2", "v_sob", "defined"],
-        rows,
+        columns,
     )
     atomic_write_text(
         os.path.join(out_dir, "landscape_l2.svg"),
@@ -319,11 +318,9 @@ def run_train(config, out_dir, seed):
     atomic_write_text(
         os.path.join(out_dir, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    rows = [
-        [e, report.epoch_l2[e], report.epoch_der[e], report.epoch_val_rel_l2[e]]
-        for e in range(len(report.epoch_l2))
-    ]
-    write_csv(os.path.join(out_dir, "losses.csv"), ["epoch", "l2", "der", "val_rel_l2"], rows)
+    columns = [np.arange(len(report.epoch_l2)), report.epoch_l2, report.epoch_der,
+               report.epoch_val_rel_l2]
+    write_csv(os.path.join(out_dir, "losses.csv"), ["epoch", "l2", "der", "val_rel_l2"], columns)
     print(f"final relative-L2 test error: {report.final_test_rel_l2:.6e}")
     return []
 
@@ -335,6 +332,8 @@ def run_sweep(config, out_dir, seed):
     values, repeats = config["values"], config["repeats"]
     if len(values) < 2:
         raise ConfigError("need at least 2 sweep values")
+    if len(set(values)) < len(values):  # the same jobs twice, with the same seeds
+        raise ConfigError(f"--values must not repeat, got {values!r}")
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     modes = MODES if config["mode"] == "all" else [config["mode"]]
@@ -347,25 +346,21 @@ def run_sweep(config, out_dir, seed):
     if kind is int and not all(value.is_integer() for value in values):  # NaN and inf are not
         raise ConfigError(f"--values for --param {param} must be integers, got {values!r}")
     rows = [
-        [value, mode, seed + rep,
-         _train_once({**config, "mode": mode, key: kind(value)}, seed + rep).final_test_rel_l2]
+        (value, mode, seed + rep,
+         _train_once({**config, "mode": mode, key: kind(value)}, seed + rep).final_test_rel_l2)
         for value in values
         for mode in modes
         for rep in range(repeats)
     ]
-
+    columns = list(zip(*rows))
     write_csv(
         os.path.join(out_dir, "sweep.csv"),
         [param, "mode", "seed", "final_rel_l2"],
-        rows,
+        columns,
     )
-    series = []
-    for mode in modes:
-        medians = []
-        for value in values:
-            errs = [r[3] for r in rows if r[0] == value and r[1] == mode]
-            medians.append(float(np.median(errs)))
-        series.append((mode, values, medians))
+    # the errors by value, mode and repeat
+    medians = np.median(np.reshape(columns[3], (len(values), len(modes), repeats)), axis=2)
+    series = [(mode, values, medians[:, i].tolist()) for i, mode in enumerate(modes)]
     plot = svg.line_plot(
         series,
         title=f"median relative-L2 error vs {param}",

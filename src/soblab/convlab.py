@@ -389,12 +389,12 @@ class FlowTrajectory:
     modes: tuple[str, ...]
 
 
-def _is_sob(mode: str) -> bool:
-    m = mode.strip().lower()
-    if m in ("l2", "value"):
-        return False
-    if m in ("sob", "sobolev"):
-        return True
+def flow_mode(mode: str) -> str:
+    """The spelling "L2" or "Sob" of a flow mode given in any case; raises
+    ConfigError for any other mode."""
+    for name in ("L2", "Sob"):
+        if mode.lower() == name.lower():
+            return name
     raise ConfigError(f"unknown flow mode {mode!r} (expected L2 or Sob)")
 
 
@@ -534,7 +534,8 @@ def integrate_flow_batch(
     start in w0_batch ((n,) or (B, n)) as the rows of one array.
 
     mode is "L2" (value loss only) or "Sob" (value plus derivative loss),
-    one mode for all rows or a sequence of one mode per row.  The angle
+    in any case, one mode for all rows or a sequence of one mode per row;
+    the trajectory records each as spelled here.  The angle
     is clamped to [_THETA_CLAMP, pi - _THETA_CLAMP], away from the kinks
     at 0 and pi.  Samples are taken every record_every steps and at the
     last step.
@@ -571,10 +572,11 @@ def integrate_flow_batch(
             "initialization outside the basin |w - w_star| < |w_star|; "
             "set allow_outside_basin to integrate anyway"
         )
-    sob = np.array([_is_sob(m) for m in modes], dtype=bool)
+    modes = tuple(map(flow_mode, modes))
+    sob = np.array([m == "Sob" for m in modes], dtype=bool)
     target = _target(w_star, (_THETA_CLAMP, math.pi - _THETA_CLAMP))
     times, weights, dist2, ddt = _rk4_flow(w, target, sob, dt, t_final, record_every)
-    return FlowTrajectory(times, weights, dist2, ddt, tuple(modes))
+    return FlowTrajectory(times, weights, dist2, ddt, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +597,6 @@ class LandscapeTable:
     v_l2: np.ndarray
     v_sob: np.ndarray
     defined: np.ndarray
-
-    def rows(self):
-        for i, t in enumerate(self.theta):
-            for j, x in enumerate(self.ratio):
-                yield (
-                    float(t),
-                    float(x),
-                    float(self.v_l2[i, j]),
-                    float(self.v_sob[i, j]),
-                    bool(self.defined[i, j]),
-                )
 
 
 def descent_landscape(theta_grid, ratio_grid) -> LandscapeTable:

@@ -147,6 +147,17 @@ def test_rates_sincos_positive_slope(tmp_path):
     assert rows[-1][slope] > 0
 
 
+def test_rates_seed_beyond_int64_is_written_in_full(tmp_path):
+    out = tmp_path / "r"
+    seed = 99999999999999999999
+    assert run_cli(
+        "--seed", seed, "--out-dir", out, "rates",
+        "--function", "plane", "--resolutions", "50,100,200", "--k", 8, "--m", 1,
+    ) == 0
+    header, rows = read_csv(out / "rates.csv")
+    assert [row[header.index("seed")] for row in rows] == [seed] * len(rows) and rows
+
+
 def test_rates_requires_resolutions(tmp_path):
     assert run_cli("--out-dir", tmp_path, "rates", "--function", "sincos") == 3
 
@@ -319,6 +330,28 @@ def test_flow_unknown_mode_exits_3(tmp_path, capsys, source):
     assert not list(out.glob("trajectory_*.csv"))
 
 
+@pytest.mark.parametrize("mode", ["value", "sobolev", " Sob", "Sob ", "Both"])
+def test_flow_mode_aliases_exit_3_before_any_integration(tmp_path, capsys, monkeypatch, mode):
+    # each once wrote its own file name (trajectory_value.csv, trajectory_ sob.csv)
+    integrated = []
+    monkeypatch.setattr(cli.convlab, "integrate_flow_batch", lambda *a, **k: integrated.append(a))
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", "--mode", mode) == 3
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: unknown flow mode {mode!r} (expected L2 or Sob)\n")
+    assert integrated == [] and not out.exists()
+
+
+def test_flow_mode_in_any_case_writes_the_canonical_names(tmp_path):
+    flags = ("--dt", 0.02, "--T", 2)
+    for mode in ("Sob", "sob", "SOB"):
+        assert run_cli("--out-dir", tmp_path / mode, "flow", "--mode", mode, *flags) == 0
+    assert read_all_bytes(tmp_path / "sob") == read_all_bytes(tmp_path / "Sob")
+    assert read_all_bytes(tmp_path / "SOB") == read_all_bytes(tmp_path / "Sob")
+    assert sorted(read_all_bytes(tmp_path / "Sob")) == ["flow.svg", "trajectory_sob.csv"]
+    assert ">Sob<" in (tmp_path / "sob" / "flow.svg").read_text()
+
+
 def test_flow_outside_basin_needs_flag(tmp_path):
     code = run_cli(
         "--out-dir", tmp_path / "f", "flow", "--theta0", 1.0, "--ratio0", 1.2,
@@ -357,6 +390,24 @@ def test_landscape_outputs_and_ordering(tmp_path, capsys):
     for name in ("landscape_l2.svg", "landscape_sob.svg", "margin_curve.svg"):
         assert (out / name).exists()
     assert "undefined" in capsys.readouterr().out
+
+
+def test_landscape_rows_are_theta_major_with_defined_as_0_or_1(tmp_path):
+    out = tmp_path / "l"
+    assert run_cli("--out-dir", out, "landscape", "--theta-steps", 3, "--x-steps", 4,
+                   "--x-max", 2.0) == 0
+    thetas = np.linspace(0.0, np.pi, 5)[1:-1]
+    ratios = np.linspace(0.0, 2.0, 5)[1:]
+    table = descent_landscape(thetas, ratios)
+    header, rows = read_csv(out / "landscape.csv")
+    assert header == ["theta", "x", "v_l2", "v_sob", "defined"]
+    want = [
+        [thetas[i], ratios[j], table.v_l2[i, j], table.v_sob[i, j], int(table.defined[i, j])]
+        for i in range(3)
+        for j in range(4)
+    ]
+    assert rows == want
+    assert {type(row[4]) for row in rows} == {int}  # written 0 or 1, not False or True
 
 
 @pytest.mark.filterwarnings("error")
@@ -426,6 +477,7 @@ def test_train_zero_epochs_reports_initial_only(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["epoch_l2"] == []
     assert report["initial_l2"] > 0
+    assert (out / "losses.csv").read_text() == "epoch,l2,der,val_rel_l2\n"
 
 
 def test_train_nan_exits_4(tmp_path):
@@ -587,6 +639,25 @@ def test_sweep_stencil_values_that_are_not_integers_exit_3_before_training(
         f"soblab: configuration error: --values for --param {param} must be integers, got {typed!r}\n"
     )
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "param, values", [("noise", "0,0"), ("noise", "0,0.5,-0"), ("K", "12,20,12")]
+)
+def test_sweep_repeated_value_exits_3_before_training(tmp_path, capsys, monkeypatch, param, values):
+    # a repeated value would train the same jobs twice and write their rows twice
+    trained = []
+    monkeypatch.setattr(cli, "_train_once", lambda *args: trained.append(args))
+    out = tmp_path / "s"
+    code = run_cli(
+        "--out-dir", out, "sweep", "--param", param, "--values", values, "--repeats", 1,
+        "--mode", "sobolev", *TRAIN_FAST,
+    )
+    assert code == 3 and trained == []
+    typed = [float(v) for v in values.split(",")]
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: --values must not repeat, got {typed!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--repeats", 0], ["--repeats", -2]])
@@ -1166,11 +1237,11 @@ def test_garbage_values_exit_3(tmp_path, capsys):
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     rows = [[1, 0.1 + 0.2, "x"], [2, 1e-17, "y"]]
-    write_csv(path, ["a", "b", "c"], rows)
+    write_csv(path, ["a", "b", "c"], list(zip(*rows)))
     header, back = read_csv(path)
     assert header == ["a", "b", "c"]
     assert back == rows
-    write_csv(tmp_path / "t2.csv", ["a", "b", "c"], back)
+    write_csv(tmp_path / "t2.csv", ["a", "b", "c"], list(zip(*back)))
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
@@ -1196,62 +1267,73 @@ def _csv_writer_reference(path, header, rows):
     atomic_write_text(path, buf.getvalue())
 
 
+def _column_rows(columns):
+    """The rows of columns, each cell as the column holds it: a (J, c)
+    array gives c cells a row."""
+    cells = [cell for col in columns for cell in (list(col.T) if np.ndim(col) == 2 else [col])]
+    return list(zip(*cells))
+
+
 def test_write_csv_bytes_match_csv_writer(tmp_path):
-    floats = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1, 1 / 3]
-    rows = [
-        [7, True, False, np.int64(-3), np.uint8(200), "plain", *floats],
-        [np.float64(2.5), np.float32(0.1), np.True_, "a,b", 'say "hi"', "two\nlines", ""],
-        [],
-        [-12345678901234567890],
+    columns = [
+        [7, -12345678901234567890, 0],  # Python ints, one beyond int64
+        [99999999999999999999, 1, 2],  # a seed column of all 20 digits
+        np.array([-3, 0, 2**62], dtype=np.int64),
+        np.array([200, 0, 255], dtype=np.uint8),
+        [True, False, True],
+        np.array([True, False, False]),
+        np.array([0.1, 2.5, -1.5], dtype=np.float32),
+        [np.float64(2.5), 0.0, -0.0],
+        np.array([[np.inf, -np.inf], [np.nan, 5e-324], [1e308, 1 / 3]]),  # a (J, 2) column
+        ["plain", "a,b", 'say "hi"'],
+        ["two\nlines", "", "x"],
     ]
-    header = ["j", "a,b", 'q"', "c"]
-    write_csv(tmp_path / "new.csv", header, rows)
-    _csv_writer_reference(tmp_path / "old.csv", header, rows)
+    header = ["j", "a,b", 'q"', "c", "b", "B", "f32", "f", "g1", "g2", "s", "t"]
+    write_csv(tmp_path / "new.csv", header, columns)
+    _csv_writer_reference(tmp_path / "old.csv", header, _column_rows(columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    # generators of tuples, as the derivs command passes them
-    write_csv(tmp_path / "gen.csv", header, (tuple(r) for r in rows))
-    assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # tuples of cells, as the rates and sweep commands pass their columns
+    write_csv(tmp_path / "tuples.csv", header, [tuple(col) for col in columns])
+    assert (tmp_path / "tuples.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_streamed_csv_bytes_match_csv_writer_at_the_chunk_boundaries(tmp_path):
     chunk = cli_io._CHUNK_ROWS
     header = ["j", "a,b", "x"]
     for count in (0, chunk - 1, chunk, chunk + 1):
-        rows = [(j, 'q"' if j % 3 else "a,b", j / 7) for j in range(count)]
-        write_csv(tmp_path / "new.csv", header, iter(rows))
-        _csv_writer_reference(tmp_path / "old.csv", header, rows)
+        columns = [np.arange(count), ['q"' if j % 3 else "a,b" for j in range(count)],
+                   np.arange(count) / 7]
+        write_csv(tmp_path / "new.csv", header, columns)
+        _csv_writer_reference(tmp_path / "old.csv", header, _column_rows(columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), count
+    assert (tmp_path / "new.csv").read_text().count("\n") == chunk + 2
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 5])
-def test_array_rows_equal_whole_column_rows(tmp_path, extra):
-    # the rows, cell types included, of whole-column lists, around a chunk boundary
+def test_array_columns_equal_whole_column_rows(tmp_path, extra):
+    # the bytes of the rows of whole-column lists, around a chunk boundary
     count = 2 * cli_io._CHUNK_ROWS + extra
     rng = np.random.default_rng(3)
     points, flags = rng.random((count, 3)), rng.random(count) < 0.5
-    got = list(cli_io.array_rows(np.arange(count), points, flags))
     want = list(zip(range(count), *points.T.tolist(), flags.tolist()))
-    assert got == want
-    assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
     header = ["j", "x1", "x2", "x3", "flagged"]
-    write_csv(tmp_path / "new.csv", header, iter(got))
+    write_csv(tmp_path / "new.csv", header, [np.arange(count), points, flags])
     _csv_writer_reference(tmp_path / "old.csv", header, want)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_csv_whose_rows_fail_midway_leaves_no_file(tmp_path):
-    def rows():
-        for j in range(3 * cli_io._CHUNK_ROWS):  # chunks are on disk before the failure
-            if j == 2 * cli_io._CHUNK_ROWS + 5:
-                raise ValueError("row generator failed")
-            yield j, j / 7
-
-    with pytest.raises(ValueError, match="row generator failed"):
-        write_csv(tmp_path / "new.csv", ["j", "x"], rows())
+    # chunks are on disk before the row whose cell is no number
+    cells = np.arange(3 * cli_io._CHUNK_ROWS) / 7
+    cells = cells.astype(object)
+    cells[2 * cli_io._CHUNK_ROWS + 5] = None
+    columns = [np.arange(cells.size), cells]
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "new.csv", ["j", "x"], columns)
     assert list(tmp_path.iterdir()) == []
     (tmp_path / "kept.csv").write_text("kept\n")
-    with pytest.raises(ValueError, match="row generator failed"):
-        write_csv(tmp_path / "kept.csv", ["j", "x"], rows())
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "kept.csv", ["j", "x"], columns)
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
     assert (tmp_path / "kept.csv").read_text() == "kept\n"
 
