@@ -21,9 +21,10 @@ the results, not with the cloud's plan or the footprint, and a sample's
 jets are the same bits alone, in a stack or at any thread count.
 The relative ridge bounds every stencil's condition number by 1 + I/ridge,
 and MlsConfig.validate admits only the bases it keeps below _COND_LIMIT.
-Whether a stencil is refined comes from the Frobenius norms of each
-matrix and its inverse, which bound its condition number within a factor
-I; eigvalsh runs only on the stencils those bounds leave undecided.
+One bound per stencil, the Frobenius norm of its regularized normal matrix
+times that of the inverse, decides whether it is refined; a stencil too ill
+conditioned to refine is flagged, because the ridge decides at least one
+of its coefficients.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks
 # bounds it by 1 + I / _RIDGE, so validate refuses bases of I >= 100.
 _COND_LIMIT = 1e12
 # Iterative refinement toward the unregularized normal equations is applied
-# only while the stencil is comfortably well conditioned; beyond this the
-# ridge is doing real stabilization work and must be left in place.
+# only while the stencil's condition bound stays below this; beyond it the
+# ridge is doing real stabilization work, is left in place, and the stencil
+# is flagged.
 _REFINE_COND_LIMIT = 1e8
 # Relative Tikhonov regularizer: the normal matrix E gets ridge * tr(E) / I
 # added to its diagonal.
@@ -143,13 +145,17 @@ class JetField:
     """Per-point MLS coefficient vectors, graded-lex multi-index order.
 
     coefficients[..., j, i] is c_{j, alpha_i}, (J, I) for one sample and
-    (N, J, I) for a stack of N; h is the mesh spacing statistic
+    (N, J, I) for a stack of N; flagged (J,) marks the stencils whose
+    condition bound reached _REFINE_COND_LIMIT, where the ridge decides at
+    least one coefficient (the jet's gradient may still be accurate), and
+    is the flagged column of jets.csv; h is the mesh spacing statistic
     max over points of the nearest non-self neighbor distance (a
     fill-distance proxy, ~ J^(-1/n) on uniform clouds).
     """
 
     points: np.ndarray
     coefficients: np.ndarray
+    flagged: np.ndarray
     multi_indices: tuple[tuple[int, ...], ...]
     order: int
     h: float
@@ -158,12 +164,6 @@ class JetField:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def flagged(self) -> np.ndarray:
-        """All False (the flagged column of jets.csv): the ridge keeps every
-        stencil of a basis that validate admits below _COND_LIMIT."""
-        return np.zeros(self.size, dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -217,15 +217,14 @@ def _stencils(index: SpatialIndex, cfg: MlsConfig, threads: int = 1):
 
 def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
     """The value-independent half of the fits at points[rows], each row on
-    its own: (weighted basis (R, I, K), operator (R, I, I)).
+    its own: (weighted basis (R, I, K), operator (R, I, I), flagged (R,)).
 
     Row r fits the samples u[nbr[r]] as operator[r] @ weighted_basis[r] @
     u[nbr[r]].  The weighted basis holds w_k b_i(x_k) in stencil-scaled
     coordinates; the operator is the regularized inverse of the normal
     matrix, with two refinement steps toward it precomposed on the rows
-    that are well conditioned, divided by scale ** |alpha|.  Whether a row
-    is refined is decided from condition bounds, with eigvalsh only where
-    they cannot (see _normal_inverse)."""
+    whose condition bound allows them, divided by scale ** |alpha|; the
+    other rows are flagged (see _normal_inverse)."""
     nbr, _, support_radius = stencils
     diff, dist = stencil_distances(points, nbr[rows], rows)
     w = weight(dist, support_radius)
@@ -239,51 +238,35 @@ def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
     wb = np.swapaxes(b, 1, 2) * w[:, None, :]
     e = wb @ b
     del b, diff, dist  # the largest temporaries; the operator is built after they are freed
-    operator = _normal_inverse(e)
+    operator, flagged = _normal_inverse(e)
     # Undo the stencil scaling: c_alpha in original coordinates.
     degrees = np.array([sum(a) for a in indices], dtype=float)
     operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
-    return wb, operator
+    return wb, operator, flagged
 
 
 def _normal_inverse(e: np.ndarray):
-    """Per-stencil inverses G (R, I, I) of the normal matrices e.
+    """Per-stencil inverses G (R, I, I) of the normal matrices e, and the
+    stencils (R,) that are flagged.
 
-    With rho = _RIDGE * tr(E) / I, M = (E + rho I)^-1 and cond the
-    condition number lambda_max / lambda_min of E + rho I as eigvalsh
-    gives it: a stencil with cond < _REFINE_COND_LIMIT gets two steps of
-    iterative refinement toward E, precomposed (M E = I - rho M, so two
-    steps from x = M r give G = M (I + rho M + (rho M)^2)); the others get
-    G = M.
-
-    eigvalsh runs only on the rows that a bound leaves open.  cond_F =
-    ||E + rho I||_F ||M||_F lies in [cond, I cond].  inv and eigvalsh are
-    backward stable within about I^2 eps ||E + rho I||, which near cond =
-    _REFINE_COND_LIMIT puts a relative error below I^2 eps
-    _REFINE_COND_LIMIT on the computed cond_F and on the computed cond
-    each; delta = 4 I^2 eps _REFINE_COND_LIMIT (3e-6 at I = 6, 4e-5 at
-    I = 20) covers both.  A row with cond_F < _REFINE_COND_LIMIT (1 - delta)
-    is refined, one with cond_F > I _REFINE_COND_LIMIT (1 + delta) is not,
-    and the rows in between run eigvalsh.
-
-    inv works matrix by matrix, so no row's M or G depends on which rows
-    ran eigvalsh.
+    With rho = _RIDGE * tr(E) / I and M = (E + rho I)^-1, the bound cond_F =
+    ||E + rho I||_F ||M||_F lies in [cond, I cond], cond being the condition
+    number of E + rho I.  A stencil with cond_F < _REFINE_COND_LIMIT gets
+    two steps of iterative refinement toward E, precomposed (M E = I - rho M,
+    so two steps from x = M r give G = M (I + rho M + (rho M)^2)); the others
+    get G = M and are flagged, a NaN cond_F among them.  So no stencil with
+    cond >= _REFINE_COND_LIMIT is refined, and every one with cond <
+    _REFINE_COND_LIMIT / I is.
     """
     i_count = e.shape[-1]
     reg = _RIDGE * np.trace(e, axis1=1, axis2=2) / i_count
     e_reg = e + reg[:, None, None] * np.eye(i_count)
     m = np.linalg.inv(e_reg)
-    # cond_F, replaced by eigvalsh's cond on every row that ran it
-    cond = np.sqrt(np.einsum("rij,rij->r", e_reg, e_reg) * np.einsum("rij,rij->r", m, m))
-    delta = 4 * i_count**2 * np.finfo(float).eps * _REFINE_COND_LIMIT
-    undecided = ~(
-        (cond < _REFINE_COND_LIMIT * (1 - delta))
-        | (cond > i_count * _REFINE_COND_LIMIT * (1 + delta))
-    )
-    cond[undecided] = _eig_cond(e_reg[undecided])
-    # G = M + rho M (M + rho M^2), with rho = 0 (so G = M) on rows not
-    # refined; the first product reuses e_reg's memory.
-    rho = np.where(cond < _REFINE_COND_LIMIT, reg, 0.0)[:, None, None]
+    cond_f = np.sqrt(np.einsum("rij,rij->r", e_reg, e_reg) * np.einsum("rij,rij->r", m, m))
+    flagged = ~(cond_f < _REFINE_COND_LIMIT)
+    # G = M + rho M (M + rho M^2), with rho = 0 (so G = M) on flagged rows;
+    # the first product reuses e_reg's memory.
+    rho = np.where(flagged, 0.0, reg)[:, None, None]
     t = np.matmul(m, m, out=e_reg)
     t *= rho
     t += m
@@ -291,18 +274,7 @@ def _normal_inverse(e: np.ndarray):
     del t, e_reg
     g *= rho
     g += m
-    return g
-
-
-def _eig_cond(e_reg: np.ndarray) -> np.ndarray:
-    """lambda_max / lambda_min of each matrix by eigvalsh, inf where
-    lambda_min <= 0."""
-    if not len(e_reg):
-        return np.empty(0)
-    eig = np.linalg.eigvalsh(e_reg)
-    lo, hi = eig[:, 0], eig[:, -1]
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(lo > 0, hi / np.maximum(lo, np.finfo(float).tiny), np.inf)
+    return g, flagged
 
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) -> JetField:
@@ -312,22 +284,24 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     A fit block holds FIT_ELEMENTS // (K max(I, N)) rows, 1 to
     geometry.BLOCK_ROWS, so its (R, K, I) bases and (N, R, K) samples keep
     one size.  Every (sample, stencil) pair is its own product, so the jets
-    do not depend on the block size, the thread count or the other samples."""
+    do not depend on the block size, the thread count or the other samples,
+    and the flags, which come from the stencils alone, do not either."""
     stencils = _stencils(build_index(cloud), cfg, threads)
     nbr, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, len(indices)))
+    flagged = np.empty(cloud.size, dtype=bool)
 
     def fit(rows):
-        wb, operator = _plan_rows(cloud.points, stencils, rows, cfg)
+        wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
         coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
 
     size = FIT_ELEMENTS // (cfg.k * max(len(indices), len(values)))
     run_blocks(cloud.size, max(1, min(size, geometry.BLOCK_ROWS)), threads, fit)
-    return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), indices,
-                    cfg.m, h, support_radius)
+    return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), flagged,
+                    indices, cfg.m, h, support_radius)
 
 
 class AnalyticFunction:
@@ -448,7 +422,8 @@ def convergence_study(
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
     seen so far.  orders defaults to 0..m; an order outside [0, m] raises
-    ConfigError, and so does a repeated order.  The same seed reproduces
+    ConfigError, and so do a repeated order and K < 2, which leaves h
+    without a neighbor other than the point itself.  The same seed reproduces
     the table bit for bit, at any `threads` (see estimate_derivatives).
     """
     resolutions = [int(r) for r in resolutions]
@@ -456,6 +431,9 @@ def convergence_study(
         raise ConfigError("need at least 3 resolutions")
     if any(b >= a for a, b in zip(resolutions[1:], resolutions)):
         raise ConfigError("resolutions must be strictly increasing")
+    if cfg.k < 2:
+        raise ConfigError(f"K >= 2 required: the spacing h needs a neighbor besides the "
+                          f"point itself, got K={cfg.k}")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if orders is None:

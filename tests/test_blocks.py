@@ -1,12 +1,14 @@
-"""Row blocks of knn_all and estimate_derivatives: the same bits as one
-block and as one thread, fit blocks sized by the stencil footprint, and
-memory that grows with the block, not with the cloud."""
+"""Row blocks of knn_all and estimate_derivatives: the same bits and flags
+as one block, as one thread and as one sample, fit blocks sized by the
+stencil footprint, and memory that grows with the block, not with the
+cloud."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import strand_points
 
 from soblab import geometry, mls
 from soblab.cli import main as cli_main
@@ -111,6 +113,8 @@ CLOUDS = {
     # blocks sized by the footprint alone: 307 and 192 rows
     "cloud3d": (np.random.default_rng(57).random((1000, 3)), MlsConfig(k=40, m=3), 1, 2048, 4),
     "stack": (np.random.default_rng(58).random((700, 2)), MlsConfig(k=20, m=2), 64, 2048, 4),
+    # flagged and unflagged stencils, in 3 samples
+    "strand": (strand_points(700, seed=62), MlsConfig(k=20, m=2), 3, 61, 12),
 }
 
 
@@ -132,8 +136,14 @@ def test_blocked_jets_equal_the_whole_cloud_plan(monkeypatch, fit_blocks, case):
     jet = estimate_derivatives(cloud, cfg)
     assert [len(b) for b in fit_blocks] == [1, blocks]
     assert np.array_equal(jet.coefficients, whole.coefficients)
+    assert np.array_equal(jet.flagged, whole.flagged)
     assert jet.h == whole.h
     assert jet.support_radius == whole.support_radius
+    # a stack's first and last sample alone
+    for n in sorted({0, samples - 1}) if samples > 1 else ():
+        single = estimate_derivatives(PointCloud(points=points, values=values[n]), cfg)
+        assert np.array_equal(single.coefficients, jet.coefficients[n])
+        assert np.array_equal(single.flagged, jet.flagged)
 
 
 def _peak_bytes(fit, *args):
@@ -195,6 +205,11 @@ def _stack_2d():
     return PointCloud(points=pts, values=np.random.default_rng(56).normal(size=(12, len(pts))))
 
 
+def _strand_2d():
+    pts = strand_points(4500, seed=63)
+    return PointCloud(points=pts, values=np.sin(pts[:, 0]) * np.cos(pts[:, 1]))
+
+
 # (cloud, cfg, fit blocks); every cloud is three KNN blocks, the last one short
 PARALLEL = {
     # tie-heavy
@@ -204,6 +219,8 @@ PARALLEL = {
     "cloud3d": (_cloud_3d, MlsConfig(k=30, m=3), 12),
     # 1,024-row fit blocks: 12 samples outweigh the 6 basis functions
     "stack": (_stack_2d, MlsConfig(k=20, m=2), 5),
+    # flagged and unflagged stencils
+    "strand": (_strand_2d, MlsConfig(k=20, m=2), 3),
 }
 
 
@@ -221,6 +238,7 @@ def test_threaded_blocks_equal_one_thread(fit_blocks, case):
         assert all(np.array_equal(got, want) for got, want in zip(got_knn, want_knn))
         jet = estimate_derivatives(cloud, cfg, threads)
         assert np.array_equal(jet.coefficients, want.coefficients)
+        assert np.array_equal(jet.flagged, want.flagged)
         assert (jet.h, jet.support_radius) == (want.h, want.support_radius)
 
 

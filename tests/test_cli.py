@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from helpers import save_cloud_csv
 
-from soblab import errors, geometry
+from soblab import errors, geometry, mls
 from soblab.cli import io as cli_io
 from soblab.cli import main as cli
 from soblab.cli import svg
@@ -91,6 +91,30 @@ def test_derivs_plane_gradients(tmp_path):
         assert row[c10] == pytest.approx(1.0, abs=1e-9)
         assert row[c01] == pytest.approx(1.0, abs=1e-9)
     assert (out / "manifest.json").exists()
+
+
+def test_derivs_flags_every_stencil_of_a_near_line_cloud(tmp_path, capsys):
+    # y = x + 1e-9 N(0, 1): the ridge decides the cross-direction terms of
+    # every stencil, and the run still exits 0 with an empty stderr
+    x = np.random.default_rng(9).random(500)
+    pts = np.column_stack([x, x + 1e-9 * np.random.default_rng(10).standard_normal(500)])
+    save_cloud_csv(PointCloud(points=pts, values=np.sin(x)), tmp_path / "line.csv")
+    for data, flag in ((tmp_path / "line.csv", 1), (grid_csv(tmp_path), 0)):
+        out = tmp_path / data.stem
+        assert run_cli("--out-dir", out, "derivs", "--input", data) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out / "jets.csv")
+        assert [row[header.index("flagged")] for row in rows] == [flag] * len(rows)
+
+
+def test_derivs_fits_single_point_stencils(tmp_path):
+    # K = 1, m = 0: each jet is its own point's value
+    data = grid_csv(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", out, "derivs", "--input", data, "--k", 1, "--m", 0) == 0
+    header, rows = read_csv(out / "jets.csv")
+    assert header == ["j", "x1", "x2", "c_0_0", "flagged"]
+    assert all(row[3] == pytest.approx(row[1] + row[2], abs=1e-15) and row[4] == 0 for row in rows)
 
 
 def test_derivs_k_below_basis_exits_3(tmp_path, capsys):
@@ -184,6 +208,16 @@ def test_rates_repeated_order_exits_3(tmp_path, capsys):
     assert code == 3
     assert "must not repeat" in capsys.readouterr().err
     assert not (out / "rates.csv").exists()
+
+
+def test_rates_single_point_stencils_exit_3_before_any_fit(tmp_path, capsys, monkeypatch):
+    # the spacing h is the distance to a neighbor besides the point itself
+    monkeypatch.setattr(mls, "estimate_derivatives", None)  # no fit is made
+    out = tmp_path / "r"
+    code = run_cli("--out-dir", out, "rates", "--resolutions", "100,200,400", "--k", 1, "--m", 0)
+    assert code == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- flow -----------------------------------------------------------------------

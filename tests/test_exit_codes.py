@@ -63,6 +63,8 @@ LIST_VALUES = ["nan,1", "inf,1", "1.5,2", "-1,2"]
 REFUSED = [
     # the order-7 basis in 3-D has I = 120 >= 100 functions, with K >= I
     ("derivs", ["derivs", "--input", "cloud3d.csv", "--k", "130"], "m", "7"),
+    # rates' spacing h needs a neighbor besides the point itself
+    ("rates", ["rates", "--resolutions", "30,60,120", "--m", "0"], "k", "1"),
 ]
 # keys no command has, misspelt or retired, which only a file can hold
 UNKNOWN = [("landscape", "theta_stepz"), ("derivs", "ridge"), ("derivs", "chunk")]

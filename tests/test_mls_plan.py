@@ -152,6 +152,7 @@ def test_batched_apply_matches_single_applies(case):
     for n in range(5):
         single = estimate_derivatives(PointCloud(points=points, values=samples[n]), cfg)
         assert np.array_equal(batched.coefficients[n], single.coefficients)
+        assert np.array_equal(batched.flagged, single.flagged)
 
 
 def test_batched_targets_match_per_sample_jets():

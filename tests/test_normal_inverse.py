@@ -1,20 +1,23 @@
-"""The MLS fits' per-stencil inverse: refinement decided by a bound.
+"""The MLS fits' per-stencil inverse: one bound refines a stencil or flags it.
 
-_normal_inverse decides the refinement (cond < 1e8) from a Frobenius
-bound and runs eigvalsh only on the rows that bound leaves open; the
-ridge alone keeps every admitted stencil below the pseudo-inverse flag
-(cond > 1e12) of the eigvalsh-on-every-row version it replaced, kept here
-as the reference.  These tests pin its operators to the reference, check
-that no stencil is flagged, and check which rows reach eigvalsh.
+_normal_inverse refines a stencil iff its Frobenius bound cond_F < 1e8 and
+flags the others.  The version it replaced ran eigvalsh on every row, refined
+where cond < 1e8 and fell back to a pseudo-inverse where cond > 1e12; it is
+kept here as the reference.  These tests pin the operators to it outside the
+band where cond < 1e8 <= cond_F, check that the ridge alone keeps every
+admitted stencil below that pseudo-inverse cutoff, and check which stencils
+of ordinary and degenerate clouds are flagged.
 """
 
 import numpy as np
 import pytest
+from helpers import strand_points
 
 from soblab import mls
 from soblab.errors import NumericalError
-from soblab.geometry import PointCloud, build_index
-from soblab.mls import MlsConfig, _normal_inverse, _plan_rows, _stencils, estimate_derivatives
+from soblab.geometry import PointCloud, build_index, knn_all
+from soblab.mls import (MlsConfig, _normal_inverse, _plan_rows, _stencils, derivative_field,
+                        estimate_derivatives)
 
 _COND_LIMIT = 1e12
 _REFINE_COND_LIMIT = 1e8
@@ -54,6 +57,28 @@ def _reference_normal_inverse(e, ridge):
     return g, flagged, cond
 
 
+def _check_against_reference(e, ridge):
+    """_normal_inverse(e) against the reference: the flags are the bound's
+    decision, and the operators are the reference's bits except in the band
+    where the reference refined a flagged row, which gets M = (E + rho I)^-1.
+    Returns the band, the reference's pseudo-inverse rows and its cond."""
+    g, flagged = _normal_inverse(e.copy())
+    g_ref, pinv_ref, cond_ref = _reference_normal_inverse(e.copy(), ridge)
+    i_count = e.shape[-1]
+    reg = ridge * np.trace(e, axis1=1, axis2=2) / i_count
+    e_reg = e + reg[:, None, None] * np.eye(i_count)
+    m = np.linalg.inv(e_reg)
+    cond_f = np.linalg.norm(e_reg, axis=(1, 2)) * np.linalg.norm(m, axis=(1, 2))
+    assert np.array_equal(flagged, ~(cond_f < _REFINE_COND_LIMIT))
+    band = flagged & (cond_ref < _REFINE_COND_LIMIT)
+    assert np.array_equal(g[~band], g_ref[~band])
+    assert np.array_equal(g[band], m[band])
+    # cond <= cond_F <= I cond
+    assert not (cond_ref[~flagged] >= _REFINE_COND_LIMIT).any()
+    assert not (cond_ref[flagged] < _REFINE_COND_LIMIT / i_count).any()
+    return band, pinv_ref, cond_ref
+
+
 def _spectra(i_count):
     """Eigenvalue sets around the two limits.
 
@@ -78,42 +103,17 @@ def _matrices(i_count, seed):
     return (e + np.swapaxes(e, 1, 2)) / 2  # exactly symmetric
 
 
-@pytest.fixture
-def eigvalsh_rows(monkeypatch):
-    """Every matrix passed to np.linalg.eigvalsh while the test runs."""
-    seen = []
-    original = np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        seen.append(np.array(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return seen
-
-
 @pytest.mark.parametrize("i_count", [6, 20])
 @pytest.mark.parametrize("ridge", [mls._RIDGE])
-def test_flags_and_operator_equal_the_eigvalsh_reference(i_count, ridge, eigvalsh_rows):
+def test_flags_and_operator_equal_the_eigvalsh_reference(i_count, ridge):
     e = _matrices(i_count, seed=i_count)
-    g_ref, flagged_ref, cond_ref = _reference_normal_inverse(e.copy(), ridge)
-    eigvalsh_rows.clear()
-    g = _normal_inverse(e.copy())
-    assert np.array_equal(g, g_ref)
-
-    reg = ridge * np.trace(e, axis1=1, axis2=2) / i_count
-    e_reg = e + reg[:, None, None] * np.eye(i_count)
-    # the ridge rules out flags; only rows with cond_F between 1e8 and
-    # I * 1e8 run eigvalsh, and they go both ways
-    assert not flagged_ref.any()
-    cond_f = np.linalg.norm(e_reg, axis=(1, 2)) * np.linalg.norm(
-        np.linalg.inv(e_reg), axis=(1, 2)
-    )
-    expected = (cond_f > _REFINE_COND_LIMIT) & (cond_f < i_count * _REFINE_COND_LIMIT)
-    assert (cond_ref[expected] < _REFINE_COND_LIMIT).any()
-    assert (cond_ref[expected] > _REFINE_COND_LIMIT).any()
-    assert (cond_ref[~expected] < _REFINE_COND_LIMIT).any()
-    assert np.array_equal(np.concatenate(eigvalsh_rows), e_reg[expected])
+    band, pinv_ref, cond_ref = _check_against_reference(e, ridge)
+    # the ridge rules out the pseudo-inverse; of the rows below 1e8, only
+    # the split spectrum of cond 0.99e8 (row 3) has cond_F above it
+    assert not pinv_ref.any()
+    assert np.array_equal(np.flatnonzero(band), [3])
+    assert (cond_ref[:3] < _REFINE_COND_LIMIT).all()
+    assert (cond_ref[4:] > _REFINE_COND_LIMIT).all()
 
 
 def _grid(side):
@@ -131,9 +131,10 @@ def _grid(side):
     ],
     ids=["grid60", "uniform2d", "uniform3d"],
 )
-def test_bounds_decide_every_row_of_ordinary_clouds(points, cfg, eigvalsh_rows):
-    estimate_derivatives(PointCloud(points=points, values=np.zeros(len(points))), cfg)
-    assert eigvalsh_rows == []
+def test_bounds_decide_every_row_of_ordinary_clouds(points, cfg):
+    # cond_F < 1e8 on every row: each is refined, as with eigvalsh, and none is flagged
+    jet = estimate_derivatives(PointCloud(points=points, values=np.zeros(len(points))), cfg)
+    assert not jet.flagged.any()
 
 
 def _collinear(count):
@@ -161,9 +162,9 @@ def test_the_ridge_keeps_every_stencil_unflagged(points, cfg, monkeypatch):
     _plan_rows(cloud.points, _stencils(build_index(cloud), cfg), slice(None), cfg)
     (e,) = seen
     i_count = e.shape[-1]
-    g_ref, flagged_ref, cond_ref = _reference_normal_inverse(e.copy(), mls._RIDGE)
-    assert np.array_equal(_normal_inverse(e.copy()), g_ref)
-    assert not flagged_ref.any()
+    _, pinv_ref, cond_ref = _check_against_reference(e, mls._RIDGE)
+    # no stencil needs the reference's pseudo-inverse
+    assert not pinv_ref.any()
     # each stencil holds its own point with weight 1 and basis row e_0
     trace = np.trace(e, axis1=1, axis2=2)
     assert (trace >= 1.0).all()
@@ -174,3 +175,51 @@ def test_the_ridge_keeps_every_stencil_unflagged(points, cfg, monkeypatch):
         # for eigvalsh's backward error, the rest for the trace and the shift)
         s = (cfg.k + 2 * i_count**2) * np.finfo(float).eps
         assert (cond_ref <= (1 + mls._RIDGE + s) / (mls._RIDGE / i_count - s)).all()
+
+
+def _sin_cos(points):
+    return np.sin(points[:, 0]) * np.cos(points[:, 1])
+
+
+def _degenerate(case):
+    rng = np.random.default_rng(6)
+    x = rng.random(5000)
+    if case == "near-line":
+        return np.column_stack([x, x + 1e-9 * rng.standard_normal(5000)])
+    if case == "on-line":
+        return np.column_stack([x, x])
+    if case == "circle":
+        t = 2.0 * np.pi * x
+        return np.column_stack([0.5 + 0.5 * np.cos(t), 0.5 + 0.5 * np.sin(t)])
+    return np.column_stack([x, rng.random((5000, 2)) * [1.0, 1e-3]])  # a 3-D slab
+
+
+@pytest.mark.parametrize("case", ["near-line", "on-line", "circle", "slab"])
+def test_degenerate_clouds_flag_every_stencil(case):
+    # 5,000 points at k = 20, m = 2 (k = 40, m = 3 for the slab): no stencil
+    # determines its basis, so the ridge decides some coefficient everywhere
+    points = _degenerate(case)
+    cfg = MlsConfig(k=40, m=3) if case == "slab" else MlsConfig()
+    jet = estimate_derivatives(PointCloud(points=points, values=_sin_cos(points)), cfg)
+    assert jet.flagged.all()
+    error = np.abs(derivative_field(jet, (1,) + (0,) * (points.shape[1] - 1))
+                   - np.cos(points[:, 0]) * np.cos(points[:, 1]))
+    if case == "slab":
+        # a flag does not say the gradient is wrong: the slab's thin axis
+        # is the one the ridge decides
+        assert np.median(error) < 1e-5
+    else:
+        assert np.median(error) > 0.1
+
+
+def test_a_collinear_strand_flags_its_stencils_and_no_uniform_one():
+    points = strand_points(2000, seed=1)
+    cfg = MlsConfig()
+    cloud = PointCloud(points=points, values=_sin_cos(points))
+    jet = estimate_derivatives(cloud, cfg)
+    on_strand = np.arange(len(points)) >= 1500
+    stencils = on_strand[knn_all(build_index(cloud), cfg.k)[0]]
+    uniform = ~stencils.any(axis=1)
+    assert (~uniform & ~stencils.all(axis=1)).any()  # some stencils span both parts
+    assert jet.flagged[on_strand].all()
+    assert not jet.flagged[uniform].any()
