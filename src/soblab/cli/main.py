@@ -154,22 +154,17 @@ def run_rates(config, out_dir, seed):
         raise ConfigError(f"unknown function {name!r}; choose from {sorted(mls.BUILTIN_FUNCTIONS)}")
     fn = mls.BUILTIN_FUNCTIONS[name]()
     cfg = mls.MlsConfig(k=config["k"], m=config["m"])
-    box = (np.zeros(fn.dim), np.ones(fn.dim))
-    study = mls.convergence_study(fn, box, config["resolutions"], cfg, seed=seed,
+    study = mls.convergence_study(fn, config["resolutions"], cfg, seed=seed,
                                   orders=config["orders"] or None, threads=config["threads"])
-    rows = [
-        (r.resolution, r.h, r.order, r.mse, r.slope_running, r.mse < 1e-12, seed)
-        for r in study.rows
-    ]
     write_csv(
         os.path.join(out_dir, "rates.csv"),
         ["resolution", "h", "order", "mse", "slope_running", "exact", "seed"],
-        list(zip(*rows)),
+        [study.resolution, study.h, study.order, study.mse, study.slope_running,
+         study.mse < 1e-12, [seed] * len(study.order)],
     )
     series = []
-    for order in sorted(study.slopes):
+    for order, slope in sorted(study.slopes.items()):
         _, hs, errs = study.mse_series(order)
-        slope = study.slopes[order]
         label = f"order {order}" + ("" if math.isnan(slope) else f" (slope {slope:.2f})")
         series.append((label, hs, errs))
     plot = svg.line_plot(

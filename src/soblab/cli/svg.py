@@ -15,17 +15,18 @@ WIDTH = 640
 HEIGHT = 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 34, 46
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+TICKS = 5  # ticks per axis
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 class _Axes:

@@ -311,8 +311,7 @@ class AnalyticFunction:
     the exact D^alpha values.
     """
 
-    def __init__(self, name, dim, value, derivative):
-        self.name = name
+    def __init__(self, dim, value, derivative):
         self.dim = dim
         self.value = value
         self.derivative = derivative
@@ -325,9 +324,7 @@ def sin_cos_2d() -> AnalyticFunction:
         a1, a2 = alpha
         return np.sin(x[:, 0] + a1 * np.pi / 2) * np.cos(x[:, 1] + a2 * np.pi / 2)
 
-    return AnalyticFunction(
-        "sincos", 2, lambda x: np.sin(x[:, 0]) * np.cos(x[:, 1]), deriv
-    )
+    return AnalyticFunction(2, lambda x: np.sin(x[:, 0]) * np.cos(x[:, 1]), deriv)
 
 
 def sin_1d() -> AnalyticFunction:
@@ -336,7 +333,7 @@ def sin_1d() -> AnalyticFunction:
     def deriv(alpha, x):
         return np.sin(x[:, 0] + alpha[0] * np.pi / 2)
 
-    return AnalyticFunction("sin", 1, lambda x: np.sin(x[:, 0]), deriv)
+    return AnalyticFunction(1, lambda x: np.sin(x[:, 0]), deriv)
 
 
 def polynomial_function(coeff: dict[tuple[int, ...], float], dim: int) -> AnalyticFunction:
@@ -367,10 +364,7 @@ def polynomial_function(coeff: dict[tuple[int, ...], float], dim: int) -> Analyt
             out += term
         return out
 
-    name = "poly" + "+".join(
-        "".join(str(b) for b in beta) for beta in sorted(coeff)
-    )
-    return AnalyticFunction(name, dim, value, deriv)
+    return AnalyticFunction(dim, value, deriv)
 
 
 BUILTIN_FUNCTIONS = {
@@ -381,44 +375,40 @@ BUILTIN_FUNCTIONS = {
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    resolution: int
-    h: float
-    order: int
-    mse: float
-    slope_running: float
-
-
-@dataclass(frozen=True)
 class ConvergenceStudy:
-    """MSE-vs-spacing table for one analytic function, plus fitted slopes."""
+    """MSE-vs-spacing table for one analytic function: one row per
+    (resolution, order), orders inner, held as its five columns."""
 
-    rows: tuple[ConvergenceRow, ...]
-    slopes: dict[int, float]
+    resolution: np.ndarray
+    h: np.ndarray
+    order: np.ndarray
+    mse: np.ndarray
+    slope_running: np.ndarray
 
     def mse_series(self, order: int):
-        rows = [r for r in self.rows if r.order == order]
-        return (
-            np.array([r.resolution for r in rows]),
-            np.array([r.h for r in rows]),
-            np.array([r.mse for r in rows]),
-        )
+        rows = self.order == order
+        return self.resolution[rows], self.h[rows], self.mse[rows]
+
+    @property
+    def slopes(self) -> dict[int, float]:
+        """Each order's fitted slope: its running slope over all resolutions."""
+        last = self.resolution == self.resolution[-1:]  # the last resolution's rows, one per order
+        return dict(zip(self.order[last].tolist(), self.slope_running[last].tolist()))
 
 
 def convergence_study(
     fn: AnalyticFunction,
-    box,
     resolutions,
     cfg: MlsConfig,
     seed: int = 0,
     orders=None,
     threads: int = 1,
 ) -> ConvergenceStudy:
-    """Estimate jets on nested random clouds and tabulate errors vs h.
+    """Estimate jets on independent uniform clouds in the unit cube, one
+    per resolution, and tabulate errors vs h.
 
-    box is ((lo_1, ..., lo_n), (hi_1, ..., hi_n)); resolutions must be at
-    least three strictly increasing point counts.  For each resolution,
-    each derivative order contributes
+    resolutions must be at least three strictly increasing point counts.
+    For each resolution, each derivative order contributes
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
     seen so far.  orders defaults to 0..m; an order outside [0, m] raises
@@ -434,8 +424,6 @@ def convergence_study(
     if cfg.k < 2:
         raise ConfigError(f"K >= 2 required: the spacing h needs a neighbor besides the "
                           f"point itself, got K={cfg.k}")
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
     if orders is None:
         orders = list(range(cfg.m + 1))
     for order in orders:
@@ -446,31 +434,25 @@ def convergence_study(
 
     rng = np.random.default_rng(seed)
     all_indices = enumerate_multi_indices(fn.dim, cfg.m)
-    rows: list[ConvergenceRow] = []
-    seen: dict[int, tuple[list[float], list[float]]] = {o: ([], []) for o in orders}
-    for res in resolutions:
-        pts = lo + (hi - lo) * rng.random((res, fn.dim))
-        cloud = PointCloud(points=pts, values=fn.value(pts))
-        jet = estimate_derivatives(cloud, cfg, threads)
-        for order in orders:
+    hs = np.empty(len(resolutions))
+    mse = np.empty((len(resolutions), len(orders)))
+    for r, res in enumerate(resolutions):
+        pts = rng.random((res, fn.dim))
+        jet = estimate_derivatives(PointCloud(points=pts, values=fn.value(pts)), cfg, threads)
+        hs[r] = jet.h
+        for o, order in enumerate(orders):
             sq = np.zeros(res)
             for alpha in all_indices:
-                if sum(alpha) != order:
-                    continue
-                sq += (derivative_field(jet, alpha) - fn.derivative(alpha, pts)) ** 2
-            mse = float(sq.mean())
-            hs, es = seen[order]
-            hs.append(jet.h)
-            es.append(mse)
-            slope = _loglog_slope(hs, es)
-            rows.append(ConvergenceRow(res, jet.h, order, mse, slope))
-    slopes = {o: _loglog_slope(*seen[o]) for o in orders}
-    return ConvergenceStudy(rows=tuple(rows), slopes=slopes)
+                if sum(alpha) == order:
+                    sq += (derivative_field(jet, alpha) - fn.derivative(alpha, pts)) ** 2
+            mse[r, o] = sq.mean()
+    slope = [[_loglog_slope(hs[: r + 1], mse[: r + 1, o]) for o in range(len(orders))]
+             for r in range(len(resolutions))]
+    return ConvergenceStudy(np.repeat(resolutions, len(orders)), np.repeat(hs, len(orders)),
+                            np.tile(orders, len(resolutions)), mse.ravel(), np.ravel(slope))
 
 
-def _loglog_slope(hs, errors) -> float:
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
+def _loglog_slope(hs: np.ndarray, errors: np.ndarray) -> float:
     if len(hs) < 2 or np.any(errors <= 0) or np.any(hs <= 0):
         return float("nan")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])

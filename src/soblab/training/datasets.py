@@ -24,10 +24,16 @@ from ..geometry import PointCloud
 from ..mls import MlsConfig, estimate_derivatives
 
 GENERATORS = ("antiderivative1d", "poisson1d", "smoothing2d", "discontinuous_inverse")
+_TERMS_1D, _TERMS_2D = 4, 6  # cosine terms of a random input on the line, on the square
+_KERNEL_WIDTH, _QUAD_SIDE = 0.12, 64  # smoothing2d's Gaussian width, quadrature grid side
 
 
 @dataclass(frozen=True)
 class DatasetSizes:
+    """Split sizes, sensor and query counts.  smoothing2d rounds sensors to
+    a square grid of max(2, round(sqrt(sensors))) a side (1 -> 4, 32 -> 36,
+    50 -> 49); the 1-D tasks place exactly `sensors`."""
+
     train: int = 64
     val: int = 16
     test: int = 16
@@ -67,12 +73,12 @@ class OperatorDataset:
 
 # -- random smooth input family ---------------------------------------------
 
-def _draw_series(rng, terms=4):
+def _draw_series(rng):
     """Coefficients of v(x) = c0 + sum_r a_r cos(w_r x + b_r) on [0, 1]."""
     c0 = rng.normal(scale=0.8)
-    amps = rng.normal(scale=1.0, size=terms) / np.arange(1, terms + 1)
-    freqs = rng.uniform(np.pi, 3.0 * np.pi, size=terms)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=terms)
+    amps = rng.normal(scale=1.0, size=_TERMS_1D) / np.arange(1, _TERMS_1D + 1)
+    freqs = rng.uniform(np.pi, 3.0 * np.pi, size=_TERMS_1D)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=_TERMS_1D)
     return c0, amps, freqs, phases
 
 
@@ -118,10 +124,10 @@ def _series_poisson(coeffs, x):
     return particular(x) - up0 + lin_b * x, particular_d(x) + lin_b
 
 
-def _draw_series_2d(rng, terms=6):
-    amps = rng.normal(scale=1.0, size=terms) / np.arange(1, terms + 1)
-    freqs = rng.uniform(np.pi, 2.5 * np.pi, size=(terms, 2))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=terms)
+def _draw_series_2d(rng):
+    amps = rng.normal(scale=1.0, size=_TERMS_2D) / np.arange(1, _TERMS_2D + 1)
+    freqs = rng.uniform(np.pi, 2.5 * np.pi, size=(_TERMS_2D, 2))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=_TERMS_2D)
     return amps, freqs, phases
 
 
@@ -160,24 +166,24 @@ def _build_1d(kind, sizes, rng):
     return sensors, queries, inputs, targets, d_targets
 
 
-def _build_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
+def _build_smoothing2d(sizes, rng):
     side = max(2, int(round(np.sqrt(sizes.sensors))))
     axis = np.linspace(0.0, 1.0, side)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     sensors = np.column_stack([gx.ravel(), gy.ravel()])
     queries = rng.uniform(0.05, 0.95, size=(sizes.queries, 2))
 
-    qaxis = np.linspace(0.0, 1.0, grid)
+    qaxis = np.linspace(0.0, 1.0, _QUAD_SIDE)
     qx, qy = np.meshgrid(qaxis, qaxis, indexing="ij")
     quad_pts = np.column_stack([qx.ravel(), qy.ravel()])
     cell = (qaxis[1] - qaxis[0]) ** 2
 
     diff = queries[:, None, :] - quad_pts[None, :, :]
     sq = (diff**2).sum(axis=2)
-    gauss = np.exp(-sq / (2.0 * kernel_width**2)) / (2.0 * np.pi * kernel_width**2)
+    gauss = np.exp(-sq / (2.0 * _KERNEL_WIDTH**2)) / (2.0 * np.pi * _KERNEL_WIDTH**2)
     kernel = gauss * cell
-    kernel_dx = kernel * (-diff[:, :, 0] / kernel_width**2)
-    kernel_dy = kernel * (-diff[:, :, 1] / kernel_width**2)
+    kernel_dx = kernel * (-diff[:, :, 0] / _KERNEL_WIDTH**2)
+    kernel_dy = kernel * (-diff[:, :, 1] / _KERNEL_WIDTH**2)
     del diff, sq, gauss
 
     total = sizes.train + sizes.val + sizes.test
@@ -221,6 +227,7 @@ def synth_dataset(
     derivative_source selects how the training derivative targets are
     produced: "exact" closed forms, "mls" estimates from the (noisy)
     sampled targets, or "none".  Noise perturbs training targets only.
+    smoothing2d rounds sizes.sensors to a square grid (see DatasetSizes).
     """
     if kind not in GENERATORS:
         raise ConfigError(f"unknown dataset kind {kind!r}; choose from {GENERATORS}")

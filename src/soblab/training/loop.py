@@ -27,6 +27,8 @@ from .losses import pcgrad_merge, relative_l2_error
 from .operator_net import evaluate_losses, forward_state, loss_gradients, make_operator_net
 
 MODES = ("ordinary", "sobolev", "sobolev+pcgrad")
+# Adam's decay rates of the first and second moments, and its denominator guard.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,8 @@ class TrainReport:
 
 
 class _Adam:
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -90,18 +89,18 @@ class _Adam:
         with the operations of that formula in its order, and no allocation."""
         self.t += 1
         a, b = self._scratch
-        np.multiply(grad, 1 - self.beta1, out=a)
-        self.m *= self.beta1
+        np.multiply(grad, 1 - _BETA1, out=a)
+        self.m *= _BETA1
         self.m += a
-        np.multiply(grad, 1 - self.beta2, out=a)
+        np.multiply(grad, 1 - _BETA2, out=a)
         a *= grad
-        self.v *= self.beta2
+        self.v *= _BETA2
         self.v += a
-        np.divide(self.m, 1 - self.beta1**self.t, out=a)
+        np.divide(self.m, 1 - _BETA1**self.t, out=a)
         a *= self.lr
-        np.divide(self.v, 1 - self.beta2**self.t, out=b)
+        np.divide(self.v, 1 - _BETA2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _EPS
         a /= b
         params -= a
 

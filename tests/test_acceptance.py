@@ -69,7 +69,7 @@ def test_c02_mls_convergence_rate():
     ok = True
     for seed in range(5):
         study = mls.convergence_study(
-            fn, ((0, 0), (1, 1)), [500, 2000, 8000], cfg, seed=seed, orders=[1]
+            fn, [500, 2000, 8000], cfg, seed=seed, orders=[1]
         )
         _, _, errs = study.mse_series(1)
         ok &= bool(np.all(np.diff(errs) < 0))

@@ -220,6 +220,16 @@ def test_rates_single_point_stencils_exit_3_before_any_fit(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_rates_writes_the_same_bytes_at_any_thread_count(tmp_path):
+    # 3,000 and 6,000 points: more than one 2,048-row KNN and fit block
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip((1, 2), outs):
+        assert run_cli("--seed", 3, "--threads", threads, "--out-dir", out, "rates",
+                       "--resolutions", "500,3000,6000") == 0
+    assert sorted(read_all_bytes(outs[0])) == ["rates.csv", "rates.svg"]
+    assert read_all_bytes(outs[0]) == read_all_bytes(outs[1])
+
+
 # -- flow -----------------------------------------------------------------------
 
 def test_flow_both_modes_dominance(tmp_path):

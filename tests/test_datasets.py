@@ -63,6 +63,17 @@ def test_dataset_shapes_and_split():
     assert ds.derivatives_reliable
 
 
+@pytest.mark.parametrize("requested, side", [(1, 2), (32, 6), (50, 7)])
+def test_smoothing2d_rounds_the_sensors_to_a_square_grid(requested, side):
+    # max(2, round(sqrt(sensors))) sensors a side: 1 -> 4, 32 -> 36, 50 -> 49
+    sizes = DatasetSizes(train=2, val=1, test=1, sensors=requested, queries=6)
+    ds = synth_dataset("smoothing2d", sizes=sizes, seed=0, derivative_source="none")
+    axis = np.linspace(0.0, 1.0, side)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert np.array_equal(ds.sensor_points, grid)
+    assert ds.train_inputs.shape == (2, side * side)
+
+
 def test_exact_derivative_targets_match_value_series():
     ds = synth_dataset(
         "antiderivative1d",

@@ -1,5 +1,7 @@
 """MLS fitting: basis enumeration, weights, exactness, rates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -290,7 +292,7 @@ def test_spacing_statistic_halves_per_fourfold_points_in_2d(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_spacing_statistic_falls_with_resolution_in_1d(seed):
     study = convergence_study(
-        sin_1d(), ((0.0,), (1.0,)), [100, 200, 400], MlsConfig(k=9, m=2), seed=seed, orders=[0]
+        sin_1d(), [100, 200, 400], MlsConfig(k=9, m=2), seed=seed, orders=[0]
     )
     _, hs, _ = study.mse_series(0)
     assert np.all(np.diff(hs) < 0), hs
@@ -301,15 +303,14 @@ def test_spacing_statistic_falls_with_resolution_in_1d(seed):
 def test_study_polynomial_exact_at_all_resolutions():
     fn = polynomial_function({(0, 0): 0.5, (1, 0): 1.0, (0, 1): -2.0, (1, 1): 0.75}, 2)
     study = convergence_study(
-        fn, ((0, 0), (1, 1)), [200, 400, 800], MlsConfig(k=18, m=2), seed=0
+        fn, [200, 400, 800], MlsConfig(k=18, m=2), seed=0
     )
-    for row in study.rows:
-        assert row.mse < 1e-10
+    assert np.all(study.mse < 1e-10), study.mse
 
 
 def test_study_sincos_error_decreases_with_resolution():
     study = convergence_study(
-        sin_cos_2d(), ((0, 0), (1, 1)), [500, 2000, 8000], MlsConfig(k=20, m=2), seed=0,
+        sin_cos_2d(), [500, 2000, 8000], MlsConfig(k=20, m=2), seed=0,
         orders=[1],
     )
     _, hs, errs = study.mse_series(1)
@@ -319,19 +320,22 @@ def test_study_sincos_error_decreases_with_resolution():
 
 def test_study_deterministic():
     fn = sin_1d()
-    a = convergence_study(fn, ((0,), (1,)), [100, 200, 400], MlsConfig(k=9, m=2), seed=3)
-    b = convergence_study(fn, ((0,), (1,)), [100, 200, 400], MlsConfig(k=9, m=2), seed=3)
-    # bit-identical, including the NaN slope placeholders on first rows
-    assert repr(a.rows) == repr(b.rows)
+    a = convergence_study(fn, [100, 200, 400], MlsConfig(k=9, m=2), seed=3)
+    b = convergence_study(fn, [100, 200, 400], MlsConfig(k=9, m=2), seed=3)
+    # every column bit-identical, including the NaN slope placeholders on first rows
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+    assert np.isnan(a.slope_running[a.resolution == 100]).all()
     assert a.slopes == b.slopes
 
 
 def test_study_validates_resolutions():
     fn = sin_1d()
     with pytest.raises(ConfigError):
-        convergence_study(fn, ((0,), (1,)), [100, 200], MlsConfig(k=9, m=2))
+        convergence_study(fn, [100, 200], MlsConfig(k=9, m=2))
     with pytest.raises(ConfigError):
-        convergence_study(fn, ((0,), (1,)), [100, 200, 150], MlsConfig(k=9, m=2))
+        convergence_study(fn, [100, 200, 150], MlsConfig(k=9, m=2))
 
 
 def test_error_monotone_under_density_quadrupling():
