@@ -22,38 +22,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _ticks(lo: float, hi: float):
-    if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
-        return [lo]
-    step = (hi - lo) / (TICKS - 1)
-    return [lo + i * step for i in range(TICKS)]
+class _Scale:
+    """One axis: the range lo..hi, linear or log10, mapped onto the pixels
+    from the plot edge where it starts (left or bottom) to the other."""
 
-
-class _Axes:
-    def __init__(self, xlim, ylim, logx=False, logy=False):
-        self.logx, self.logy = logx, logy
-        self.x0, self.x1 = self._span(self._tr(xlim[0], logx), self._tr(xlim[1], logx))
-        self.y0, self.y1 = self._span(self._tr(ylim[0], logy), self._tr(ylim[1], logy))
-
-    @staticmethod
-    def _tr(v, log):
-        return math.log10(v) if log else float(v)
-
-    @staticmethod
-    def _span(lo, hi):
-        """(lo, hi), with an empty range widened by 1, or by |lo| where 1
-        is below the float spacing at lo."""
+    def __init__(self, lo, hi, log=False, vertical=False):
+        self.log = log
+        # the start pixel and the signed pixel length of the range
+        if vertical:
+            self.origin, self.extent = HEIGHT - MARGIN_B, -(HEIGHT - MARGIN_T - MARGIN_B)
+        else:
+            self.origin, self.extent = MARGIN_L, WIDTH - MARGIN_L - MARGIN_R
+        lo, hi = self._tr(lo), self._tr(hi)
+        ticks = [lo]  # one tick on an empty or non-finite range
+        if math.isfinite(lo) and math.isfinite(hi) and lo != hi:
+            step = (hi - lo) / (TICKS - 1)
+            ticks = [lo + i * step for i in range(TICKS)]
+        self.ticks = [10.0**t if log else t for t in ticks]
+        # an empty range widens by 1, or by |lo| where 1 is below the float spacing at lo
         if hi == lo:
             hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
-        return lo, hi
+        self.lo, self.hi = lo, hi
 
-    def px(self, x):
-        t = (self._tr(x, self.logx) - self.x0) / (self.x1 - self.x0)
-        return MARGIN_L + t * (WIDTH - MARGIN_L - MARGIN_R)
+    def _tr(self, v):
+        return math.log10(v) if self.log else float(v)
 
-    def py(self, y):
-        t = (self._tr(y, self.logy) - self.y0) / (self.y1 - self.y0)
-        return HEIGHT - MARGIN_B - t * (HEIGHT - MARGIN_T - MARGIN_B)
+    def __call__(self, v):
+        t = (self._tr(v) - self.lo) / (self.hi - self.lo)
+        return self.origin + t * self.extent
 
 
 def _header(title):
@@ -66,7 +62,7 @@ def _header(title):
     ]
 
 
-def _axis_frame(ax, xlabel, ylabel, xticks, yticks):
+def _axis_frame(x, y, xlabel, ylabel):
     parts = [
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="#444"/>',
@@ -75,8 +71,8 @@ def _axis_frame(ax, xlabel, ylabel, xticks, yticks):
         f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="12" transform="rotate(-90 14 {HEIGHT // 2})">{ylabel}</text>',
     ]
-    for tx in xticks:
-        px = ax.px(tx)
+    for tx in x.ticks:
+        px = x(tx)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(px)}" '
             f'y2="{HEIGHT - MARGIN_B + 4}" stroke="#444"/>'
@@ -85,8 +81,8 @@ def _axis_frame(ax, xlabel, ylabel, xticks, yticks):
             f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{_fmt(tx)}</text>'
         )
-    for ty in yticks:
-        py = ax.py(ty)
+    for ty in y.ticks:
+        py = y(ty)
         parts.append(
             f'<line x1="{MARGIN_L - 4}" y1="{_fmt(py)}" x2="{MARGIN_L}" y2="{_fmt(py)}" '
             f'stroke="#444"/>'
@@ -100,40 +96,23 @@ def _axis_frame(ax, xlabel, ylabel, xticks, yticks):
 
 def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False) -> str:
     """SVG line plot; series is a list of (label, xs, ys)."""
-    xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    keep = np.isfinite(xs_all) & np.isfinite(ys_all)
-    if logy:
-        keep &= ys_all > 0
-    if logx:
-        keep &= xs_all > 0
-    xs_all, ys_all = xs_all[keep], ys_all[keep]
+    kept = []  # each series' plottable points: finite, and positive on a log axis
+    for label, xs, ys in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        ok &= (xs > 0 if logx else True) & (ys > 0 if logy else True)
+        kept.append((label, xs[ok], ys[ok]))
+    xs_all = np.concatenate([xs for _, xs, _ in kept])
+    ys_all = np.concatenate([ys for _, _, ys in kept])
     if xs_all.size == 0:
         xs_all = ys_all = np.array([1.0])
-    xlim = (xs_all.min(), xs_all.max())
-    ylim = (ys_all.min(), ys_all.max())
-    ax = _Axes(xlim, ylim, logx, logy)
-
-    if logx:
-        xticks = [10.0**e for e in _ticks(math.log10(xlim[0]), math.log10(xlim[1]))]
-    else:
-        xticks = _ticks(*xlim)
-    if logy:
-        yticks = [10.0**e for e in _ticks(math.log10(ylim[0]), math.log10(ylim[1]))]
-    else:
-        yticks = _ticks(*ylim)
+    x = _Scale(xs_all.min(), xs_all.max(), logx)
+    y = _Scale(ys_all.min(), ys_all.max(), logy, vertical=True)
 
     parts = _header(title)
-    parts += _axis_frame(ax, xlabel, ylabel, xticks, yticks)
-    for i, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        ok = np.isfinite(xs) & np.isfinite(ys)
-        if logy:
-            ok &= ys > 0
-        if logx:
-            ok &= xs > 0
-        pts = " ".join(f"{_fmt(ax.px(x))},{_fmt(ax.py(y))}" for x, y in zip(xs[ok], ys[ok]))
+    parts += _axis_frame(x, y, xlabel, ylabel)
+    for i, (label, xs, ys) in enumerate(kept):
+        pts = " ".join(f"{_fmt(x(u))},{_fmt(y(v))}" for u, v in zip(xs, ys))
         color = PALETTE[i % len(PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
@@ -178,22 +157,20 @@ def heatmap(xs, ys, grid, title="", xlabel="", ylabel="") -> str:
     span = hi - lo if hi > lo else 1.0
 
     parts = _header(title)
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    cw = plot_w / len(xs)
-    ch = plot_h / len(ys)
+    x, y = _Scale(xs.min(), xs.max()), _Scale(ys.min(), ys.max(), vertical=True)
+    cw = x.extent / len(xs)
+    ch = -y.extent / len(ys)
     for i in range(len(xs)):
         for j in range(len(ys)):
             v = grid[i, j]
             color = "#bbbbbb" if not math.isfinite(v) else _colormap((v - lo) / span)
-            px = MARGIN_L + i * cw
-            py = HEIGHT - MARGIN_B - (j + 1) * ch
+            px = x.origin + i * cw
+            py = y.origin - (j + 1) * ch
             parts.append(
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cw + 0.5)}" '
                 f'height="{_fmt(ch + 0.5)}" fill="{color}"/>'
             )
-    ax = _Axes((xs.min(), xs.max()), (ys.min(), ys.max()))
-    parts += _axis_frame(ax, xlabel, ylabel, _ticks(xs.min(), xs.max()), _ticks(ys.min(), ys.max()))
+    parts += _axis_frame(x, y, xlabel, ylabel)
     parts.append(
         f'<text x="{WIDTH - MARGIN_R}" y="{MARGIN_T - 6}" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">range [{_fmt(lo)}, {_fmt(hi)}]</text>'

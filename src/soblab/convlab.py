@@ -45,8 +45,10 @@ _THETA_CLAMP = 1e-8
 # Monte-Carlo draws per summation group: each group is summed in row order
 # and added to the total in turn, which fixes the bits of every mean
 _MC_CHUNK = 200_000
-# float64 elements (1 MiB) in one block of Monte-Carlo draws, and in the four
-# temporaries of one column block of a flow's records; no bit depends on it
+# float64 elements (1 MiB) in one block of Monte-Carlo draws, and four times the n-D
+# weights of one column block of a flow's records, with their planar distances and
+# rates; no bit depends on it.  mc_quadrant_prob blocks only z2: it draws z1 whole
+# (3.2 MB at 400k draws, 8 MB under validate --full), as its reference test pins
 _BLOCK_ELEMENTS = 1 << 17
 # sample_basin's starts lie within this fraction of |w*| of w*
 _BASIN_RADIUS = 0.999
@@ -174,7 +176,6 @@ def quadrant_prob(rho) -> float:
 class _Target(NamedTuple):
     """The target-only constants of _planar_gradients, computed once."""
 
-    w_star: np.ndarray
     unit: np.ndarray  # w*/|w*|, the first axis of every row's plane
     norm: float  # |w*|, the target's coordinate along unit
     amp: float  # amp* = |w*|^2 / 2
@@ -188,7 +189,7 @@ class _Target(NamedTuple):
 
 def _target(w_star, clamp=None) -> _Target:
     nws = float(_norm(w_star))
-    return _Target(w_star, w_star / nws, nws, 0.5 * nws * nws, clamp)
+    return _Target(w_star / nws, nws, 0.5 * nws * nws, clamp)
 
 
 def _planar_gradients(a, b, target, der=True, bk=_Arrays):
@@ -431,8 +432,11 @@ def _flow_grid(dt, t_final, record_every):
 def _rk4_flow(w, target, sob, dt, t_final, record_every):
     """Classical fixed-step RK4 on rows w (B, n); sob (B,) marks the Sob rows.
 
-    Each row is integrated on its two planar coordinates (see _project);
-    the n-D weights and slopes are rebuilt at the end, in column blocks.  Returns
+    Each row is integrated on its two planar coordinates (a, b) (see
+    _project), and its gradient (ga, gb) is recorded with them.  At the end
+    the n-D weights are rebuilt in column blocks, and dist2 and ddt_dist2
+    come from the planar records: the step guard's (a - |w*|)^2 + b^2 and
+    its rate -2((a - |w*|) ga + b gb).  Returns
     (times (S,), weights (B, S, n), dist2 (B, S), ddt_dist2 (B, S))
     recorded every record_every steps and at the last step, weights[:, 0]
     being the starts w.  The step guard raises at the first step at which
@@ -502,18 +506,16 @@ def _rk4_flow(w, target, sob, dt, t_final, record_every):
     a, b, ga, gb = table.transpose(1, 2, 0)  # four (B, S) coordinate tables
     e_b = e_b[:, None]
     weights, dist2, ddt = np.empty(a.shape + w.shape[1:]), np.empty(a.shape), np.empty(a.shape)
-    # column blocks whose four (B, cols, n) temporaries hold _BLOCK_ELEMENTS together;
-    # each step is per element or a sum per row, so no bit depends on the blocks
+    # column blocks of (B, cols, n) weights, a quarter of _BLOCK_ELEMENTS, and their
+    # (B, cols) planar statistics; all per element, so no bit depends on the blocks
     cols = max(1, _BLOCK_ELEMENTS // (4 * w.size))
     for s in range(0, a.shape[1], cols):
         c = slice(s, s + cols)
         _embed(a[:, c], b[:, c], e_b, target, out=weights[:, c])
-        if s == 0:
-            weights[:, 0] = w
-        diff = weights[:, c] - target.w_star
-        # ddt_dist2 = 2 (w - w*) . dw/dt, from the closed-form RHS
-        ddt[:, c] = 2.0 * np.sum(diff * _embed(-ga[:, c], -gb[:, c], e_b, target), axis=-1)
-        dist2[:, c] = np.sum(diff * diff, axis=-1)
+        da = a[:, c] - nws
+        dist2[:, c] = sum_sq(da, b[:, c])
+        ddt[:, c] = -2.0 * (da * ga[:, c] + b[:, c] * gb[:, c])
+    weights[:, 0] = w
     if not (np.isfinite(dist2).all() and np.isfinite(ddt).all()):
         raise NumericalError("the flow left the float range: a recorded distance or rate "
                              "is not finite; start nearer the target")

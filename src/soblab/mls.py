@@ -30,6 +30,7 @@ of its coefficients.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,17 +305,16 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
                     indices, cfg.m, h, support_radius)
 
 
+@dataclass(frozen=True)
 class AnalyticFunction:
-    """Test function with exact derivatives of every order.
+    """Test function on R^dim: derivative(alpha, X) returns the exact D^alpha
+    values on an (J, dim) array X, and value(X) is its derivative of order 0."""
 
-    value(X) evaluates on an (J, n) array; derivative(alpha, X) returns
-    the exact D^alpha values.
-    """
+    dim: int
+    derivative: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
 
-    def __init__(self, dim, value, derivative):
-        self.dim = dim
-        self.value = value
-        self.derivative = derivative
+    def value(self, x):
+        return self.derivative((0,) * self.dim, x)
 
 
 def sin_cos_2d() -> AnalyticFunction:
@@ -324,7 +324,7 @@ def sin_cos_2d() -> AnalyticFunction:
         a1, a2 = alpha
         return np.sin(x[:, 0] + a1 * np.pi / 2) * np.cos(x[:, 1] + a2 * np.pi / 2)
 
-    return AnalyticFunction(2, lambda x: np.sin(x[:, 0]) * np.cos(x[:, 1]), deriv)
+    return AnalyticFunction(2, deriv)
 
 
 def sin_1d() -> AnalyticFunction:
@@ -333,21 +333,11 @@ def sin_1d() -> AnalyticFunction:
     def deriv(alpha, x):
         return np.sin(x[:, 0] + alpha[0] * np.pi / 2)
 
-    return AnalyticFunction(1, lambda x: np.sin(x[:, 0]), deriv)
+    return AnalyticFunction(1, deriv)
 
 
 def polynomial_function(coeff: dict[tuple[int, ...], float], dim: int) -> AnalyticFunction:
     """Polynomial from {multi-index: coefficient}; derivatives are exact."""
-
-    def value(x):
-        out = np.zeros(x.shape[0])
-        for beta, c in coeff.items():
-            term = np.full(x.shape[0], c)
-            for d, b in enumerate(beta):
-                if b:
-                    term = term * x[:, d] ** b
-            out += term
-        return out
 
     def deriv(alpha, x):
         out = np.zeros(x.shape[0])
@@ -364,7 +354,7 @@ def polynomial_function(coeff: dict[tuple[int, ...], float], dim: int) -> Analyt
             out += term
         return out
 
-    return AnalyticFunction(dim, value, deriv)
+    return AnalyticFunction(dim, deriv)
 
 
 BUILTIN_FUNCTIONS = {

@@ -345,12 +345,13 @@ def test_flow_plot_of_a_constant_beyond_2_to_53(tmp_path):
 
 def test_svg_widens_an_empty_range_by_one_where_one_changes_it():
     for value in (0.0, -3.5, 1e15, 2.0**53 - 1):
-        ax = svg._Axes((value, value), (value, value))
-        assert (ax.x0, ax.x1, ax.y0, ax.y1) == (value, value + 1.0, value, value + 1.0)
+        x, y = svg._Scale(value, value), svg._Scale(value, value, vertical=True)
+        assert (x.lo, x.hi, y.lo, y.hi) == (value, value + 1.0, value, value + 1.0)
     for value in (2.0**53, 1e20, -1e300):
-        ax, wide = svg._Axes((value, value), (value, value)), value + abs(value)
-        assert (ax.x0, ax.x1, ax.y0, ax.y1) == (value, wide, value, wide)
-        assert ax.y1 > ax.y0 and ax.py(value) == svg.HEIGHT - svg.MARGIN_B
+        x, y = svg._Scale(value, value), svg._Scale(value, value, vertical=True)
+        wide = value + abs(value)
+        assert (x.lo, x.hi, y.lo, y.hi) == (value, wide, value, wide)
+        assert y.hi > y.lo and y(value) == svg.HEIGHT - svg.MARGIN_B
 
 
 @pytest.mark.parametrize(

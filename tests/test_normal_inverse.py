@@ -137,6 +137,29 @@ def test_bounds_decide_every_row_of_ordinary_clouds(points, cfg):
     assert not jet.flagged.any()
 
 
+@pytest.mark.parametrize("k, count", [(8, 23), (10, 0), (12, 0), (20, 0)])
+def test_grid30_flags_tie_broken_stencils_only_at_small_k(k, count):
+    # the numbers README states: the KNN's index tie-break picks degenerate
+    # stencils on a regular grid at K = 8, and their gradients are off
+    points = _grid(30)
+    cloud = PointCloud(points=points, values=np.sin(points[:, 0]))
+    jet = estimate_derivatives(cloud, MlsConfig(k=k, m=2))
+    assert np.count_nonzero(jet.flagged) == count
+    if count:
+        err = np.abs(derivative_field(jet, (1, 0)) - np.cos(points[:, 0]))
+        assert round(err[jet.flagged].max(), 3) == 0.200
+        assert err[~jet.flagged].max() <= 4.0e-4
+
+
+@pytest.mark.parametrize("k, m, count", [(40, 7, 395), (70, 9, 400)])
+def test_uniform400_flags_most_stencils_of_admitted_high_order_bases(k, m, count):
+    # the numbers README states: MlsConfig.validate admits these bases, yet
+    # the cond_F bound flags most or all of 400 uniform 2-D points (seed 0)
+    points = np.random.default_rng(0).random((400, 2))
+    jet = estimate_derivatives(PointCloud(points=points, values=np.zeros(400)), MlsConfig(k=k, m=m))
+    assert np.count_nonzero(jet.flagged) == count
+
+
 def _collinear(count):
     xs = np.linspace(0.0, 1.0, count)
     return np.column_stack([xs, np.zeros_like(xs)])
@@ -154,7 +177,7 @@ def _collinear(count):
     ],
     ids=["random2d-m7", "random2d-m9", "grid25-m7", "random3d-m5", "random3d-m3", "collinear-m2"],
 )
-def test_the_ridge_keeps_every_stencil_unflagged(points, cfg, monkeypatch):
+def test_the_ridge_bounds_the_condition_of_every_normal_matrix(points, cfg, monkeypatch):
     # the normal matrices E as _plan_rows forms them, at every point
     seen = []
     monkeypatch.setattr(mls, "_normal_inverse", lambda e: seen.append(e.copy()) or _normal_inverse(e))
