@@ -2,9 +2,16 @@
 """Target-noise robustness of value-only vs derivative-supervised training.
 
 Gaussian noise with standard deviation sigma times the target range is
-injected into the training targets; the meshfree derivative targets are
-re-estimated from the noisy values, which smooths the noise away and
-regularizes the derivative-supervised runs.
+injected into the training targets, and the meshfree derivative targets
+are re-estimated from the noisy values.  For sigma = 0, 1.5% and 3% the
+demo prints the median test relative-L2 error of ordinary and sobolev
+training over three seeds (antiderivative1d, 2,500 epochs), then each
+mode's inflation from clean to sigma = 3%.
+
+Only the inflation favours sobolev here (x1.06 against x1.57 for
+ordinary); its absolute error is the larger at every sigma (about 0.12-0.13
+against 0.05-0.08).  ROADMAP open item 2 traces this to the balance of
+the value and derivative losses.
 """
 
 import numpy as np

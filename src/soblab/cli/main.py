@@ -55,6 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # command defaults and runners; every runner consumes one resolved config dict
+# and yields its outputs in write order, each a (file name, content) pair: the
+# text of the file, or a CSV table's (header, columns)
 # ---------------------------------------------------------------------------
 
 DEFAULTS: dict[str, dict] = {
@@ -131,7 +133,7 @@ HELP = {
 }
 
 
-def run_derivs(config, out_dir, seed):
+def run_derivs(config, seed):
     if not os.path.basename(config["out"]):  # before the cloud is read and fitted
         raise ConfigError(f"--out must name a file, got {config['out']!r}")
     cloud = load_cloud_csv(config["input"])
@@ -143,12 +145,10 @@ def run_derivs(config, out_dir, seed):
         + ["c_" + "_".join(str(a) for a in alpha) for alpha in jet.multi_indices]
         + ["flagged"]
     )
-    columns = [np.arange(jet.size), jet.points, jet.coefficients, jet.flagged]
-    write_csv(os.path.join(out_dir, config["out"]), header, columns)
-    return [config["input"]]
+    yield config["out"], (header, [np.arange(jet.size), jet.points, jet.coefficients, jet.flagged])
 
 
-def run_rates(config, out_dir, seed):
+def run_rates(config, seed):
     name = config["function"]
     if name not in mls.BUILTIN_FUNCTIONS:
         raise ConfigError(f"unknown function {name!r}; choose from {sorted(mls.BUILTIN_FUNCTIONS)}")
@@ -156,8 +156,7 @@ def run_rates(config, out_dir, seed):
     cfg = mls.MlsConfig(k=config["k"], m=config["m"])
     study = mls.convergence_study(fn, config["resolutions"], cfg, seed=seed,
                                   orders=config["orders"] or None, threads=config["threads"])
-    write_csv(
-        os.path.join(out_dir, "rates.csv"),
+    yield "rates.csv", (
         ["resolution", "h", "order", "mse", "slope_running", "exact", "seed"],
         [study.resolution, study.h, study.order, study.mse, study.slope_running,
          study.mse < 1e-12, [seed] * len(study.order)],
@@ -167,7 +166,7 @@ def run_rates(config, out_dir, seed):
         _, hs, errs = study.mse_series(order)
         label = f"order {order}" + ("" if math.isnan(slope) else f" (slope {slope:.2f})")
         series.append((label, hs, errs))
-    plot = svg.line_plot(
+    yield "rates.svg", svg.line_plot(
         series,
         title=f"derivative MSE vs spacing: {name}",
         xlabel="h",
@@ -175,8 +174,6 @@ def run_rates(config, out_dir, seed):
         logx=True,
         logy=True,
     )
-    atomic_write_text(os.path.join(out_dir, "rates.svg"), plot)
-    return []
 
 
 def _flow_start(dim, theta0, ratio0):
@@ -196,12 +193,12 @@ def _flow_start(dim, theta0, ratio0):
     return w0, w_star
 
 
-def run_flow(config, out_dir, seed):
+def run_flow(config, seed):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [convlab.flow_mode(config["mode"])]
     w0, w_star = _flow_start(config["dim"], config["theta0"], config["ratio0"])
     grid = dict(dt=config["dt"], t_final=config["t_final"], record_every=config["record_every"],
                 allow_outside_basin=config["allow_outside"])
-    # one single-start run per mode; nothing is written unless every mode
+    # one single-start run per mode; nothing is yielded unless every mode
     # passes the step guard, and a failure names the earliest tripping step
     trajs, guards = [], []
     for mode in modes:
@@ -214,20 +211,18 @@ def run_flow(config, out_dir, seed):
     header = ["t"] + [f"w{d + 1}" for d in range(len(w0))] + ["dist2", "ddt_dist2"]
     series = []
     for mode, traj in zip(modes, trajs):
-        columns = [traj.times, traj.weights[0], traj.dist2[0], traj.ddt_dist2[0]]
-        write_csv(os.path.join(out_dir, f"trajectory_{mode.lower()}.csv"), header, columns)
+        yield (f"trajectory_{mode.lower()}.csv",
+               (header, [traj.times, traj.weights[0], traj.dist2[0], traj.ddt_dist2[0]]))
         series.append((mode, traj.times, np.sqrt(traj.dist2[0])))
-    plot = svg.line_plot(
+    yield "flow.svg", svg.line_plot(
         series,
         title="distance to target under the gradient flow",
         xlabel="t",
         ylabel="|w - w*|",
     )
-    atomic_write_text(os.path.join(out_dir, "flow.svg"), plot)
-    return []
 
 
-def run_landscape(config, out_dir, seed):
+def run_landscape(config, seed):
     steps, x_steps, x_max = config["theta_steps"], config["x_steps"], config["x_max"]
     if steps < 2 or x_steps < 2:
         raise ConfigError("need at least 2 steps per axis")
@@ -241,39 +236,28 @@ def run_landscape(config, out_dir, seed):
     ratios = np.linspace(0.0, x_max, x_steps + 1)[1:]
     table = convlab.descent_landscape(thetas, ratios)
     # one row per (theta_i, x_j), i-major
-    columns = [np.repeat(table.theta, table.ratio.size), np.tile(table.ratio, table.theta.size),
-               table.v_l2.ravel(), table.v_sob.ravel(), table.defined.ravel()]
-    write_csv(
-        os.path.join(out_dir, "landscape.csv"),
+    yield "landscape.csv", (
         ["theta", "x", "v_l2", "v_sob", "defined"],
-        columns,
+        [np.repeat(thetas, ratios.size), np.tile(ratios, thetas.size),
+         table.v_l2.ravel(), table.v_sob.ravel(), table.defined.ravel()],
     )
-    atomic_write_text(
-        os.path.join(out_dir, "landscape_l2.svg"),
-        svg.heatmap(
-            thetas, ratios, table.v_l2, title="normalized descent rate: value flow",
-            xlabel="theta", ylabel="|w|/|w*|",
-        ),
+    yield "landscape_l2.svg", svg.heatmap(
+        thetas, ratios, table.v_l2, title="normalized descent rate: value flow",
+        xlabel="theta", ylabel="|w|/|w*|",
     )
-    atomic_write_text(
-        os.path.join(out_dir, "landscape_sob.svg"),
-        svg.heatmap(
-            thetas, ratios, table.v_sob, title="normalized descent rate: derivative-supervised flow",
-            xlabel="theta", ylabel="|w|/|w*|",
-        ),
+    yield "landscape_sob.svg", svg.heatmap(
+        thetas, ratios, table.v_sob, title="normalized descent rate: derivative-supervised flow",
+        xlabel="theta", ylabel="|w|/|w*|",
     )
     grid = np.linspace(0.0, math.pi, 2048)
     margins, defined = convlab.derivative_flow_margin_scan(grid)
-    curve = svg.line_plot(
+    yield "margin_curve.svg", svg.line_plot(
         [("margin", grid[defined], margins[defined])],
         title="derivative-flow margin (undefined range excluded)",
         xlabel="theta",
         ylabel="margin",
     )
-    atomic_write_text(os.path.join(out_dir, "margin_curve.svg"), curve)
-    undefined_cells = int((~defined).sum())
-    print(f"margin curve: {undefined_cells} of {grid.size} grid angles undefined")
-    return []
+    print(f"margin curve: {int((~defined).sum())} of {grid.size} grid angles undefined")
 
 
 def _train_once(config, seed):
@@ -307,20 +291,18 @@ def _train_once(config, seed):
     return train(cfg, dataset, config["mode"])
 
 
-def run_train(config, out_dir, seed):
+def run_train(config, seed):
     report = _train_once(config, seed)
-    payload = dataclasses.asdict(report)
-    atomic_write_text(
-        os.path.join(out_dir, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    yield "report.json", json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    yield "losses.csv", (
+        ["epoch", "l2", "der", "val_rel_l2"],
+        [np.arange(len(report.epoch_l2)), report.epoch_l2, report.epoch_der,
+         report.epoch_val_rel_l2],
     )
-    columns = [np.arange(len(report.epoch_l2)), report.epoch_l2, report.epoch_der,
-               report.epoch_val_rel_l2]
-    write_csv(os.path.join(out_dir, "losses.csv"), ["epoch", "l2", "der", "val_rel_l2"], columns)
     print(f"final relative-L2 test error: {report.final_test_rel_l2:.6e}")
-    return []
 
 
-def run_sweep(config, out_dir, seed):
+def run_sweep(config, seed):
     param = config["param"]
     if param not in ("K", "m", "noise"):
         raise ConfigError("--param must be one of K, m, noise")
@@ -340,44 +322,34 @@ def run_sweep(config, out_dir, seed):
     key, kind = {"K": ("k", int), "m": ("m", int), "noise": ("noise", float)}[param]
     if kind is int and not all(value.is_integer() for value in values):  # NaN and inf are not
         raise ConfigError(f"--values for --param {param} must be integers, got {values!r}")
-    rows = [
-        (value, mode, seed + rep,
-         _train_once({**config, "mode": mode, key: kind(value)}, seed + rep).final_test_rel_l2)
-        for value in values
-        for mode in modes
-        for rep in range(repeats)
-    ]
+    jobs = [(value, mode, {**config, "mode": mode, key: kind(value)})
+            for value in values for mode in modes]
+    for _, _, job in jobs:  # each job's refusal, before any job trains
+        _train_once({**job, "epochs": 0}, seed)
+    rows = [(value, mode, seed + rep, _train_once(job, seed + rep).final_test_rel_l2)
+            for value, mode, job in jobs for rep in range(repeats)]
     columns = list(zip(*rows))
-    write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        [param, "mode", "seed", "final_rel_l2"],
-        columns,
-    )
+    yield "sweep.csv", ([param, "mode", "seed", "final_rel_l2"], columns)
     # the errors by value, mode and repeat
     medians = np.median(np.reshape(columns[3], (len(values), len(modes), repeats)), axis=2)
     series = [(mode, values, medians[:, i].tolist()) for i, mode in enumerate(modes)]
-    plot = svg.line_plot(
+    yield "sweep.svg", svg.line_plot(
         series,
         title=f"median relative-L2 error vs {param}",
         xlabel=param,
         ylabel="median rel-L2",
     )
-    atomic_write_text(os.path.join(out_dir, "sweep.svg"), plot)
-    return []
 
 
-def run_validate(config, out_dir, seed):
+def run_validate(config, seed):
     verdicts = convlab.validation_suite(seed=seed, full=config["full"])
-    atomic_write_text(
-        os.path.join(out_dir, "validate.json"), json.dumps(verdicts, indent=2, sort_keys=True) + "\n"
-    )
+    yield "validate.json", json.dumps(verdicts, indent=2, sort_keys=True) + "\n"
     width = max(len(v["name"]) for v in verdicts)
     for v in verdicts:
         status = "pass" if v["pass"] else "FAIL"
         print(f"{v['name']:<{width}}  statistic={v['statistic']:.3e}  bound={v['bound']:.3e}  {status}")
     if not all(v["pass"] for v in verdicts):
         raise SoblabError("validation suite reported failures")
-    return []
 
 
 RUNNERS = {
@@ -483,8 +455,9 @@ def resolve_config(command: str, cli_args: dict, file_values: dict, source=None)
 
 
 def execute(command: str, config: dict, digests=None) -> None:
-    """Run command on its resolved config and write the manifest beside its
-    outputs.  digests, {path: sha256} of a replayed manifest's inputs, must
+    """Run command on its resolved config, write each output it yields into
+    the out-dir, then the manifest, which digests the file of the input
+    setting.  digests, {path: sha256} of a replayed manifest's inputs, must
     still match the files, or InputError is raised before the out-dir is made."""
     config = dict(config)
     seed = config.pop("seed")  # the manifest records it beside the config
@@ -515,8 +488,14 @@ def execute(command: str, config: dict, digests=None) -> None:
         raise ConfigError(f"cannot use --out-dir {out_dir!r}: {exc.strerror or exc}") from None
     started = time.monotonic()
     try:
-        inputs = RUNNERS[command](config, out_dir, seed) or []
-        write_manifest(out_dir, command, config, seed, __version__, input_files=inputs,
+        for name, content in RUNNERS[command](config, seed):  # each output as it is yielded
+            path = os.path.join(out_dir, name)
+            if isinstance(content, str):
+                atomic_write_text(path, content)
+            else:
+                write_csv(path, *content)
+        write_manifest(out_dir, command, config, seed, __version__,
+                       input_files=[config["input"]] if "input" in config else [],
                        duration_s=time.monotonic() - started)
     except BaseException:
         for path in created:  # one that holds an output stays

@@ -34,9 +34,8 @@ def write_manifest(out_dir, command, config, seed, version, input_files=(), dura
         "input_digests": {os.fspath(p): file_digest(p) for p in input_files},
         "duration_s": duration_s,
     }
-    path = os.path.join(os.fspath(out_dir), MANIFEST_NAME)
-    atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return path
+    atomic_write_text(os.path.join(os.fspath(out_dir), MANIFEST_NAME),
+                      json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> dict:

@@ -594,8 +594,6 @@ class LandscapeTable:
     coefficient is below 1e-12 are reported as undefined, not zero.
     """
 
-    theta: np.ndarray
-    ratio: np.ndarray
     v_l2: np.ndarray
     v_sob: np.ndarray
     defined: np.ndarray
@@ -632,9 +630,7 @@ def descent_landscape(theta_grid, ratio_grid) -> LandscapeTable:
     safe = np.where(defined, norm, 1.0)
     v_l2 = np.where(defined, ddt_l2 / safe, np.nan)
     v_sob = np.where(defined, ddt_sob / safe, np.nan)
-    return LandscapeTable(
-        theta=theta_grid, ratio=ratio_grid, v_l2=v_l2, v_sob=v_sob, defined=defined
-    )
+    return LandscapeTable(v_l2=v_l2, v_sob=v_sob, defined=defined)
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +738,11 @@ def validation_suite(seed=0, full=False):
     rng = np.random.default_rng(seed)
     verdicts = []
 
-    def add(name, statistic, bound, ok):
-        verdicts.append(
-            {"name": name, "statistic": float(statistic), "bound": float(bound), "pass": bool(ok)}
-        )
+    def add(name, statistic, bound, lower=False):
+        """Record a check that passes when statistic <= bound (>= when lower)."""
+        statistic, bound = float(statistic), float(bound)
+        ok = statistic >= bound if lower else statistic <= bound
+        verdicts.append({"name": name, "statistic": statistic, "bound": bound, "pass": ok})
 
     # gated correlation closed form vs Monte Carlo
     pair_count = 20 if full else 6
@@ -761,7 +758,7 @@ def validation_suite(seed=0, full=False):
         closed = gated_correlation(e, w)
         ratio = np.abs(mean - closed) / np.maximum(se, 1e-300)
         worst = max(worst, float(ratio.max()))
-    add("gated_correlation_mc_3se", worst, 3.0, worst <= 3.0)
+    add("gated_correlation_mc_3se", worst, 3.0)
 
     # quadrant probability
     qd = 1_000_000 if full else 400_000
@@ -771,20 +768,17 @@ def validation_suite(seed=0, full=False):
             worst,
             abs(mc_quadrant_prob(rho, qd, seed=int(rng.integers(2**63))) - quadrant_prob(rho)),
         )
-    add("quadrant_prob_mc_absdiff", worst, 5e-3, worst <= 5e-3)
+    add("quadrant_prob_mc_absdiff", worst, 5e-3)
 
     # scalar inequality scans
     grid = np.linspace(0.0, math.pi, 10_000)
-    g_max = float(np.max(value_flow_angular_term(grid)))
-    add("value_angular_term_max", g_max, 1e-12, g_max <= 1e-12)
-    p0_min = float(np.min(_coeffs_of_angle(grid)[0]))
-    add("mixed_coefficient_min", p0_min, -1e-12, p0_min >= -1e-12)
+    add("value_angular_term_max", np.max(value_flow_angular_term(grid)), 1e-12)
+    add("mixed_coefficient_min", np.min(_coeffs_of_angle(grid)[0]), -1e-12, lower=True)
     margins, defined = derivative_flow_margin_scan(grid)
-    m_min = float(np.nanmin(margins))
-    add("derivative_margin_min", m_min, -1e-10, m_min >= -1e-10)
+    add("derivative_margin_min", np.nanmin(margins), -1e-10, lower=True)
     near_zero = margins[defined] < 1e-8
-    zero_only_at_origin = bool(np.all(grid[defined][near_zero] < 1e-3))
-    add("derivative_margin_zero_only_at_0", float(zero_only_at_origin), 1.0, zero_only_at_origin)
+    zero_only_at_origin = np.all(grid[defined][near_zero] < 1e-3)
+    add("derivative_margin_zero_only_at_0", zero_only_at_origin, 1.0, lower=True)
 
     # cubic closed form vs direct evaluation
     worst = 0.0
@@ -794,7 +788,7 @@ def validation_suite(seed=0, full=False):
         t0, f0 = cubic_local_min(a, b, c, d)
         direct = a * t0**3 - b * t0**2 - c * t0 + d
         worst = max(worst, abs(f0 - direct))
-    add("cubic_min_closed_vs_direct", worst, 1e-10, worst <= 1e-10)
+    add("cubic_min_closed_vs_direct", worst, 1e-10)
 
     # population gradients vs Monte Carlo (2% relative)
     draws = 200 if full else 60
@@ -812,7 +806,7 @@ def validation_suite(seed=0, full=False):
             acc_d += finite_sample_derivative_gradient(x, terms)
         for acc, closed in zip((acc_v, acc_d), flow_gradients(w, w_star)):
             worst = max(worst, float(np.linalg.norm(acc / draws - closed) / np.linalg.norm(closed)))
-    add("population_gradient_mc_rel", worst, 0.02, worst <= 0.02)
+    add("population_gradient_mc_rel", worst, 0.02)
 
     # basin flow: monotone decrease, convergence and derivative dominance
     count = 40 if full else 16
@@ -824,11 +818,8 @@ def validation_suite(seed=0, full=False):
         mode=["L2"] * count + ["Sob"] * count,
     ).dist2
     d_l2, d_sob = d2[:count], d2[count:]
-    mono = float(np.max(np.diff(d_l2, axis=-1)))
-    add("flow_l2_monotone_max_increase", mono, 1e-12, mono <= 1e-12)
-    final = float(np.max(np.sqrt(d_l2[:, -1])))
-    add("flow_l2_final_distance", final, 1e-3, final < 1e-3)
-    dom = float(np.max(d_sob - d_l2))
-    add("flow_sob_dominance_max_excess", dom, 1e-12, dom <= 1e-12)
+    add("flow_l2_monotone_max_increase", np.max(np.diff(d_l2, axis=-1)), 1e-12)
+    add("flow_l2_final_distance", np.max(np.sqrt(d_l2[:, -1])), 1e-3)
+    add("flow_sob_dominance_max_excess", np.max(d_sob - d_l2), 1e-12)
 
     return verdicts

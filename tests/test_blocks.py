@@ -297,15 +297,20 @@ def test_jets_of_50k_points_hold_no_whole_cloud_distance_table():
 
 
 def test_jets_csv_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
-    # run_derivs on a 50k-point JetField it is handed: the CSV rows are
-    # built a chunk at a time.  Whole-cloud Python float columns put the
-    # peak near 15 MiB.
+    # run_derivs on a 50k-point JetField it is handed, its table written
+    # as execute writes it: the CSV rows are built a chunk at a time.
+    # Whole-cloud Python float columns put the peak near 15 MiB.
     cloud = _cloud_50k()
     jet = estimate_derivatives(cloud, MlsConfig(k=20, m=2))
     monkeypatch.setattr(cli_main, "load_cloud_csv", lambda path: cloud)
     monkeypatch.setattr(mls, "estimate_derivatives", lambda *args: jet)
     config = {"input": "cloud.csv", "k": 20, "m": 2, "out": "jets.csv", "threads": 1}
-    peak = _peak_bytes(cli_main.run_derivs, config, str(tmp_path), 0)
+
+    def write_outputs():
+        for name, table in cli_main.run_derivs(config, 0):
+            cli_main.write_csv(tmp_path / name, *table)
+
+    peak = _peak_bytes(write_outputs)
     assert peak <= 5 * 2**20, peak
     assert (tmp_path / "jets.csv").read_text().count("\n") == cloud.size + 1
 

@@ -16,6 +16,7 @@ from soblab.cli import main as cli
 from soblab.cli import svg
 from soblab.cli.io import atomic_write_text, write_csv
 from soblab.cli.main import DEFAULTS, build_parser, main
+from soblab.cli.manifest import file_digest
 from soblab.convlab import (
     angle_between,
     cubic_local_min,
@@ -705,6 +706,31 @@ def test_sweep_repeated_value_exits_3_before_training(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["20,4", "4,20"])
+def test_sweep_value_its_job_refuses_exits_3_before_any_training(
+    tmp_path, capsys, monkeypatch, values
+):
+    # K = 4 is below smoothing2d's 6-function basis: whichever value comes
+    # first, no job trains an epoch, and the refusal is the job's own
+    epochs = []
+
+    def counting_train(cfg, dataset, mode):
+        epochs.append(cfg.epochs)
+        return train(cfg, dataset, mode)
+
+    flags = ["--task", "smoothing2d", "--mode", "sobolev", *TRAIN_FAST]
+    assert run_cli("--out-dir", tmp_path / "t", "train", *flags, "--k", 4) == 3
+    refusal = capsys.readouterr().err
+    monkeypatch.setattr(cli, "train", counting_train)
+    out = tmp_path / "s"
+    code = run_cli("--out-dir", out, "sweep", "--param", "K", "--values", values, "--repeats", 1,
+                   *flags)
+    assert code == 3 and all(count == 0 for count in epochs)
+    err = capsys.readouterr().err
+    assert err == refusal and err.count("\n") == 1 and "K >= I required" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--repeats", 0], ["--repeats", -2]])
 def test_sweep_without_repeats_exits_3(tmp_path, flags):
     out = tmp_path / "s"
@@ -834,6 +860,44 @@ def test_validate_records_a_cubic_minimum_mismatch_as_a_failed_verdict(tmp_path,
     cubic = verdicts["cubic_min_closed_vs_direct"]
     assert not cubic["pass"] and cubic["statistic"] == pytest.approx(1e-6, rel=1e-3)
     assert "gated_correlation_mc_3se" in verdicts
+
+
+# the c12 command set and the files each command writes beside manifest.json
+C12_OUTPUTS = {
+    "derivs": {"jets.csv"},
+    "rates": {"rates.csv", "rates.svg"},
+    "flow": {"trajectory_l2.csv", "trajectory_sob.csv", "flow.svg"},
+    "landscape": {"landscape.csv", "landscape_l2.svg", "landscape_sob.svg", "margin_curve.svg"},
+    "train": {"report.json", "losses.csv"},
+    "sweep": {"sweep.csv", "sweep.svg"},
+    "validate": {"validate.json"},
+}
+
+
+@pytest.mark.parametrize("command", C12_OUTPUTS)
+def test_each_command_writes_exactly_its_files(tmp_path, command):
+    cloud = grid_csv(tmp_path, n=6)
+    argv = {
+        "derivs": ["derivs", "--input", cloud, "--k", 8, "--m", 2],
+        "rates": ["rates", "--function", "sincos", "--resolutions", "200,400,800"],
+        "flow": ["flow", "--theta0", 0.7, "--ratio0", 1.0, "--mode", "both", "--T", 5],
+        "landscape": ["landscape", "--theta-steps", 10, "--x-steps", 8],
+        "train": ["train", "--mode", "sobolev", *TRAIN_FAST],
+        "sweep": ["sweep", "--param", "noise", "--values", "0,0.02", "--repeats", 1,
+                  "--mode", "ordinary", *TRAIN_FAST],
+        "validate": ["validate"],
+    }[command]
+    out = tmp_path / "o"
+    assert run_cli("--seed", 1, "--out-dir", out, *argv) == 0
+    assert set(os.listdir(out)) == C12_OUTPUTS[command] | {"manifest.json"}
+    digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+    assert digests == ({str(cloud): file_digest(cloud)} if command == "derivs" else {})
+
+
+def test_failing_validate_leaves_only_its_verdicts(tmp_path):
+    out = tmp_path / "v"
+    assert run_cli("--seed", 2, "--out-dir", out, "validate") == 4
+    assert os.listdir(out) == ["validate.json"]
 
 
 SEED_RUNS = {
@@ -1195,7 +1259,7 @@ ERROR_CASES = [(cls.__name__, _raise_boom(cls), cls) for cls, _, _ in ERROR_TABL
 def test_error_class_gives_its_exit_code_and_prefix(tmp_path, capsys, monkeypatch, trigger, cls):
     raised = []
 
-    def fail(config, out_dir, seed):
+    def fail(config, seed):
         try:
             trigger()
         except errors.SoblabError as exc:
@@ -1213,7 +1277,7 @@ def test_memory_error_is_a_one_line_config_error(tmp_path, capsys, monkeypatch):
     # a stub, not a huge grid: an overcommitting host may really allocate one
     message = "Unable to allocate 7.45 GiB for an array with shape (100000000, 10) and data type float64"
 
-    def fail(config, out_dir, seed):
+    def fail(config, seed):
         raise MemoryError(message)
 
     monkeypatch.setitem(cli.RUNNERS, "landscape", fail)
