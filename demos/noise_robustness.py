@@ -25,15 +25,14 @@ seeds = range(3)
 print(f"{'sigma':>7s} {'ordinary':>10s} {'sobolev':>10s}")
 medians = {}
 for sigma in levels:
-    row = {}
-    for mode in ("ordinary", "sobolev"):
-        finals = []
-        for seed in seeds:
-            ds = synth_dataset("antiderivative1d", sizes=sizes, noise=sigma, seed=seed,
-                               derivative_source="mls")
-            cfg = TrainConfig(epochs=2500, learning_rate=3e-3, optimizer="adam", seed=seed)
-            finals.append(train(cfg, ds, mode).final_test_rel_l2)
-        row[mode] = float(np.median(finals))
+    finals = {"ordinary": [], "sobolev": []}
+    for seed in seeds:  # one dataset per (sigma, seed), trained by both modes
+        ds = synth_dataset("antiderivative1d", sizes=sizes, noise=sigma, seed=seed,
+                           derivative_source="mls")
+        cfg = TrainConfig(epochs=2500, learning_rate=3e-3, optimizer="adam", seed=seed)
+        for mode in finals:
+            finals[mode].append(train(cfg, ds, mode).final_test_rel_l2)
+    row = {mode: float(np.median(errors)) for mode, errors in finals.items()}
     medians[sigma] = row
     print(f"{sigma:7.3f} {row['ordinary']:10.4f} {row['sobolev']:10.4f}")
 

@@ -43,7 +43,7 @@ from ..geometry import load_cloud_csv
 from ..training import MODES, DatasetSizes, TrainConfig, synth_dataset, train
 from . import svg
 from .io import atomic_write_text, write_csv
-from .manifest import file_digest, load_manifest, write_manifest
+from .manifest import file_digest, write_manifest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +260,7 @@ def run_landscape(config, seed):
     print(f"margin curve: {int((~defined).sum())} of {grid.size} grid angles undefined")
 
 
-def _train_once(config, seed):
+def _train_config(config, seed):
     cfg = TrainConfig(
         epochs=config["epochs"],
         learning_rate=config["learning_rate"],
@@ -272,27 +272,20 @@ def _train_once(config, seed):
         seed=seed,
     )
     cfg.validate()  # before the dataset is synthesized
-    sizes = DatasetSizes(
-        train=config["train_size"],
-        val=config["val_size"],
-        test=config["test_size"],
-        sensors=config["sensors"],
-        queries=config["queries"],
-    )
-    dataset = synth_dataset(
-        config["task"],
-        sizes=sizes,
-        noise=config["noise"],
-        seed=seed,
-        derivative_source=config["derivative_source"],
-        mls_k=config["k"],
-        mls_m=config["m"],
-    )
-    return train(cfg, dataset, config["mode"])
+    return cfg
+
+
+def _dataset(config, seed):
+    sizes = DatasetSizes(train=config["train_size"], val=config["val_size"],
+                         test=config["test_size"], sensors=config["sensors"],
+                         queries=config["queries"])
+    return synth_dataset(config["task"], sizes=sizes, noise=config["noise"], seed=seed,
+                         derivative_source=config["derivative_source"],
+                         mls_k=config["k"], mls_m=config["m"])
 
 
 def run_train(config, seed):
-    report = _train_once(config, seed)
+    report = train(_train_config(config, seed), _dataset(config, seed), config["mode"])
     yield "report.json", json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
     yield "losses.csv", (
         ["epoch", "l2", "der", "val_rel_l2"],
@@ -319,20 +312,30 @@ def run_sweep(config, seed):
         modes = [mode for mode in modes if mode != "ordinary"]
         if not modes:
             raise ConfigError(f"--param {param} needs derivative targets; --mode ordinary has none")
+        if config["derivative_source"] != "mls":  # exact ones ignore the stencil, none has none
+            raise ConfigError(f"--param {param} needs MLS derivative targets, "
+                              f"not --derivative-source {config['derivative_source']}")
     key, kind = {"K": ("k", int), "m": ("m", int), "noise": ("noise", float)}[param]
     if kind is int and not all(value.is_integer() for value in values):  # NaN and inf are not
         raise ConfigError(f"--values for --param {param} must be integers, got {values!r}")
-    jobs = [(value, mode, {**config, "mode": mode, key: kind(value)})
-            for value in values for mode in modes]
-    for _, _, job in jobs:  # each job's refusal, before any job trains
-        _train_once({**job, "epochs": 0}, seed)
-    rows = [(value, mode, seed + rep, _train_once(job, seed + rep).final_test_rel_l2)
-            for value, mode, job in jobs for rep in range(repeats)]
-    columns = list(zip(*rows))
-    yield "sweep.csv", ([param, "mode", "seed", "final_rel_l2"], columns)
-    # the errors by value, mode and repeat
-    medians = np.median(np.reshape(columns[3], (len(values), len(modes), repeats)), axis=2)
-    series = [(mode, values, medians[:, i].tolist()) for i, mode in enumerate(modes)]
+    cfg = _train_config(config, seed)
+    configs = [{**config, key: kind(value)} for value in values]
+    firsts = []  # each value's dataset at seed, which every mode runs for 0 epochs
+    for value_config in configs:  # so that each refusal comes before any job trains
+        firsts.append(_dataset(value_config, seed))
+        for mode in modes:
+            train(dataclasses.replace(cfg, epochs=0), firsts[-1], mode)
+    errors = np.empty((len(values), len(modes), repeats))  # by value, mode and repeat
+    for i, rep in np.ndindex(len(values), repeats):  # one dataset per seed, for every mode
+        dataset = firsts[i] if rep == 0 else _dataset(configs[i], seed + rep)
+        seeded = dataclasses.replace(cfg, seed=seed + rep)
+        for j, mode in enumerate(modes):
+            errors[i, j, rep] = train(seeded, dataset, mode).final_test_rel_l2
+    rows = [(values[i], modes[j], seed + rep, errors[i, j, rep])
+            for i, j, rep in np.ndindex(errors.shape)]
+    yield "sweep.csv", ([param, "mode", "seed", "final_rel_l2"], list(zip(*rows)))
+    medians = np.median(errors, axis=2)
+    series = [(mode, values, medians[:, j].tolist()) for j, mode in enumerate(modes)]
     yield "sweep.svg", svg.line_plot(
         series,
         title=f"median relative-L2 error vs {param}",
@@ -508,7 +511,8 @@ def _replay_source(path):
     """The command, file values (config plus seed) and input digests a
     manifest recorded."""
     try:
-        record = load_manifest(path)
+        with open(path) as fh:
+            record = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not a manifest (not valid JSON: {exc})") from None
     keys = record.keys() if isinstance(record, dict) else set()

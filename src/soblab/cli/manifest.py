@@ -36,8 +36,3 @@ def write_manifest(out_dir, command, config, seed, version, input_files=(), dura
     }
     atomic_write_text(os.path.join(os.fspath(out_dir), MANIFEST_NAME),
                       json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def load_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

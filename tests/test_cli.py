@@ -671,8 +671,9 @@ def test_sweep_stencil_values_that_are_not_integers_exit_3_before_training(
     tmp_path, capsys, monkeypatch, param, values
 ):
     # a fractional K or m would be truncated while sweep.csv records the value
-    trained = []
-    monkeypatch.setattr(cli, "_train_once", lambda *args: trained.append(args))
+    trained = []  # each synthesis and each training run
+    monkeypatch.setattr(cli, "synth_dataset", lambda *args, **kwargs: trained.append(args))
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
     out = tmp_path / "s"
     code = run_cli(
         "--out-dir", out, "sweep", "--param", param, "--values", values, "--repeats", 1,
@@ -692,8 +693,9 @@ def test_sweep_stencil_values_that_are_not_integers_exit_3_before_training(
 )
 def test_sweep_repeated_value_exits_3_before_training(tmp_path, capsys, monkeypatch, param, values):
     # a repeated value would train the same jobs twice and write their rows twice
-    trained = []
-    monkeypatch.setattr(cli, "_train_once", lambda *args: trained.append(args))
+    trained = []  # each synthesis and each training run
+    monkeypatch.setattr(cli, "synth_dataset", lambda *args, **kwargs: trained.append(args))
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
     out = tmp_path / "s"
     code = run_cli(
         "--out-dir", out, "sweep", "--param", param, "--values", values, "--repeats", 1,
@@ -728,6 +730,74 @@ def test_sweep_value_its_job_refuses_exits_3_before_any_training(
     assert code == 3 and all(count == 0 for count in epochs)
     err = capsys.readouterr().err
     assert err == refusal and err.count("\n") == 1 and "K >= I required" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["K", "m"])
+@pytest.mark.parametrize("source", ["exact", "none"])
+def test_sweep_stencil_param_without_mls_targets_exits_3_before_synthesis(
+    tmp_path, capsys, monkeypatch, param, source
+):
+    # exact targets ignore K and m, and none has no targets: every row would
+    # read the same error, or the sobolev jobs would be refused later
+    synthesized = []
+    monkeypatch.setattr(cli, "synth_dataset", lambda *args, **kwargs: synthesized.append(args))
+    out = tmp_path / "s"
+    code = run_cli("--out-dir", out, "sweep", "--param", param, "--values", "4,20",
+                   "--derivative-source", source, "--mode", "sobolev", *TRAIN_FAST)
+    assert code == 3 and synthesized == []
+    err = capsys.readouterr().err
+    assert err.startswith("soblab: configuration error: ") and err.count("\n") == 1
+    assert f"--param {param}" in err and f"--derivative-source {source}" in err
+    assert not out.exists()
+
+
+def test_sweep_rows_equal_the_train_runs_of_their_settings(tmp_path):
+    # the modes share each (value, seed) dataset, and repeat 0 the dry run's
+    flags = ["--task", "smoothing2d", *TRAIN_FAST]
+    out = tmp_path / "s"
+    assert run_cli("--seed", 5, "--out-dir", out, "sweep", "--param", "noise",
+                   "--values", "0,0.03", "--repeats", 2, *flags) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 12
+    for noise, mode, seed, error in rows:
+        run = tmp_path / f"{noise}-{mode}-{seed}"
+        assert run_cli("--seed", seed, "--out-dir", run, "train", "--noise", noise,
+                       "--mode", mode, *flags) == 0
+        report = json.loads((run / "report.json").read_text())
+        assert error == report["final_test_rel_l2"], (noise, mode, seed)
+
+
+def test_sweep_synthesizes_each_value_and_seed_once(tmp_path, monkeypatch):
+    synthesized = []
+
+    def counting_synth(kind, **kwargs):
+        synthesized.append((kwargs["noise"], kwargs["seed"]))
+        return synth_dataset(kind, **kwargs)
+
+    monkeypatch.setattr(cli, "synth_dataset", counting_synth)
+    code = run_cli("--seed", 2, "--out-dir", tmp_path / "s", "sweep", "--param", "noise",
+                   "--values", "0,0.01,0.03", "--repeats", 2, *TRAIN_FAST)
+    assert code == 0
+    assert sorted(synthesized) == [(v, s) for v in (0.0, 0.01, 0.03) for s in (2, 3)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_dry_runs_every_value_before_any_training(tmp_path, capsys, monkeypatch):
+    # the second value's initial loss overflows: found before the first value trains
+    epochs = []
+
+    def counting_train(cfg, dataset, mode):
+        epochs.append(cfg.epochs)
+        return train(cfg, dataset, mode)
+
+    monkeypatch.setattr(cli, "train", counting_train)
+    out = tmp_path / "s"
+    code = run_cli("--out-dir", out, "sweep", "--param", "noise", "--values", "0,1e300",
+                   "--repeats", 1, *TRAIN_FAST)
+    assert code == 4 and epochs and all(count == 0 for count in epochs)
+    err = capsys.readouterr().err
+    assert err == "soblab: numerical failure: loss became non-finite at the initial parameters\n"
     assert not out.exists()
 
 
@@ -1008,6 +1078,16 @@ def test_manifest_with_a_config_file_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("soblab: configuration error: ") and str(path) in err
     assert "--config" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_missing_manifest_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("soblab: input error: ") and str(path) in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
