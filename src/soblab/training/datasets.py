@@ -21,11 +21,12 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..geometry import PointCloud
-from ..mls import MlsConfig, estimate_derivatives
+from ..mls import MlsConfig, basis_size, estimate_derivatives
 
 GENERATORS = ("antiderivative1d", "poisson1d", "smoothing2d", "discontinuous_inverse")
 _TERMS_1D, _TERMS_2D = 4, 6  # cosine terms of a random input on the line, on the square
 _KERNEL_WIDTH, _QUAD_SIDE = 0.12, 64  # smoothing2d's Gaussian width, quadrature grid side
+_TABLE_ROWS = (1 << 15) // _QUAD_SIDE**2  # query rows per 2**15-float64 block of its tables
 
 
 @dataclass(frozen=True)
@@ -178,13 +179,12 @@ def _build_smoothing2d(sizes, rng):
     quad_pts = np.column_stack([qx.ravel(), qy.ravel()])
     cell = (qaxis[1] - qaxis[0]) ** 2
 
-    diff = queries[:, None, :] - quad_pts[None, :, :]
-    sq = (diff**2).sum(axis=2)
-    gauss = np.exp(-sq / (2.0 * _KERNEL_WIDTH**2)) / (2.0 * np.pi * _KERNEL_WIDTH**2)
-    kernel = gauss * cell
-    kernel_dx = kernel * (-diff[:, :, 0] / _KERNEL_WIDTH**2)
-    kernel_dy = kernel * (-diff[:, :, 1] / _KERNEL_WIDTH**2)
-    del diff, sq, gauss
+    # (queries, quadrature) tables filled in row blocks: no whole-table temporaries
+    blocks = [slice(lo, lo + _TABLE_ROWS) for lo in range(0, sizes.queries, _TABLE_ROWS)]
+    kernel = np.empty((sizes.queries, quad_pts.shape[0]))
+    for b in blocks:
+        sq = ((queries[b, None, :] - quad_pts[None, :, :]) ** 2).sum(axis=2)
+        kernel[b] = np.exp(-sq / (2.0 * _KERNEL_WIDTH**2)) / (2.0 * np.pi * _KERNEL_WIDTH**2) * cell
 
     total = sizes.train + sizes.val + sizes.test
     inputs = np.empty((total, sensors.shape[0]))
@@ -193,22 +193,31 @@ def _build_smoothing2d(sizes, rng):
         coeffs = _draw_series_2d(rng)
         inputs[k] = _series_value_2d(coeffs, sensors)
         v_quad[k] = _series_value_2d(coeffs, quad_pts)
-    # one (samples, quadrature) @ (quadrature, queries) product per table
+    # whole products, one per table: column blocks of a product round differently
     targets = v_quad @ kernel.T
-    d_targets = np.stack([v_quad @ kernel_dx.T, v_quad @ kernel_dy.T], axis=-1)
+    d_targets = np.empty((total, sizes.queries, 2))
+    table = np.empty_like(kernel)  # d kernel / d query_d, one axis at a time
+    for d in range(2):
+        for b in blocks:
+            table[b] = kernel[b] * (-(queries[b, d:d + 1] - quad_pts[:, d]) / _KERNEL_WIDTH**2)
+        d_targets[..., d] = v_quad @ table.T
     return sensors, queries, inputs, targets, d_targets
 
 
 def mls_derivative_targets(query_points, targets, k, m):
     """Meshfree first-derivative estimates (N, J, n) from sampled target
     values (N, J) on the query points (J, n): the first-order part of the
-    MLS jets of every sample, with K capped at J."""
+    MLS jets of every sample, with K capped at J, which must be at least I."""
     if m < 1:
         raise ConfigError(f"|alpha|=1 exceeds fitted order m={m}")
     cloud = PointCloud(points=query_points, values=targets)
+    n = cloud.dim
+    needed = basis_size(n, m)
+    if cloud.size < needed <= k:  # the cap at J, not the caller's K, falls below I
+        raise ConfigError(f"{cloud.size} query points are too few for MLS derivative targets: "
+                          f"the order-{m} basis in {n}-D has I={needed} functions")
     jet = estimate_derivatives(cloud, MlsConfig(k=min(k, cloud.size), m=m))
     # first derivatives are the degree-1 coefficients (1! = 1), in axis order
-    n = cloud.dim
     axes = [jet.index_of(tuple(int(d == i) for i in range(n))) for d in range(n)]
     return jet.coefficients[..., axes]
 

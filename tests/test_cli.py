@@ -552,6 +552,20 @@ def test_train_order_zero_exits_3(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, queries, basis", [("smoothing2d", 3, 6), ("antiderivative1d", 2, 3)])
+def test_train_with_fewer_queries_than_the_basis_exits_3_naming_them(
+    tmp_path, capsys, task, queries, basis
+):
+    # K = 8 is no fewer than I; the query count caps it below I
+    out = tmp_path / "t"
+    code = run_cli("--out-dir", out, "train", *TRAIN_FAST, "--task", task, "--queries", queries)
+    err = capsys.readouterr().err
+    assert code == 3 and err.count("\n") == 1
+    assert f"{queries} query points are too few" in err and f"I={basis} functions" in err
+    assert "K >= I" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--batch-size", -5], ["--noise", -0.5], ["--noise", "nan"], ["--rank", 0], ["--hidden", "0"]],

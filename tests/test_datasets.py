@@ -1,5 +1,7 @@
 """Synthetic operator datasets: closed forms, noise statistics, MLS targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,19 +143,35 @@ def test_smoothing2d_dataset_dimensions():
 
 
 def test_smoothing2d_derivative_targets_match_finite_differences():
-    ds = synth_dataset(
-        "smoothing2d",
-        sizes=DatasetSizes(train=2, val=1, test=1, sensors=25, queries=6),
-        seed=13,
-        derivative_source="exact",
-    )
-    from soblab.training.datasets import _build_smoothing2d
-
-    # recompute targets at nudged query points to finite-difference the field
-    rng = np.random.default_rng(13)
     sizes = DatasetSizes(train=2, val=1, test=1, sensors=25, queries=6)
-    sensors, queries, inputs, targets, d_targets = _build_smoothing2d(sizes, rng)
-    np.testing.assert_allclose(d_targets[:2], ds.train_d_targets, atol=1e-12)
+    _, queries, _, targets, d_targets = _build_smoothing2d(sizes, np.random.default_rng(13))
+    ds = synth_dataset("smoothing2d", sizes=sizes, seed=13, derivative_source="exact")
+    assert np.array_equal(ds.train_d_targets, d_targets[:2])
+    # the same draws: the queries, then one cosine series per sample
+    rng = np.random.default_rng(13)
+    assert np.array_equal(rng.uniform(0.05, 0.95, size=(6, 2)), queries)
+    coeffs = [_draw_series_2d(rng) for _ in range(4)]
+    axis = np.linspace(0.0, 1.0, 64)
+    quad = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    v = np.stack([_series_value_2d(c, quad) for c in coeffs])  # (samples, quadrature)
+    s2 = 0.12**2
+
+    def weights(x):  # the smoothed field's quadrature weights at points x, (Q, P)
+        sq = ((x[:, None, :] - quad[None]) ** 2).sum(axis=2)
+        return np.exp(-sq / (2.0 * s2)) / (2.0 * np.pi * s2) * (axis[1] - axis[0]) ** 2
+
+    # the field rebuilt at the queries is the targets
+    np.testing.assert_allclose(v @ weights(queries).T, targets, rtol=0.0, atol=1e-12)
+    h = 1e-4
+    for d in range(2):
+        step = h * np.eye(2)[d]
+        central = (v @ weights(queries + step).T - v @ weights(queries - step).T) / (2.0 * h)
+        # O(h^2): a central difference is within h^2/6 sup|u'''| of u' on [x - h, x + h].
+        # The Gaussian's third derivative along d is (3t/s2^2 - t^3/s2^3) times itself;
+        # its bound at x, doubled for the interval, plus 1e-9 for rounding
+        t = queries[:, None, d] - quad[None, :, d]
+        third = np.abs(v) @ (weights(queries) * np.abs(3.0 * t / s2**2 - t**3 / s2**3)).T
+        assert np.all(np.abs(central - d_targets[..., d]) <= h**2 / 3.0 * third + 1e-9)
 
 
 def _per_sample_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
@@ -211,6 +229,68 @@ def test_smoothing2d_tables_match_per_sample_products(seed):
         assert np.all(np.abs(got - want) <= bound)
 
 
+def _whole_table_smoothing2d(sizes, rng, kernel_width=0.12, grid=64):
+    """_build_smoothing2d as it was before its tables were filled in row
+    blocks: a (queries, quadrature, 2) offset table and five whole
+    (queries, quadrature) tables."""
+    side = max(2, int(round(np.sqrt(sizes.sensors))))
+    axis = np.linspace(0.0, 1.0, side)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    sensors = np.column_stack([gx.ravel(), gy.ravel()])
+    queries = rng.uniform(0.05, 0.95, size=(sizes.queries, 2))
+
+    qaxis = np.linspace(0.0, 1.0, grid)
+    qx, qy = np.meshgrid(qaxis, qaxis, indexing="ij")
+    quad_pts = np.column_stack([qx.ravel(), qy.ravel()])
+    cell = (qaxis[1] - qaxis[0]) ** 2
+
+    diff = queries[:, None, :] - quad_pts[None, :, :]
+    sq = (diff**2).sum(axis=2)
+    gauss = np.exp(-sq / (2.0 * kernel_width**2)) / (2.0 * np.pi * kernel_width**2)
+    kernel = gauss * cell
+    kernel_dx = kernel * (-diff[:, :, 0] / kernel_width**2)
+    kernel_dy = kernel * (-diff[:, :, 1] / kernel_width**2)
+    del diff, sq, gauss
+
+    total = sizes.train + sizes.val + sizes.test
+    inputs = np.empty((total, sensors.shape[0]))
+    v_quad = np.empty((total, quad_pts.shape[0]))
+    for k in range(total):
+        coeffs = _draw_series_2d(rng)
+        inputs[k] = _series_value_2d(coeffs, sensors)
+        v_quad[k] = _series_value_2d(coeffs, quad_pts)
+    targets = v_quad @ kernel.T
+    d_targets = np.stack([v_quad @ kernel_dx.T, v_quad @ kernel_dy.T], axis=-1)
+    return sensors, queries, inputs, targets, d_targets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("queries", [1, 7, 8, 9, 96, 1000])
+def test_smoothing2d_row_blocks_match_whole_tables(queries, seed):
+    # query counts below, at and across the 8-row blocks of the 64 x 64 grid
+    sizes = DatasetSizes(train=6, val=2, test=3, sensors=20, queries=queries)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = _build_smoothing2d(sizes, rng_new)
+    old = _whole_table_smoothing2d(sizes, rng_old)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    for got, want in zip(new, old):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_smoothing2d_synthesis_peak_memory():
+    # at the train benchmark's sizes the whole tables peaked at 21.1 MiB: a
+    # 6 MiB offset table and five 3 MiB tables. The row blocks hold the
+    # samples' quadrature values, the kernel and one derivative table at a time
+    sizes = DatasetSizes(train=64, val=8, test=16, sensors=32, queries=96)
+    tracemalloc.start()
+    try:
+        _build_smoothing2d(sizes, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_generator_validation():
     with pytest.raises(ConfigError):
         synth_dataset("unknown_task")
@@ -239,3 +319,12 @@ def test_mls_derivative_targets_reproduce_linear_field():
     vals = (2.0 * pts[:, 0] + 1.0)[None, :]
     d = mls_derivative_targets(pts, vals, k=8, m=2)
     np.testing.assert_allclose(d[0, :, 0], 2.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k, message", [(20, "3 query points are too few"), (4, "K >= I required: K=3")])
+def test_mls_targets_on_fewer_points_than_the_basis_name_the_cause(k, message):
+    # 3 points in 2-D against the 6-function order-2 basis: K is capped at 3,
+    # and the refusal names the point count unless the caller's K is below I too
+    pts = np.random.default_rng(0).random((3, 2))
+    with pytest.raises(ConfigError, match=message):
+        mls_derivative_targets(pts, pts[:, :1].T, k=k, m=2)
