@@ -20,7 +20,6 @@ study = convergence_study(
     resolutions=[500, 1000, 2000, 4000, 8000],
     cfg=MlsConfig(k=20, m=2),
     seed=0,
-    orders=[0, 1, 2],
 )
 
 print(f"{'points':>8s} {'h':>12s} {'order':>6s} {'mse':>12s}")

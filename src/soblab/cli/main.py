@@ -60,16 +60,14 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 DEFAULTS: dict[str, dict] = {
-    "derivs": {"input": None, "k": 20, "m": 2, "out": "jets.csv"},
+    "derivs": {"input": None, "k": 20, "m": 2},
     "rates": {
         "function": "sincos",
         "resolutions": None,
         "k": 20,
         "m": 2,
-        "orders": None,
     },
     "flow": {
-        "dim": 2,
         "theta0": 0.8,
         "ratio0": 1.0,
         "mode": "both",
@@ -114,7 +112,7 @@ _CONFIG_KEYS = {"seed", "out_dir", "threads"}.union(*DEFAULTS.values())
 # every setting is the flag "--" + key with "_" -> "-", except these
 _FLAGS = {"t_final": "--T"}
 # the list settings, given as a comma-separated string or a JSON list, and their element type
-_LISTS = {"hidden": int, "resolutions": int, "orders": int, "values": float}
+_LISTS = {"hidden": int, "resolutions": int, "values": float}
 _NOUNS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 # the settings a command cannot run without, and the message when one is missing
 _REQUIRED = {
@@ -134,8 +132,6 @@ HELP = {
 
 
 def run_derivs(config, seed):
-    if not os.path.basename(config["out"]):  # before the cloud is read and fitted
-        raise ConfigError(f"--out must name a file, got {config['out']!r}")
     cloud = load_cloud_csv(config["input"])
     cfg = mls.MlsConfig(k=config["k"], m=config["m"])
     jet = mls.estimate_derivatives(cloud, cfg, config["threads"])
@@ -145,7 +141,7 @@ def run_derivs(config, seed):
         + ["c_" + "_".join(str(a) for a in alpha) for alpha in jet.multi_indices]
         + ["flagged"]
     )
-    yield config["out"], (header, [np.arange(jet.size), jet.points, jet.coefficients, jet.flagged])
+    yield "jets.csv", (header, [np.arange(jet.size), jet.points, jet.coefficients, jet.flagged])
 
 
 def run_rates(config, seed):
@@ -155,7 +151,7 @@ def run_rates(config, seed):
     fn = mls.BUILTIN_FUNCTIONS[name]()
     cfg = mls.MlsConfig(k=config["k"], m=config["m"])
     study = mls.convergence_study(fn, config["resolutions"], cfg, seed=seed,
-                                  orders=config["orders"] or None, threads=config["threads"])
+                                  threads=config["threads"])
     yield "rates.csv", (
         ["resolution", "h", "order", "mse", "slope_running", "exact", "seed"],
         [study.resolution, study.h, study.order, study.mse, study.slope_running,
@@ -176,9 +172,7 @@ def run_rates(config, seed):
     )
 
 
-def _flow_start(dim, theta0, ratio0):
-    if dim < 2:
-        raise ConfigError("flow needs --dim >= 2")
+def _flow_start(theta0, ratio0):
     for flag, value in (("--theta0", theta0), ("--ratio0", ratio0)):
         if not math.isfinite(value):
             raise ConfigError(f"flow needs a finite {flag}, got {value}")
@@ -186,16 +180,12 @@ def _flow_start(dim, theta0, ratio0):
     if not 0.0 < x * x + y * y < math.inf:  # Python floats: no overflow or underflow warning
         raise ConfigError(
             f"flow needs a --ratio0 whose square is positive and finite, got {ratio0}")
-    w_star = np.zeros(dim)
-    w_star[0] = 1.0
-    w0 = np.zeros(dim)
-    w0[:2] = x, y
-    return w0, w_star
+    return np.array([x, y]), np.array([1.0, 0.0])
 
 
 def run_flow(config, seed):
     modes = ["L2", "Sob"] if config["mode"] == "both" else [convlab.flow_mode(config["mode"])]
-    w0, w_star = _flow_start(config["dim"], config["theta0"], config["ratio0"])
+    w0, w_star = _flow_start(config["theta0"], config["ratio0"])
     grid = dict(dt=config["dt"], t_final=config["t_final"], record_every=config["record_every"],
                 allow_outside_basin=config["allow_outside"])
     # one single-start run per mode; nothing is yielded unless every mode
@@ -208,7 +198,7 @@ def run_flow(config, seed):
             guards.append(exc)
     if guards:
         raise min(guards, key=lambda exc: exc.step_index)
-    header = ["t"] + [f"w{d + 1}" for d in range(len(w0))] + ["dist2", "ddt_dist2"]
+    header = ["t", "w1", "w2", "dist2", "ddt_dist2"]
     series = []
     for mode, traj in zip(modes, trajs):
         yield (f"trajectory_{mode.lower()}.csv",

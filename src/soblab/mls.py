@@ -391,20 +391,18 @@ def convergence_study(
     resolutions,
     cfg: MlsConfig,
     seed: int = 0,
-    orders=None,
     threads: int = 1,
 ) -> ConvergenceStudy:
     """Estimate jets on independent uniform clouds in the unit cube, one
     per resolution, and tabulate errors vs h.
 
     resolutions must be at least three strictly increasing point counts.
-    For each resolution, each derivative order contributes
+    For each resolution, each derivative order 0..m contributes
     mse = mean_j sum_{|alpha|=order} |alpha! c - D^alpha u(x_j)|^2;
     slope_running is the log-log slope of mse against h over the rows
-    seen so far.  orders defaults to 0..m; an order outside [0, m] raises
-    ConfigError, and so do a repeated order and K < 2, which leaves h
-    without a neighbor other than the point itself.  The same seed reproduces
-    the table bit for bit, at any `threads` (see estimate_derivatives).
+    seen so far.  K < 2 raises ConfigError: it leaves h without a neighbor
+    other than the point itself.  The same seed reproduces the table bit
+    for bit, at any `threads` (see estimate_derivatives).
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
@@ -414,31 +412,25 @@ def convergence_study(
     if cfg.k < 2:
         raise ConfigError(f"K >= 2 required: the spacing h needs a neighbor besides the "
                           f"point itself, got K={cfg.k}")
-    if orders is None:
-        orders = list(range(cfg.m + 1))
-    for order in orders:
-        if not 0 <= order <= cfg.m:
-            raise ConfigError(f"order {order} outside [0, m={cfg.m}]")
-    if len(set(orders)) != len(orders):
-        raise ConfigError(f"orders must not repeat, got {list(orders)}")
 
+    orders = np.arange(cfg.m + 1)
     rng = np.random.default_rng(seed)
     all_indices = enumerate_multi_indices(fn.dim, cfg.m)
     hs = np.empty(len(resolutions))
-    mse = np.empty((len(resolutions), len(orders)))
+    mse = np.empty((len(resolutions), orders.size))
     for r, res in enumerate(resolutions):
         pts = rng.random((res, fn.dim))
         jet = estimate_derivatives(PointCloud(points=pts, values=fn.value(pts)), cfg, threads)
         hs[r] = jet.h
-        for o, order in enumerate(orders):
+        for order in orders:
             sq = np.zeros(res)
             for alpha in all_indices:
                 if sum(alpha) == order:
                     sq += (derivative_field(jet, alpha) - fn.derivative(alpha, pts)) ** 2
-            mse[r, o] = sq.mean()
-    slope = [[_loglog_slope(hs[: r + 1], mse[: r + 1, o]) for o in range(len(orders))]
+            mse[r, order] = sq.mean()
+    slope = [[_loglog_slope(hs[: r + 1], mse[: r + 1, order]) for order in orders]
              for r in range(len(resolutions))]
-    return ConvergenceStudy(np.repeat(resolutions, len(orders)), np.repeat(hs, len(orders)),
+    return ConvergenceStudy(np.repeat(resolutions, orders.size), np.repeat(hs, orders.size),
                             np.tile(orders, len(resolutions)), mse.ravel(), np.ravel(slope))
 
 

@@ -304,7 +304,7 @@ def test_jets_csv_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
     jet = estimate_derivatives(cloud, MlsConfig(k=20, m=2))
     monkeypatch.setattr(cli_main, "load_cloud_csv", lambda path: cloud)
     monkeypatch.setattr(mls, "estimate_derivatives", lambda *args: jet)
-    config = {"input": "cloud.csv", "k": 20, "m": 2, "out": "jets.csv", "threads": 1}
+    config = {"input": "cloud.csv", "k": 20, "m": 2, "threads": 1}
 
     def write_outputs():
         for name, table in cli_main.run_derivs(config, 0):

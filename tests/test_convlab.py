@@ -513,6 +513,19 @@ def test_flow_batch_matches_single():
         integrate_flow_batch(starts, [1.0, 0.0, 0.0], **kw)
 
 
+@pytest.mark.parametrize("mode", ["L2", "Sob"])
+def test_a_zero_padded_start_keeps_the_bits_of_its_planar_flow(mode):
+    # the flow command's default start, in the plane and zero-padded to n = 10
+    w0, w_star = np.array([math.cos(0.8), math.sin(0.8)]), np.array([1.0, 0.0])
+    kw = dict(dt=0.01, t_final=5.0, mode=mode, record_every=10)
+    planar = integrate_flow_batch(w0, w_star, **kw)
+    padded = integrate_flow_batch(np.pad(w0, (0, 8)), np.pad(w_star, (0, 8)), **kw)
+    for name in ("times", "dist2", "ddt_dist2"):
+        assert getattr(padded, name).tobytes() == getattr(planar, name).tobytes(), name
+    assert padded.weights[..., :2].tobytes() == planar.weights.tobytes()
+    assert padded.weights[..., 2:].tobytes() == np.zeros(padded.weights[..., 2:].shape).tobytes()
+
+
 def test_flow_records_in_column_blocks_equal_one_block(monkeypatch):
     rng = np.random.default_rng(4)
     w_star = np.array([1.0, 0.0, 0.0])

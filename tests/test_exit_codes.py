@@ -54,7 +54,6 @@ LISTS = [
     ("sweep", ["--param", "K", "--mode", "sobolev"], "values"),
     ("sweep", ["--param", "m", "--mode", "sobolev"], "values"),
     ("rates", [], "resolutions"),
-    ("rates", [], "orders"),
     ("train", [], "hidden"),
 ]
 LIST_VALUES = ["nan,1", "inf,1", "1.5,2", "-1,2"]
@@ -67,7 +66,8 @@ REFUSED = [
     ("rates", ["rates", "--resolutions", "30,60,120", "--m", "0"], "k", "1"),
 ]
 # keys no command has, misspelt or retired, which only a file can hold
-UNKNOWN = [("landscape", "theta_stepz"), ("derivs", "ridge"), ("derivs", "chunk")]
+UNKNOWN = [("landscape", "theta_stepz"), ("derivs", "ridge"), ("derivs", "chunk"),
+           ("derivs", "out"), ("flow", "dim"), ("rates", "orders")]
 GLOBALS = {"seed": int, "threads": int, "out_dir": str, "config": str, "from_manifest": str}
 FILE_GLOBALS = {"seed", "threads", "out_dir"}  # the globals a file may set
 TIME_LIMIT_S = 10.0
@@ -195,6 +195,18 @@ def test_every_setting_value_exits_with_a_documented_code(tmp_path, monkeypatch,
     # a value is typed the same from every source, so it exits the same
     assert all(len(set(by_source.values())) == 1 for by_source in codes.values()), codes
     assert expected is None or {c for by_source in codes.values() for c in by_source.values()} == {expected}
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+@pytest.mark.parametrize("command, key", UNKNOWN, ids=[f"{c}-{k}" for c, k in UNKNOWN])
+def test_an_unknown_key_in_a_file_exits_3_naming_the_key_and_the_file(
+        tmp_path, monkeypatch, capsys, command, key, source):
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(source, command, BASE[command], key, "4")) == 3
+    err = capsys.readouterr().err
+    name = "case.cfg" if source == "config" else "case.json"
+    assert err.startswith(f"soblab: configuration error: {name}") and f"setting {key!r}" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 # each command with a setting it cannot run without, and some other setting

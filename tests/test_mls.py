@@ -291,9 +291,7 @@ def test_spacing_statistic_halves_per_fourfold_points_in_2d(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_spacing_statistic_falls_with_resolution_in_1d(seed):
-    study = convergence_study(
-        sin_1d(), [100, 200, 400], MlsConfig(k=9, m=2), seed=seed, orders=[0]
-    )
+    study = convergence_study(sin_1d(), [100, 200, 400], MlsConfig(k=9, m=2), seed=seed)
     _, hs, _ = study.mse_series(0)
     assert np.all(np.diff(hs) < 0), hs
 
@@ -309,10 +307,7 @@ def test_study_polynomial_exact_at_all_resolutions():
 
 
 def test_study_sincos_error_decreases_with_resolution():
-    study = convergence_study(
-        sin_cos_2d(), [500, 2000, 8000], MlsConfig(k=20, m=2), seed=0,
-        orders=[1],
-    )
+    study = convergence_study(sin_cos_2d(), [500, 2000, 8000], MlsConfig(k=20, m=2), seed=0)
     _, hs, errs = study.mse_series(1)
     assert np.all(np.diff(errs) < 0)
     assert study.slopes[1] > 0
