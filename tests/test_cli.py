@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -183,6 +184,19 @@ def test_rates_seed_beyond_int64_is_written_in_full(tmp_path):
     assert [row[header.index("seed")] for row in rows] == [seed] * len(rows) and rows
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_rates_tabulates_every_order_of_the_fit_at_each_resolution(tmp_path, m):
+    out = tmp_path / "r"
+    assert run_cli("--out-dir", out, "rates", "--function", "sin1d",
+                   "--resolutions", "100,200,400", "--k", 9, "--m", m) == 0
+    header, rows = read_csv(out / "rates.csv")
+    res, order = header.index("resolution"), header.index("order")
+    assert [(row[res], row[order]) for row in rows] == [
+        (r, o) for r in (100, 200, 400) for o in range(m + 1)]
+    plot = (out / "rates.svg").read_text()
+    assert all(f"order {o}" in plot for o in range(m + 1))
+
+
 def test_rates_requires_resolutions(tmp_path):
     assert run_cli("--out-dir", tmp_path, "rates", "--function", "sincos") == 3
 
@@ -208,6 +222,18 @@ def test_rates_writes_the_same_bytes_at_any_thread_count(tmp_path):
 
 
 # -- flow -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("theta0, ratio0", [(0.8, 1.0), (2.0, 1.5), (-1.0, 0.25)])
+def test_flow_starts_at_the_planar_point_of_theta0_and_ratio0(tmp_path, theta0, ratio0):
+    out = tmp_path / "f"
+    assert run_cli("--out-dir", out, "flow", "--mode", "L2", "--theta0", theta0,
+                   "--ratio0", ratio0, "--T", 1, "--allow-outside") == 0
+    header, rows = read_csv(out / "trajectory_l2.csv")
+    w0 = [ratio0 * math.cos(theta0), ratio0 * math.sin(theta0)]
+    assert header == ["t", "w1", "w2", "dist2", "ddt_dist2"]
+    assert rows[0][:3] == [0, *w0]
+    assert rows[0][3] == pytest.approx((w0[0] - 1.0) ** 2 + w0[1] ** 2, rel=1e-15)
+
 
 def test_flow_both_modes_dominance(tmp_path):
     out = tmp_path / "f"
@@ -1365,6 +1391,21 @@ def test_a_refused_run_removes_only_the_out_dir_it_made(tmp_path, capsys, argv):
     out.mkdir(parents=True)  # an out-dir that existed before the run stays
     assert run_cli("--out-dir", out, *argv) == 3
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derivs", "--input", "cloud.csv", "--out", "jets.csv"], ["flow", "--dim", "10"],
+     ["rates", "--resolutions", "500,2000,8000", "--orders", "1"]],
+    ids=["derivs-out", "flow-dim", "rates-orders"],
+)
+def test_a_retired_flag_exits_3_in_one_line_before_the_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, *argv) == 3
+    flag, value = argv[-2:]
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: unrecognized arguments: {flag} {value}\n")
+    assert not out.exists()
 
 
 def test_derivs_input_directory_is_a_one_line_input_error(tmp_path, capsys):

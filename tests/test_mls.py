@@ -325,6 +325,40 @@ def test_study_deterministic():
     assert a.slopes == b.slopes
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_study_rows_are_every_order_of_the_fit_at_each_resolution(m):
+    resolutions = [100, 200, 400]
+    study = convergence_study(sin_1d(), resolutions, MlsConfig(k=9, m=m), seed=0)
+    assert study.resolution.tolist() == np.repeat(resolutions, m + 1).tolist()
+    assert study.order.tolist() == list(range(m + 1)) * len(resolutions)
+    assert list(study.slopes) == list(range(m + 1))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_study_rows_of_an_order_are_the_errors_of_that_order_alone(order):
+    # refit the study's clouds from the same draws: an order's mse sums only
+    # its own multi-indices, and slope_running fits log mse against log h
+    # over the rows seen so far
+    fn, cfg, resolutions = sin_cos_2d(), MlsConfig(k=20, m=2), [300, 600, 1200]
+    study = convergence_study(fn, resolutions, cfg, seed=1)
+    rng = np.random.default_rng(1)
+    alphas = [alpha for alpha in enumerate_multi_indices(2, 2) if sum(alpha) == order]
+    hs, errs = [], []
+    for res in resolutions:
+        pts = rng.random((res, 2))
+        jet = estimate_derivatives(PointCloud(points=pts, values=fn.value(pts)), cfg)
+        hs.append(jet.h)
+        errs.append(np.mean(sum((derivative_field(jet, alpha) - fn.derivative(alpha, pts)) ** 2
+                                for alpha in alphas)))
+    got_res, got_hs, got_errs = study.mse_series(order)
+    assert got_res.tolist() == resolutions and got_hs.tolist() == hs
+    np.testing.assert_allclose(got_errs, errs, rtol=1e-12, atol=0)
+    slopes = study.slope_running[study.order == order]
+    assert np.isnan(slopes[0])
+    fits = [np.polyfit(np.log(hs[: r + 1]), np.log(errs[: r + 1]), 1)[0] for r in (1, 2)]
+    np.testing.assert_allclose(slopes[1:], fits, rtol=1e-9, atol=0)
+
+
 def test_study_validates_resolutions():
     fn = sin_1d()
     with pytest.raises(ConfigError):
