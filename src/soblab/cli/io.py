@@ -9,14 +9,17 @@ appear on disk.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
+import threading
 
 import numpy as np
 
 from ..errors import ConfigError
 
 _CHUNK_ROWS = 4096  # lines per string that write_csv hands to the file
+_READ_CHARS = 2**18  # characters per read of a worker's file: at most 1 MiB of UTF-8
 
 
 def atomic_write_text(path, text) -> None:
@@ -39,7 +42,7 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
-def write_csv(path, header, columns) -> None:
+def write_csv(path, header, columns, workers=1) -> None:
     """Write a CSV table given as its columns, each a (J,) or (J, c) array
     (c cells a row) or a sequence of J cells.
 
@@ -50,19 +53,73 @@ def write_csv(path, header, columns) -> None:
     format(float(x), ".17g") for every float64.  Lines are formatted and
     go to disk in chunks of _CHUNK_ROWS, so no text of the whole table is
     ever held.
+
+    A table of two or more full chunks is split into up to `workers` parts
+    of whole chunks.  A forked worker formats each part after the first into
+    a temp file beside path, copied in once it exits 0; this process formats
+    the other parts (a bad cell raises as inline), or the whole table without
+    os.fork or beside another thread.  The bytes are the same at any count.
     """
-    atomic_write_text(path, _csv_chunks(header, [np.asarray(col) for col in columns]))
-
-
-def _csv_chunks(header, columns):
+    columns = [np.asarray(col) for col in columns]
     # the format of each column, once for each of its cells in a row
     specs = [spec for col in columns
              for spec in [_spec(col)] * (col.shape[1] if col.ndim == 2 else 1)]
-    fmt = ",".join(specs)
+    rows = len(columns[0])
+    count = min(workers, rows // _CHUNK_ROWS)
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        count = 1  # a fork beside another thread may copy a lock that thread holds
+    bounds = [_CHUNK_ROWS * (rows // _CHUNK_ROWS * p // count) for p in range(count)] + [rows]
+    parts = [[None, None, a, b] for a, b in zip(bounds, bounds[1:])]  # [pid, temp file, rows a:b]
+    try:
+        for part in parts[1:]:
+            _fork_worker(part, os.path.dirname(path) or ".", columns, specs)
+        atomic_write_text(path, _table_text(header, columns, specs, parts))
+    finally:
+        for pid, tmp, _, _ in parts:
+            if pid is not None:  # a worker still running after an error here
+                import signal  # here: not paid by every cold start
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+
+
+def _fork_worker(part, directory, columns, specs) -> None:
+    """Fork a worker writing part's rows to a new temp file in directory; note both in part."""
+    with contextlib.suppress(OSError):
+        fd, part[1] = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        with os.fdopen(fd, "w") as fh:  # written by the worker alone
+            part[0] = os.fork()
+            if part[0] == 0:  # the worker formats only and never returns: exit 1 on any error
+                with contextlib.suppress(BaseException):
+                    fh.writelines(_csv_chunks(columns, specs, *part[2:]))
+                    fh.close()
+                    os._exit(0)
+                os._exit(1)
+
+
+def _table_text(header, columns, specs, parts):
+    """The header, then each part's text: its worker's file if it exits 0, else formatted here."""
     yield ",".join(map(_quote, header)) + "\n"
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [cell for col in columns
-                 for cell in np.atleast_2d(col[start : start + _CHUNK_ROWS].T).tolist()]
+    for part in parts:
+        pid, tmp, start, stop = part
+        if pid is not None:
+            part[0], status = None, os.waitpid(pid, 0)[1]
+            if status == 0:
+                with open(tmp, newline="") as fh:
+                    yield from iter(lambda: fh.read(_READ_CHARS), "")
+                continue
+        yield from _csv_chunks(columns, specs, start, stop)
+
+
+def _csv_chunks(columns, specs, start, stop):
+    """The text of rows start:stop, up to _CHUNK_ROWS lines a string, in the
+    format specs gives each cell of a row."""
+    fmt = ",".join(specs)
+    for first in range(start, stop, _CHUNK_ROWS):
+        rows = slice(first, min(first + _CHUNK_ROWS, stop))
+        cells = [cell for col in columns for cell in np.atleast_2d(col[rows].T).tolist()]
         cells = [list(map(_quote, c)) if spec == "%s" else c for spec, c in zip(specs, cells)]
         yield "\n".join(fmt % row for row in zip(*cells)) + "\n"
 

@@ -3,7 +3,9 @@
 Global flags come before the subcommand: --seed (>= 0), --out-dir, --threads
 (>= 1, by default the CPUs this process may use; derivs and rates run the
 row blocks of their KNN and MLS fits on that many threads, each thread
-holding one block, with the same outputs at any count), --config FILE
+holding one block, and a CSV of two or more write chunks is formatted on
+up to that many processes, no more than the usable CPUs; the outputs are
+the same at any count), --config FILE
 (key = value lines; explicit flags win; unknown keys are an error), and
 --from-manifest FILE to replay a previous run byte for byte (no
 subcommand or --config: the manifest names the command; its config, whose
@@ -486,7 +488,7 @@ def execute(command: str, config: dict, digests=None) -> None:
             if isinstance(content, str):
                 atomic_write_text(path, content)
             else:
-                write_csv(path, *content)
+                write_csv(path, *content, workers=min(threads, _usable_cpus()))
         write_manifest(out_dir, command, config, seed, __version__,
                        input_files=[config["input"]] if "input" in config else [],
                        duration_s=time.monotonic() - started)

@@ -1,6 +1,9 @@
 """Helpers shared by the test modules."""
 
+import os
+
 import numpy as np
+import pytest
 
 from soblab.cli.io import write_csv
 
@@ -19,3 +22,24 @@ def strand_points(count, seed):
     xs = 1.03 + 0.002 * np.arange(count // 4)
     uniform = np.random.default_rng(seed).random((count - len(xs), 2))
     return np.vstack([uniform, np.column_stack([xs, np.full_like(xs, 0.5)])])
+
+
+def record_forks(monkeypatch):
+    """The pid of each process forked while the test runs, in fork order:
+    os.fork still forks, and the list is filled in the parent."""
+    made, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return made
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import strand_points
+from helpers import record_forks, strand_points
 
 from soblab import geometry, mls
 from soblab.cli import main as cli_main
@@ -296,10 +296,12 @@ def test_jets_of_50k_points_hold_no_whole_cloud_distance_table():
     assert peak <= 15 * 2**20, peak
 
 
-def test_jets_csv_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_jets_csv_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, workers):
     # run_derivs on a 50k-point JetField it is handed, its table written
-    # as execute writes it: the CSV rows are built a chunk at a time.
-    # Whole-cloud Python float columns put the peak near 15 MiB.
+    # as execute writes it: the CSV rows are built a chunk at a time, and a
+    # worker's part is copied in a bounded read at a time.  Whole-cloud
+    # Python float columns put the peak near 15 MiB.
     cloud = _cloud_50k()
     jet = estimate_derivatives(cloud, MlsConfig(k=20, m=2))
     monkeypatch.setattr(cli_main, "load_cloud_csv", lambda path: cloud)
@@ -308,10 +310,12 @@ def test_jets_csv_is_written_a_chunk_at_a_time(tmp_path, monkeypatch):
 
     def write_outputs():
         for name, table in cli_main.run_derivs(config, 0):
-            cli_main.write_csv(tmp_path / name, *table)
+            cli_main.write_csv(tmp_path / name, *table, workers=workers)
 
+    forks = record_forks(monkeypatch)
     peak = _peak_bytes(write_outputs)
     assert peak <= 5 * 2**20, peak
+    assert len(forks) == workers - 1
     assert (tmp_path / "jets.csv").read_text().count("\n") == cloud.size + 1
 
 

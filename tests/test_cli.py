@@ -1,15 +1,17 @@
 """Command-line contract: outputs, exit codes, manifests, reproducibility."""
 
 import csv
+import errno
 import io
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import save_cloud_csv
+from helpers import assert_no_child_left, record_forks, save_cloud_csv
 
 from soblab import errors, geometry, mls
 from soblab.cli import io as cli_io
@@ -891,19 +893,74 @@ def test_derivs_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch)
     pts = np.random.default_rng(8).random((1200, 3))
     save_cloud_csv(PointCloud(points=pts, values=np.sin(3 * pts[:, 0]) * pts[:, 1] * pts[:, 2]),
                    tmp_path / "cloud3d.csv")
+    # jets.csv in 64-row chunks, split among --threads processes on any host:
+    # one worker at --threads 2 and two at --threads 3
+    monkeypatch.setattr(cli_io, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    forks = record_forks(monkeypatch)
     # 2-D: 7 blocks of 64 rows; 3-D at k=40, m=3: 4 fit blocks of 307 rows
     for cloud, block_rows, flags in (("cloud2d", 64, []), ("cloud3d", 2048, ["--k", 40, "--m", 3])):
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
         out = tmp_path / cloud
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             assert run_cli("--threads", threads, "--out-dir", out / f"t{threads}", "derivs",
                            "--input", tmp_path / f"{cloud}.csv", *flags) == 0
-        assert read_all_bytes(out / "t1") == read_all_bytes(out / "t2")
+        assert read_all_bytes(out / "t1") == read_all_bytes(out / "t2") == read_all_bytes(out / "t3")
         # a --threads 2 manifest replays to the same bytes at --threads 1
         assert run_cli("--threads", 1, "--out-dir", out / "r", "--from-manifest",
                        out / "t2" / "manifest.json") == 0
         assert read_all_bytes(out / "r") == read_all_bytes(out / "t2")
         assert json.loads((out / "r" / "manifest.json").read_text())["config"]["threads"] == 1
+    assert len(forks) == 2 * (1 + 2)
+    assert_no_child_left()
+
+
+def _counted_failing_fork(monkeypatch):
+    """Replace os.fork by a counter that starts no process: each call fails
+    as a fork at the process limit does.  Returns the list of calls."""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "no process started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [None, 64])
+def test_derivs_at_a_huge_thread_count_forks_at_most_a_worker_per_cpu(tmp_path, monkeypatch, cpus):
+    # 400 jets rows in 32-row chunks: 12 full chunks.  A part whose worker
+    # cannot fork is formatted here, with the bytes of --threads 1.
+    path = grid_csv(tmp_path, n=20)
+    monkeypatch.setattr(cli_io, "_CHUNK_ROWS", 32)
+    assert run_cli("--threads", 1, "--out-dir", tmp_path / "t1", "derivs", "--input", path) == 0
+    if cpus is not None:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    calls = _counted_failing_fork(monkeypatch)
+    assert run_cli("--threads", 1000000, "--out-dir", tmp_path / "big", "derivs", "--input", path) == 0
+    assert len(calls) == min(12, cli._usable_cpus()) - 1
+    assert read_all_bytes(tmp_path / "big") == read_all_bytes(tmp_path / "t1")
+    assert sorted(p.name for p in (tmp_path / "big").iterdir()) == ["jets.csv", "manifest.json"]
+
+
+def test_csv_under_two_chunks_or_beside_a_thread_forks_none(tmp_path, monkeypatch):
+    calls = _counted_failing_fork(monkeypatch)
+    write_csv(tmp_path / "t.csv", ["j"], [np.arange(2 * cli_io._CHUNK_ROWS - 1)], workers=10**6)
+    assert calls == []
+    # a live thread might hold a lock that a forked worker would copy held
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        write_csv(tmp_path / "u.csv", ["j"], [np.arange(4 * cli_io._CHUNK_ROWS)], workers=4)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert calls == []
+    rows = range(4 * cli_io._CHUNK_ROWS)
+    assert (tmp_path / "u.csv").read_text() == "j\n" + "".join(f"{j}\n" for j in rows)
 
 
 def test_derivs_with_more_threads_than_blocks_exits_0(tmp_path):
@@ -1498,45 +1555,92 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "tuples.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_streamed_csv_bytes_match_csv_writer_at_the_chunk_boundaries(tmp_path):
-    chunk = cli_io._CHUNK_ROWS
-    header = ["j", "a,b", "x"]
-    for count in (0, chunk - 1, chunk, chunk + 1):
-        columns = [np.arange(count), ['q"' if j % 3 else "a,b" for j in range(count)],
-                   np.arange(count) / 7]
-        write_csv(tmp_path / "new.csv", header, columns)
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_streamed_csv_bytes_match_csv_writer_at_the_chunk_boundaries(tmp_path, monkeypatch,
+                                                                      workers):
+    # 8-row chunks, in up to `workers` parts of whole chunks: each cell format
+    # (%d, %d of Python ints beyond int64, quoted %s, %.17g) crosses a part boundary
+    chunk = 8
+    monkeypatch.setattr(cli_io, "_CHUNK_ROWS", chunk)
+    forks = record_forks(monkeypatch)
+    header = ["j", "seed", "a,b", "x"]
+    counts = (0, chunk - 1, chunk, chunk + 1, 2 * chunk, 4 * chunk + 3)
+    for count in counts:
+        columns = [np.arange(count), [2**64 + j for j in range(count)],
+                   ['q"' if j % 3 else "a,b" for j in range(count)], np.arange(count) / 7]
+        write_csv(tmp_path / "new.csv", header, columns, workers=workers)
         _csv_writer_reference(tmp_path / "old.csv", header, _column_rows(columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), count
-    assert (tmp_path / "new.csv").read_text().count("\n") == chunk + 2
+    assert (tmp_path / "new.csv").read_text().count("\n") == 4 * chunk + 4
+    # a column's format is chosen by all its cells, not by those of one part
+    write_csv(tmp_path / "new.csv", ["m"], [[2**64] * 4 * chunk + [0.5]], workers=workers)
+    assert (tmp_path / "new.csv").read_text() == "m\n" + "1.8446744073709552e+19\n" * 4 * chunk + "0.5\n"
+    # a worker for each part after the first, and none under two full chunks
+    counts += (4 * chunk + 1,)
+    assert len(forks) == sum(max(min(workers, count // chunk), 1) - 1 for count in counts)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
+    assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("extra", [-1, 0, 5])
-def test_array_columns_equal_whole_column_rows(tmp_path, extra):
-    # the bytes of the rows of whole-column lists, around a chunk boundary
-    count = 2 * cli_io._CHUNK_ROWS + extra
+def test_array_columns_equal_whole_column_rows(tmp_path, monkeypatch, extra, workers):
+    # the bytes of the rows of whole-column lists, around a chunk boundary,
+    # in up to `workers` parts of 16-row chunks
+    monkeypatch.setattr(cli_io, "_CHUNK_ROWS", 16)
+    count = 4 * cli_io._CHUNK_ROWS + extra
     rng = np.random.default_rng(3)
     points, flags = rng.random((count, 3)), rng.random(count) < 0.5
     want = list(zip(range(count), *points.T.tolist(), flags.tolist()))
     header = ["j", "x1", "x2", "x3", "flagged"]
-    write_csv(tmp_path / "new.csv", header, [np.arange(count), points, flags])
+    write_csv(tmp_path / "new.csv", header, [np.arange(count), points, flags], workers=workers)
     _csv_writer_reference(tmp_path / "old.csv", header, want)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_csv_whose_rows_fail_midway_leaves_no_file(tmp_path):
-    # chunks are on disk before the row whose cell is no number
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_csv_whose_rows_fail_midway_leaves_no_file(tmp_path, monkeypatch, workers):
+    # chunks are on disk before the row whose cell is no number.  With
+    # workers that row is in a worker's part: the worker fails, and this
+    # process formats the part and raises as it does inline.
+    forks = record_forks(monkeypatch)
     cells = np.arange(3 * cli_io._CHUNK_ROWS) / 7
     cells = cells.astype(object)
     cells[2 * cli_io._CHUNK_ROWS + 5] = None
     columns = [np.arange(cells.size), cells]
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "new.csv", ["j", "x"], columns)
+        write_csv(tmp_path / "new.csv", ["j", "x"], columns, workers=workers)
     assert list(tmp_path.iterdir()) == []
     (tmp_path / "kept.csv").write_text("kept\n")
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "kept.csv", ["j", "x"], columns)
+        write_csv(tmp_path / "kept.csv", ["j", "x"], columns, workers=workers)
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
     assert (tmp_path / "kept.csv").read_text() == "kept\n"
+    assert len(forks) == 2 * (workers - 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["bad-cell", "interrupt"])
+def test_csv_whose_own_part_fails_reaps_its_workers(tmp_path, monkeypatch, failure):
+    # the first part, formatted here, raises while the workers may still
+    # run: each is killed or has exited, is reaped, and its file removed
+    forks = record_forks(monkeypatch)
+    cells = (np.arange(3 * cli_io._CHUNK_ROWS) / 7).astype(object)
+    error = TypeError
+    if failure == "bad-cell":
+        cells[5] = None
+    else:
+        error = KeyboardInterrupt
+
+        def interrupted(path, text):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_io, "atomic_write_text", interrupted)
+    with pytest.raises(error):
+        write_csv(tmp_path / "new.csv", ["j", "x"], [np.arange(cells.size), cells], workers=3)
+    assert len(forks) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_left()
 
 
 def _old_id(text, match, old_class):
