@@ -1,10 +1,13 @@
 """soblab command line: derivs, rates, flow, landscape, train, sweep, validate.
 
 Global flags come before the subcommand: --seed (>= 0), --out-dir, --threads
-(>= 1, by default the CPUs this process may use; derivs and rates run the
-row blocks of their KNN and MLS fits on that many threads, each thread
-holding one block, and a CSV of two or more write chunks is formatted on
-up to that many processes, no more than the usable CPUs; the outputs are
+(>= 1, by default the CPUs this process may use; one bound on a run's
+workers, threads and processes alike, and never above the usable CPUs:
+derivs and rates run the row blocks of their KNN and MLS fits on that many
+threads, each thread holding one block; validate runs its Monte-Carlo
+checks beside the rest, flow its L2 and Sob runs and sweep its (value,
+seed) groups on that many processes, this one included; and a CSV of two
+or more write chunks is formatted on that many processes; the outputs are
 the same at any count), --config FILE
 (key = value lines; explicit flags win; unknown keys are an error), and
 --from-manifest FILE to replay a previous run byte for byte (no
@@ -38,7 +41,7 @@ import time
 
 import numpy as np
 
-from .. import __version__, convlab, mls
+from .. import __version__, convlab, mls, parallel
 from ..errors import (EXIT_CONFIG, EXIT_PARSE, ConfigError, InputError, SoblabError,
                       StepTooLargeError)
 from ..geometry import load_cloud_csv
@@ -190,14 +193,19 @@ def run_flow(config, seed):
     w0, w_star = _flow_start(config["theta0"], config["ratio0"])
     grid = dict(dt=config["dt"], t_final=config["t_final"], record_every=config["record_every"],
                 allow_outside_basin=config["allow_outside"])
-    # one single-start run per mode; nothing is yielded unless every mode
-    # passes the step guard, and a failure names the earliest tripping step
-    trajs, guards = [], []
-    for mode in modes:
+
+    def integrate(mode):  # one single-start run, or the step guard's error
         try:
-            trajs.append(convlab.integrate_flow_batch(w0, w_star, mode=mode, **grid))
+            return convlab.integrate_flow_batch(w0, w_star, mode=mode, **grid)
         except StepTooLargeError as exc:
-            guards.append(exc)
+            return exc
+
+    # the modes run side by side; nothing is yielded unless every mode
+    # passes the step guard, and a failure names the earliest tripping step
+    shares = parallel.split(modes, parallel.worker_count(config["threads"]))
+    with parallel.fork_map(integrate, shares) as runs:
+        trajs = list(runs)
+    guards = [run for run in trajs if isinstance(run, StepTooLargeError)]
     if guards:
         raise min(guards, key=lambda exc: exc.step_index)
     header = ["t", "w1", "w2", "dist2", "ddt_dist2"]
@@ -317,12 +325,19 @@ def run_sweep(config, seed):
         firsts.append(_dataset(value_config, seed))
         for mode in modes:
             train(dataclasses.replace(cfg, epochs=0), firsts[-1], mode)
-    errors = np.empty((len(values), len(modes), repeats))  # by value, mode and repeat
-    for i, rep in np.ndindex(len(values), repeats):  # one dataset per seed, for every mode
+
+    def group(job):  # one dataset per (value, seed), trained in every mode
+        i, rep = job
         dataset = firsts[i] if rep == 0 else _dataset(configs[i], seed + rep)
         seeded = dataclasses.replace(cfg, seed=seed + rep)
-        for j, mode in enumerate(modes):
-            errors[i, j, rep] = train(seeded, dataset, mode).final_test_rel_l2
+        return [train(seeded, dataset, mode).final_test_rel_l2 for mode in modes]
+
+    groups = list(np.ndindex(len(values), repeats))
+    shares = parallel.split(groups, parallel.worker_count(config["threads"]))
+    errors = np.empty((len(values), len(modes), repeats))  # by value, mode and repeat
+    with parallel.fork_map(group, shares) as results:
+        for (i, rep), group_errors in zip(groups, results):
+            errors[i, :, rep] = group_errors
     rows = [(values[i], modes[j], seed + rep, errors[i, j, rep])
             for i, j, rep in np.ndindex(errors.shape)]
     yield "sweep.csv", ([param, "mode", "seed", "final_rel_l2"], list(zip(*rows)))
@@ -337,7 +352,7 @@ def run_sweep(config, seed):
 
 
 def run_validate(config, seed):
-    verdicts = convlab.validation_suite(seed=seed, full=config["full"])
+    verdicts = convlab.validation_suite(seed=seed, full=config["full"], threads=config["threads"])
     yield "validate.json", json.dumps(verdicts, indent=2, sort_keys=True) + "\n"
     width = max(len(v["name"]) for v in verdicts)
     for v in verdicts:
@@ -440,7 +455,7 @@ def _typed(key, value, default, source):
 def resolve_config(command: str, cli_args: dict, file_values: dict, source=None) -> dict:
     """The command's settings and the globals seed, out_dir and threads, each
     typed once: defaults < file values (read from source) < explicit flags."""
-    config = {**DEFAULTS[command], "seed": 0, "out_dir": ".", "threads": _usable_cpus()}
+    config = {**DEFAULTS[command], "seed": 0, "out_dir": ".", "threads": parallel.usable_cpus()}
     for key, default in config.items():
         if cli_args.get(key) is not None:
             config[key] = _typed(key, cli_args[key], default, None)
@@ -488,7 +503,7 @@ def execute(command: str, config: dict, digests=None) -> None:
             if isinstance(content, str):
                 atomic_write_text(path, content)
             else:
-                write_csv(path, *content, workers=min(threads, _usable_cpus()))
+                write_csv(path, *content, workers=parallel.worker_count(threads))
         write_manifest(out_dir, command, config, seed, __version__,
                        input_files=[config["input"]] if "input" in config else [],
                        duration_s=time.monotonic() - started)
@@ -520,13 +535,6 @@ def _replay_source(path):
     if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
         raise ConfigError(f"{path}: input_digests must map each input file to its sha256")
     return command, {**record["config"], "seed": record["seed"]}, digests
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the default of --threads."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def main(argv=None) -> int:

@@ -37,6 +37,7 @@ try:  # the clip ufunc itself, without the Python dispatch of np.clip
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
+from . import parallel
 from .errors import ConfigError, NumericalError, StepTooLargeError
 
 TWO_PI = 2.0 * math.pi
@@ -729,48 +730,75 @@ def sample_basin(w_star, count, rng, theta_range=None):
     return out
 
 
-def validation_suite(seed=0, full=False):
+def validation_suite(seed=0, full=False, threads=1):
     """Run every closed-form-vs-sampling check; returns verdict records.
 
     Each record is {"name", "statistic", "bound", "pass"}.  full=True
     uses the publication-size sample counts (slower).
+
+    One generator seeded by seed draws every input, in this order: each
+    gated-correlation pair's direction, weight and sampling seed, each
+    quadrant check's sampling seed, then the cubic trials, the
+    population-gradient weights and draws, and the basin starts.  The
+    checks run as parallel.fork_map jobs in that order: first every check
+    that is no such pair or quadrant check, one job because the last three
+    share the generator (the basin flow keeps its L2 and Sob rows in one
+    bundle), then each pair and each quadrant check with its own seed.  On
+    worker_count(threads) > 1 workers the first job runs here and the others
+    on the rest, so the verdicts are the same at any thread count.
     """
     rng = np.random.default_rng(seed)
-    verdicts = []
-
-    def add(name, statistic, bound, lower=False):
-        """Record a check that passes when statistic <= bound (>= when lower)."""
-        statistic, bound = float(statistic), float(bound)
-        ok = statistic >= bound if lower else statistic <= bound
-        verdicts.append({"name": name, "statistic": statistic, "bound": bound, "pass": ok})
-
-    # gated correlation closed form vs Monte Carlo
+    # gated correlation closed form vs Monte Carlo, and the quadrant probability
     pair_count = 20 if full else 6
     draws = 1_000_000 if full else 200_000
     dims = (2, 5, 10)
-    worst = 0.0
+    pairs = []
     for i in range(pair_count):
         n = dims[i % len(dims)]
         e = rng.standard_normal(n)
         e /= np.linalg.norm(e)
-        w = rng.standard_normal(n)
-        mean, se = mc_gated_correlation(e, w, draws, seed=int(rng.integers(2**63)))
-        closed = gated_correlation(e, w)
-        ratio = np.abs(mean - closed) / np.maximum(se, 1e-300)
-        worst = max(worst, float(ratio.max()))
-    add("gated_correlation_mc_3se", worst, 3.0)
-
-    # quadrant probability
+        pairs.append((e, rng.standard_normal(n), int(rng.integers(2**63))))
     qd = 1_000_000 if full else 400_000
-    worst = 0.0
-    for rho in (-0.9, 0.0, 0.5, 0.9):
-        worst = max(
-            worst,
-            abs(mc_quadrant_prob(rho, qd, seed=int(rng.integers(2**63))) - quadrant_prob(rho)),
-        )
-    add("quadrant_prob_mc_absdiff", worst, 5e-3)
+    rhos = (-0.9, 0.0, 0.5, 0.9)
+    quadrant_seeds = [int(rng.integers(2**63)) for _ in rhos]
 
-    # scalar inequality scans
+    def pair_ratio(e, w, pair_seed):
+        mean, se = mc_gated_correlation(e, w, draws, seed=pair_seed)
+        return float((np.abs(mean - gated_correlation(e, w)) / np.maximum(se, 1e-300)).max())
+
+    def quadrant_error(rho, quadrant_seed):
+        return abs(mc_quadrant_prob(rho, qd, seed=quadrant_seed) - quadrant_prob(rho))
+
+    jobs = [functools.partial(_scans_and_flows, rng, full)]
+    jobs += [functools.partial(pair_ratio, *pair) for pair in pairs]
+    jobs += [functools.partial(quadrant_error, rho, s) for rho, s in zip(rhos, quadrant_seeds)]
+    workers = parallel.worker_count(threads)
+    shares = [jobs] if workers == 1 else [jobs[:1]] + parallel.split(jobs[1:], workers - 1)
+    with parallel.fork_map(lambda job: job(), shares) as results:
+        rest_verdicts, *errors = results
+    return [
+        _verdict("gated_correlation_mc_3se", max([0.0, *errors[:pair_count]]), 3.0),
+        _verdict("quadrant_prob_mc_absdiff", max([0.0, *errors[pair_count:]]), 5e-3),
+        *rest_verdicts,
+    ]
+
+
+def _verdict(name, statistic, bound, lower=False):
+    """A check that passes when statistic <= bound (>= when lower)."""
+    statistic, bound = float(statistic), float(bound)
+    ok = statistic >= bound if lower else statistic <= bound
+    return {"name": name, "statistic": statistic, "bound": bound, "pass": ok}
+
+
+def _scans_and_flows(rng, full):
+    """The verdicts of validation_suite's checks that draw from rng or from
+    nothing: the scalar inequality scans, the cubic trials, the population
+    gradients and the basin flow."""
+    verdicts = []
+
+    def add(name, statistic, bound, lower=False):
+        verdicts.append(_verdict(name, statistic, bound, lower))
+
     grid = np.linspace(0.0, math.pi, 10_000)
     add("value_angular_term_max", np.max(value_flow_angular_term(grid)), 1e-12)
     add("mixed_coefficient_min", np.min(_coeffs_of_angle(grid)[0]), -1e-12, lower=True)
@@ -821,5 +849,4 @@ def validation_suite(seed=0, full=False):
     add("flow_l2_monotone_max_increase", np.max(np.diff(d_l2, axis=-1)), 1e-12)
     add("flow_l2_final_distance", np.max(np.sqrt(d_l2[:, -1])), 1e-3)
     add("flow_sob_dominance_max_excess", np.max(d_sob - d_l2), 1e-12)
-
     return verdicts

@@ -43,3 +43,6 @@ class StepTooLargeError(NumericalError):
     def __init__(self, message, step_index):
         super().__init__(message)
         self.step_index = step_index
+
+    def __reduce__(self):  # pickled with its step, as a forked flow returns it
+        return type(self), (str(self), self.step_index)

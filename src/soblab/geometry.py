@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, InputError
 
 if TYPE_CHECKING:
@@ -100,11 +101,12 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
 
 def run_blocks(count: int, size: int, threads: int, fn) -> None:
     """Call fn(rows) for each slice of `size` rows (the last may be
-    shorter) covering range(count), on up to `threads` threads; each call
-    writes only its own rows.  One thread or one block runs inline and
-    starts no pool.  The first exception, in block order, propagates."""
+    shorter) covering range(count), on up to parallel.worker_count(threads)
+    threads, so no more than the usable CPUs; each call writes only its own
+    rows.  One thread or one block runs inline and starts no pool.  The
+    first exception, in block order, propagates."""
     blocks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
-    workers = min(threads, len(blocks))
+    workers = min(parallel.worker_count(threads), len(blocks))
     if workers <= 1:
         for rows in blocks:
             fn(rows)

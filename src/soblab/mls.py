@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks, stencil_distances
 
 # The largest condition number of a regularized normal matrix: the ridge
@@ -286,7 +286,8 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     geometry.BLOCK_ROWS, so its (R, K, I) bases and (N, R, K) samples keep
     one size.  Every (sample, stencil) pair is its own product, so the jets
     do not depend on the block size, the thread count or the other samples,
-    and the flags, which come from the stencils alone, do not either."""
+    and the flags, which come from the stencils alone, do not either.
+    Sample values so large that a jet overflows raise NumericalError."""
     stencils = _stencils(build_index(cloud), cfg, threads)
     nbr, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
@@ -297,10 +298,15 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     def fit(rows):
         wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
-        coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
 
     size = FIT_ELEMENTS // (cfg.k * max(len(indices), len(values)))
     run_blocks(cloud.size, max(1, min(size, geometry.BLOCK_ROWS)), threads, fit)
+    if not np.isfinite(coefficients).all():
+        bad = np.flatnonzero(~np.isfinite(coefficients).all(axis=(0, 2)))
+        raise NumericalError(f"{bad.size} of {cloud.size} jets are not finite, the first at "
+                             f"point {bad[0]}: the sample values overflow the fit")
     return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), flagged,
                     indices, cfg.m, h, support_radius)
 

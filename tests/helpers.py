@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import errno
 import os
 
 import numpy as np
@@ -37,6 +38,19 @@ def record_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recorded)
     return made
+
+
+def counted_failing_fork(monkeypatch):
+    """Replace os.fork by a counter that starts no process: each call fails
+    as a fork at the process limit does.  Returns the list of calls."""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "no process started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
 
 
 def assert_no_child_left():

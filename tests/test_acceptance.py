@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from helpers import save_cloud_csv
 
-from soblab import convlab, mls
+from soblab import convlab, mls, parallel
 from soblab.cli.main import main as cli_main
 from soblab.geometry import PointCloud
 from soblab.training import (
@@ -82,21 +82,34 @@ def test_c02_mls_convergence_rate():
     )
 
 
+def _on_every_cpu(fn, jobs):
+    """[fn(job) for job in jobs], the jobs run in shares on every usable CPU
+    (parallel.fork_map): each result has the bits of a sequential run."""
+    shares = parallel.split(jobs, parallel.usable_cpus())
+    with parallel.fork_map(fn, shares) as results:
+        return list(results)
+
+
+def _gated_ratio(pair):
+    e, w, seed = pair
+    mean, se = convlab.mc_gated_correlation(e, w, draws=1_000_000, seed=seed)
+    closed = convlab.gated_correlation(e, w)
+    return float(np.max(np.abs(mean - closed) / se))
+
+
 def test_c03_gated_correlation_monte_carlo():
     started = time.time()
     rng = np.random.default_rng(103)
     dims = (2, 5, 10)
-    worst_ratio = 0.0
+    pairs = []
     for pair in range(20):
         n = dims[pair % 3]
         e = rng.standard_normal(n)
         e /= np.linalg.norm(e)
-        w = rng.standard_normal(n)
-        mean, se = convlab.mc_gated_correlation(
-            e, w, draws=1_000_000, seed=int(rng.integers(2**63))
-        )
-        closed = convlab.gated_correlation(e, w)
-        worst_ratio = max(worst_ratio, float(np.max(np.abs(mean - closed) / se)))
+        pairs.append((e, rng.standard_normal(n), int(rng.integers(2**63))))
+    worst_ratio = 0.0
+    for ratio in _on_every_cpu(_gated_ratio, pairs):
+        worst_ratio = max(worst_ratio, ratio)
     report(
         3,
         "gated-correlation-mc",
@@ -254,9 +267,10 @@ def _bench_run(mode, seed, epochs, noise=0.0):
 def test_c10_sobolev_benefit_direction():
     started = time.time()
     finals = {m: [] for m in ("ordinary", "sobolev", "sobolev+pcgrad")}
-    for seed in range(5):
-        for mode in finals:
-            finals[mode].append(_bench_run(mode, seed, epochs=600))
+    jobs = [(mode, seed) for seed in range(5) for mode in finals]
+    runs = _on_every_cpu(lambda job: _bench_run(*job, epochs=600), jobs)
+    for (mode, _), final in zip(jobs, runs):
+        finals[mode].append(final)
     med = {m: float(np.median(v)) for m, v in finals.items()}
     ok = (
         med["sobolev"] <= 1.05 * med["ordinary"]
@@ -274,13 +288,13 @@ def test_c10_sobolev_benefit_direction():
 
 def test_c11_noise_robustness_direction():
     started = time.time()
+    # seed-major, so that each share of the jobs holds both modes
+    jobs = [(mode, seed) for seed in range(5) for mode in ("ordinary", "sobolev")]
+    finals = _on_every_cpu(
+        lambda job: [_bench_run(*job, epochs=2500, noise=noise) for noise in (0.0, 0.03)], jobs)
     ratios = {}
     for mode in ("ordinary", "sobolev"):
-        per_seed = []
-        for seed in range(5):
-            clean = _bench_run(mode, seed, epochs=2500, noise=0.0)
-            noisy = _bench_run(mode, seed, epochs=2500, noise=0.03)
-            per_seed.append(noisy / clean)
+        per_seed = [noisy / clean for (m, _), (clean, noisy) in zip(jobs, finals) if m == mode]
         ratios[mode] = float(np.median(per_seed))
     ok = ratios["ordinary"] > ratios["sobolev"]
     report(

@@ -1,7 +1,6 @@
 """Command-line contract: outputs, exit codes, manifests, reproducibility."""
 
 import csv
-import errno
 import io
 import json
 import math
@@ -11,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import assert_no_child_left, record_forks, save_cloud_csv
+from helpers import assert_no_child_left, counted_failing_fork, record_forks, save_cloud_csv
 
-from soblab import errors, geometry, mls
+from soblab import errors, geometry, mls, parallel
 from soblab.cli import io as cli_io
 from soblab.cli import main as cli
 from soblab.cli import svg
@@ -127,6 +126,26 @@ def test_derivs_k_below_basis_exits_3(tmp_path, capsys):
     assert code == 3
     message = capsys.readouterr().err
     assert "K >= I" in message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude", [1e200, 1e308])
+def test_derivs_values_whose_fit_overflows_exit_4_with_one_line(tmp_path, capsys, magnitude):
+    # finite values of alternating sign: at 1e308 the fit's products overflow,
+    # and no jet that is not finite is written; 1e200 fits
+    pts = np.random.default_rng(0).random((7, 2))
+    path = tmp_path / "big.csv"
+    save_cloud_csv(PointCloud(points=pts, values=magnitude * (-1.0) ** np.arange(7)), path)
+    out = tmp_path / "o"
+    code = run_cli("--out-dir", out, "derivs", "--input", path, "--k", 6, "--m", 1)
+    err = capsys.readouterr().err
+    if magnitude == 1e308:
+        assert code == 4 and not out.exists()
+        assert err.startswith("soblab: numerical failure: ") and err.count("\n") == 1
+        assert "jets are not finite" in err
+    else:
+        assert code == 0 and err == ""
+        assert np.isfinite(np.loadtxt(out / "jets.csv", delimiter=",", skiprows=1)).all()
 
 
 def test_derivs_bad_csv_exits_2(tmp_path):
@@ -778,16 +797,19 @@ def test_sweep_rows_equal_the_train_runs_of_their_settings(tmp_path):
 
 
 def test_sweep_synthesizes_each_value_and_seed_once(tmp_path, monkeypatch):
-    synthesized = []
+    # each synthesis appends a line to a file, so that those of forked workers count too
+    log = tmp_path / "synthesized.txt"
 
     def counting_synth(kind, **kwargs):
-        synthesized.append((kwargs["noise"], kwargs["seed"]))
+        with open(log, "a") as fh:
+            fh.write(f"{kwargs['noise']!r} {kwargs['seed']}\n")
         return synth_dataset(kind, **kwargs)
 
     monkeypatch.setattr(cli, "synth_dataset", counting_synth)
     code = run_cli("--seed", 2, "--out-dir", tmp_path / "s", "sweep", "--param", "noise",
                    "--values", "0,0.01,0.03", "--repeats", 2, *TRAIN_FAST)
     assert code == 0
+    synthesized = [(float(v), int(s)) for v, s in map(str.split, log.read_text().splitlines())]
     assert sorted(synthesized) == [(v, s) for v in (0.0, 0.01, 0.03) for s in (2, 3)]
 
 
@@ -896,7 +918,7 @@ def test_derivs_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch)
     # jets.csv in 64-row chunks, split among --threads processes on any host:
     # one worker at --threads 2 and two at --threads 3
     monkeypatch.setattr(cli_io, "_CHUNK_ROWS", 64)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
     forks = record_forks(monkeypatch)
     # 2-D: 7 blocks of 64 rows; 3-D at k=40, m=3: 4 fit blocks of 307 rows
     for cloud, block_rows, flags in (("cloud2d", 64, []), ("cloud3d", 2048, ["--k", 40, "--m", 3])):
@@ -915,19 +937,6 @@ def test_derivs_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch)
     assert_no_child_left()
 
 
-def _counted_failing_fork(monkeypatch):
-    """Replace os.fork by a counter that starts no process: each call fails
-    as a fork at the process limit does.  Returns the list of calls."""
-    calls = []
-
-    def fork():
-        calls.append(1)
-        raise OSError(errno.EAGAIN, "no process started")
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
 @pytest.mark.parametrize("cpus", [None, 64])
 def test_derivs_at_a_huge_thread_count_forks_at_most_a_worker_per_cpu(tmp_path, monkeypatch, cpus):
     # 400 jets rows in 32-row chunks: 12 full chunks.  A part whose worker
@@ -936,16 +945,16 @@ def test_derivs_at_a_huge_thread_count_forks_at_most_a_worker_per_cpu(tmp_path, 
     monkeypatch.setattr(cli_io, "_CHUNK_ROWS", 32)
     assert run_cli("--threads", 1, "--out-dir", tmp_path / "t1", "derivs", "--input", path) == 0
     if cpus is not None:
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    calls = _counted_failing_fork(monkeypatch)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    calls = counted_failing_fork(monkeypatch)
     assert run_cli("--threads", 1000000, "--out-dir", tmp_path / "big", "derivs", "--input", path) == 0
-    assert len(calls) == min(12, cli._usable_cpus()) - 1
+    assert len(calls) == min(12, parallel.usable_cpus()) - 1
     assert read_all_bytes(tmp_path / "big") == read_all_bytes(tmp_path / "t1")
     assert sorted(p.name for p in (tmp_path / "big").iterdir()) == ["jets.csv", "manifest.json"]
 
 
 def test_csv_under_two_chunks_or_beside_a_thread_forks_none(tmp_path, monkeypatch):
-    calls = _counted_failing_fork(monkeypatch)
+    calls = counted_failing_fork(monkeypatch)
     write_csv(tmp_path / "t.csv", ["j"], [np.arange(2 * cli_io._CHUNK_ROWS - 1)], workers=10**6)
     assert calls == []
     # a live thread might hold a lock that a forked worker would copy held
@@ -961,6 +970,116 @@ def test_csv_under_two_chunks_or_beside_a_thread_forks_none(tmp_path, monkeypatc
     assert calls == []
     rows = range(4 * cli_io._CHUNK_ROWS)
     assert (tmp_path / "u.csv").read_text() == "j\n" + "".join(f"{j}\n" for j in rows)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool made while the test runs; each
+    pool runs its calls in this thread and starts none."""
+    import concurrent.futures
+
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    return made
+
+
+# a command of each fork_map caller, and how many jobs it can split among workers
+HUGE_THREAD_RUNS = {
+    "derivs": (["derivs", "--input"], 13),  # 400 jets rows: 12 full 32-row chunks and one part
+    "validate": (["validate"], 11),  # the rest of the checks, and the 10 Monte-Carlo ones
+    "flow": (["flow", "--T", 1], 2),  # the L2 and the Sob run
+    "sweep": (["sweep", "--param", "noise", "--values", "0,0.01,0.02", "--repeats", 2,
+               "--mode", "ordinary", *TRAIN_FAST], 6),  # the (value, seed) groups
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 3])
+@pytest.mark.parametrize("command", HUGE_THREAD_RUNS)
+def test_a_huge_thread_count_starts_at_most_a_worker_per_cpu(tmp_path, monkeypatch, pools,
+                                                             command, cpus):
+    # --threads 1000000: at most one thread per usable CPU in a row-block
+    # pool, and one process per usable CPU, this one included.  The forks
+    # fail, so no process starts, and each share runs here.
+    argv, jobs = HUGE_THREAD_RUNS[command]
+    if command == "derivs":
+        argv = argv + [grid_csv(tmp_path, n=20)]
+        monkeypatch.setattr(cli_io, "_CHUNK_ROWS", 32)
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", 64)  # 7 KNN blocks
+    if cpus is not None:
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    usable = parallel.usable_cpus()
+    calls = counted_failing_fork(monkeypatch)
+    assert run_cli("--threads", 1000000, "--out-dir", tmp_path / "big", *argv) == 0
+    assert len(calls) == min(usable, jobs) - 1
+    assert all(workers <= usable for workers in pools)
+    assert pools == ([min(usable, 7)] * 2 if command == "derivs" and usable > 1 else [])
+
+
+def _runs_at_thread_counts(tmp_path, monkeypatch, argv, seed=0):
+    """(exit code, output bytes) of argv at --threads 1, 2 and 3 on 4 usable
+    CPUs, and the forks made"""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    forks = record_forks(monkeypatch)
+    runs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        code = run_cli("--seed", seed, "--threads", threads, "--out-dir", out, *argv)
+        runs.append((code, read_all_bytes(out)))
+    assert_no_child_left()
+    assert not list(tmp_path.rglob(".tmp-*"))
+    return runs, forks
+
+
+def _replays_at_2_threads(tmp_path):
+    """The --threads 1 run replayed at --threads 2 writes the same bytes."""
+    out = tmp_path / "replay"
+    assert run_cli("--threads", 2, "--out-dir", out, "--from-manifest",
+                   tmp_path / "t1" / "manifest.json") == 0
+    assert read_all_bytes(out) == read_all_bytes(tmp_path / "t1")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_writes_the_same_verdicts_at_any_thread_count(tmp_path, monkeypatch, seed):
+    # seeds 2 and 3 fail: their verdicts and exit 4 are the same too
+    runs, forks = _runs_at_thread_counts(tmp_path, monkeypatch, ["validate"], seed)
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == (4 if seed in (2, 3) else 0)
+    assert len(forks) == 1 + 2
+    if seed == 0:
+        _replays_at_2_threads(tmp_path)
+
+
+def test_flow_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch):
+    runs, forks = _runs_at_thread_counts(tmp_path, monkeypatch, ["flow"])
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0
+    assert set(runs[0][1]) == {"trajectory_l2.csv", "trajectory_sob.csv", "flow.svg"}
+    assert len(forks) == 1 + 1
+    _replays_at_2_threads(tmp_path)
+
+
+def test_sweep_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch):
+    argv = ["sweep", "--param", "noise", "--values", "0,0.03", "--repeats", 2, "--epochs", 30]
+    runs, forks = _runs_at_thread_counts(tmp_path, monkeypatch, argv)
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0
+    assert set(runs[0][1]) == {"sweep.csv", "sweep.svg"}
+    assert len(forks) == 1 + 2
+    _replays_at_2_threads(tmp_path)
 
 
 def test_derivs_with_more_threads_than_blocks_exits_0(tmp_path):
@@ -1126,7 +1245,7 @@ def test_manifest_replay_uses_the_config_file_resolution(tmp_path):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"] == {
         **DEFAULTS["landscape"], "theta_steps": 4, "x_steps": 3,
-        "out_dir": str(tmp_path / "o"), "threads": cli._usable_cpus(),
+        "out_dir": str(tmp_path / "o"), "threads": parallel.usable_cpus(),
     }
     assert manifest["seed"] == 0
 

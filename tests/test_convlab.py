@@ -225,6 +225,76 @@ def test_validation_suite_holds_blocks_not_draw_tables():
     assert peak < 16 * 2**20
 
 
+def _sequential_suite(seed):
+    """validation_suite as it ran before its checks became jobs: one check
+    after another, each drawing its inputs from the generator in turn."""
+    rng = np.random.default_rng(seed)
+    verdicts = []
+
+    def add(name, statistic, bound, lower=False):
+        statistic, bound = float(statistic), float(bound)
+        ok = statistic >= bound if lower else statistic <= bound
+        verdicts.append({"name": name, "statistic": statistic, "bound": bound, "pass": ok})
+
+    worst = 0.0
+    for i in range(6):
+        n = (2, 5, 10)[i % 3]
+        e = rng.standard_normal(n)
+        e /= np.linalg.norm(e)
+        w = rng.standard_normal(n)
+        mean, se = mc_gated_correlation(e, w, 200_000, seed=int(rng.integers(2**63)))
+        ratio = np.abs(mean - gated_correlation(e, w)) / np.maximum(se, 1e-300)
+        worst = max(worst, float(ratio.max()))
+    add("gated_correlation_mc_3se", worst, 3.0)
+    worst = 0.0
+    for rho in (-0.9, 0.0, 0.5, 0.9):
+        emp = mc_quadrant_prob(rho, 400_000, seed=int(rng.integers(2**63)))
+        worst = max(worst, abs(emp - quadrant_prob(rho)))
+    add("quadrant_prob_mc_absdiff", worst, 5e-3)
+    grid = np.linspace(0.0, math.pi, 10_000)
+    add("value_angular_term_max", np.max(value_flow_angular_term(grid)), 1e-12)
+    add("mixed_coefficient_min", np.min(_coeffs_of_angle(grid)[0]), -1e-12, lower=True)
+    margins, defined = derivative_flow_margin_scan(grid)
+    add("derivative_margin_min", np.nanmin(margins), -1e-10, lower=True)
+    add("derivative_margin_zero_only_at_0",
+        np.all(grid[defined][margins[defined] < 1e-8] < 1e-3), 1.0, lower=True)
+    worst = 0.0
+    for _ in range(2_000):
+        a, b, c, d = convlab.random_admissible_cubic(rng)
+        t0, f0 = cubic_local_min(a, b, c, d)
+        worst = max(worst, abs(f0 - (a * t0**3 - b * t0**2 - c * t0 + d)))
+    add("cubic_min_closed_vs_direct", worst, 1e-10)
+    worst = 0.0
+    for n in (3, 5):
+        w_star = rng.standard_normal(n)
+        w = sample_basin(w_star, 1, rng)[0]
+        acc_v, acc_d = np.zeros(n), np.zeros(n)
+        terms = _draw_terms(w, w_star)
+        for _ in range(60):
+            x = rng.standard_normal((2_000, n))
+            acc_v += finite_sample_value_gradient(x, terms)
+            acc_d += finite_sample_derivative_gradient(x, terms)
+        for acc, closed in zip((acc_v, acc_d), flow_gradients(w, w_star)):
+            worst = max(worst, float(np.linalg.norm(acc / 60 - closed) / np.linalg.norm(closed)))
+    add("population_gradient_mc_rel", worst, 0.02)
+    w_star = np.array([1.0, 0.0, 0.0])
+    starts = sample_basin(w_star, 16, rng, theta_range=(0.05, math.pi - 0.05))
+    d2 = integrate_flow_batch(np.concatenate([starts, starts]), w_star, dt=0.02, t_final=80.0,
+                              mode=["L2"] * 16 + ["Sob"] * 16).dist2
+    d_l2, d_sob = d2[:16], d2[16:]
+    add("flow_l2_monotone_max_increase", np.max(np.diff(d_l2, axis=-1)), 1e-12)
+    add("flow_l2_final_distance", np.max(np.sqrt(d_l2[:, -1])), 1e-3)
+    add("flow_sob_dominance_max_excess", np.max(d_sob - d_l2), 1e-12)
+    return verdicts
+
+
+def test_validation_suite_on_workers_equals_the_sequential_suite():
+    # seed 2 fails its gated-correlation verdict: the failure is the same too
+    verdicts = validation_suite(seed=2, threads=2)
+    assert verdicts == _sequential_suite(2)
+    assert [v["name"] for v in verdicts if not v["pass"]] == ["gated_correlation_mc_3se"]
+
+
 # -- population gradients --------------------------------------------------------
 
 def test_gradients_vanish_at_target():
