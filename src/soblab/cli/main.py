@@ -287,11 +287,6 @@ def _dataset(config, seed):
 def run_train(config, seed):
     report = train(_train_config(config, seed), _dataset(config, seed), config["mode"])
     yield "report.json", json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
-    yield "losses.csv", (
-        ["epoch", "l2", "der", "val_rel_l2"],
-        [np.arange(len(report.epoch_l2)), report.epoch_l2, report.epoch_der,
-         report.epoch_val_rel_l2],
-    )
     print(f"final relative-L2 test error: {report.final_test_rel_l2:.6e}")
 
 

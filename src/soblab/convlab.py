@@ -148,9 +148,14 @@ def gated_correlation_sum(x_rows, e, w):
         raise ConfigError(
             f"rows {x_rows.shape} incompatible with directions {e.shape}/{w.shape}"
         )
-    xw = x_rows @ w
-    gate = (x_rows @ e > 0) & (xw > 0)
-    return ((gate * xw)[:, None] * x_rows).sum(axis=0)
+    return _gated_rows(x_rows, e, w).sum(axis=0)
+
+
+def _gated_rows(x, e, w):
+    """The rows 1{x.e > 0} 1{x.w > 0} (x.w) x of a (draws, n) table."""
+    xw = x @ w
+    gate = (x @ e > 0) & (xw > 0)
+    return (gate * xw)[:, None] * x
 
 
 def effective_amplitude(w1, w2) -> float:
@@ -661,10 +666,7 @@ def mc_gated_correlation(e, w, draws, seed=0):
     for g0, g1 in _blocks(draws, _MC_CHUNK):
         part = part_sq = None
         for b0, b1 in _blocks(g1 - g0, block):
-            x = rng.standard_normal((b1 - b0, n))
-            xw = x @ w
-            gate = (x @ e > 0) & (xw > 0)
-            rows = (gate * xw)[:, None] * x
+            rows = _gated_rows(rng.standard_normal((b1 - b0, n)), e, w)
             sq = rows * rows
             if part is not None:
                 rows[0] += part

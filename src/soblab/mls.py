@@ -240,9 +240,10 @@ def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
     e = wb @ b
     del b, diff, dist  # the largest temporaries; the operator is built after they are freed
     operator, flagged = _normal_inverse(e)
-    # Undo the stencil scaling: c_alpha in original coordinates.
+    # c_alpha in original coordinates: undo the scaling (overflows if scale ** m underflows).
     degrees = np.array([sum(a) for a in indices], dtype=float)
-    operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        operator /= (scale[:, None] ** degrees[None, :])[:, :, None]
     return wb, operator, flagged
 
 
@@ -287,7 +288,7 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     one size.  Every (sample, stencil) pair is its own product, so the jets
     do not depend on the block size, the thread count or the other samples,
     and the flags, which come from the stencils alone, do not either.
-    Sample values so large that a jet overflows raise NumericalError."""
+    Values so large, or stencils so small, that a jet overflows raise NumericalError."""
     stencils = _stencils(build_index(cloud), cfg, threads)
     nbr, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
@@ -305,8 +306,8 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     run_blocks(cloud.size, max(1, min(size, geometry.BLOCK_ROWS)), threads, fit)
     if not np.isfinite(coefficients).all():
         bad = np.flatnonzero(~np.isfinite(coefficients).all(axis=(0, 2)))
-        raise NumericalError(f"{bad.size} of {cloud.size} jets are not finite, the first at "
-                             f"point {bad[0]}: the sample values overflow the fit")
+        raise NumericalError(f"{bad.size} of {cloud.size} jets are not finite, the first at point "
+                             f"{bad[0]}: values too large or stencils too small for order {cfg.m}")
     return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), flagged,
                     indices, cfg.m, h, support_radius)
 
