@@ -12,8 +12,8 @@ the same at any count), --config FILE
 (key = value lines; explicit flags win; unknown keys are an error), and
 --from-manifest FILE to replay a previous run byte for byte (no
 subcommand or --config: the manifest names the command; its config, whose
-keys must be the command's settings, threads or out_dir, and its seed
-resolve like a config file's).
+keys must be the command's settings, threads, out_dir or a _RETIRED one
+at its value, and its seed resolve like a config file's).
 DEFAULTS lists each command's settings; a setting is the flag --key with
 "_" spelled "-" (t_final is --T).  Each value, from a flag or a file, is
 typed once like its flag (_typed); a file value that fails exits 3 naming
@@ -125,6 +125,8 @@ _REQUIRED = {
     "rates": {"resolutions": "--resolutions is required (comma-separated point counts)"},
     "sweep": {"param": "--param is required (K, m or noise)", "values": "--values is required"},
 }
+# settings a command no longer has, and the value it always uses now
+_RETIRED = {"derivs": {"out": "jets.csv"}, "flow": {"dim": 2}, "rates": {"orders": None}}
 HELP = {
     "derivs": "estimate jets for a point-cloud CSV",
     "rates": "convergence-rate study on random clouds",
@@ -523,8 +525,12 @@ def _replay_source(path):
     command = record["command"]
     if not isinstance(command, str) or command not in RUNNERS:
         raise ConfigError(f"{path}: unknown command {command!r}")
-    for key in record["config"]:
-        if key not in DEFAULTS[command] and key not in ("threads", "out_dir"):
+    retired = _RETIRED.get(command, {})
+    for key, value in record["config"].items():
+        if key in retired and value != retired[key]:
+            raise ConfigError(f"{path}: {command} has no setting {key!r} now: it always "
+                              f"uses {retired[key]!r}, but the manifest records {value!r}")
+        if key not in DEFAULTS[command] and key not in ("threads", "out_dir", *retired):
             raise ConfigError(f"{path}: unknown setting {key!r} for {command}")
     digests = record.get("input_digests", {})
     if not (isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):

@@ -3,11 +3,12 @@
 Clouds are irregular sets of points with one scalar sample per point.
 Neighbor queries are exact Euclidean KNN backed by a KD-tree, with ties
 broken by ascending point index so that stencils are deterministic.
-knn_all queries blocks of BLOCK_ROWS points: a KD-tree query for K + 1
-candidates, and a batched re-query with more candidates for only the
-rows whose K-th neighbor ties the last candidate (regular grids).  Rows
-already in (distance, index) order are read in place; only the finished
-rows that are not get a (distance, index) sort.  It keeps int32 (J, K)
+knn_all queries blocks of BLOCK_ROWS points in the tree's leaf order, so
+each is spatially compact: a KD-tree query for K + extra candidates, the
+extra that finished most rows of the last block, and a batched re-query
+with more candidates for only the rows whose K-th neighbor ties the last
+candidate.  Rows already in (distance, index) order are read in place;
+only the finished rows that are not get a sort.  It keeps int32 (J, K)
 stencils but no (J, K) distances: stencil_distances, the formula it orders
 by, recomputes any block's distances bit for bit.
 scipy is imported inside build_index, the only function that makes a
@@ -91,6 +92,11 @@ class SpatialIndex:
     cloud: PointCloud
     _tree: cKDTree = field(repr=False)
 
+    @property
+    def order(self) -> np.ndarray:
+        """The point indices in the tree's leaf order: its runs are spatially compact."""
+        return self._tree.indices
+
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
     """Build an exact Euclidean KNN index over all cloud points."""
@@ -126,22 +132,24 @@ def stencil_distances(points, nbr, rows):
 
 
 def knn_all(index: SpatialIndex, k: int, threads: int = 1):
-    """KNN stencils for every cloud point, in blocks of BLOCK_ROWS rows
-    run on up to `threads` threads.
+    """KNN stencils for every cloud point, in blocks of BLOCK_ROWS rows of
+    index.order run on up to `threads` threads.
 
     Returns (indices, near, far).  indices (J, k), int32 below 2**31
     points: row j holds the k nearest cloud points to point j, itself
     first, sorted by (distance, index) with stencil_distances' distances,
     so exact ties break by ascending index.  near and far (J,) are each
     row's distance to its nearest other point (NaN for k = 1) and its k-th
-    distance.  The first k of k + 1 tree candidates are exact unless the
-    last candidate's tree distance ties the k-th distance: a tie may
+    distance.  The first k of k + extra tree candidates are exact unless
+    the last candidate's tree distance ties the k-th distance: a tie may
     continue past the candidates, so those rows of a block alone are
     queried again, together, with 4x more extra candidates each round
-    (k + 1, k + 4, k + 16, ...).  A row whose recomputed distances strictly
-    increase is already in (distance, index) order and is read in place;
-    the k-th distance of any other row comes from a partition, and only
-    those of them that are done in a round are sorted.
+    (k + 1, k + 4, k + 16, ...), starting at the extra that finished most
+    rows of the last finished block; no row's result depends on it.  A row
+    whose recomputed distances strictly increase is already in (distance,
+    index) order and is read in place; the k-th distance of any other row
+    comes from a partition, and only those of them that are done in a
+    round are sorted.
     """
     points = index.cloud.points
     j = points.shape[0]
@@ -149,10 +157,12 @@ def knn_all(index: SpatialIndex, k: int, threads: int = 1):
         raise ConfigError(f"K={k} outside [1, {j}]")
     nbr = np.empty((j, k), dtype=np.int32 if j < 2**31 else np.intp)
     near, far = np.empty(j), np.empty(j)
+    first = 1  # a block's first extra: threads may race on it, which moves only query counts
 
     def fill(rows):
-        pending = np.arange(rows.start, rows.stop)
-        extra = 1
+        nonlocal first
+        pending, extra = index.order[rows], first
+        best = (0, extra)  # the rows finished by a round, and its extra
         while pending.size:
             kq = min(k + extra, j)
             d_tree, cand = index._tree.query(points[pending], k=kq)
@@ -173,7 +183,9 @@ def knn_all(index: SpatialIndex, k: int, threads: int = 1):
             near[pending[done]] = d[done, 1] if k > 1 else np.nan
             far[pending[done]] = d[done, k - 1]
             pending = pending[~done]
+            best = max(best, (np.count_nonzero(done), extra))
             extra *= 4
+        first = best[1]
 
     run_blocks(j, BLOCK_ROWS, threads, fill)
     return nbr, near, far

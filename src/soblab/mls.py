@@ -11,7 +11,7 @@ The fit is linear in the sample values: each stencil's jet is a fixed
 matrix times the stencil's samples (the GMLS form).
 estimate_derivatives(cloud, cfg) runs the KNN once (the global support
 radius needs every K-th distance) and keeps only the int32 stencils;
-then, in row blocks sized by the stencil footprint, it recomputes the
+then, in leaf-order blocks sized by the stencil footprint, it recomputes the
 stencils' distances, forms the value-independent half of the fits
 (weights, basis, normal matrices and the per-stencil inverse) and applies it
 to every sample on the cloud with two batched matrix products and no
@@ -282,21 +282,23 @@ def _normal_inverse(e: np.ndarray):
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) -> JetField:
     """Order-m jets at every cloud point (Algorithm: KNN + local fits) of
     each sample the cloud carries: one KNN pass, then the fits planned in
-    blocks, each applied to every sample, both on up to `threads` threads.
+    blocks of index.order applied to every sample, both on `threads` threads.
     A fit block holds FIT_ELEMENTS // (K max(I, N)) rows, 1 to
     geometry.BLOCK_ROWS, so its (R, K, I) bases and (N, R, K) samples keep
     one size.  Every (sample, stencil) pair is its own product, so the jets
-    do not depend on the block size, the thread count or the other samples,
+    do not depend on the blocks, the thread count or the other samples,
     and the flags, which come from the stencils alone, do not either.
     Values so large, or stencils so small, that a jet overflows raise NumericalError."""
-    stencils = _stencils(build_index(cloud), cfg, threads)
+    index = build_index(cloud)
+    stencils = _stencils(index, cfg, threads)
     nbr, h, support_radius = stencils
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, len(indices)))
     flagged = np.empty(cloud.size, dtype=bool)
 
-    def fit(rows):
+    def fit(block):
+        rows = index.order[block]
         wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below

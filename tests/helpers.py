@@ -25,6 +25,26 @@ def strand_points(count, seed):
     return np.vstack([uniform, np.column_stack([xs, np.full_like(xs, 0.5)])])
 
 
+def brute_force_knn_all(points, k, chunk=256, rows=None):
+    """(distance, index) order of every row, or of the given rows, by an
+    O(J^2) scan."""
+    rows = np.arange(len(points)) if rows is None else np.asarray(rows)
+    nbr = np.empty((len(rows), k), dtype=np.intp)
+    dist = np.empty((len(rows), k))
+    index = np.arange(len(points))
+    for lo in range(0, len(rows), chunk):
+        d = np.linalg.norm(points[None, :, :] - points[rows[lo : lo + chunk], None, :], axis=2)
+        order = np.lexsort((np.broadcast_to(index, d.shape), d), axis=1)[:, :k]
+        nbr[lo : lo + chunk] = order
+        dist[lo : lo + chunk] = np.take_along_axis(d, order, axis=1)
+    return nbr, dist
+
+
+def grid_points(side, dim):
+    axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * dim, indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
+
+
 def record_forks(monkeypatch):
     """The pid of each process forked while the test runs, in fork order:
     os.fork still forks, and the list is filled in the parent."""

@@ -1383,6 +1383,47 @@ def test_a_frozen_manifest_with_a_fractional_step_count_exits_3_naming_key_and_f
     assert not out.exists()
 
 
+# a setting deleted from its command: the value every run now uses, as
+# manifests written before the deletion record it, and another value
+RETIRED = {"derivs": ("out", "jets.csv", "other.csv"), "flow": ("dim", 2, 3),
+           "rates": ("orders", None, [1])}
+
+
+def _manifest_with(tmp_path, command, key, value):
+    """A default run of command, and its manifest with key set to value."""
+    args = {"derivs": ["--input", grid_csv(tmp_path)], "rates": ["--resolutions", "100,200,400"]}
+    assert run_cli("--threads", 1, "--out-dir", tmp_path / "run", command,
+                   *args.get(command, [])) == 0
+    record = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert key not in record["config"]
+    record["config"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(record))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(RETIRED))
+def test_a_manifest_recording_a_retired_setting_at_its_value_replays(tmp_path, command):
+    key, value, _ = RETIRED[command]
+    path = _manifest_with(tmp_path, command, key, value)
+    assert run_cli("--out-dir", tmp_path / "replay", "--from-manifest", path) == 0
+    assert read_all_bytes(tmp_path / "replay") == read_all_bytes(tmp_path / "run")
+
+
+@pytest.mark.parametrize("command", sorted(RETIRED))
+def test_a_manifest_recording_a_retired_setting_at_another_value_exits_3(
+        tmp_path, capsys, command):
+    key, value, other = RETIRED[command]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": command, "config": {key: other}, "seed": 0}))
+    out = tmp_path / "o"
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 3
+    assert capsys.readouterr().err == (
+        f"soblab: configuration error: {path}: {command} has no setting {key!r} now: "
+        f"it always uses {value!r}, but the manifest records {other!r}\n")
+    assert not out.exists()
+
+
 # file values that a runner once cast to something else: (command, other settings, key, value)
 FILE_ESCAPES = [
     ("landscape", {"x_steps": 4}, "theta_steps", 4.9, "an integer"),  # ran 4 angles

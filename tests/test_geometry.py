@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import save_cloud_csv
+from helpers import brute_force_knn_all, grid_points, save_cloud_csv
 
 from soblab.errors import ConfigError, InputError
 from soblab.geometry import (
@@ -198,24 +198,6 @@ def test_cloud_csv_header_required(tmp_path):
         load_cloud_csv(path)
 
 
-def brute_force_knn_all(points, k, chunk=256):
-    """(distance, index) order of every row by an O(J^2) scan."""
-    nbr = np.empty((len(points), k), dtype=np.intp)
-    dist = np.empty((len(points), k))
-    index = np.arange(len(points))
-    for lo in range(0, len(points), chunk):
-        d = np.linalg.norm(points[None, :, :] - points[lo : lo + chunk, None, :], axis=2)
-        order = np.lexsort((np.broadcast_to(index, d.shape), d), axis=1)[:, :k]
-        nbr[lo : lo + chunk] = order
-        dist[lo : lo + chunk] = np.take_along_axis(d, order, axis=1)
-    return nbr, dist
-
-
-def grid_points(side, dim):
-    axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * dim, indexing="ij")
-    return np.column_stack([a.ravel() for a in axes])
-
-
 @pytest.mark.parametrize(
     "side, dim, k",
     [
@@ -267,6 +249,7 @@ class _LastBitsTree:
     def __init__(self, points, seed):
         self._tree = build_index(PointCloud(points=points, values=np.zeros(len(points))))._tree
         self._rng = np.random.default_rng(seed)
+        self.indices = self._tree.indices  # the leaf order knn_all takes its blocks in
 
     def query(self, x, k):
         d, cand = self._tree.query(x, k=k)
