@@ -386,14 +386,13 @@ def derivative_flow_margin_scan(thetas):
 @dataclass(frozen=True)
 class FlowTrajectory:
     """Sampled flows of a bundle of starts: times (S,), weights (B, S, n),
-    squared distance to the target and its closed-form time derivative
-    (B, S) at each sample, and the mode of each row."""
+    and the squared distance to the target and its closed-form time
+    derivative (B, S) at each sample."""
 
     times: np.ndarray
     weights: np.ndarray
     dist2: np.ndarray
     ddt_dist2: np.ndarray
-    modes: tuple[str, ...]
 
 
 def flow_mode(mode: str) -> str:
@@ -542,11 +541,10 @@ def integrate_flow_batch(
     start in w0_batch ((n,) or (B, n)) as the rows of one array.
 
     mode is "L2" (value loss only) or "Sob" (value plus derivative loss),
-    in any case, one mode for all rows or a sequence of one mode per row;
-    the trajectory records each as spelled here.  The angle
-    is clamped to [_THETA_CLAMP, pi - _THETA_CLAMP], away from the kinks
-    at 0 and pi.  Samples are taken every record_every steps and at the
-    last step.
+    in any case, one mode for all rows or a sequence of one mode per row.
+    The angle is clamped to [_THETA_CLAMP, pi - _THETA_CLAMP], away from
+    the kinks at 0 and pi.  Samples are taken every record_every steps and
+    at the last step.
 
     Raises ConfigError for a zero or non-finite target or start, starts,
     target and modes that disagree in shape or count, an empty mode list,
@@ -580,11 +578,10 @@ def integrate_flow_batch(
             "initialization outside the basin |w - w_star| < |w_star|; "
             "set allow_outside_basin to integrate anyway"
         )
-    modes = tuple(map(flow_mode, modes))
-    sob = np.array([m == "Sob" for m in modes], dtype=bool)
+    sob = np.array([flow_mode(m) == "Sob" for m in modes], dtype=bool)
     target = _target(w_star, (_THETA_CLAMP, math.pi - _THETA_CLAMP))
     times, weights, dist2, ddt = _rk4_flow(w, target, sob, dt, t_final, record_every)
-    return FlowTrajectory(times, weights, dist2, ddt, modes)
+    return FlowTrajectory(times, weights, dist2, ddt)
 
 
 # ---------------------------------------------------------------------------

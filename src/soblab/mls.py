@@ -9,16 +9,17 @@ known derivatives is included.
 
 The fit is linear in the sample values: each stencil's jet is a fixed
 matrix times the stencil's samples (the GMLS form).
-estimate_derivatives(cloud, cfg) runs the KNN once (the global support
-radius needs every K-th distance) and keeps only the int32 stencils;
-then, in leaf-order blocks sized by the stencil footprint, it recomputes the
-stencils' distances, forms the value-independent half of the fits
-(weights, basis, normal matrices and the per-stencil inverse) and applies it
-to every sample on the cloud with two batched matrix products and no
-solve.  A cloud may carry one sample (J,) or a stack (N, J) on the same
-points; either way memory grows with the `threads` blocks in flight and
-the results, not with the cloud's plan or the footprint, and a sample's
-jets are the same bits alone, in a stack or at any thread count.
+estimate_derivatives(cloud, cfg) checks the basis before it builds a
+KD-tree, runs the KNN once (the global support radius needs every K-th
+distance) and keeps only the int32 stencils; then, in leaf-order blocks
+sized by the stencil footprint, it recomputes the stencils' distances, forms
+the value-independent half of the fits (weights, basis, normal matrices and
+the per-stencil inverse) and applies it to every sample on the cloud with
+two batched matrix products and no solve.  A cloud may carry one sample
+(J,) or a stack (N, J) on the same points; either way memory grows with the
+`threads` blocks in flight and the results, not with the cloud's plan or
+the footprint, and a sample's jets are the same bits alone, in a stack or
+at any thread count.
 The relative ridge bounds every stencil's condition number by 1 + I/ridge,
 and MlsConfig.validate admits only the bases it keeps below _COND_LIMIT.
 One bound per stencil, the Frobenius norm of its regularized normal matrix
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConfigError, NumericalError
-from .geometry import PointCloud, SpatialIndex, build_index, knn_all, run_blocks, stencil_distances
+from .geometry import PointCloud, build_index, knn_all, run_blocks, stencil_distances
 
 # The largest condition number of a regularized normal matrix: the ridge
 # bounds it by 1 + I / _RIDGE, so validate refuses bases of I >= 100.
@@ -207,29 +208,19 @@ def _basis_matrix(diffs: np.ndarray, indices) -> np.ndarray:
     return np.moveaxis(b, 0, -1)
 
 
-def _stencils(index: SpatialIndex, cfg: MlsConfig, threads: int = 1):
-    """KNN stencils (J, K) at every cloud point, the spacing h and the
-    support radius: _WEIGHT_MARGIN times the largest neighbor distance over
-    all stencils (1 for a single-point cloud)."""
-    cfg.validate(index.cloud.dim)
-    nbr, near, far = knn_all(index, cfg.k, threads)
-    return nbr, float(near.max()), _WEIGHT_MARGIN * float(far.max()) or 1.0
+def _plan_rows(points, nbr, rows, support_radius: float, indices):
+    """The value-independent half of the fits of the stencils nbr[rows] in
+    the basis `indices`, each row on its own: (weighted basis (R, I, K),
+    operator (R, I, I), flagged (R,)).
 
-
-def _plan_rows(points, stencils, rows: slice, cfg: MlsConfig):
-    """The value-independent half of the fits at points[rows], each row on
-    its own: (weighted basis (R, I, K), operator (R, I, I), flagged (R,)).
-
-    Row r fits the samples u[nbr[r]] as operator[r] @ weighted_basis[r] @
-    u[nbr[r]].  The weighted basis holds w_k b_i(x_k) in stencil-scaled
-    coordinates; the operator is the regularized inverse of the normal
-    matrix, with two refinement steps toward it precomposed on the rows
-    whose condition bound allows them, divided by scale ** |alpha|; the
-    other rows are flagged (see _normal_inverse)."""
-    nbr, _, support_radius = stencils
+    Row r fits the samples u = values[nbr[rows][r]] as operator[r] @
+    weighted_basis[r] @ u.  The weighted basis holds w_k b_i(x_k), weighted
+    with support_radius, in stencil-scaled coordinates; the operator is the
+    regularized inverse of the normal matrix, with two refinement steps
+    toward it precomposed on the rows whose condition bound allows them,
+    divided by scale ** |alpha|; the others are flagged (see _normal_inverse)."""
     diff, dist = stencil_distances(points, nbr[rows], rows)
     w = weight(dist, support_radius)
-    indices = enumerate_multi_indices(points.shape[1], cfg.m)
     # Scale each stencil to the unit ball before forming the normal matrix;
     # the raw basis has entries ~ h^|alpha| and is needlessly ill conditioned.
     scale = dist.max(axis=1)
@@ -281,17 +272,20 @@ def _normal_inverse(e: np.ndarray):
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) -> JetField:
     """Order-m jets at every cloud point (Algorithm: KNN + local fits) of
-    each sample the cloud carries: one KNN pass, then the fits planned in
-    blocks of index.order applied to every sample, both on `threads` threads.
+    each sample the cloud carries.  A refused basis builds no KD-tree; one
+    KNN pass gives the stencils, h and the support radius (1 for a one-point
+    cloud), then the fits are planned in blocks of index.order and applied
+    to every sample, both on `threads` threads.
     A fit block holds FIT_ELEMENTS // (K max(I, N)) rows, 1 to
     geometry.BLOCK_ROWS, so its (R, K, I) bases and (N, R, K) samples keep
     one size.  Every (sample, stencil) pair is its own product, so the jets
     do not depend on the blocks, the thread count or the other samples,
     and the flags, which come from the stencils alone, do not either.
     Values so large, or stencils so small, that a jet overflows raise NumericalError."""
+    cfg.validate(cloud.dim)
     index = build_index(cloud)
-    stencils = _stencils(index, cfg, threads)
-    nbr, h, support_radius = stencils
+    nbr, near, far = knn_all(index, cfg.k, threads)
+    support_radius = _WEIGHT_MARGIN * float(far.max()) or 1.0
     indices = tuple(enumerate_multi_indices(cloud.dim, cfg.m))
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, len(indices)))
@@ -299,7 +293,7 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
 
     def fit(block):
         rows = index.order[block]
-        wb, operator, flagged[rows] = _plan_rows(cloud.points, stencils, rows, cfg)
+        wb, operator, flagged[rows] = _plan_rows(cloud.points, nbr, rows, support_radius, indices)
         samples = values[:, nbr[rows], None]  # (N, R, K, 1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             coefficients[:, rows] = (operator @ (wb @ samples))[..., 0]
@@ -311,7 +305,7 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
         raise NumericalError(f"{bad.size} of {cloud.size} jets are not finite, the first at point "
                              f"{bad[0]}: values too large or stencils too small for order {cfg.m}")
     return JetField(cloud.points, coefficients.reshape(cloud.values.shape + (-1,)), flagged,
-                    indices, cfg.m, h, support_radius)
+                    indices, cfg.m, float(near.max()), support_radius)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Cold start: importing the CLI and running the commands that build no
-KD-tree load no scipy; derivs loads it when it builds its index."""
+KD-tree load no scipy, nor do derivs and train refusing a basis; derivs
+loads it when it builds its index."""
 
 import json
 import os
@@ -38,6 +39,9 @@ def test_only_commands_that_build_an_index_load_scipy(tmp_path):
         for name, argv in (
             ("flow", ["flow"]),
             ("landscape", ["landscape"]),
+            # the order-14 basis in 2-D has I = 120 functions: refused before any index is built
+            ("derivs-basis", ["derivs", "--input", str(cloud_csv), "--m", "14"]),
+            ("train-basis", ["train", "--task", "smoothing2d", "--m", "14", "--epochs", "1"]),
             ("derivs", ["derivs", "--input", str(cloud_csv), "--k", "8", "--m", "1"]),
         )
     ]
@@ -53,5 +57,10 @@ def test_only_commands_that_build_an_index_load_scipy(tmp_path):
         "import": [0, False],
         "flow": [0, False],
         "landscape": [0, False],
+        "derivs-basis": [3, False],
+        "train-basis": [3, False],
         "derivs": [0, True],
     }
+    refusal = ("soblab: configuration error: --m 14 is too high in 2-D: its basis has I=120 "
+               "functions, but the ridge bounds the condition number by 1e+12 only up to I=99")
+    assert proc.stderr.splitlines() == [refusal, refusal]

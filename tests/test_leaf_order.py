@@ -59,15 +59,17 @@ def file_order_knn_all(index, k, threads):
 def file_order_jets(cloud, cfg, threads):
     """estimate_derivatives' coefficients and flags, with the KNN and the
     fit blocks in file order."""
-    nbr, near, far = file_order_knn_all(build_index(cloud), cfg.k, threads)
-    stencils = nbr, float(near.max()), mls._WEIGHT_MARGIN * float(far.max()) or 1.0
-    size = len(enumerate_multi_indices(cloud.dim, cfg.m))
+    nbr, _, far = file_order_knn_all(build_index(cloud), cfg.k, threads)
+    support_radius = mls._WEIGHT_MARGIN * float(far.max()) or 1.0
+    indices = enumerate_multi_indices(cloud.dim, cfg.m)
+    size = len(indices)
     values = np.atleast_2d(cloud.values)
     coefficients = np.empty((len(values), cloud.size, size))
     flagged = np.empty(cloud.size, dtype=bool)
 
     def fit(rows):
-        wb, operator, flagged[rows] = mls._plan_rows(cloud.points, stencils, rows, cfg)
+        wb, operator, flagged[rows] = mls._plan_rows(cloud.points, nbr, rows, support_radius,
+                                                     indices)
         coefficients[:, rows] = (operator @ (wb @ values[:, nbr[rows], None]))[..., 0]
 
     rows = mls.FIT_ELEMENTS // (cfg.k * max(size, len(values)))

@@ -7,12 +7,11 @@ import pytest
 
 from soblab import mls
 from soblab.errors import ConfigError
-from soblab.geometry import PointCloud, build_index
+from soblab.geometry import PointCloud, build_index, knn_all
 from soblab.mls import (
     MlsConfig,
     _basis_matrix,
     _plan_rows,
-    _stencils,
     basis_size,
     convergence_study,
     derivative_field,
@@ -202,11 +201,12 @@ def test_normal_matrix_symmetric_psd():
     cfg = MlsConfig(k=12, m=2)
     for _ in range(20):
         cloud = PointCloud(points=rng.normal(size=(12, 2)), values=np.zeros(12))
-        stencils = _stencils(build_index(cloud), cfg)
-        wb = _plan_rows(cloud.points, stencils, slice(None), cfg)[0]
-        diffs = cloud.points[stencils[0]] - cloud.points[:, None, :]
+        nbr, _, far = knn_all(build_index(cloud), cfg.k)
+        indices = enumerate_multi_indices(2, cfg.m)
+        wb = _plan_rows(cloud.points, nbr, slice(None), mls._WEIGHT_MARGIN * far.max(), indices)[0]
+        diffs = cloud.points[nbr] - cloud.points[:, None, :]
         scale = np.linalg.norm(diffs, axis=2).max(axis=1)
-        b = _basis_matrix(diffs / scale[:, None, None], enumerate_multi_indices(2, cfg.m))
+        b = _basis_matrix(diffs / scale[:, None, None], indices)
         for e in wb @ b:
             np.testing.assert_allclose(e, e.T, atol=1e-12)
             assert np.linalg.eigvalsh(e).min() >= -1e-12

@@ -16,8 +16,8 @@ from helpers import strand_points
 from soblab import mls
 from soblab.errors import NumericalError
 from soblab.geometry import PointCloud, build_index, knn_all
-from soblab.mls import (MlsConfig, _normal_inverse, _plan_rows, _stencils, derivative_field,
-                        estimate_derivatives)
+from soblab.mls import (MlsConfig, _normal_inverse, _plan_rows, derivative_field,
+                        enumerate_multi_indices, estimate_derivatives)
 
 _COND_LIMIT = 1e12
 _REFINE_COND_LIMIT = 1e8
@@ -182,7 +182,10 @@ def test_the_ridge_bounds_the_condition_of_every_normal_matrix(points, cfg, monk
     seen = []
     monkeypatch.setattr(mls, "_normal_inverse", lambda e: seen.append(e.copy()) or _normal_inverse(e))
     cloud = PointCloud(points=points, values=np.zeros(len(points)))
-    _plan_rows(cloud.points, _stencils(build_index(cloud), cfg), slice(None), cfg)
+    cfg.validate(cloud.dim)  # the basis is admitted
+    nbr, _, far = knn_all(build_index(cloud), cfg.k)
+    _plan_rows(cloud.points, nbr, slice(None), mls._WEIGHT_MARGIN * far.max(),
+               enumerate_multi_indices(cloud.dim, cfg.m))
     (e,) = seen
     i_count = e.shape[-1]
     _, pinv_ref, cond_ref = _check_against_reference(e, mls._RIDGE)

@@ -1,6 +1,7 @@
 """parallel.fork_map: results in job order, the sequential run's errors, and
 no child process or temp file left on any path; the one worker cap."""
 
+import errno
 import os
 import tempfile
 import threading
@@ -55,6 +56,15 @@ def test_split_keeps_job_order_in_near_equal_shares():
 def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     assert [parallel.worker_count(t) for t in (1, 2, 3, 4, 10**6)] == [1, 2, 3, 3, 3]
+
+
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch):
+    # os.sched_getaffinity is not on every platform
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert parallel.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert parallel.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
@@ -162,6 +172,28 @@ def test_shares_whose_fork_fails_run_here(temp_dir, monkeypatch):
     calls = counted_failing_fork(monkeypatch)
     assert mapped(lambda j: -j, JOBS, 4) == [-j for j in JOBS]
     assert len(calls) == 3
+    assert list(temp_dir.iterdir()) == []
+
+
+def test_a_share_whose_temp_file_fails_runs_here(temp_dir, monkeypatch):
+    # the second child's result file cannot be made: that share is not
+    # forked, and runs here in its turn
+    opened, temporary_file = [], tempfile.TemporaryFile
+
+    def failing_second(*args, **kwargs):
+        opened.append(1)
+        if len(opened) == 2:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", failing_second)
+    forks = record_forks(monkeypatch)
+    here = os.getpid()
+    # shares [0], [1, 2], [3, 4], [5, 6]: the second of the three children's is [3, 4]
+    got = mapped(lambda j: (j, os.getpid() == here), JOBS, 4)
+    assert got == [(j, j in (0, 3, 4)) for j in JOBS]
+    assert len(opened) == 3 and len(forks) == 2
+    assert_no_child_left()
     assert list(temp_dir.iterdir()) == []
 
 
