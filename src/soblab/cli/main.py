@@ -8,17 +8,15 @@ threads, each thread holding one block; validate runs its Monte-Carlo
 checks beside the rest, flow its L2 and Sob runs and sweep its (value,
 seed) groups on that many processes, this one included; and a CSV of two
 or more write chunks is formatted on that many processes; the outputs are
-the same at any count), --config FILE
-(key = value lines; explicit flags win; unknown keys are an error), and
---from-manifest FILE to replay a previous run byte for byte (no
-subcommand or --config: the manifest names the command; its config, whose
-keys must be the command's settings, threads, out_dir or a _RETIRED one
-at its value, and its seed resolve like a config file's).
+the same at any count), and --from-manifest FILE to replay a previous run
+byte for byte (no subcommand: the manifest names the command; its config,
+whose keys must be the command's settings, threads, out_dir or a _RETIRED
+one at its value, and its seed fill in what no global flag gives).
 DEFAULTS lists each command's settings; a setting is the flag --key with
-"_" spelled "-" (t_final is --T).  Each value, from a flag or a file, is
-typed once like its flag (_typed); a file value that fails exits 3 naming
-the key and the file.  derivs --input, rates --resolutions and sweep
---param and --values are required.
+"_" spelled "-" (t_final is --T).  Each value, from a flag or a manifest,
+is typed once like its flag (_typed); a manifest value that fails exits 3
+naming the key and the file.  derivs --input, rates --resolutions and
+sweep --param and --values are required.
 
 Exit codes, carried by each error class: 2 input parse error (an
 unreadable input file too), 3 configuration error (a setting too large
@@ -112,8 +110,6 @@ DEFAULTS["sweep"] = {
     "repeats": 5,
     "mode": "all",
 }
-# a config file may set the globals and any command's settings
-_CONFIG_KEYS = {"seed", "out_dir", "threads"}.union(*DEFAULTS.values())
 # every setting is the flag "--" + key with "_" -> "-", except these
 _FLAGS = {"t_final": "--T"}
 # the list settings, given as a comma-separated string or a JSON list, and their element type
@@ -379,7 +375,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default=None)
     parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--config", default=None, help="key = value defaults file")
     parser.add_argument("--from-manifest", default=None, help="replay a recorded run")
     sub = parser.add_subparsers(dest="command")
     for command, settings in DEFAULTS.items():
@@ -391,27 +386,6 @@ def build_parser() -> _Parser:
             else:
                 p.add_argument(flag, dest=key, type=str if default is None else type(default))
     return parser
-
-
-def _read_config_file(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-            value = value.strip()
-            try:
-                out[key] = json.loads(value)
-            except json.JSONDecodeError:
-                out[key] = value
-    return out
 
 
 def _as(kind, value):
@@ -451,7 +425,7 @@ def _typed(key, value, default, source):
 
 def resolve_config(command: str, cli_args: dict, file_values: dict, source=None) -> dict:
     """The command's settings and the globals seed, out_dir and threads, each
-    typed once: defaults < file values (read from source) < explicit flags."""
+    typed once: defaults < file_values (from the manifest source) < explicit flags."""
     config = {**DEFAULTS[command], "seed": 0, "out_dir": ".", "threads": parallel.usable_cpus()}
     for key, default in config.items():
         if cli_args.get(key) is not None:
@@ -542,17 +516,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.from_manifest:
-            if args.command or args.config:
-                raise ConfigError(
-                    f"{args.from_manifest}: --from-manifest takes no command or --config")
+            if args.command:
+                raise ConfigError(f"{args.from_manifest}: --from-manifest takes no command")
             command, file_values, digests = _replay_source(args.from_manifest)
         elif args.command:
-            command, digests = args.command, None
-            file_values = _read_config_file(args.config) if args.config else {}
+            command, file_values, digests = args.command, {}, None
         else:
             raise ConfigError("a command is required (or --from-manifest)")
-        source = args.from_manifest or args.config  # the file of file_values
-        execute(command, resolve_config(command, vars(args), file_values, source), digests)
+        execute(command, resolve_config(command, vars(args), file_values, args.from_manifest), digests)
         return 0
     except SoblabError as exc:
         print(f"soblab: {exc.prefix}{exc}", file=sys.stderr)

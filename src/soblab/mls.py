@@ -272,7 +272,7 @@ def _normal_inverse(e: np.ndarray):
 
 def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) -> JetField:
     """Order-m jets at every cloud point (Algorithm: KNN + local fits) of
-    each sample the cloud carries.  A refused basis builds no KD-tree; one
+    each sample the cloud carries.  A refused basis or K builds no KD-tree; one
     KNN pass gives the stencils, h and the support radius (1 for a one-point
     cloud), then the fits are planned in blocks of index.order and applied
     to every sample, both on `threads` threads.
@@ -283,6 +283,8 @@ def estimate_derivatives(cloud: PointCloud, cfg: MlsConfig, threads: int = 1) ->
     and the flags, which come from the stencils alone, do not either.
     Values so large, or stencils so small, that a jet overflows raise NumericalError."""
     cfg.validate(cloud.dim)
+    if cfg.k > cloud.size:  # knn_all's refusal, before the tree is built
+        raise ConfigError(f"K={cfg.k} outside [1, {cloud.size}]")
     index = build_index(cloud)
     nbr, near, far = knn_all(index, cfg.k, threads)
     support_radius = _WEIGHT_MARGIN * float(far.max()) or 1.0

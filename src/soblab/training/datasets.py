@@ -204,21 +204,26 @@ def _build_smoothing2d(sizes, rng):
     return sensors, queries, inputs, targets, d_targets
 
 
+def _target_config(j, n, k, m):
+    """The MlsConfig of derivative targets on j query points in n-D, K capped
+    at j, which must be at least I; estimate_derivatives validates its basis."""
+    if m < 1:
+        raise ConfigError(f"|alpha|=1 exceeds fitted order m={m}")
+    needed = basis_size(n, m)
+    if j < needed <= k:  # the cap at J, not the caller's K, falls below I
+        raise ConfigError(f"{j} query points are too few for MLS derivative targets: "
+                          f"the order-{m} basis in {n}-D has I={needed} functions")
+    return MlsConfig(k=min(k, j), m=m)
+
+
 def mls_derivative_targets(query_points, targets, k, m):
     """Meshfree first-derivative estimates (N, J, n) from sampled target
     values (N, J) on the query points (J, n): the first-order part of the
     MLS jets of every sample, with K capped at J, which must be at least I."""
-    if m < 1:
-        raise ConfigError(f"|alpha|=1 exceeds fitted order m={m}")
-    cloud = PointCloud(points=query_points, values=targets)
-    n = cloud.dim
-    needed = basis_size(n, m)
-    if cloud.size < needed <= k:  # the cap at J, not the caller's K, falls below I
-        raise ConfigError(f"{cloud.size} query points are too few for MLS derivative targets: "
-                          f"the order-{m} basis in {n}-D has I={needed} functions")
-    jet = estimate_derivatives(cloud, MlsConfig(k=min(k, cloud.size), m=m))
+    cfg = _target_config(*np.shape(query_points), k, m)
+    jet = estimate_derivatives(PointCloud(points=query_points, values=targets), cfg)
     # first derivatives are the degree-1 coefficients (1! = 1), in axis order
-    axes = [jet.index_of(tuple(int(d == i) for i in range(n))) for d in range(n)]
+    axes = [jet.index_of(tuple(int(d == i) for i in range(jet.dim))) for d in range(jet.dim)]
     return jet.coefficients[..., axes]
 
 
@@ -246,6 +251,9 @@ def synth_dataset(
         raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     sizes = sizes or DatasetSizes()
     sizes.validate()
+    if derivative_source == "mls":  # refused before any table is built
+        dim = 2 if kind == "smoothing2d" else 1
+        _target_config(sizes.queries, dim, mls_k, mls_m).validate(dim)
     rng = np.random.default_rng(seed)
 
     if kind == "smoothing2d":

@@ -128,6 +128,24 @@ def test_derivs_k_below_basis_exits_3(tmp_path, capsys):
     assert "K >= I" in message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["derivs", "--input", "grid.csv", "--k", 26], "K=26 outside [1, 25]"),
+     (["rates", "--resolutions", "30,60,120", "--k", 31], "K=31 outside [1, 30]")],
+    ids=["derivs", "rates"],
+)
+def test_a_k_above_the_point_count_exits_3_before_any_tree(tmp_path, capsys, monkeypatch, argv, message):
+    def build_index(cloud):
+        raise AssertionError("a KD-tree was built")
+
+    monkeypatch.setattr(mls, "build_index", build_index)
+    monkeypatch.chdir(tmp_path)
+    grid_csv(tmp_path)  # the 25-point grid.csv
+    assert run_cli("--out-dir", "o", *argv) == 3
+    assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("magnitude", [1e200, 1e308])
 def test_derivs_values_whose_fit_overflows_exit_4_with_one_line(tmp_path, capsys, magnitude):
@@ -399,12 +417,12 @@ def test_flow_bad_grid_exits_3(tmp_path, flags):
     assert not list(out.glob("trajectory_*.csv"))
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "manifest"])
 def test_flow_unknown_mode_exits_3(tmp_path, capsys, source):
     out = tmp_path / "f"
-    cfg = tmp_path / "flow.cfg"
-    cfg.write_text("mode = xyz\n")
-    argv = ["flow", "--mode", "xyz"] if source == "flag" else ["--config", cfg, "flow"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "flow", "config": {"mode": "xyz"}, "seed": 0}))
+    argv = ["flow", "--mode", "xyz"] if source == "flag" else ["--from-manifest", path]
     assert run_cli("--out-dir", out, *argv) == 3
     assert "unknown flow mode 'xyz'" in capsys.readouterr().err
     assert not list(out.glob("trajectory_*.csv"))
@@ -597,6 +615,34 @@ def test_train_with_fewer_queries_than_the_basis_exits_3_naming_them(
     assert code == 3 and err.count("\n") == 1
     assert f"{queries} query points are too few" in err and f"I={basis} functions" in err
     assert "K >= I" not in err
+    assert not out.exists()
+
+
+_TOO_HIGH = ("--m 14 is too high in 2-D: its basis has I=120 functions, but the ridge bounds "
+             "the condition number by 1e+12 only up to I=99")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--task", "smoothing2d", "--m", 14, "--epochs", 1], _TOO_HIGH),
+        (["train", "--task", "smoothing2d", "--queries", 3], "3 query points are too few for MLS "
+         "derivative targets: the order-2 basis in 2-D has I=6 functions"),
+        (["sweep", "--task", "smoothing2d", "--param", "m", "--values", "14,2"], _TOO_HIGH),
+        (["train", "--k", 2], "K >= I required: K=2 but the order-2 basis in 1-D has I=3 functions"),
+    ],
+    ids=["train-m-14", "train-queries-3", "sweep-m-14", "train-k-2"],
+)
+def test_a_refused_mls_target_configuration_builds_no_dataset_table(
+        tmp_path, capsys, monkeypatch, argv, message):
+    def build(*args):
+        raise AssertionError("a dataset table was built")
+
+    monkeypatch.setattr("soblab.training.datasets._build_1d", build)
+    monkeypatch.setattr("soblab.training.datasets._build_smoothing2d", build)
+    out = tmp_path / "t"
+    assert run_cli("--out-dir", out, *argv) == 3
+    assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
     assert not out.exists()
 
 
@@ -884,45 +930,30 @@ def test_threads_below_one_exits_3(tmp_path, threads):
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("source", ["config", "manifest"])
 @pytest.mark.parametrize(
     "key, value", [("threads", 1.7), ("threads", True), ("threads", "abc"), ("seed", 1.5),
                    ("seed", False), ("seed", [1])],
     ids=["threads-1.7", "threads-true", "threads-abc", "seed-1.5", "seed-false", "seed-list"])
-def test_global_from_a_file_that_is_not_an_integer_exits_3_naming_it(
-        tmp_path, capsys, source, key, value):
-    if source == "config":
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = {json.dumps(value)}\n")
-        argv = ["--config", path, "landscape", "--theta-steps", 4, "--x-steps", 4]
+def test_global_from_a_file_that_is_not_an_integer_exits_3_naming_it(tmp_path, capsys, key, value):
+    path = tmp_path / "manifest.json"
+    record = {**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 4}}
+    if key == "seed":
+        record["seed"] = value
     else:
-        path = tmp_path / "manifest.json"
-        record = {**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 4}}
-        if key == "seed":
-            record["seed"] = value
-        else:
-            record["config"][key] = value
-        path.write_text(json.dumps(record))
-        argv = ["--from-manifest", path]
+        record["config"][key] = value
+    path.write_text(json.dumps(record))
     out = tmp_path / "o"
-    assert run_cli("--out-dir", out, *argv) == 3
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 3
     assert capsys.readouterr().err == (
         f"soblab: configuration error: {path}: {key} must be an integer, got {value!r}\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["config", "manifest"])
-def test_global_from_a_file_may_be_an_integral_float(tmp_path, source):
-    if source == "config":
-        path = tmp_path / "run.cfg"
-        path.write_text("threads = 2.0\nseed = 3.0\n")
-        argv = ["--config", path, "landscape", "--theta-steps", 4, "--x-steps", 4]
-    else:
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({**_GOOD_RECORD, "seed": 3.0,
-                                    "config": {"theta_steps": 4, "x_steps": 4, "threads": 2.0}}))
-        argv = ["--from-manifest", path]
-    assert run_cli("--out-dir", tmp_path / "o", *argv) == 0
+def test_global_from_a_file_may_be_an_integral_float(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**_GOOD_RECORD, "seed": 3.0,
+                                "config": {"theta_steps": 4, "x_steps": 4, "threads": 2.0}}))
+    assert run_cli("--out-dir", tmp_path / "o", "--from-manifest", path) == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert (manifest["seed"], manifest["config"]["threads"]) == (3, 2)
     assert type(manifest["seed"]) is int and type(manifest["config"]["threads"]) is int
@@ -1110,7 +1141,7 @@ def test_derivs_with_more_threads_than_blocks_exits_0(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1000000
 
 
-# -- validate, config file, misc -------------------------------------------------------
+# -- validate, manifests, misc ---------------------------------------------------------
 
 def test_validate_passes_and_writes_verdicts(tmp_path):
     out = tmp_path / "v"
@@ -1183,13 +1214,10 @@ SEED_RUNS = {
 
 
 @pytest.mark.parametrize("command", SEED_RUNS)
-@pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+@pytest.mark.parametrize("source", ["flag", "manifest"])
 def test_negative_seed_exits_3_naming_the_flag(tmp_path, capsys, command, source):
     argv = ["--seed", -3, *SEED_RUNS[command]]
-    if source == "config":
-        (tmp_path / "run.cfg").write_text("seed = -3\n")
-        argv = ["--config", tmp_path / "run.cfg", *SEED_RUNS[command]]
-    elif source == "manifest":
+    if source == "manifest":
         record = {"command": command, "config": {}, "seed": -3}
         (tmp_path / "manifest.json").write_text(json.dumps(record))
         argv = ["--from-manifest", tmp_path / "manifest.json"]
@@ -1199,31 +1227,16 @@ def test_negative_seed_exits_3_naming_the_flag(tmp_path, capsys, command, source
     assert not out.exists()
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("k = 6\nm = 5\nseed = 7\n")
-    data = grid_csv(tmp_path)
+def test_a_global_flag_beats_the_manifest_value(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "derivs", "seed": 7, "config": {
+        "input": str(grid_csv(tmp_path)), "k": 6, "m": 1, "threads": 2}}))
     out = tmp_path / "o"
-    # flag --m 1 beats the config file's m = 5; k comes from the file
-    code = run_cli("--config", cfg, "--out-dir", out, "derivs", "--input", data, "--m", 1)
-    assert code == 0
+    # --seed 3 and --threads 1 beat the manifest's 7 and 2; k and m come from the manifest
+    assert run_cli("--seed", 3, "--threads", 1, "--out-dir", out, "--from-manifest", path) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["k"] == 6
-    assert manifest["config"]["m"] == 1
-    assert manifest["seed"] == 7
-
-
-def test_config_file_unknown_key_exits_3(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    # sensors is a train setting, accepted by derivs too; epoch is no setting
-    cfg.write_text("sensors = 12\nepoch = 5\n")
-    out = tmp_path / "o"
-    assert run_cli("--config", cfg, "--out-dir", out, "train", *TRAIN_FAST) == 3
-    err = capsys.readouterr().err
-    assert "'epoch'" in err and str(cfg) in err
-    assert not (out / "report.json").exists()
-    cfg.write_text("sensors = 12\nk = 6\n")
-    assert run_cli("--config", cfg, "--out-dir", out, "derivs", "--input", grid_csv(tmp_path)) == 0
+    assert (manifest["config"]["k"], manifest["config"]["m"]) == (6, 1)
+    assert (manifest["seed"], manifest["config"]["threads"]) == (3, 1)
 
 
 _GOOD_RECORD = {"command": "landscape", "config": {}, "seed": 0}
@@ -1257,7 +1270,7 @@ def test_bad_manifest_exits_3(tmp_path, capsys, record, extra):
     assert not out.exists()
 
 
-def test_manifest_replay_uses_the_config_file_resolution(tmp_path):
+def test_a_setting_missing_from_a_manifest_takes_its_default(tmp_path):
     # a recorded setting missing from the manifest falls back to its default
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 3}}))
@@ -1270,17 +1283,19 @@ def test_manifest_replay_uses_the_config_file_resolution(tmp_path):
     assert manifest["seed"] == 0
 
 
-def test_manifest_with_a_config_file_exits_3(tmp_path, capsys):
-    # the file's x_steps would be silently overridden by the manifest's
+@pytest.mark.parametrize("replay", [False, True], ids=["landscape", "from-manifest"])
+def test_the_retired_config_flag_exits_3_in_one_line_before_the_out_dir(tmp_path, capsys, replay):
+    # a settings file is given as flags or replayed as a manifest
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 3}}))
-    cfg = tmp_path / "l.cfg"
-    cfg.write_text("x_steps = 5\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("theta_steps = 4\n")
     out = tmp_path / "o"
-    assert run_cli("--config", cfg, "--out-dir", out, "--from-manifest", path) == 3
+    argv = ["--from-manifest", path] if replay else ["landscape"]
+    assert run_cli("--config", cfg, "--out-dir", out, *argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("soblab: configuration error: ") and str(path) in err
-    assert "--config" in err and err.count("\n") == 1
+    assert err.count("\n") == 1 and err.startswith(
+        f"soblab: configuration error: argument command: invalid choice: {str(cfg)!r} (choose from ")
     assert not out.exists()
 
 
@@ -1439,43 +1454,41 @@ FILE_ESCAPES = [
 ]
 
 
-@pytest.mark.parametrize("source", ["config", "manifest"])
 @pytest.mark.parametrize("command, settings, key, value, noun", FILE_ESCAPES,
                          ids=[f"{e[0]}-{e[2]}-{e[3]}" for e in FILE_ESCAPES])
 def test_a_file_value_its_flag_could_not_give_exits_3_naming_key_and_file(
-        tmp_path, capsys, source, command, settings, key, value, noun):
-    if source == "config":
-        path = tmp_path / "run.cfg"
-        path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in {**settings, key: value}.items()))
-        argv = ["--config", path, command]
-    else:
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"command": command, "config": {**settings, key: value}, "seed": 0}))
-        argv = ["--from-manifest", path]
+        tmp_path, capsys, command, settings, key, value, noun):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": command, "config": {**settings, key: value}, "seed": 0}))
     out = tmp_path / "o"
-    assert run_cli("--out-dir", out, *argv) == 3
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 3
     assert capsys.readouterr().err == (
         f"soblab: configuration error: {path}: {key} must be {noun}, got {value!r}\n")
     assert not out.exists()
 
 
+# TRAIN_FAST's settings but hidden, as a manifest records them
+_TRAIN_FAST_CONFIG = {"epochs": 3, "train_size": 6, "val_size": 3, "test_size": 3,
+                      "sensors": 12, "queries": 24, "k": 8, "rank": 3}
+
+
 @pytest.mark.parametrize(
-    "command, flags, key, text, expected",
+    "command, settings, key, value, expected",
     [
-        ("landscape", ["--x-steps", 4], "theta_steps", "4.0", 4),  # an integral float
-        ("flow", ["--T", 1], "dt", "1", 1.0),  # an int for a float
-        ("flow", ["--T", 1], "dt", "0.25", 0.25),
-        ("rates", [], "resolutions", "[30, 60.0, 120]", [30, 60, 120]),  # a JSON list
-        ("rates", [], "resolutions", "30,60,120", [30, 60, 120]),  # a comma-separated string
-        ("train", TRAIN_FAST[:-2], "hidden", "8", [8]),  # a JSON number
+        ("landscape", {"x_steps": 4}, "theta_steps", 4.0, 4),  # an integral float
+        ("flow", {"t_final": 1}, "dt", 1, 1.0),  # an int for a float
+        ("flow", {"t_final": 1}, "dt", 0.25, 0.25),
+        ("rates", {}, "resolutions", [30, 60.0, 120], [30, 60, 120]),  # a JSON list
+        ("rates", {}, "resolutions", "30,60,120", [30, 60, 120]),  # a comma-separated string
+        ("train", _TRAIN_FAST_CONFIG, "hidden", 8, [8]),  # a JSON number
     ],
     ids=["integral-float", "int-for-float", "float", "json-list", "comma-string", "json-number"],
 )
-def test_a_file_value_is_recorded_typed(tmp_path, command, flags, key, text, expected):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {text}\n")
+def test_a_file_value_is_recorded_typed(tmp_path, command, settings, key, value, expected):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": command, "config": {**settings, key: value}, "seed": 0}))
     out = tmp_path / "o"
-    assert run_cli("--config", cfg, "--out-dir", out, command, *flags) == 0
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 0
     recorded = json.loads((out / "manifest.json").read_text())["config"][key]
     assert json.dumps(recorded) == json.dumps(expected)  # 4, not 4.0; 1.0, not 1
 
@@ -1496,7 +1509,7 @@ def test_every_setting_flag_parses_back_its_default(command, key):
         argv, expected = [flag, str(default)], default
     value = getattr(build_parser().parse_args([command, *argv]), key)
     assert value == expected and type(value) is type(expected)
-    # an absent flag leaves None, so the config file and the default decide
+    # an absent flag leaves None, so a replayed manifest and the default decide
     assert getattr(build_parser().parse_args([command]), key) is None
 
 
@@ -1654,11 +1667,12 @@ def test_no_command_is_config_error():
     assert run_cli("--seed", 1) == 3
 
 
-def test_config_file_json_list_accepted(tmp_path):
-    cfg = tmp_path / "rates.cfg"
-    cfg.write_text("resolutions = [100, 200, 400]\nfunction = plane\nk = 8\nm = 1\n")
+def test_manifest_json_list_accepted(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "rates", "seed": 0, "config": {
+        "resolutions": [100, 200, 400], "function": "plane", "k": 8, "m": 1}}))
     out = tmp_path / "o"
-    assert run_cli("--config", cfg, "--out-dir", out, "rates") == 0
+    assert run_cli("--out-dir", out, "--from-manifest", path) == 0
     _, rows = read_csv(out / "rates.csv")
     assert {r[0] for r in rows} == {100, 200, 400}
 

@@ -1,13 +1,12 @@
 """The exit-code contract, generated from the settings table.
 
 Every setting of every command, and the global flags, get each
-adversarial value of their type, as a flag, as a config-file line and as
-a manifest value for --from-manifest; the files also get values that no
-flag can give.  The command runs in-process at small sizes, with warnings
-as errors and a time limit, and must exit 0, 2, 3 or 4 with no
-traceback, printing one stderr line exactly when it fails, and with the
-same code from each source.  A case refused with exit 3 leaves no
-out-dir that it made.
+adversarial value of their type, as a flag and as a manifest value for
+--from-manifest; the manifests also get values that no flag can give.
+The command runs in-process at small sizes, with warnings as errors and
+a time limit, and must exit 0, 2, 3 or 4 with no traceback, printing one
+stderr line exactly when it fails, and with the same code from each
+source.  A case refused with exit 3 leaves no out-dir that it made.
 """
 
 import functools
@@ -29,7 +28,7 @@ VALUES = {
     str: ["", "xyz", ","],
     bool: [],  # a switch takes no value
 }
-# values that only a file can hold (JSON text), for a setting of every type
+# values that only a manifest can hold (JSON text), for a setting of every type
 FILE_VALUES = ["1.5", "true", '"2"', "[1]"]
 # the one file value left out: full = true is valid, and runs the full validate suite (about 10 s)
 SKIP = {("validate", "full", "true")}
@@ -65,11 +64,11 @@ REFUSED = [
     # rates' spacing h needs a neighbor besides the point itself
     ("rates", ["rates", "--resolutions", "30,60,120", "--m", "0"], "k", "1"),
 ]
-# keys no command has, misspelt or retired, which only a file can hold
+# keys no command has, misspelt or retired, which only a manifest can hold
 UNKNOWN = [("landscape", "theta_stepz"), ("derivs", "ridge"), ("derivs", "chunk"),
            ("derivs", "out"), ("flow", "dim"), ("rates", "orders")]
-GLOBALS = {"seed": int, "threads": int, "out_dir": str, "config": str, "from_manifest": str}
-FILE_GLOBALS = {"seed", "threads", "out_dir"}  # the globals a file may set
+GLOBALS = {"seed": int, "threads": int, "out_dir": str, "from_manifest": str}
+FILE_GLOBALS = {"seed", "threads", "out_dir"}  # the globals a manifest may set
 TIME_LIMIT_S = 10.0
 
 
@@ -81,13 +80,13 @@ def _cases():
     """(id, case) of every case: (command, base argv, key, [(source, value text)],
     the exit code every source must give or None).
 
-    A flag value is also a case from each file; the file-only values of a
-    setting make one case, from each file.
+    A flag value is also a case from a manifest; the manifest-only values of
+    a setting make one case.
     """
     def sources(command, key, values, flag=True):
         files = [v for v in values if (command, key, v) not in SKIP]
         flags = [("flag", v) for v in values] if flag else []
-        return flags + [("config", v) for v in files] + [("manifest", v) for v in files]
+        return flags + [("manifest", v) for v in files]
 
     for key, kind in GLOBALS.items():
         files = key in FILE_GLOBALS
@@ -130,23 +129,17 @@ def _settings(command, base):
 
 
 def _argv(source, command, base, key, value):
-    """The case as argv: its value as a flag, a config-file line or a manifest value."""
+    """The case as argv: its value as a flag or a manifest value."""
     global_key = key in GLOBALS
     out = [] if global_key else ["--out-dir", "out"]
     if source == "flag":
         case = f"{_flag(key)}={value}"
         return [case, *base] if global_key else [*out, *base, case]
-    settings = _settings(command, tuple(base))
-    if source == "config":
-        lines = [f"{k} = {json.dumps(v)}\n" for k, v in settings.items()] + [f"{key} = {value}\n"]
-        with open("case.cfg", "w") as fh:
-            fh.writelines(lines)  # the case's line comes last, so it wins
-        return ["--config", "case.cfg", *out, command]
     try:
         typed = json.loads(value)
     except json.JSONDecodeError:
-        typed = value  # a config-file line reads the same way
-    record = {"command": command, "config": {**settings, key: typed}, "seed": 0}
+        typed = value  # a value that is no JSON text is recorded as a string
+    record = {"command": command, "config": {**_settings(command, tuple(base)), key: typed}, "seed": 0}
     if key == "seed":  # recorded beside the config
         record["seed"] = record["config"].pop("seed")
     with open("case.json", "w") as fh:
@@ -197,15 +190,13 @@ def test_every_setting_value_exits_with_a_documented_code(tmp_path, monkeypatch,
     assert expected is None or {c for by_source in codes.values() for c in by_source.values()} == {expected}
 
 
-@pytest.mark.parametrize("source", ["config", "manifest"])
 @pytest.mark.parametrize("command, key", UNKNOWN, ids=[f"{c}-{k}" for c, k in UNKNOWN])
 def test_an_unknown_key_in_a_file_exits_3_naming_the_key_and_the_file(
-        tmp_path, monkeypatch, capsys, command, key, source):
+        tmp_path, monkeypatch, capsys, command, key):
     monkeypatch.chdir(tmp_path)
-    assert main(_argv(source, command, BASE[command], key, "4")) == 3
+    assert main(_argv("manifest", command, BASE[command], key, "4")) == 3
     err = capsys.readouterr().err
-    name = "case.cfg" if source == "config" else "case.json"
-    assert err.startswith(f"soblab: configuration error: {name}") and f"setting {key!r}" in err, err
+    assert err.startswith("soblab: configuration error: case.json") and f"setting {key!r}" in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -218,7 +209,7 @@ MISSING = {
 }
 
 
-@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("source", ["flags", "manifest"])
 @pytest.mark.parametrize("case", sorted(MISSING))
 def test_a_missing_required_setting_exits_3_naming_its_flag(tmp_path, capsys, case, source):
     command, settings, message = MISSING[case]
@@ -226,9 +217,9 @@ def test_a_missing_required_setting_exits_3_naming_its_flag(tmp_path, capsys, ca
     if source == "flags":
         argv = [command, *(f"--{key}={value}" for key, value in settings.items())]
     else:
-        lines = [f"{key} = {json.dumps(value)}\n" for key, value in settings.items()]
-        (tmp_path / "c.cfg").write_text("".join(lines))
-        argv = ["--config", str(tmp_path / "c.cfg"), command]
+        record = {"command": command, "config": settings, "seed": 0}
+        (tmp_path / "case.json").write_text(json.dumps(record))
+        argv = ["--from-manifest", str(tmp_path / "case.json")]
     assert main(["--out-dir", str(out), *argv]) == 3
     assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
     assert not out.exists()  # refused before the out-dir is made
