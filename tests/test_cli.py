@@ -131,8 +131,12 @@ def test_derivs_k_below_basis_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [(["derivs", "--input", "grid.csv", "--k", 26], "K=26 outside [1, 25]"),
-     (["rates", "--resolutions", "30,60,120", "--k", 31], "K=31 outside [1, 30]")],
-    ids=["derivs", "rates"],
+     (["rates", "--resolutions", "30,60,120", "--k", 31], "K=31 outside [1, 30]"),
+     (["--threads", 2, "derivs", "--input", "grid.csv", "--k", 1000, "--m", 1],
+      "K=1000 outside [1, 25]"),
+     (["--threads", 2, "rates", "--resolutions", "25,50,100", "--k", 26, "--m", 1],
+      "K=26 outside [1, 25]")],
+    ids=["derivs", "rates", "derivs-threads-2", "rates-threads-2"],
 )
 def test_a_k_above_the_point_count_exits_3_before_any_tree(tmp_path, capsys, monkeypatch, argv, message):
     def build_index(cloud):
@@ -144,6 +148,21 @@ def test_a_k_above_the_point_count_exits_3_before_any_tree(tmp_path, capsys, mon
     assert run_cli("--out-dir", "o", *argv) == 3
     assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derivs", "--input", "grid.csv", "--k", 25, "--m", 1],
+     ["rates", "--resolutions", "25,50,100", "--k", 25, "--m", 1]],
+    ids=["derivs", "rates"],
+)
+def test_a_k_equal_to_the_point_count_is_accepted(tmp_path, capsys, monkeypatch, argv):
+    # every point is a neighbor of every other: the stencil is the whole cloud
+    monkeypatch.chdir(tmp_path)
+    grid_csv(tmp_path)  # the 25-point grid.csv
+    assert run_cli("--out-dir", "o", *argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "o" / "manifest.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -630,8 +649,18 @@ _TOO_HIGH = ("--m 14 is too high in 2-D: its basis has I=120 functions, but the 
          "derivative targets: the order-2 basis in 2-D has I=6 functions"),
         (["sweep", "--task", "smoothing2d", "--param", "m", "--values", "14,2"], _TOO_HIGH),
         (["train", "--k", 2], "K >= I required: K=2 but the order-2 basis in 1-D has I=3 functions"),
+        (["train", "--m", 0], "|alpha|=1 exceeds fitted order m=0"),
+        (["train", "--queries", 2], "2 query points are too few for MLS derivative targets: "
+         "the order-2 basis in 1-D has I=3 functions"),
+        (["train", "--task", "smoothing2d", "--k", 5],
+         "K >= I required: K=5 but the order-2 basis in 2-D has I=6 functions"),
+        (["sweep", "--param", "K", "--values", "2,8"],
+         "K >= I required: K=2 but the order-2 basis in 1-D has I=3 functions"),
+        (["sweep", "--task", "smoothing2d", "--param", "m", "--values", "0,2"],
+         "|alpha|=1 exceeds fitted order m=0"),
     ],
-    ids=["train-m-14", "train-queries-3", "sweep-m-14", "train-k-2"],
+    ids=["train-m-14", "train-queries-3", "sweep-m-14", "train-k-2", "train-m-0", "train-queries-2",
+         "train-2d-k-5", "sweep-k-2", "sweep-2d-m-0"],
 )
 def test_a_refused_mls_target_configuration_builds_no_dataset_table(
         tmp_path, capsys, monkeypatch, argv, message):
@@ -644,6 +673,19 @@ def test_a_refused_mls_target_configuration_builds_no_dataset_table(
     assert run_cli("--out-dir", out, *argv) == 3
     assert capsys.readouterr().err == f"soblab: configuration error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", 14, "--derivative-source", "exact"], ["--queries", 2, "--derivative-source", "exact"],
+     ["--k", 2, "--derivative-source", "none", "--mode", "ordinary"]],
+    ids=["exact-m-14", "exact-queries-2", "none-k-2"],
+)
+def test_mls_target_checks_leave_other_derivative_sources_alone(tmp_path, flags):
+    # K and m configure the MLS targets only: exact or no targets never fit them
+    out = tmp_path / "t"
+    assert run_cli("--out-dir", out, "train", *TRAIN_FAST, *flags) == 0
+    assert (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -1283,19 +1325,27 @@ def test_a_setting_missing_from_a_manifest_takes_its_default(tmp_path):
     assert manifest["seed"] == 0
 
 
-@pytest.mark.parametrize("replay", [False, True], ids=["landscape", "from-manifest"])
-def test_the_retired_config_flag_exits_3_in_one_line_before_the_out_dir(tmp_path, capsys, replay):
+_RETIRED_CONFIG = [(command, attached) for attached in (False, True) for command in [
+    "landscape", "from-manifest", "derivs", "flow", "rates", "sweep", "train", "validate"]]
+
+
+@pytest.mark.parametrize("command, attached", _RETIRED_CONFIG,
+                         ids=[c + "-attached" * a for c, a in _RETIRED_CONFIG])
+def test_the_retired_config_flag_exits_3_in_one_line_before_the_out_dir(
+        tmp_path, capsys, command, attached):
     # a settings file is given as flags or replayed as a manifest
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**_GOOD_RECORD, "config": {"theta_steps": 4, "x_steps": 3}}))
     cfg = tmp_path / "s.cfg"
     cfg.write_text("theta_steps = 4\n")
     out = tmp_path / "o"
-    argv = ["--from-manifest", path] if replay else ["landscape"]
-    assert run_cli("--config", cfg, "--out-dir", out, *argv) == 3
+    argv = ["--from-manifest", path] if command == "from-manifest" else [command]
+    flag = [f"--config={cfg}"] if attached else ["--config", cfg]
+    assert run_cli(*flag, "--out-dir", out, *argv) == 3
+    message = (f"unrecognized arguments: --config={cfg}\n" if attached
+               else f"argument command: invalid choice: {str(cfg)!r} (choose from ")
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(
-        f"soblab: configuration error: argument command: invalid choice: {str(cfg)!r} (choose from ")
+    assert err.count("\n") == 1 and err.startswith(f"soblab: configuration error: {message}")
     assert not out.exists()
 
 

@@ -6,7 +6,8 @@ adversarial value of their type, as a flag and as a manifest value for
 The command runs in-process at small sizes, with warnings as errors and
 a time limit, and must exit 0, 2, 3 or 4 with no traceback, printing one
 stderr line exactly when it fails, and with the same code from each
-source.  A case refused with exit 3 leaves no out-dir that it made.
+source.  A case refused with exit 3 leaves no out-dir that it made; the
+retired --config flag is refused with exit 3 whatever its value.
 """
 
 import functools
@@ -63,12 +64,18 @@ REFUSED = [
     ("derivs", ["derivs", "--input", "cloud3d.csv", "--k", "130"], "m", "7"),
     # rates' spacing h needs a neighbor besides the point itself
     ("rates", ["rates", "--resolutions", "30,60,120", "--m", "0"], "k", "1"),
+    # K above the point count: cloud.csv has 40 points, the first resolution 30
+    ("derivs", ["derivs", "--input", "cloud.csv"], "k", "41"),
+    ("rates", ["rates", "--resolutions", "30,60,120"], "k", "31"),
+    # the order-14 basis in 2-D is refused before train builds its dataset
+    ("train", ["train", *TINY_TRAIN, "--task", "smoothing2d"], "m", "14"),
 ]
 # keys no command has, misspelt or retired, which only a manifest can hold
 UNKNOWN = [("landscape", "theta_stepz"), ("derivs", "ridge"), ("derivs", "chunk"),
            ("derivs", "out"), ("flow", "dim"), ("rates", "orders")]
 GLOBALS = {"seed": int, "threads": int, "out_dir": str, "from_manifest": str}
 FILE_GLOBALS = {"seed", "threads", "out_dir"}  # the globals a manifest may set
+RETIRED_GLOBALS = {"config": str}  # refused as an unknown flag, whatever its value
 TIME_LIMIT_S = 10.0
 
 
@@ -96,6 +103,9 @@ def _cases():
         if files:
             runs = sources("landscape", key, FILE_VALUES, flag=False)
             yield f"{key} = file values, landscape", ("landscape", BASE["landscape"], key, runs, None)
+    for key, kind in RETIRED_GLOBALS.items():
+        for value in VALUES[kind]:
+            yield f"{_flag(key)}={value} landscape", ("landscape", BASE["landscape"], key, [("flag", value)], 3)
     for command, settings in DEFAULTS.items():
         for key, default in settings.items():
             for value in VALUES[str if default is None else type(default)]:
@@ -130,7 +140,7 @@ def _settings(command, base):
 
 def _argv(source, command, base, key, value):
     """The case as argv: its value as a flag or a manifest value."""
-    global_key = key in GLOBALS
+    global_key = key in GLOBALS or key in RETIRED_GLOBALS
     out = [] if global_key else ["--out-dir", "out"]
     if source == "flag":
         case = f"{_flag(key)}={value}"
